@@ -82,6 +82,31 @@ class TestHLMaximal:
         assert np.allclose(hl_maximal(-2.0 * f).samples, 2.0 * mf.samples, rtol=1e-12)
 
 
+class TestTwoDimensional:
+    """Analytic and metamorphic oracles that break on any missing factor of h."""
+
+    @pytest.mark.parametrize(
+        "op",
+        [hl_maximal, local_maximal, lambda f: grid_maximal(f, (1, 1))],
+        ids=["hl", "local", "grid"],
+    )
+    def test_constant_fixed_2d(self, op):
+        d2 = Domain(2, 4, 5)
+        out = op(GridFunction(d2, np.full(d2.shape, 2.5)))
+        # every point lies in a side-h cube of the window, whose mean is 2.5
+        assert np.allclose(out.samples, 2.5, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dyadic_dilation_covariance(self, dim):
+        # x -> 2x maps the level-k cubes of Domain(n, T, m) onto the level
+        # k-1 cubes of Domain(n, 2T, m-1) and keeps every cube mean
+        small, large = Domain(dim, 2, 5), Domain(dim, 4, 4)
+        vals = np.random.default_rng(11).normal(size=small.shape)
+        a = hl_maximal(GridFunction(small, vals)).samples
+        b = hl_maximal(GridFunction(large, vals)).samples
+        assert np.allclose(a, b, rtol=1e-12, atol=0.0)
+
+
 class TestLocalMaximal:
     def test_dominated_by_global(self, dom):
         f = function_preset("bump:-2,1", dom)

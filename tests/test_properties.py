@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from varhardy.exponent import VariableExponent, dual_exponent
 from varhardy.grid import Domain, GridFunction, quadrature
@@ -11,6 +12,7 @@ from varhardy.norms import luxemburg_norm, modular
 from varhardy.weights import Weight
 
 DOM = Domain(1, 2, 5)  # small lattice keeps every example cheap
+MAXIMAL_DOMS = pytest.mark.parametrize("dom", [DOM, Domain(2, 0.5, 4)], ids=["n1", "n2"])
 
 finite_arrays = st.lists(
     st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
@@ -23,6 +25,12 @@ exponent_arrays = st.lists(
 ).map(lambda v: np.asarray(v))
 
 scalars = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
+
+
+def samples_on(dom):
+    return hnp.arrays(
+        float, dom.shape, elements=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
+    )
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,19 +72,21 @@ def test_dual_exponent_involution(pv):
     assert np.max(np.abs(back.values.samples - p.values.samples)) <= 1e-10
 
 
+@MAXIMAL_DOMS
 @settings(max_examples=15, deadline=None)
-@given(finite_arrays, finite_arrays)
-def test_maximal_sublinearity(a, b):
-    f = GridFunction(DOM, a)
-    g = GridFunction(DOM, b)
+@given(data=st.data())
+def test_maximal_sublinearity(dom, data):
+    f = GridFunction(dom, data.draw(samples_on(dom)))
+    g = GridFunction(dom, data.draw(samples_on(dom)))
     excess = hl_maximal(f + g).samples - hl_maximal(f).samples - hl_maximal(g).samples
     assert np.max(excess) <= 1e-10
 
 
+@MAXIMAL_DOMS
 @settings(max_examples=15, deadline=None)
-@given(finite_arrays, scalars)
-def test_maximal_positive_homogeneity(a, c):
-    f = GridFunction(DOM, a)
+@given(data=st.data(), c=scalars)
+def test_maximal_positive_homogeneity(dom, data, c):
+    f = GridFunction(dom, data.draw(samples_on(dom)))
     lhs = hl_maximal(c * f).samples
     rhs = c * hl_maximal(f).samples
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * (1 + c)

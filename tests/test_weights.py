@@ -71,6 +71,11 @@ class TestA1:
     def test_unit_weight(self, dom):
         assert a1_loc_constant(weight_preset("const:1", dom)).constant == pytest.approx(1.0)
 
+    def test_unit_weight_2d(self):
+        # analytic oracle: M^loc 1 = 1, so [1]_{A1 loc} = 1 in every dimension
+        w = Weight.constant(Domain(2, 4, 5), 1.0)
+        assert a1_loc_constant(w).constant == pytest.approx(1.0, rel=1e-12)
+
     def test_decreasing_power_finite(self, dom):
         # frozen direct evaluation oracle: about 1.386
         c = a1_loc_constant(weight_preset("power:-1", dom)).constant
