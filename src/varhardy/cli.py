@@ -69,8 +69,6 @@ def _build_config(args: argparse.Namespace, suite: str | None = None) -> Experim
         merged["suite"] = suite
     if getattr(args, "suite", None):
         merged["suite"] = args.suite
-    if getattr(args, "operator", None):
-        merged["operator"] = args.operator
     return ExperimentConfig(**merged)
 
 
@@ -103,7 +101,7 @@ def cmd_norm(args) -> int:
     return 0
 
 
-def _apply_operator(spec: str, f: GridFunction, w, cfg) -> GridFunction:
+def _apply_operator(spec: str, f: GridFunction, w) -> GridFunction:
     from . import maximal as mx
 
     name, _, arg = spec.partition(":")
@@ -134,7 +132,7 @@ def cmd_maximal(args) -> int:
     d = cfg.domain()
     f = function_preset(args.f, d)
     w = weight_preset(cfg.w, d)
-    out = _apply_operator(args.operator, f, w, cfg)
+    out = _apply_operator(args.operator, f, w)
     path = Path(cfg.out or "maximal_profile.csv")
     xs = d.axis()
     with open(path, "w") as fh:

@@ -23,6 +23,7 @@ __all__ = [
     "GridFunction",
     "Cube",
     "Box",
+    "CubeLayout",
     "quadrature",
     "enumerate_cubes",
     "convolve",
@@ -194,11 +195,6 @@ class Box:
         r = (hi - lo) / 2 * factor
         return Box(tuple(c - r), tuple(c + r))
 
-    def contains(self, other: "Box") -> bool:
-        return all(a <= b for a, b in zip(self.lo, other.lo)) and all(
-            a >= b for a, b in zip(self.hi, other.hi)
-        )
-
     def lattice_mask(self, domain: Domain) -> np.ndarray:
         x = domain.axis()
         masks = []
@@ -286,29 +282,52 @@ def cube_index_map(domain: Domain, level: int, shift: tuple[int, ...]) -> list[n
     return [(3 * i - a * s) // (3 * s) for a in shift]
 
 
-def cube_averages(
-    values: np.ndarray, domain: Domain, level: int, shift: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of `values` over each cube of one grid at one level.
+class CubeLayout:
+    """Which lattice points lie in which cube of one shifted grid level.
 
-    Returns (means_per_point, means_flat): means_per_point[i] is the average
-    over the cube containing lattice point i (zero extension outside the
-    window; division is by the full cube volume).
+    `ids` maps every lattice point to a flat cube id, row-major over the
+    per-axis cube indices; `count` cubes meet the window and `first` holds
+    the cube index of the first lattice point on each axis.  Every per-cube
+    sum, mean and sweep goes through this one layout.
     """
-    idx = cube_index_map(domain, level, shift)
-    h = domain.h
-    vol = (2.0 ** (-level)) ** domain.dim
-    if domain.dim == 1:
-        q = idx[0]
-        q0 = int(q[0])
-        flat = np.bincount(q - q0, weights=values) * (h / vol)
-        return flat[q - q0], flat
-    qx, qy = idx
-    qx0, qy0 = int(qx[0]), int(qy[0])
-    ncols = int(qy[-1]) - qy0 + 1
-    lin = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
-    flat = np.bincount(lin.ravel(), weights=values.ravel()) * (h * h / vol)
-    return flat[lin], flat
+
+    def __init__(self, domain: Domain, level: int, shift: tuple[int, ...]):
+        idx = cube_index_map(domain, level, shift)
+        self.domain = domain
+        self.level = level
+        self.shift = tuple(shift)
+        self.first = tuple(int(q[0]) for q in idx)
+        self.shape = tuple(int(q[-1]) - q0 + 1 for q, q0 in zip(idx, self.first))
+        self.count = math.prod(self.shape)
+        if domain.dim == 1:
+            self.ids = idx[0] - self.first[0]
+        else:
+            (qx, qy), (qx0, qy0) = idx, self.first
+            ncols = self.shape[1]
+            self.ids = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Sum of `values` over the lattice points of each cube."""
+        return np.bincount(self.ids.ravel(), weights=values.ravel(), minlength=self.count)
+
+    def means(self, values: np.ndarray) -> np.ndarray:
+        """Riemann mean over each cube against its full volume (zero
+        extension outside the window)."""
+        d = self.domain
+        return self.sums(values) * (d.h ** d.dim / (2.0 ** (-self.level)) ** d.dim)
+
+    def field(self, flat: np.ndarray) -> np.ndarray:
+        """Per-point array holding the value of the cube containing each point."""
+        return flat[self.ids]
+
+    def occupancy(self) -> np.ndarray:
+        """Share of each cube's lattice points that lie inside the window."""
+        counts = np.bincount(self.ids.ravel(), minlength=self.count)
+        return counts / (2.0 ** (self.domain.level - self.level)) ** self.domain.dim
+
+    def cube(self, j: int) -> Cube:
+        index = np.unravel_index(j, self.shape)
+        return Cube(self.level, self.shift, tuple(int(i) + q0 for i, q0 in zip(index, self.first)))
 
 
 def quadrature(f: GridFunction, cube: Cube | None = None) -> float:

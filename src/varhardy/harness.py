@@ -62,7 +62,6 @@ class ExperimentConfig:
     m: int = 9
     p: str = "const:2"
     w: str = "const:1"
-    operator: str = "Mloc"
     suite: str = "E1"
     seed: int = 42
     out: str | None = None

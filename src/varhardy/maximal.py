@@ -3,8 +3,9 @@
 Every cube supremum runs over the shifted dyadic enumeration: the covering
 property of the three shifted grids brackets the supremum over arbitrary
 cubes within a factor 6^n, so the dyadic supremum is the canonical
-computable object here.  Per-level cube averages are prefix-sum cheap, so
-each operator costs O(points * levels * grids).
+computable object here.  Each level of each grid costs one bincount of
+the samples into the cube layout (`grid.CubeLayout`) and one gather back
+to the lattice, so each operator costs O(points * levels * grids).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 
 from .exponent import VariableExponent
 from .grid import (
+    CubeLayout,
     Domain,
     GridFunction,
     all_shifts,
     convolve,
-    cube_index_map,
     level_range,
 )
 from .report import Report
@@ -43,23 +44,6 @@ __all__ = [
 MAIN_GRID_SHIFT = 1  # the distinguished dyadic grid uses shift (1,...,1)
 
 
-def _cube_mean_field(absf: np.ndarray, domain: Domain, level: int, shift) -> np.ndarray:
-    """Average of |f| over the cube of one grid containing each point."""
-    idx = cube_index_map(domain, level, shift)
-    hn = domain.h ** domain.dim
-    vol = (2.0 ** (-level)) ** domain.dim
-    if domain.dim == 1:
-        q = idx[0] - int(idx[0][0])
-        flat = np.bincount(q, weights=absf) * (hn / vol)
-        return flat[q]
-    qx, qy = idx
-    qx0, qy0 = int(qx[0]), int(qy[0])
-    ncols = int(qy[-1]) - qy0 + 1
-    lin = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
-    flat = np.bincount(lin.ravel(), weights=absf.ravel()) * (hn * hn / vol)
-    return flat[lin]
-
-
 def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None = None,
                  min_side: float | None = None) -> GridFunction:
     """Maximal operator generated by the single shifted grid `shift`."""
@@ -71,7 +55,8 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
     absf = np.abs(f.samples)
     out = np.zeros(d.shape)
     for k in level_range(d, max_side, min_side):
-        np.maximum(out, _cube_mean_field(absf, d, k, shift), out=out)
+        cubes = CubeLayout(d, k, shift)
+        np.maximum(out, cubes.field(cubes.means(absf)), out=out)
     return GridFunction(d, out)
 
 
@@ -116,10 +101,10 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
     out = np.zeros(d.shape)
     for k in level_range(d, 1.0):
         for a in all_shifts(d.dim):
-            num = _cube_mean_field(g, d, k, a)
-            den = _cube_mean_field(ws, d, k, a)
+            cubes = CubeLayout(d, k, a)
+            num, den = cubes.means(g), cubes.means(ws)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.maximum(out, np.where(den > 0, num / den, 0.0), out=out)
+                np.maximum(out, cubes.field(np.where(den > 0, num / den, 0.0)), out=out)
     return GridFunction(d, scale * out ** (1.0 / u))
 
 
@@ -183,23 +168,8 @@ def averaging_e_k(f: GridFunction, k: int) -> GridFunction:
     Cubes cut by the window edge are therefore averaged against their full
     volume; idempotence is exact on interior cubes only.
     """
-    d = f.domain
-    if 2.0 ** (-k) < d.h:
-        raise ValueError("scale below resolution")
-    shift = (MAIN_GRID_SHIFT,) * d.dim
-    idx = cube_index_map(d, k, shift)
-    hn = d.h ** d.dim
-    vol = (2.0 ** (-k)) ** d.dim
-    if d.dim == 1:
-        q = idx[0] - int(idx[0][0])
-        sums = np.bincount(q, weights=f.samples)
-        return GridFunction(d, (sums * (hn / vol))[q])
-    qx, qy = idx
-    qx0, qy0 = int(qx[0]), int(qy[0])
-    ncols = int(qy[-1]) - qy0 + 1
-    lin = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
-    sums = np.bincount(lin.ravel(), weights=f.samples.ravel())
-    return GridFunction(d, (sums * (hn / vol))[lin])
+    cubes = CubeLayout(f.domain, k, (MAIN_GRID_SHIFT,) * f.domain.dim)
+    return GridFunction(f.domain, cubes.field(cubes.means(f.samples)))
 
 
 def restricted_dyadic_maximal(f: GridFunction, r0: float, mode: str) -> GridFunction:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import Cube, Domain, GridFunction, cube_index_map
+from .grid import Cube, CubeLayout, GridFunction
 from .report import Report
 
 if TYPE_CHECKING:
@@ -209,33 +209,9 @@ def localization_norm(f: GridFunction, p: VariableExponent, k0: int) -> float:
     shift-(1,...,1) dyadic grid."""
     if p.p_infty is None:
         raise ValueError("p_infty not declared")
-    d = f.domain
-    shift = (1,) * d.dim
-    idx = cube_index_map(d, k0, shift)
-    pieces = []
-    if d.dim == 1:
-        q = idx[0]
-        for qv in np.unique(q):
-            sel = q == qv
-            if not np.any(np.abs(f.samples[sel]) > 0):
-                continue
-            piece = np.zeros(d.shape)
-            piece[sel] = f.samples[sel]
-            pieces.append(luxemburg_norm(GridFunction(d, piece), p))
-    else:
-        qx, qy = idx
-        lin = qx[:, None] * (int(qy[-1]) - int(qy[0]) + 2) + qy[None, :]
-        for qv in np.unique(lin):
-            sel = lin == qv
-            if not np.any(np.abs(f.samples[sel]) > 0):
-                continue
-            piece = np.zeros(d.shape)
-            piece[sel] = f.samples[sel]
-            pieces.append(luxemburg_norm(GridFunction(d, piece), p))
-    if not pieces:
-        return 0.0
+    norms, _ = batch_restricted_norms(f.samples, p, None, k0, (1,) * f.domain.dim)
     pinf = p.p_infty
-    return float(np.sum(np.asarray(pieces) ** pinf) ** (1.0 / pinf))
+    return float(np.sum(norms ** pinf) ** (1.0 / pinf))
 
 
 def _batch_bisect(
@@ -243,17 +219,15 @@ def _batch_bisect(
     logg_p: np.ndarray,
     wsamp: np.ndarray | None,
     active_mask: np.ndarray,
-    qidx: np.ndarray,
-    ncubes: int,
-    hn: float,
+    cubes: CubeLayout,
     iters: int = 64,
 ) -> np.ndarray:
-    """Solve modular_Q(g / lambda_Q) = 1 for every cube simultaneously.
+    """Solve modular_Q(g / lambda_Q) = 1 for every cube of `cubes` simultaneously.
 
-    logg_p is p(x) * log|g(x)| with -inf where g vanishes; qidx maps each
-    lattice point to its cube id; active_mask masks points contributing at
-    all (nonzero g inside the window).
+    logg_p is p(x) * log|g(x)| with -inf where g vanishes; active_mask masks
+    points contributing at all (nonzero g inside the window).
     """
+    hn = cubes.domain.h ** cubes.domain.dim
     contrib = np.where(active_mask, np.exp(logg_p), 0.0)
     if wsamp is not None:
         contrib = contrib * wsamp
@@ -261,14 +235,14 @@ def _batch_bisect(
     def mods(lam: np.ndarray) -> np.ndarray:
         # modular of g/lam_Q on each cube: exp(logg_p - p*log lam[q]) * w
         loglam = np.log(lam)
-        scale = np.where(active_mask, np.exp(logg_p - pvals * loglam[qidx]), 0.0)
+        scale = np.where(active_mask, np.exp(logg_p - pvals * cubes.field(loglam)), 0.0)
         if wsamp is not None:
             scale = scale * wsamp
-        return hn * np.bincount(qidx.ravel(), weights=scale.ravel(), minlength=ncubes)
+        return hn * cubes.sums(scale)
 
-    rho0 = hn * np.bincount(qidx.ravel(), weights=contrib.ravel(), minlength=ncubes)
+    rho0 = hn * cubes.sums(contrib)
     alive = rho0 > 0
-    lam = np.ones(ncubes)
+    lam = np.ones(cubes.count)
     pmin, pmax = float(np.min(pvals)), float(np.max(pvals))
     with np.errstate(divide="ignore", invalid="ignore"):
         seed = np.maximum(rho0 ** (1.0 / pmin), rho0 ** (1.0 / pmax))
@@ -310,24 +284,13 @@ def batch_restricted_norms(
     Returns (norms_flat, qidx) where qidx maps lattice points to cube ids.
     """
     d = p.domain
-    idx = cube_index_map(d, level, shift)
-    if d.dim == 1:
-        qidx = idx[0] - int(idx[0][0])
-        ncubes = int(qidx[-1]) + 1
-    else:
-        qx, qy = idx
-        qx0, qy0 = int(qx[0]), int(qy[0])
-        ncols = int(qy[-1]) - qy0 + 1
-        qidx = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
-        ncubes = int(qidx.max()) + 1
+    cubes = CubeLayout(d, level, shift)
     absg = np.abs(np.broadcast_to(g, d.shape))
     active = absg > 0
     with np.errstate(divide="ignore"):
         logg_p = np.where(active, p.values.samples * np.log(np.where(active, absg, 1.0)), -np.inf)
-    wsamp = _weight_samples(w)
-    hn = d.h ** d.dim
-    norms = _batch_bisect(p.values.samples, logg_p, wsamp, active, qidx, ncubes, hn)
-    return norms, qidx
+    norms = _batch_bisect(p.values.samples, logg_p, _weight_samples(w), active, cubes)
+    return norms, cubes.ids
 
 
 def batch_indicator_norms(

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import Cube, Domain, GridFunction, all_shifts, cube_index_map, level_range
+from .grid import Cube, CubeLayout, Domain, GridFunction, all_shifts, level_range
 from .report import Report
 
 __all__ = [
@@ -105,14 +105,14 @@ class MuckenhouptReport:
 
 def _sweep_cubes(
     domain: Domain,
-    per_level_fn,
+    per_cube_fn,
     max_side: float = 1.0,
     shifts=None,
 ) -> MuckenhouptReport:
     """Maximize a per-cube quantity over the enumeration, tracking the argmax.
 
-    per_level_fn(level, shift) must return a flat array of cube values
-    together with the flat index offset (first cube index at that level).
+    per_cube_fn(cubes) gets the CubeLayout of one (level, shift) and must
+    return a flat array with one value per cube of that layout.
     """
     if shifts is None:
         shifts = all_shifts(domain.dim)
@@ -121,50 +121,19 @@ def _sweep_cubes(
     count = 0
     for k in level_range(domain, max_side):
         for a in shifts:
-            vals, offsets = per_level_fn(k, a)
+            cubes = CubeLayout(domain, k, a)
+            vals = per_cube_fn(cubes)
             count += vals.size
             j = int(np.argmax(vals))
             if vals[j] > best:
                 best = float(vals[j])
-                best_cube = _cube_from_flat(domain, k, a, j, offsets)
+                best_cube = cubes.cube(j)
     return MuckenhouptReport(best, best_cube, count)
 
 
-def _flat_layout(domain: Domain, level: int, shift):
-    idx = cube_index_map(domain, level, shift)
-    if domain.dim == 1:
-        q0 = int(idx[0][0])
-        qidx = idx[0] - q0
-        ncubes = int(qidx[-1]) + 1
-        return qidx, ncubes, (q0,)
-    qx, qy = idx
-    qx0, qy0 = int(qx[0]), int(qy[0])
-    ncols = int(qy[-1]) - qy0 + 1
-    qidx = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
-    return qidx, int(qidx.max()) + 1, (qx0, qy0, ncols)
-
-
-def _cube_from_flat(domain: Domain, level: int, shift, flat: int, offsets) -> Cube:
-    if domain.dim == 1:
-        return Cube(level, shift, (flat + offsets[0],))
-    qx0, qy0, ncols = offsets
-    return Cube(level, shift, (flat // ncols + qx0, flat % ncols + qy0))
-
-
-def _cube_means(domain: Domain, samples: np.ndarray, level: int, shift):
-    """Cube means with zero extension: integral / full cube volume."""
-    qidx, ncubes, offsets = _flat_layout(domain, level, shift)
-    hn = domain.h ** domain.dim
-    vol = (2.0 ** (-level)) ** domain.dim
-    sums = np.bincount(qidx.ravel(), weights=samples.ravel(), minlength=ncubes)
-    return sums * (hn / vol), qidx, offsets
-
-
-def _occupancy(domain: Domain, level: int, shift):
-    qidx, ncubes, _ = _flat_layout(domain, level, shift)
-    counts = np.bincount(qidx.ravel(), minlength=ncubes)
-    full = (2.0 ** (domain.level - level)) ** domain.dim
-    return counts / full
+def _inside(cubes: CubeLayout) -> np.ndarray:
+    """Cubes lying wholly inside the window."""
+    return cubes.occupancy() > 1.0 - 1e-9
 
 
 def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
@@ -177,14 +146,10 @@ def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
     ws = w.values.samples
     logw = np.log(ws)
 
-    def per_level(k, a):
-        mw, qidx, offsets = _cube_means(d, ws, k, a)
-        mlog, _, _ = _cube_means(d, logw, k, a)
-        occ = _occupancy(d, k, a)
-        vals = np.where(occ > 1.0 - 1e-9, mw * np.exp(-mlog), -np.inf)
-        return vals, offsets
+    def per_cube(cubes):
+        return np.where(_inside(cubes), cubes.means(ws) * np.exp(-cubes.means(logw)), -np.inf)
 
-    return _sweep_cubes(d, per_level)
+    return _sweep_cubes(d, per_cube)
 
 
 def a_loc_p_constant(w: Weight, p: float) -> MuckenhouptReport:
@@ -195,14 +160,10 @@ def a_loc_p_constant(w: Weight, p: float) -> MuckenhouptReport:
     ws = w.values.samples
     sig = ws ** (-1.0 / (p - 1.0))
 
-    def per_level(k, a):
-        mw, _, offsets = _cube_means(d, ws, k, a)
-        ms, _, _ = _cube_means(d, sig, k, a)
-        occ = _occupancy(d, k, a)
-        vals = np.where(occ > 1.0 - 1e-9, mw * ms ** (p - 1.0), -np.inf)
-        return vals, offsets
+    def per_cube(cubes):
+        return np.where(_inside(cubes), cubes.means(ws) * cubes.means(sig) ** (p - 1.0), -np.inf)
 
-    return _sweep_cubes(d, per_level)
+    return _sweep_cubes(d, per_cube)
 
 
 def a1_loc_constant(w: Weight) -> MuckenhouptReport:
@@ -230,24 +191,17 @@ def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
         q = 1.0 + 1.0 / (4.0 ** (d.dim + 6) * a1)
     ws = w.values.samples
     wq = ws ** q
-    worst = -np.inf
-    worst_cube = None
-    for k in level_range(d, 1.0):
-        for a in all_shifts(d.dim):
-            mq, _, offsets = _cube_means(d, wq, k, a)
-            mw, _, _ = _cube_means(d, ws, k, a)
-            occ = _occupancy(d, k, a)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(occ > 1.0 - 1e-9, mq ** (1.0 / q) / mw, -np.inf)
-            j = int(np.argmax(ratio))
-            if ratio[j] > worst:
-                worst = float(ratio[j])
-                worst_cube = _cube_from_flat(d, k, a, j, offsets)
+
+    def per_cube(cubes):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(_inside(cubes), cubes.means(wq) ** (1.0 / q) / cubes.means(ws), -np.inf)
+
+    worst = _sweep_cubes(d, per_cube)
     return Report(
         "reverse_holder_check",
-        passed=worst <= 2.0,
-        quantities={"worst_ratio": worst, "q": q},
-        details={"worst_cube": worst_cube},
+        passed=worst.constant <= 2.0,
+        quantities={"worst_ratio": worst.constant, "q": q},
+        details={"worst_cube": worst.worst_cube},
     )
 
 
@@ -279,22 +233,13 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     d = w.domain
     pd = dual_exponent(p)
     sigma = dual_weight(w, p)
-    best = -np.inf
-    best_cube = None
-    count = 0
-    for k in level_range(d, 1.0):
-        vol = (2.0 ** (-k)) ** d.dim
-        for a in all_shifts(d.dim):
-            n1, _ = batch_indicator_norms(p, w, k, a)
-            n2, _ = batch_indicator_norms(pd, sigma, k, a)
-            vals = n1 * n2 / vol
-            count += vals.size
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                _, _, offsets = _flat_layout(d, k, a)
-                best_cube = _cube_from_flat(d, k, a, j, offsets)
-    return MuckenhouptReport(best, best_cube, count)
+
+    def per_cube(cubes):
+        n1, _ = batch_indicator_norms(p, w, cubes.level, cubes.shift)
+        n2, _ = batch_indicator_norms(pd, sigma, cubes.level, cubes.shift)
+        return n1 * n2 / (2.0 ** (-cubes.level)) ** d.dim
+
+    return _sweep_cubes(d, per_cube)
 
 
 def q_w_estimate(
@@ -348,28 +293,15 @@ def tilde_a_constant(
     )  # p'(.)/p(.) = 1/(p(.)-1)
     winv = 1.0 / w.values.samples
     ws = w.values.samples
-    best = -np.inf
-    best_cube = None
-    count = 0
-    for k in level_range(d, max_side):
-        vol = (2.0 ** (-k)) ** d.dim
-        hn = d.h ** d.dim
-        qidx, ncubes, offsets = _flat_layout(d, k, shift)
-        w_l1 = np.bincount(qidx.ravel(), weights=ws.ravel(), minlength=ncubes) * hn
-        norms, _ = batch_restricted_norms(winv, ratio_exp, None, k, shift)
-        occ = _occupancy(d, k, shift)
-        # p_Q via harmonic mean of p over each cube
-        inv_p = np.bincount(qidx.ravel(), weights=(1.0 / pv).ravel(), minlength=ncubes)
-        cnt = np.bincount(qidx.ravel(), minlength=ncubes)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p_q = np.where(cnt > 0, cnt / np.maximum(inv_p, 1e-300), np.nan)
-            vals = np.where(occ > 1.0 - 1e-9, vol ** (-p_q) * w_l1 * norms, -np.inf)
-        count += vals.size
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_cube = _cube_from_flat(d, k, shift, j, offsets)
-    return MuckenhouptReport(best, best_cube, count)
+    hn = d.h ** d.dim
+
+    def per_cube(cubes):
+        norms, _ = batch_restricted_norms(winv, ratio_exp, None, cubes.level, shift)
+        vol = (2.0 ** (-cubes.level)) ** d.dim
+        p_q = cubes.occupancy() / cubes.means(1.0 / pv)  # harmonic mean of p over each cube
+        return np.where(_inside(cubes), vol ** (-p_q) * (cubes.sums(ws) * hn) * norms, -np.inf)
+
+    return _sweep_cubes(d, per_cube, max_side, shifts=[shift])
 
 
 def stability_ratio(coarse: float, fine: float) -> float:

@@ -4,11 +4,11 @@ import pytest
 from varhardy.grid import (
     Box,
     Cube,
+    CubeLayout,
     Domain,
     GridFunction,
     all_shifts,
     convolve,
-    cube_averages,
     enumerate_cubes,
     quadrature,
     rescale_mollifier,
@@ -121,16 +121,35 @@ class TestTiling:
             cover[a:b] += 1
         assert np.all(cover == 1)
 
-    def test_cube_averages_match_slices(self, dom):
-        rng = np.random.default_rng(1)
-        f = rng.normal(size=dom.shape)
-        per_point, _ = cube_averages(f, dom, 3, (1,))
-        c_of_zero = Cube(3, (1,), (-1,))  # [-1/8+1/24, 1/24) contains 0
-        assert c_of_zero.contains_point(0.0)
-        (a, b), = c_of_zero.lattice_ranges(dom)
-        manual = np.sum(f[a:b]) * dom.h / c_of_zero.volume
-        i0 = dom.half_npts
-        assert per_point[i0] == pytest.approx(manual, rel=1e-12)
+
+class TestCubeLayout:
+    """One layout per (level, shift) against per-cube slices and the enumeration."""
+
+    @pytest.mark.parametrize("step", [0, 3, 6])
+    @pytest.mark.parametrize("d", [Domain(1, 2, 5), Domain(2, 1, 4)], ids=["n1", "n2"])
+    def test_matches_slices_and_enumeration(self, d, step):
+        # coarse levels clip the edge cubes of the shifted grids at the window
+        level = d.level - step
+        f = np.random.default_rng(step).normal(size=d.shape)
+        full = 2.0 ** ((d.level - level) * d.dim)
+        for a in all_shifts(d.dim):
+            cubes = CubeLayout(d, level, a)
+            enum = [
+                c for c in enumerate_cubes(d, 2.0**-level, [a], 2.0**-level)
+                if c.lattice_count(d) > 0
+            ]
+            assert [cubes.cube(j) for j in range(cubes.count)] == enum
+            owner = cubes.field(np.arange(cubes.count))
+            means = np.empty(cubes.count)
+            for j, c in enumerate(enum):
+                block = tuple(slice(lo, hi) for lo, hi in c.lattice_ranges(d))
+                assert np.all(owner[block] == j)
+                means[j] = np.sum(f[block]) * d.h**d.dim / c.volume
+            assert np.array_equal(cubes.occupancy(), [c.lattice_count(d) / full for c in enum])
+            np.testing.assert_allclose(cubes.means(f), means, rtol=1e-12, atol=1e-14)
+            if step > 0 and any(a):
+                # a shifted grid never has a cube edge on the window edge
+                assert cubes.occupancy()[0] < 1.0
 
 
 class TestOneThirdTrick:
@@ -217,5 +236,4 @@ class TestBox:
         b = Box((0.0,), (1.0,))
         d = b.dilate(2.0)
         assert d.lo[0] == pytest.approx(-0.5) and d.hi[0] == pytest.approx(1.5)
-        assert d.contains(b)
         assert int(b.lattice_mask(dom).sum()) == int(round(1.0 / dom.h))
