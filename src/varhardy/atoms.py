@@ -28,7 +28,7 @@ from .exponent import VariableExponent
 from .grid import Cube, Domain, GridFunction, smallest_enclosing_cube
 from .hardy import TestDictionary, grand_maximal
 from .maximal import local_maximal
-from .norms import luxemburg_norm
+from .norms import _luxemburg_solve, luxemburg_norm
 from .report import Report
 from .weights import Weight, q_w_estimate
 
@@ -183,7 +183,7 @@ def sequence_norm_dagger(lambdas, cubes, p: VariableExponent, w: Weight | None) 
     """inf of lam > 0 with sum_j int_{Q_j} ((|lambda_j|/lam) chi)^{p} w <= 1.
 
     Overlapping cubes contribute separately, so this is not the modular of
-    any single function; the bisection mirrors the Luxemburg one.
+    any single function; their points form one group of the Luxemburg solve.
     """
     d = p.domain
     hn = d.h ** d.dim
@@ -198,31 +198,9 @@ def sequence_norm_dagger(lambdas, cubes, p: VariableExponent, w: Weight | None) 
         lam_pts.append(np.full(p_pts[-1].size, abs(lam)))
     if not lam_pts:
         return 0.0
-    lam_c = np.concatenate(lam_pts)
-    p_c = np.concatenate(p_pts)
-    w_c = np.concatenate(w_pts)
-
-    def mod(t: float) -> float:
-        return hn * float(np.sum((lam_c / t) ** p_c * w_c))
-
-    lo = hi = max(np.max(lam_c), 1e-300)
-    for _ in range(400):
-        if mod(hi) <= 1.0:
-            break
-        hi *= 2.0
-        if hi > 1e30:
-            raise OverflowError("norm overflow")
-    for _ in range(400):
-        if mod(lo) >= 1.0 or lo < 1e-250:
-            break
-        lo /= 2.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mod(mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _luxemburg_solve(
+        np.concatenate(lam_pts), np.concatenate(p_pts), hn * np.concatenate(w_pts)
+    ).item()
 
 
 # ---------------------------------------------------------------------------

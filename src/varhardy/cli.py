@@ -77,7 +77,9 @@ def _print_cases(report) -> None:
         mark = "pass" if c.passed else "FAIL"
         extra = ""
         if c.value_m1 is not None:
-            extra = f" value_m1={c.value_m1:.6g} ratio={c.ratio:.4g}"
+            extra += f" value_m1={c.value_m1:.6g}"
+        if c.ratio is not None:
+            extra += f" ratio={c.ratio:.4g}"
         print(f"[{mark}] {report.suite}/{c.case} {c.quantity}={c.value_m:.6g}{extra}")
 
 

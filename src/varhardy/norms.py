@@ -1,10 +1,13 @@
 """Modulars, Luxemburg norms and the associated norm inequalities.
 
-The Luxemburg norm is the unique lambda with modular(f/lambda) = 1 (for
-nonzero f with finite positive exponent); the modular is continuous and
-strictly decreasing in lambda, so bisection is safe.  Batched variants
-solve one bisection per cube of a dyadic level simultaneously, which is
-what the weight-constant sweeps need.
+The Luxemburg norm is the unique lambda = e^s with modular(f/lambda) = 1
+(for nonzero f with finite positive exponent).  phi(s) = log modular(f/e^s)
+is a log-sum-exp of the affine functions log(h^n w) + p (log|f| - s), whose
+slopes -p are negative, so phi is convex and strictly decreasing for any
+positive exponent.  One solver takes safeguarded Newton steps on phi, inside
+the bracket that the constant-exponent bounds give in closed form; it
+serves the scalar norm (one group of points) and the per-cube norms of a
+dyadic level, which the weight-constant sweeps need, at once.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ __all__ = [
 
 LAMBDA_CAP = 1e30
 REL_TOL = 1e-8
+_MAX_STEPS = 100
 
 
 def _weight_samples(w) -> np.ndarray:
@@ -54,50 +58,9 @@ def modular(f: GridFunction, p: VariableExponent, w: "Weight | None" = None) -> 
     return d.h ** d.dim * float(np.sum(pw))
 
 
-def _modular_scaled(absf: np.ndarray, psamp: np.ndarray, wsamp, hn: float, lam: float) -> float:
-    v = np.power(absf / lam, psamp)
-    if wsamp is not None:
-        v = v * wsamp
-    return hn * float(np.sum(v))
-
-
 def luxemburg_norm(f: GridFunction, p: VariableExponent, w: "Weight | None" = None) -> float:
     """inf of lambda > 0 with modular(f / lambda) <= 1, to 1e-8 relative."""
-    d = f.domain
-    absf = np.abs(f.samples)
-    if not np.any(absf > 0):
-        return 0.0
-    psamp = p.values.samples
-    wsamp = _weight_samples(w)
-    hn = d.h ** d.dim
-    rho0 = _modular_scaled(absf, psamp, wsamp, hn, 1.0)
-    if rho0 == 0.0:
-        return 0.0
-    # constant-exponent surrogate bracket seed
-    lam = max(rho0 ** (1.0 / p.p_minus), rho0 ** (1.0 / p.p_plus))
-    lam = min(max(lam, 1e-300), LAMBDA_CAP)
-    lo, hi = lam, lam
-    for _ in range(200):
-        if _modular_scaled(absf, psamp, wsamp, hn, hi) <= 1.0:
-            break
-        hi *= 2.0
-        if hi > LAMBDA_CAP:
-            raise OverflowError("norm overflow")
-    else:
-        raise OverflowError("norm overflow")
-    for _ in range(200):
-        if _modular_scaled(absf, psamp, wsamp, hn, lo) >= 1.0 or lo < 1e-300:
-            break
-        lo /= 2.0
-    for _ in range(200):
-        if hi - lo <= REL_TOL * lo:
-            break
-        mid = 0.5 * (lo + hi)
-        if _modular_scaled(absf, psamp, wsamp, hn, mid) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _luxemburg_solve(f.samples, p.values.samples, _cell_weights(f.domain, w)).item()
 
 
 def lq_norm(f: GridFunction, q: float, w: "Weight | None" = None) -> float:
@@ -176,15 +139,10 @@ def indicator_norm_profile(cube: Cube, p: VariableExponent, band: float = 10.0) 
     rngs = cube.lattice_ranges(d)
     if any(b <= a for a, b in rngs):
         raise ValueError("cube does not meet the window")
+    sl = tuple(slice(a, b) for a, b in rngs)
     mask = np.zeros(d.shape)
-    if d.dim == 1:
-        (a, b), = rngs
-        mask[a:b] = 1.0
-        pvals = p.values.samples[a:b]
-    else:
-        (a, b), (c, e) = rngs
-        mask[a:b, c:e] = 1.0
-        pvals = p.values.samples[a:b, c:e]
+    mask[sl] = 1.0
+    pvals = p.values.samples[sl]
     chi = GridFunction(d, mask)
     nrm = luxemburg_norm(chi, p)
     vol = cube.volume
@@ -214,62 +172,67 @@ def localization_norm(f: GridFunction, p: VariableExponent, k0: int) -> float:
     return float(np.sum(norms ** pinf) ** (1.0 / pinf))
 
 
-def _batch_bisect(
-    pvals: np.ndarray,
-    logg_p: np.ndarray,
-    wsamp: np.ndarray | None,
-    active_mask: np.ndarray,
-    cubes: CubeLayout,
-    iters: int = 64,
+def _cell_weights(d, w) -> np.ndarray | float:
+    """Quadrature weight h^n w(x) of every lattice point."""
+    ws = _weight_samples(w)
+    hn = d.h ** d.dim
+    return hn if ws is None else hn * ws
+
+
+def _luxemburg_solve(
+    g: np.ndarray, pvals: np.ndarray, c: np.ndarray | float, cubes: CubeLayout | None = None
 ) -> np.ndarray:
-    """Solve modular_Q(g / lambda_Q) = 1 for every cube of `cubes` simultaneously.
+    """Per group G, the lambda = e^s with sum_{x in G} c(x) (|g(x)| / lambda)^{p(x)} = 1.
 
-    logg_p is p(x) * log|g(x)| with -inf where g vanishes; active_mask masks
-    points contributing at all (nonzero g inside the window).
+    c is the quadrature weight of each point; the groups are the cubes of
+    `cubes`, or one group holding every point.  A group on which g vanishes
+    gets 0.  Newton's method on the convex decreasing phi(s) = log rho(e^s)
+    needs a few steps; a step that leaves the bracket known so far, or meets
+    a modular that is not finite, is replaced by the bracket midpoint.
     """
-    hn = cubes.domain.h ** cubes.domain.dim
-    contrib = np.where(active_mask, np.exp(logg_p), 0.0)
-    if wsamp is not None:
-        contrib = contrib * wsamp
-
-    def mods(lam: np.ndarray) -> np.ndarray:
-        # modular of g/lam_Q on each cube: exp(logg_p - p*log lam[q]) * w
-        loglam = np.log(lam)
-        scale = np.where(active_mask, np.exp(logg_p - pvals * cubes.field(loglam)), 0.0)
-        if wsamp is not None:
-            scale = scale * wsamp
-        return hn * cubes.sums(scale)
-
-    rho0 = hn * cubes.sums(contrib)
-    alive = rho0 > 0
-    lam = np.ones(cubes.count)
+    if cubes is None:
+        sums, field = (lambda v: np.sum(v, keepdims=True)), (lambda s: s)
+    else:
+        sums, field = cubes.sums, cubes.field
+    with np.errstate(divide="ignore"):
+        logg = np.log(np.abs(g))
+    top = float(np.max(logg))
+    if top == -np.inf:  # g vanishes everywhere
+        return sums(np.zeros(logg.shape))
+    if top == np.inf:
+        raise OverflowError("norm overflow")
+    # s is measured from log max|g|: at s = 0 no term exceeds its c(x)
+    b = logg - top
     pmin, pmax = float(np.min(pvals)), float(np.max(pvals))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        seed = np.maximum(rho0 ** (1.0 / pmin), rho0 ** (1.0 / pmax))
-    lam[alive] = np.clip(seed[alive], 1e-200, 1e200)
-    lo = lam.copy()
-    hi = lam.copy()
-    for _ in range(80):
-        m = mods(hi)
-        bad = alive & (m > 1.0)
-        if not np.any(bad):
-            break
-        hi[bad] *= 2.0
-    for _ in range(80):
-        m = mods(lo)
-        bad = alive & (m < 1.0) & (lo > 1e-250)
-        if not np.any(bad):
-            break
-        lo[bad] /= 2.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        m = mods(mid)
-        up = m > 1.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[~alive] = 0.0
-    return out
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = c * np.exp(pvals * b)
+        rho = sums(terms)
+        live = rho > 0
+        # for s >= 0 the modular lies between rho e^{-p_+ s} and rho e^{-p_- s}
+        # (the other way round for s <= 0), so the root lies between
+        # log rho / p_+ and log rho / p_-
+        log_rho = np.log(np.where(live, rho, 1.0))
+        lo = np.minimum(log_rho / pmin, log_rho / pmax)
+        hi = np.maximum(log_rho / pmin, log_rho / pmax)
+        s = np.zeros(rho.shape)
+        for _ in range(_MAX_STEPS):
+            # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
+            nxt = s + np.log(rho) * rho / sums(pvals * terms)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            done = np.all(np.abs(nxt - s) <= REL_TOL)
+            s = nxt
+            if done:
+                break
+            terms = c * np.exp(pvals * (b - field(s)))
+            rho = sums(terms)
+            lo = np.where(rho > 1.0, s, lo)
+            hi = np.where(rho < 1.0, s, hi)
+        else:
+            raise ArithmeticError("Luxemburg solve did not converge")
+    lam = np.where(live, np.exp(top + s), 0.0)
+    if np.any(lam > LAMBDA_CAP):
+        raise OverflowError("norm overflow")
+    return lam
 
 
 def batch_restricted_norms(
@@ -283,14 +246,9 @@ def batch_restricted_norms(
 
     Returns (norms_flat, qidx) where qidx maps lattice points to cube ids.
     """
-    d = p.domain
-    cubes = CubeLayout(d, level, shift)
-    absg = np.abs(np.broadcast_to(g, d.shape))
-    active = absg > 0
-    with np.errstate(divide="ignore"):
-        logg_p = np.where(active, p.values.samples * np.log(np.where(active, absg, 1.0)), -np.inf)
-    norms = _batch_bisect(p.values.samples, logg_p, _weight_samples(w), active, cubes)
-    return norms, cubes.ids
+    cubes = CubeLayout(p.domain, level, shift)
+    g = np.broadcast_to(g, p.domain.shape)
+    return _luxemburg_solve(g, p.values.samples, _cell_weights(p.domain, w), cubes), cubes.ids
 
 
 def batch_indicator_norms(

@@ -3,8 +3,8 @@ import time
 
 import pytest
 
-from varhardy.cli import main
-from varhardy.harness import ExperimentConfig, list_presets, run_suite
+from varhardy.cli import _print_cases, main
+from varhardy.harness import Case, ExperimentConfig, SuiteReport, list_presets, run_suite
 from varhardy.presets import PresetError
 
 
@@ -80,6 +80,15 @@ class TestCLI:
         assert main(["norm", "--f", "bump:0,1", "--p", "const:2", "--w", "const:1"]) == 0
         out = capsys.readouterr().out
         assert "luxemburg_norm" in out
+
+    def test_print_cases_without_ratio(self, capsys):
+        # E4's tilde_cofinite cases carry both values but no ratio
+        rep = SuiteReport(
+            "E4", [Case("tilde_cofinite[mu=1]", "tilde", 2.0, 3.0, None, True)], {}, 0.0
+        )
+        _print_cases(rep)
+        out = capsys.readouterr().out
+        assert out == "[pass] E4/tilde_cofinite[mu=1] tilde=2 value_m1=3\n"
 
     def test_maximal_command_writes_profile(self, tmp_path, capsys):
         code = main(

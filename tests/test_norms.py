@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from varhardy.atoms import sequence_norm_dagger
 from varhardy.exponent import VariableExponent
 from varhardy.grid import Cube, Domain, GridFunction
 from varhardy.norms import (
+    LAMBDA_CAP,
     batch_indicator_norms,
+    batch_restricted_norms,
     holder_check,
     indicator_norm_profile,
     localization_norm,
@@ -29,6 +32,21 @@ def piecewise(dom, pieces):
     for a, b, c in pieces:
         out += c * ((x >= a) & (x < b))
     return GridFunction(dom, out)
+
+
+def piecewise_exponent(dom, edges, default=2.0):
+    """p = p_i on [a_i, b_i) for each (a_i, b_i, p_i), default elsewhere."""
+    x = dom.axis()
+    pf = np.full(dom.shape, default)
+    for a, b, pv in edges:
+        pf[(x >= a) & (x < b)] = pv
+    return VariableExponent(GridFunction(dom, pf))
+
+
+def oracle_pieces(edges, lo, hi, c):
+    """Pieces of value c, and their exponents, where [lo, hi) meets the edges."""
+    met = [(max(a, lo), min(b, hi), pv) for a, b, pv in edges if max(a, lo) < min(b, hi)]
+    return [(a, b, c) for a, b, _ in met], [pv for _, _, pv in met]
 
 
 def luxemburg_oracle(dom, pieces, p_pieces):
@@ -123,6 +141,20 @@ class TestLuxemburg:
             want = luxemburg_oracle(dom, pieces, pvals)
             assert got == pytest.approx(want, rel=1e-6)
 
+    def test_sequence_dagger_root_oracle(self, dom):
+        # overlapping cubes count separately: one oracle piece per (cube, p-piece)
+        edges = [(-8.0, 0.3, 2.5), (0.3, 1.1, 0.7), (1.1, 8.0, 1.6)]
+        p = piecewise_exponent(dom, edges)
+        cubes = [Cube(0, (0,), (0,)), Cube(1, (0,), (1,)), Cube(2, (0,), (1,)), Cube(1, (1,), (-1,))]
+        lams = [0.4, 2.0, 7.5, 1.3]
+        pieces, pvals = [], []
+        for lam, cube in zip(lams, cubes):
+            more, more_p = oracle_pieces(edges, cube.corner[0], cube.corner[0] + cube.side, lam)
+            pieces += more
+            pvals += more_p
+        want = luxemburg_oracle(dom, pieces, pvals)
+        assert sequence_norm_dagger(lams, cubes, p, None) == pytest.approx(want, rel=1e-11)
+
     def test_triangle_inequality(self, dom):
         rng = np.random.default_rng(11)
         p = exponent_preset("lhdecay:1", dom)
@@ -204,9 +236,14 @@ class TestModularSandwich:
 
 
 class TestIndicatorProfile:
-    def test_constant_exponent(self, dom):
-        p = VariableExponent.constant(dom, 2.0)
-        rep = indicator_norm_profile(Cube(3, (0,), (5,)), p)
+    @pytest.mark.parametrize(
+        "domain, cube",
+        [(Domain(1, 8, 9), Cube(3, (0,), (5,))), (Domain(2, 1, 5), Cube(3, (0, 0), (5, -3)))],
+        ids=["n1", "n2"],
+    )
+    def test_constant_exponent(self, domain, cube):
+        p = VariableExponent.constant(domain, 2.0)
+        rep = indicator_norm_profile(cube, p)
         for key in ("vs_p_minus", "vs_p_plus", "vs_p_infty"):
             assert rep.q(key) == pytest.approx(1.0, rel=1e-6)
 
@@ -265,6 +302,60 @@ class TestBatchNorms:
             chi = GridFunction(dom, sel.astype(float))
             want = luxemburg_norm(chi, p, w)
             assert norms[target] == pytest.approx(want, rel=1e-6)
+
+    @pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("p0", [0.5, 2.0, 3.5])
+    def test_constant_exponent_closed_form(self, domain, p0):
+        # ||chi_Q||_{L^p(w)} = w(Q)^{1/p}, with w(Q) summed cube by cube
+        p = VariableExponent.constant(domain, p0)
+        w = weight_preset("power:1", domain)
+        norms, qidx = batch_indicator_norms(p, w, 2, (1,) * domain.dim)
+        hn = domain.h**domain.dim
+        want = [(hn * np.sum(w.values.samples[qidx == j])) ** (1 / p0) for j in range(norms.size)]
+        np.testing.assert_allclose(norms, want, rtol=1e-12)
+
+    def test_piecewise_exponent_root_oracle(self, dom):
+        # p jumps inside cubes; each cube's norm against Brent's method
+        edges = [(-8.0, -0.7, 3.5), (-0.7, 0.3, 1.2), (0.3, 1.9, 0.6), (1.9, 8.0, 2.0)]
+        p = piecewise_exponent(dom, edges)
+        norms, qidx = batch_indicator_norms(p, None, 0, (1,))
+        x = dom.axis()
+        for target in np.unique(qidx[np.abs(x) < 3]):
+            sel = x[qidx == target]
+            want = luxemburg_oracle(dom, *oracle_pieces(edges, sel[0], sel[-1] + dom.h, 1.0))
+            assert norms[target] == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "pieces, p_pieces, scale",
+        [
+            # p in {0.5, 4} on a function of size 1e-25
+            ([(1.0, 1.5, 1.0), (1.5, 2.0, 1.0)], [0.5, 4.0], 1e-25),
+            # |f|^p underflows to 0 at every point
+            ([(1.0, 2.0, 1.0)], [4.0], 1e-100),
+            # the modular overflows to the left of the root: Newton's first
+            # step from the low-exponent block overshoots into the p = 400 block
+            ([(1.0, 1.0 + 2 / 512, 1.0), (1.5, 2.0, np.exp(-8.0))], [0.5, 400.0], 1.0),
+        ],
+        ids=["tiny", "underflow", "overflow"],
+    )
+    def test_extreme_scales_root_oracle(self, dom, pieces, p_pieces, scale):
+        # the oracle solves at scale 1; the norm is homogeneous
+        p = piecewise_exponent(dom, [(a, b, pv) for (a, b, _), pv in zip(pieces, p_pieces)])
+        f = scale * piecewise(dom, pieces)
+        want = scale * luxemburg_oracle(dom, pieces, p_pieces)
+        assert luxemburg_norm(f, p) == pytest.approx(want, rel=1e-8, abs=0)
+        norms, qidx = batch_restricted_norms(f.samples, p, None, 0, (0,))
+        (target,) = np.unique(qidx[f.samples != 0])
+        assert norms[target] == pytest.approx(want, rel=1e-8, abs=0)
+        assert np.all(np.delete(norms, target) == 0.0)
+
+    def test_overflow_above_cap(self, dom):
+        p = VariableExponent.constant(dom, 2.0)
+        f = piecewise(dom, [(0, 1, 10.0 * LAMBDA_CAP)])
+        with pytest.raises(OverflowError):
+            luxemburg_norm(f, p)
+        with pytest.raises(OverflowError):
+            batch_restricted_norms(f.samples, p, None, 0, (0,))
 
     def test_lq_norm_consistency(self, dom):
         f = function_preset("bump:0,1", dom)
