@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 __all__ = [
     "Domain",
@@ -27,6 +27,8 @@ __all__ = [
     "quadrature",
     "enumerate_cubes",
     "convolve",
+    "convolve_bank",
+    "kernel_spectrum",
     "rescale_mollifier",
     "smallest_enclosing_cube",
 ]
@@ -397,18 +399,39 @@ def enumerate_cubes(
     return cubes
 
 
+def _padded_shape(domain: Domain) -> tuple[int, ...]:
+    """Per-axis transform length of a linear convolution of two window
+    arrays: the fast length at or above 2N - 1."""
+    return (sp_fft.next_fast_len(2 * domain.npts - 1, True),) * domain.dim
+
+
+def kernel_spectrum(g: GridFunction) -> np.ndarray:
+    """Zero-padded real FFT of a kernel, ready for `convolve_bank`."""
+    return sp_fft.rfftn(g.samples, _padded_shape(g.domain))
+
+
+def convolve_bank(f: GridFunction, spectra: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Samples of the convolutions of f with every kernel in a bank.
+
+    f is transformed once; each kernel spectrum from `kernel_spectrum`
+    costs one inverse transform.  Each output is h^n-scaled with zero
+    extension outside the window, exactly as `convolve`.
+    """
+    d = f.domain
+    shape = _padded_shape(d)
+    fhat = sp_fft.rfftn(f.samples, shape)
+    m = d.half_npts
+    window = (slice(m, 3 * m),) * d.dim
+    hn = d.h ** d.dim
+    for ghat in spectra:
+        yield sp_fft.irfftn(fhat * ghat, shape)[window] * hn
+
+
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """h^n-scaled discrete convolution with zero extension outside the window."""
     if f.domain != g.domain:
         raise ValueError("domain mismatch")
-    d = f.domain
-    full = fftconvolve(f.samples, g.samples, mode="full")
-    m = d.half_npts
-    if d.dim == 1:
-        out = full[2 * m - m : 2 * m + m]
-    else:
-        out = full[2 * m - m : 2 * m + m, 2 * m - m : 2 * m + m]
-    return GridFunction(d, out * d.h ** d.dim)
+    return GridFunction(f.domain, next(convolve_bank(f, [kernel_spectrum(g)])))
 
 
 def rescale_mollifier(phi: GridFunction, t: float) -> GridFunction:

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.ndimage import maximum_filter, maximum_filter1d
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier
+from .grid import Domain, GridFunction, convolve_bank, kernel_spectrum, quadrature, rescale_mollifier
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight, q_w_estimate, stability_ratio, STABILITY_FACTOR
@@ -60,6 +61,18 @@ class TestDictionary:
     @property
     def nondegenerate(self) -> bool:
         return any(abs(m) > 1e-12 for m in self.masses)
+
+    @cached_property
+    def spectra(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(j, kernel spectrum of the member rescaled to t = 2^-j) for every
+        member and every dyadic scale from t = 1 down to t = 4h (so the
+        discrete convolutions stay faithful), members outer; built on first
+        use and kept."""
+        return tuple(
+            (j, kernel_spectrum(rescale_mollifier(member, 2.0 ** (-j))))
+            for member in self.members
+            for j in range(self.domain.level - 1)
+        )
 
 
 def _fd_derivative_sup(vals: np.ndarray, h: float, order: int, dim: int) -> float:
@@ -196,7 +209,8 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
 
     mode "M0" and "Mbar0" take the sup of |phi_t * f(x)| over members and
     scales; "MN" additionally takes the sup over lattice offsets |z-x| < t.
-    The scale floor is 4h so the discrete convolutions stay faithful.
+    The kernel spectra come from the dictionary's cache, so a call costs one
+    forward transform of f and one inverse transform per member and scale.
     """
     if mode not in ("M0", "Mbar0", "MN"):
         raise ValueError("mode must be M0, Mbar0 or MN")
@@ -204,15 +218,12 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
     if dic.domain != d:
         raise ValueError("dictionary and function domains differ")
     out = np.zeros(d.shape)
-    j_max = d.level - 2  # t >= 4h
-    for member in dic.members:
-        for j in range(0, j_max + 1):
-            t = 2.0 ** (-j)
-            phi_t = rescale_mollifier(member, t)
-            conv = np.abs(convolve(f, phi_t).samples)
-            if mode == "MN":
-                conv = _offset_max(conv, 1 << (d.level - j), d.dim)  # t/h cells
-            np.maximum(out, conv, out=out)
+    convs = convolve_bank(f, (ghat for _, ghat in dic.spectra))
+    for (j, _), conv in zip(dic.spectra, convs):
+        conv = np.abs(conv)
+        if mode == "MN":
+            conv = _offset_max(conv, 1 << (d.level - j), d.dim)  # t/h cells
+        np.maximum(out, conv, out=out)
     return GridFunction(d, out)
 
 

@@ -181,7 +181,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Case]:
         lo = hi
         while g(lo) < 0 and lo > 1e-200:
             lo /= 2
-        want = brentq(g, lo, hi, rtol=1e-13)
+        want = brentq(g, lo, hi, xtol=1e-14 * lo, rtol=1e-13)  # relative: the root lies in [lo, 2 lo]
         worst = max(worst, abs(got - want) / want)
     cases.append(Case("luxemburg_oracle", "max_rel_err", worst, None, None, worst <= 1e-6))
 

@@ -12,12 +12,12 @@ error beyond round-off.
 from __future__ import annotations
 
 import math
-from itertools import product as iproduct
+from itertools import chain, islice, product as iproduct
 
 import numpy as np
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, convolve, rescale_mollifier
+from .grid import Domain, GridFunction, convolve_bank, kernel_spectrum, rescale_mollifier
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight
@@ -56,25 +56,14 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
         domain = Domain(1, 8, 9)
     d = domain
     alphas = _multi_indices(d.dim, L)
-    # Gram system on a fine 1-shot quadrature over [-1,1]^n
+    # The bump and the monomials are separable, so the Gram system over
+    # [-1,1]^n is a product of 1-D moment matrices, each a midpoint rule
     fine = 4096
     t = (np.arange(fine) + 0.5) / fine * 2.0 - 1.0
-    if d.dim == 1:
-        pts = t[:, None]
-        dv = 2.0 / fine
-    else:
-        g1, g2 = np.meshgrid(t, t, indexing="ij")
-        pts = np.stack([g1.ravel(), g2.ravel()], axis=1)
-        dv = (2.0 / fine) ** 2
-
-    def bump_nd(p):
-        if d.dim == 1:
-            return _monomial_bump_1d(p[:, 0], 0)
-        return _monomial_bump_1d(p[:, 0], 0) * _monomial_bump_1d(p[:, 1], 0)
-
-    base = bump_nd(pts)
-    mono = np.stack([np.prod(pts**np.asarray(a), axis=1) for a in alphas], axis=1)
-    gram = (mono[:, :, None] * mono[:, None, :] * base[:, None, None]).sum(axis=0) * dv
+    base = _monomial_bump_1d(t, 0)
+    mono = t[:, None] ** np.arange(L + 1)
+    gram_1d = (mono[:, :, None] * mono[:, None, :] * base[:, None, None]).sum(axis=0) * (2.0 / fine)
+    gram = np.prod([gram_1d[np.ix_(a, a)] for a in np.array(alphas).T], axis=0)
     rhs = np.zeros(len(alphas))
     rhs[alphas.index((0,) * d.dim)] = 1.0
     if np.linalg.cond(gram) > 1e12:
@@ -105,18 +94,35 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
     return phi, phi_star
 
 
-def square_function(f: GridFunction, phi_star: GridFunction, J: int) -> GridFunction:
-    """Truncated square function (sum_{j=1..J} |phi_star_{2^-j} * f|^2)^{1/2}."""
-    d = f.domain
+def _check_domains(f: GridFunction, *kernels: GridFunction) -> None:
+    if any(g.domain != f.domain for g in kernels):
+        raise ValueError("domain mismatch")
+
+
+def _check_depth(d: Domain, J: int) -> None:
     if J < 1:
         raise ValueError("J must be at least 1")
     if 2.0 ** (-J) < 4 * d.h:
         raise ValueError("J too deep for the grid resolution")
+
+
+def _level_spectra(kernel: GridFunction, J: int):
+    """Spectra of the kernel rescaled to 2^-j for j = 1..J."""
+    return (kernel_spectrum(rescale_mollifier(kernel, 2.0 ** (-j))) for j in range(1, J + 1))
+
+
+def _root_sum_squares(d: Domain, convs) -> GridFunction:
     acc = np.zeros(d.shape)
-    for j in range(1, J + 1):
-        conv = convolve(f, rescale_mollifier(phi_star, 2.0 ** (-j)))
-        acc += conv.samples**2
+    for conv in convs:
+        acc += conv**2
     return GridFunction(d, np.sqrt(acc))
+
+
+def square_function(f: GridFunction, phi_star: GridFunction, J: int) -> GridFunction:
+    """Truncated square function (sum_{j=1..J} |phi_star_{2^-j} * f|^2)^{1/2}."""
+    _check_domains(f, phi_star)
+    _check_depth(f.domain, J)
+    return _root_sum_squares(f.domain, convolve_bank(f, _level_spectra(phi_star, J)))
 
 
 def lp_norm(
@@ -127,12 +133,18 @@ def lp_norm(
     phi_star: GridFunction,
     J: int | None = None,
 ) -> float:
-    """Two-term norm ||phi * f|| + ||square function|| in L^{p(.)}(w)."""
+    """Two-term norm ||phi * f|| + ||square function|| in L^{p(.)}(w).
+
+    Both terms come from one transform of f.
+    """
     d = f.domain
     if J is None:
         J = d.level - 3
-    head = luxemburg_norm(convolve(f, phi), p, w)
-    tail = luxemburg_norm(square_function(f, phi_star, J), p, w)
+    _check_domains(f, phi, phi_star)
+    _check_depth(d, J)
+    convs = convolve_bank(f, chain([kernel_spectrum(phi)], _level_spectra(phi_star, J)))
+    head = luxemburg_norm(GridFunction(d, next(convs)), p, w)
+    tail = luxemburg_norm(_root_sum_squares(d, convs), p, w)
     return head + tail
 
 
@@ -142,20 +154,30 @@ def telescoping_reconstruct(
     """phi*f + sum_{j<=J} phi_star_{2^-j}*f, which telescopes to phi_{2^-J}*f.
 
     Returns the reconstruction together with a report of its relative L^2
-    distance from f (the mollification error at scale 2^-J).
+    distance from f (the mollification error at scale 2^-J).  All J + 2
+    convolutions come from one transform of f.
     """
     d = f.domain
     if J is None:
         J = d.level - 3
+    _check_domains(f, phi)
     phi_star = GridFunction(
         d, phi.samples - rescale_mollifier_half(phi).samples
     )
-    acc = convolve(f, phi).samples.copy()
-    for j in range(1, J + 1):
-        acc += convolve(f, rescale_mollifier(phi_star, 2.0 ** (-j))).samples
+    convs = convolve_bank(
+        f,
+        chain(
+            [kernel_spectrum(phi)],
+            _level_spectra(phi_star, J),
+            [kernel_spectrum(rescale_mollifier(phi, 2.0 ** (-J)))],
+        ),
+    )
+    acc = next(convs)
+    for conv in islice(convs, J):
+        acc += conv
     out = GridFunction(d, acc)
-    direct = convolve(f, rescale_mollifier(phi, 2.0 ** (-J)))
-    tele_err = float(np.max(np.abs(out.samples - direct.samples)))
+    direct = next(convs)
+    tele_err = float(np.max(np.abs(out.samples - direct)))
     denom = math.sqrt(d.h**d.dim * float(np.sum(f.samples**2)))
     rel_l2 = (
         math.sqrt(d.h**d.dim * float(np.sum((out.samples - f.samples) ** 2))) / denom

@@ -238,19 +238,14 @@ def _upsample_to_grid(arr: np.ndarray, domain: Domain, j: int) -> np.ndarray:
     return np.repeat(np.repeat(arr, rep, axis=0), rep, axis=1)
 
 
-def v_function(f: GridFunction, sys: WaveletSystem, J: int) -> GridFunction:
-    """Scaling-channel square function: piecewise-constant on level-J cubes,
-    value 2^{Jn/2} |<f, phi_{J,k}>| on the cube indexed by k."""
-    coeffs = analyze(f, sys, J)
-    d = f.domain
+def _v_samples(coeffs: WaveletCoefficients) -> GridFunction:
+    d, J = coeffs.domain, coeffs.J
     amp = 2.0 ** (J * d.dim / 2.0)
     return GridFunction(d, _upsample_to_grid(np.abs(coeffs.scaling) * amp, d, J))
 
 
-def w_function(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None) -> GridFunction:
-    """Wavelet-channel square function over levels J..Jmax, all channels."""
-    coeffs = analyze(f, sys, J, Jmax)
-    d = f.domain
+def _w_samples(coeffs: WaveletCoefficients) -> GridFunction:
+    d = coeffs.domain
     acc = np.zeros(d.shape)
     for j, det in coeffs.details.items():
         if j > coeffs.Jmax:
@@ -262,6 +257,17 @@ def w_function(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = N
             for ch in det.values():
                 acc += _upsample_to_grid(ch**2, d, j) * amp2
     return GridFunction(d, np.sqrt(acc))
+
+
+def v_function(f: GridFunction, sys: WaveletSystem, J: int) -> GridFunction:
+    """Scaling-channel square function: piecewise-constant on level-J cubes,
+    value 2^{Jn/2} |<f, phi_{J,k}>| on the cube indexed by k."""
+    return _v_samples(analyze(f, sys, J))
+
+
+def w_function(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None) -> GridFunction:
+    """Wavelet-channel square function over levels J..Jmax, all channels."""
+    return _w_samples(analyze(f, sys, J, Jmax))
 
 
 def wavelet_norm(
@@ -286,9 +292,8 @@ def wavelet_norm(
             raise ValueError(
                 f"moment bound violated: system has {sys.vanishing_moments}, needs L >= {needed}"
             )
-    vf = v_function(f, sys, J)
-    wf = w_function(f, sys, J, Jmax)
-    return luxemburg_norm(vf, p, w) + luxemburg_norm(wf, p, w)
+    coeffs = analyze(f, sys, J, Jmax)  # the scaling channel does not depend on Jmax
+    return luxemburg_norm(_v_samples(coeffs), p, w) + luxemburg_norm(_w_samples(coeffs), p, w)
 
 
 def expanded_cube(j: int, k, sys: WaveletSystem, dim: int = 1) -> tuple[tuple[float, float], ...]:

@@ -51,6 +51,9 @@ class Weight:
     values: GridFunction
     generator: Callable | None = field(default=None, compare=False, repr=False)
     midpoint: bool = False  # generator sampled at cell centers (singular weights)
+    # q_w_estimate results by (tol, cap, threshold); safe because an instance
+    # never changes, and per instance because `generator` takes no part in ==
+    _q_w_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         v = self.values.samples
@@ -103,6 +106,27 @@ class MuckenhouptReport:
     resolution_stable: bool | None = None
 
 
+def _layouts(domain: Domain, max_side: float = 1.0, shifts=None):
+    """CubeLayouts of every (level, shift) of the enumeration, finest first."""
+    if shifts is None:
+        shifts = all_shifts(domain.dim)
+    return (CubeLayout(domain, k, a) for k in level_range(domain, max_side) for a in shifts)
+
+
+def _argmax(per_layout) -> MuckenhouptReport:
+    """Largest value over (layout, flat per-cube values) pairs, with its cube."""
+    best = -np.inf
+    best_cube = None
+    count = 0
+    for cubes, vals in per_layout:
+        count += vals.size
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best = float(vals[j])
+            best_cube = cubes.cube(j)
+    return MuckenhouptReport(best, best_cube, count)
+
+
 def _sweep_cubes(
     domain: Domain,
     per_cube_fn,
@@ -114,21 +138,7 @@ def _sweep_cubes(
     per_cube_fn(cubes) gets the CubeLayout of one (level, shift) and must
     return a flat array with one value per cube of that layout.
     """
-    if shifts is None:
-        shifts = all_shifts(domain.dim)
-    best = -np.inf
-    best_cube = None
-    count = 0
-    for k in level_range(domain, max_side):
-        for a in shifts:
-            cubes = CubeLayout(domain, k, a)
-            vals = per_cube_fn(cubes)
-            count += vals.size
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                best_cube = cubes.cube(j)
-    return MuckenhouptReport(best, best_cube, count)
+    return _argmax((cubes, per_cube_fn(cubes)) for cubes in _layouts(domain, max_side, shifts))
 
 
 def _inside(cubes: CubeLayout) -> np.ndarray:
@@ -152,18 +162,27 @@ def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
     return _sweep_cubes(d, per_cube)
 
 
+def _a_p_sweep(w: Weight) -> Callable[[float], MuckenhouptReport]:
+    """p -> the A_p^loc sweep of w.  The layouts, their inside masks and
+    m_Q(w) are built once; only m_Q(w^{-1/(p-1)}) depends on p."""
+    ws = w.values.samples
+    table = [(cubes, _inside(cubes), cubes.means(ws)) for cubes in _layouts(w.domain)]
+
+    def sweep(p: float) -> MuckenhouptReport:
+        sig = ws ** (-1.0 / (p - 1.0))
+        return _argmax(
+            (cubes, np.where(inside, mw * cubes.means(sig) ** (p - 1.0), -np.inf))
+            for cubes, inside, mw in table
+        )
+
+    return sweep
+
+
 def a_loc_p_constant(w: Weight, p: float) -> MuckenhouptReport:
     """sup over cubes |Q| <= 1 of m_Q(w) m_Q(w^{-1/(p-1)})^{p-1}."""
     if p <= 1:
         raise ValueError("p must exceed 1")
-    d = w.domain
-    ws = w.values.samples
-    sig = ws ** (-1.0 / (p - 1.0))
-
-    def per_cube(cubes):
-        return np.where(_inside(cubes), cubes.means(ws) * cubes.means(sig) ** (p - 1.0), -np.inf)
-
-    return _sweep_cubes(d, per_cube)
+    return _a_p_sweep(w)(p)
 
 
 def a1_loc_constant(w: Weight) -> MuckenhouptReport:
@@ -251,14 +270,18 @@ def q_w_estimate(
     """Critical index: smallest p with a resolution-stable A_p^loc constant.
 
     Bisection over (1, cap]; requires a generator on the weight so the
-    constant can be recomputed one level finer.
+    constant can be recomputed one level finer.  The result is kept on the
+    instance: a repeated call with the same arguments returns it at once,
+    while `w.at_level(k)` is a new instance and is searched afresh.
     """
-    fine = w.at_level(w.domain.level + 1)
+    key = (tol, cap, threshold)
+    if key in w._q_w_memo:
+        return w._q_w_memo[key]
+    coarse = _a_p_sweep(w)
+    fine = _a_p_sweep(w.at_level(w.domain.level + 1))
 
     def stable(p: float) -> bool:
-        c0 = a_loc_p_constant(w, p).constant
-        c1 = a_loc_p_constant(fine, p).constant
-        return c1 <= threshold * c0
+        return fine(p).constant <= threshold * coarse(p).constant
 
     if not stable(cap):
         raise ValueError("not in A^loc_infty numerically: unstable at the search cap")
@@ -272,6 +295,7 @@ def q_w_estimate(
             hi = mid
         else:
             lo = mid
+    w._q_w_memo[key] = hi
     return hi
 
 

@@ -111,7 +111,7 @@ def test_criterion_01_luxemburg_oracle():
         lo = hi
         while g(lo) < 0 and lo > 1e-200:
             lo /= 2
-        worst = max(worst, abs(got - brentq(g, lo, hi, rtol=1e-13)) / got)
+        worst = max(worst, abs(got - brentq(g, lo, hi, xtol=1e-14 * lo, rtol=1e-13)) / got)
     took = time.perf_counter() - t0
     ok = worst <= 1e-6 and took < 5.0
     announce(1, ok, f"max_rel_err={worst:.2e} runtime={took:.2f}s")

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Domain, GridFunction
+from varhardy.grid import Domain, GridFunction, convolve, rescale_mollifier
 from varhardy.hardy import (
+    _offset_max,
     build_dictionary,
     capital_n,
     dirac_membership_check,
@@ -110,6 +111,38 @@ class TestGrandMaximal:
         far = np.abs(dom.axis()) > 1.5 + LARGE_RADIUS + 2 * dom.h
         # zero up to FFT round-off dust
         assert np.max(m0.samples[far]) <= 1e-13 * f.sup()
+
+
+def plain_grand_maximal(f, dic, mode):
+    """The grand maximal function as one convolution per member and scale."""
+    d = f.domain
+    out = np.zeros(d.shape)
+    for member in dic.members:
+        for j in range(d.level - 1):  # t = 2^-j from 1 down to 4h
+            conv = np.abs(convolve(f, rescale_mollifier(member, 2.0 ** (-j))).samples)
+            if mode == "MN":
+                conv = _offset_max(conv, 1 << (d.level - j), d.dim)
+            out = np.maximum(out, conv)
+    return out
+
+
+class TestGrandMaximalBank:
+    @pytest.mark.parametrize(
+        "domain, bumps",
+        [
+            (Domain(1, 8, 9), ("bump:0.5,0.9", "bump:-1.2,0.4,3")),
+            (Domain(2, 2, 4), ("bump:0.3,0.6", "bump:-0.5,0.9,2")),
+        ],
+        ids=["n1", "n2"],
+    )
+    def test_matches_one_convolution_per_kernel(self, domain, bumps):
+        _, large = nested_dictionaries(2, 8, domain)
+        # the second function meets a dictionary whose spectra are cached
+        for spec in bumps:
+            f = function_preset(spec, domain)
+            for mode in ("M0", "MN"):
+                want = plain_grand_maximal(f, large, mode)
+                assert np.array_equal(grand_maximal(f, large, mode).samples, want)
 
 
 class TestHardyNorm:

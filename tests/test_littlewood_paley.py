@@ -47,6 +47,18 @@ class TestPhiPair:
         assert abs(quadrature(GridFunction(d2, phi_star.samples))) <= 1e-7
 
 
+    @pytest.mark.parametrize("L", [0, 1, 2])
+    def test_2d_moments(self, L):
+        d2 = Domain(2, 2, 6)
+        phi, phi_star = make_phi_pair(L, d2)
+        x, y = d2.coords()
+        assert quadrature(phi) == pytest.approx(1.0, abs=1e-5)
+        for a in range(L + 1):
+            for b in range(L + 1 - a):
+                moment = quadrature(GridFunction(d2, phi_star.samples * x**a * y**b))
+                assert abs(moment) <= 1e-7, (a, b)
+
+
 class TestSquareFunction:
     def test_zero(self, dom, pair):
         _, phi_star = pair
@@ -80,6 +92,20 @@ class TestSquareFunction:
         sf1 = square_function(f, phi_star, 1)
         direct = convolve(f, rescale_mollifier(phi_star, 0.5))
         assert np.max(np.abs(sf1.samples**2 - direct.samples**2)) <= 1e-12
+
+    def test_kernels_from_another_domain_are_refused(self, dom, pair):
+        # same sample count, different window and step
+        other = Domain(1, 4, 10)
+        phi, phi_star = pair
+        f = function_preset("bump:0,1", other)
+        p = VariableExponent.constant(other, 2.0)
+        for call in (
+            lambda: square_function(f, phi_star, 3),
+            lambda: lp_norm(f, p, None, phi, phi_star),
+            lambda: telescoping_reconstruct(f, phi),
+        ):
+            with pytest.raises(ValueError, match="domain mismatch"):
+                call()
 
     def test_depth_guard(self, dom, pair):
         _, phi_star = pair
@@ -122,6 +148,14 @@ class TestTelescoping:
         rng = np.random.default_rng(1)
         f = GridFunction(dom, rng.normal(size=dom.shape))
         for J in (1, 3, dom.level - 3):
+            _, rep = telescoping_reconstruct(f, phi, J=J)
+            assert rep.q("telescope_error") <= 1e-10
+
+    def test_exact_identity_random_2d(self):
+        d2 = Domain(2, 2, 5)
+        phi, _ = make_phi_pair(1, d2)
+        f = GridFunction(d2, np.random.default_rng(2).normal(size=d2.shape))
+        for J in (1, d2.level - 3):
             _, rep = telescoping_reconstruct(f, phi, J=J)
             assert rep.q("telescope_error") <= 1e-10
 

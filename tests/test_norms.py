@@ -70,7 +70,14 @@ def luxemburg_oracle(dom, pieces, p_pieces):
     lo = hi
     while g(lo) < 0 and lo > 1e-280:
         lo /= 2
-    return brentq(g, lo, hi, xtol=1e-14, rtol=1e-13)
+    return brentq(g, lo, hi, xtol=1e-14 * lo, rtol=1e-13)  # relative: the root lies in [lo, 2 lo]
+
+
+@pytest.mark.parametrize("p0", [0.5, 4.0])
+def test_oracle_is_relative_for_small_norms(dom, p0):
+    # ||c chi_[1,2)|| = c for every exponent; an absolute xtol misses c = 1e-25
+    got = luxemburg_oracle(dom, [(1.0, 2.0, 1e-25)], [p0])
+    assert got == pytest.approx(1e-25, rel=1e-12, abs=0)
 
 
 class TestModular:

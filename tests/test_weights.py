@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from varhardy import weights as weights_mod
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Domain, GridFunction
+from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, level_range
 from varhardy.presets import exponent_preset, weight_preset
 from varhardy.weights import (
     Weight,
@@ -185,6 +186,91 @@ class TestQW:
     def test_decaying_power(self, dom):
         q = q_w_estimate(weight_preset("power:-0.5", dom))
         assert q == pytest.approx(1.0, abs=1.1 / 32.0)
+
+
+def plain_a_p(w, p):
+    """sup of m_Q(w) m_Q(w^{-1/(p-1)})^{p-1} over the inside cubes, one
+    layout at a time."""
+    d = w.domain
+    ws = w.values.samples
+    sig = ws ** (-1.0 / (p - 1.0))
+    best = -np.inf
+    for k in level_range(d, 1.0):
+        for a in all_shifts(d.dim):
+            cubes = CubeLayout(d, k, a)
+            inside = cubes.occupancy() > 1.0 - 1e-9
+            vals = np.where(inside, cubes.means(ws) * cubes.means(sig) ** (p - 1.0), -np.inf)
+            best = max(best, float(np.max(vals)))
+    return best
+
+
+def plain_q_w(w, tol=1.0 / 32.0, cap=64.0, threshold=1.05):
+    """The critical-index bisection, one fresh a_loc_p_constant pair per step."""
+    fine = w.at_level(w.domain.level + 1)
+
+    def stable(p):
+        return a_loc_p_constant(fine, p).constant <= threshold * a_loc_p_constant(w, p).constant
+
+    assert stable(cap)
+    lo, hi = 1.0, cap
+    if stable(2.0):
+        hi = 2.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if stable(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+class TestQWReuse:
+    @pytest.mark.parametrize(
+        "spec, domain",
+        [(s, Domain(1, 8, 9)) for s in ("const:1", "power:1", "power:-0.5", "absp:0.5")]
+        + [("absp:0.5", Domain(2, 1, 5))],
+        ids=["const:1", "power:1", "power:-0.5", "absp:0.5", "absp:0.5-n2"],
+    )
+    def test_matches_plain_bisection(self, spec, domain):
+        w = weight_preset(spec, domain)
+        assert q_w_estimate(w) == plain_q_w(weight_preset(spec, domain))
+
+    @pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
+    def test_a_p_matches_plain_sweep(self, domain):
+        for spec in ("power:1", "absp:0.5"):
+            w = weight_preset(spec, domain)
+            for p in (1.25, 2.0, 5.5):
+                assert a_loc_p_constant(w, p).constant == plain_a_p(w, p)
+
+    @pytest.fixture
+    def layouts_built(self, monkeypatch):
+        built = []
+
+        class Counting(CubeLayout):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(weights_mod, "CubeLayout", Counting)
+        return built
+
+    def test_second_call_builds_no_layout(self, dom, layouts_built):
+        w = weight_preset("absp:0.5", dom)
+        first = q_w_estimate(w)
+        assert layouts_built
+        layouts_built.clear()
+        assert q_w_estimate(w) == first
+        assert layouts_built == []
+
+    def test_new_level_or_tolerance_is_searched_afresh(self, dom, layouts_built):
+        w = weight_preset("absp:0.5", dom)
+        first = q_w_estimate(w)
+        layouts_built.clear()
+        coarse = q_w_estimate(w, tol=1.0 / 8.0)
+        assert layouts_built and coarse == plain_q_w(w, tol=1.0 / 8.0)
+        layouts_built.clear()
+        assert q_w_estimate(w.at_level(dom.level)) == first
+        assert layouts_built
 
 
 class TestTilde:
