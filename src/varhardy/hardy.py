@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.ndimage import maximum_filter, maximum_filter1d
+from scipy.ndimage import maximum_filter1d
 
 from .exponent import VariableExponent
 from .grid import Domain, GridFunction, convolve_bank, kernel_spectrum, quadrature, rescale_mollifier
@@ -193,15 +193,25 @@ def nested_dictionaries(
 
 
 def _offset_max(vals: np.ndarray, t_over_h: int, dim: int) -> np.ndarray:
-    """sup over lattice offsets |z - x| < t of vals(z)."""
+    """sup over lattice offsets |z - x| < t of vals(z), vals >= 0."""
     w = t_over_h - 1  # strict inequality: offsets up to t/h - 1 cells
     if w <= 0:
         return vals
     if dim == 1:
         return maximum_filter1d(vals, size=2 * w + 1, mode="constant", cval=0.0)
-    delta = np.arange(-w, w + 1)
-    fp = delta[:, None] ** 2 + delta[None, :] ** 2 <= w * w
-    return maximum_filter(vals, footprint=fp, mode="constant", cval=0.0)
+    # the disk dx^2 + dy^2 <= w^2, one row dx at a time: a window of
+    # half-width isqrt(w^2 - dx^2) along axis 1, shifted by dx along axis 0
+    rows = {}
+    out = np.zeros_like(vals)
+    reach = min(w, vals.shape[0] - 1)
+    for dx in range(-reach, reach + 1):
+        r = math.isqrt(w * w - dx * dx)
+        if r not in rows:
+            rows[r] = maximum_filter1d(vals, size=2 * r + 1, axis=1, mode="constant", cval=0.0)
+        row, n = rows[r], vals.shape[0] - abs(dx)
+        dst, src = (slice(0, n), slice(dx, None)) if dx >= 0 else (slice(-dx, None), slice(0, n))
+        np.maximum(out[dst], row[src], out=out[dst])
+    return out
 
 
 def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> GridFunction:

@@ -3,9 +3,13 @@
 Every cube supremum runs over the shifted dyadic enumeration: the covering
 property of the three shifted grids brackets the supremum over arbitrary
 cubes within a factor 6^n, so the dyadic supremum is the canonical
-computable object here.  Each level of each grid costs one bincount of
-the samples into the cube layout (`grid.CubeLayout`) and one gather back
-to the lattice, so each operator costs O(points * levels * grids).
+computable object here.  A level-k cube of shift a is exactly the union of
+2^n level-(k+1) cubes of shift 2a mod 3 (the one-third trick of shifted
+dyadic lattices), so one "chain" of grids, whose shift on the lattice
+level is fixed and becomes 2a mod 3 at each coarser level, forms a sum
+pyramid: each level is the pair sums of the level below, and the running
+supremum comes back down by repeats.  One grid is the union of two chains
+on alternate levels, so each operator costs O(points * grids).
 """
 
 from __future__ import annotations
@@ -44,20 +48,100 @@ __all__ = [
 MAIN_GRID_SHIFT = 1  # the distinguished dyadic grid uses shift (1,...,1)
 
 
+def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
+    return (slice(None),) * ax + (sl,)
+
+
+def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
+    """Sums over the parent cubes of one coarser chain level.  Per axis a
+    `lead` of 1 leaves the first child alone in its parent; the rest pair
+    up, and an odd one out at the end is alone in the last parent."""
+    for ax, z in enumerate(lead):
+        n = s.shape[ax]
+        pairs = (n - z) // 2
+        shape = list(s.shape)
+        shape[ax] = (n + z + 1) // 2
+        out = np.empty(shape)
+        stop = z + 2 * pairs
+        np.add(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
+               out=out[_axis(ax, slice(z, z + pairs))])
+        if z:
+            out[_axis(ax, slice(0, 1))] = s[_axis(ax, slice(0, 1))]
+        if stop < n:
+            out[_axis(ax, slice(-1, None))] = s[_axis(ax, slice(-1, None))]
+        s = out
+    return s
+
+
+def _children(r: np.ndarray, lead: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """The parent value at every child cube: the inverse of `_pair_sums`."""
+    for ax in reversed(range(r.ndim)):  # whole rows are copied last
+        r = np.repeat(r, 2, axis=ax)[_axis(ax, slice(lead[ax], lead[ax] + shape[ax]))]
+    return r
+
+
+def _chain_sup(domain: Domain, shift: tuple[int, ...], levels, value, *arrays) -> np.ndarray:
+    """Lattice field of the max over `levels` of value(k, *cube sums) along
+    the chain whose shift on the lattice level is `shift`.
+
+    At level k the chain has shift `shift` if domain.level - k is even and
+    2 * shift mod 3 if odd.  Per axis the level-(k+1) cube q' of shift a'
+    lies in the level-k cube (q' - [a' == 1]) // 2, so each level's sums
+    are pair sums of the level below (no cancellation: the callers sum
+    non-negative terms).  A level-m cube holds one lattice point, so the
+    finest level is the lattice array itself.
+    """
+    levels = set(levels)
+    if not levels:
+        return np.zeros(domain.shape)
+    # per-axis cube index of the first lattice point on the lattice level
+    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]
+    shifts = list(shift)
+    pyramid = [arrays]
+    leads = []
+    for _ in range(domain.level - min(levels)):
+        carry = [int(a == 1) for a in shifts]
+        leads.append([(q - c) % 2 for q, c in zip(first, carry)])
+        first = [(q - c) // 2 for q, c in zip(first, carry)]
+        shifts = [2 * a % 3 for a in shifts]
+        pyramid.append(tuple(_pair_sums(s, leads[-1]) for s in pyramid[-1]))
+    run = None
+    for j in range(len(pyramid) - 1, -1, -1):
+        sums = pyramid[j]
+        if run is not None:
+            run = _children(run, leads[j], sums[0].shape)
+        k = domain.level - j
+        if k in levels:
+            v = value(k, *sums)
+            run = v if run is None else np.maximum(run, v, out=run)
+    return run
+
+
 def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None = None,
                  min_side: float | None = None) -> GridFunction:
-    """Maximal operator generated by the single shifted grid `shift`."""
+    """Maximal operator generated by the single shifted grid `shift`.
+
+    The grid is the chain from `shift` on levels k with m - k even and the
+    chain from 2 * shift mod 3 on the odd ones (the same chain if shift is
+    zero).
+    """
     d = f.domain
     if len(shift) != d.dim or not all(a in (0, 1, 2) for a in shift):
         raise ValueError(f"invalid shift {shift}")
     if max_side is None:
         max_side = 4.0 * d.half_width
+    levels = level_range(d, max_side, min_side)
     absf = np.abs(f.samples)
-    out = np.zeros(d.shape)
-    for k in level_range(d, max_side, min_side):
-        cubes = CubeLayout(d, k, shift)
-        np.maximum(out, cubes.field(cubes.means(absf)), out=out)
-    return GridFunction(d, out)
+
+    def mean(k, s):  # against the full cube volume (zero extension)
+        return s * (2.0 ** ((k - d.level) * d.dim))
+
+    if not any(shift):
+        return GridFunction(d, _chain_sup(d, shift, levels, mean, absf))
+    other = tuple(2 * a % 3 for a in shift)
+    out = _chain_sup(d, shift, [k for k in levels if (d.level - k) % 2 == 0], mean, absf)
+    odd = _chain_sup(d, other, [k for k in levels if (d.level - k) % 2], mean, absf)
+    return GridFunction(d, np.maximum(out, odd, out=out))
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
@@ -93,18 +177,22 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
     if u <= 0:
         raise ValueError("u must be positive")
     d = f.domain
+    if w.domain != d:
+        raise ValueError("domain mismatch")
     scale = f.sup()
     if scale == 0.0:
         return GridFunction(d, np.zeros(d.shape))
-    g = (np.abs(f.samples) / scale) ** u * w.values.samples
-    ws = w.values.samples
+    ws = w.values.samples  # strictly positive, so every cube has w(Q) > 0
+    g = (np.abs(f.samples) / scale) ** u * ws
+
+    def ratio(k, num, den):
+        return num / den
+
+    # the chains from all 3^n lattice shifts cover every (level, shift) once
+    levels = level_range(d, 1.0)
     out = np.zeros(d.shape)
-    for k in level_range(d, 1.0):
-        for a in all_shifts(d.dim):
-            cubes = CubeLayout(d, k, a)
-            num, den = cubes.means(g), cubes.means(ws)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.maximum(out, cubes.field(np.where(den > 0, num / den, 0.0)), out=out)
+    for a in all_shifts(d.dim):
+        np.maximum(out, _chain_sup(d, a, levels, ratio, g, ws), out=out)
     return GridFunction(d, scale * out ** (1.0 / u))
 
 

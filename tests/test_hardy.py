@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import maximum_filter
 
 from varhardy.exponent import VariableExponent
 from varhardy.grid import Domain, GridFunction, convolve, rescale_mollifier
@@ -131,7 +132,7 @@ class TestGrandMaximalBank:
         "domain, bumps",
         [
             (Domain(1, 8, 9), ("bump:0.5,0.9", "bump:-1.2,0.4,3")),
-            (Domain(2, 2, 4), ("bump:0.3,0.6", "bump:-0.5,0.9,2")),
+            (Domain(2, 2, 5), ("bump:0.3,0.6", "bump:-0.5,0.9,2")),
         ],
         ids=["n1", "n2"],
     )
@@ -143,6 +144,19 @@ class TestGrandMaximalBank:
             for mode in ("M0", "MN"):
                 want = plain_grand_maximal(f, large, mode)
                 assert np.array_equal(grand_maximal(f, large, mode).samples, want)
+
+
+class TestOffsetMax:
+    @pytest.mark.parametrize("t_over_h", [1, 2, 3, 6, 32])
+    def test_2d_matches_disk_footprint_filter(self, t_over_h):
+        # the offsets |z - x| < t are the lattice disk of radius t/h - 1
+        rng = np.random.default_rng(t_over_h)
+        vals = np.abs(rng.normal(size=(40, 48))) * (rng.random((40, 48)) < 0.3)
+        w = t_over_h - 1
+        delta = np.arange(-w, w + 1)
+        disk = delta[:, None] ** 2 + delta[None, :] ** 2 <= w * w
+        want = maximum_filter(vals, footprint=disk, mode="constant", cval=0.0)
+        assert np.array_equal(_offset_max(vals, t_over_h, 2), want)
 
 
 class TestHardyNorm:

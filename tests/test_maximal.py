@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from varhardy.exponent import VariableExponent
+from varhardy import maximal
 from varhardy.grid import (
+    CubeLayout,
     Domain,
     GridFunction,
     all_shifts,
+    cube_index_map,
     enumerate_cubes,
+    level_range,
     quadrature,
 )
 from varhardy.maximal import (
@@ -107,6 +111,82 @@ class TestTwoDimensional:
         assert np.allclose(a, b, rtol=1e-12, atol=0.0)
 
 
+def layout_grid_maximal(f, shift, max_side, min_side):
+    """Per-level reference: the max over levels of each cube's mean, one
+    `CubeLayout` per level."""
+    d = f.domain
+    out = np.zeros(d.shape)
+    for k in level_range(d, 4.0 * d.half_width if max_side is None else max_side, min_side):
+        cubes = CubeLayout(d, k, shift)
+        out = np.maximum(out, cubes.field(cubes.means(np.abs(f.samples))))
+    return out
+
+
+def interior(d, margin=0.25):
+    x = np.abs(d.axis()) < d.half_width - margin
+    return x if d.dim == 1 else x[:, None] & x[None, :]
+
+
+class TestChainPyramid:
+    """The chain pyramid against per-level oracles that do not use it."""
+
+    @pytest.mark.parametrize("d", [Domain(1, 2, 5), Domain(2, 1, 4)], ids=["n1", "n2"])
+    @pytest.mark.parametrize(
+        "sides", [(None, None), (1.0, None), (None, 0.25), (0.5, 0.125), (0.25, 0.5)],
+        ids=["all", "max1", "min0.25", "band", "empty"],
+    )
+    def test_matches_layout_means(self, d, sides):
+        # sparse input on a small window, so cubes cut by its edge count
+        rng = np.random.default_rng(17)
+        f = GridFunction(d, rng.random(d.shape) * (rng.random(d.shape) < 0.1))
+        for a in all_shifts(d.dim):
+            got = grid_maximal(f, a, *sides).samples
+            want = layout_grid_maximal(f, a, *sides)
+            assert np.array_equal(got == 0, want == 0)
+            assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+            if sides == (0.25, 0.5):
+                assert not level_range(d, *sides) and not np.any(got)
+
+    @pytest.mark.parametrize("d", [Domain(1, 2, 5), Domain(2, 1, 4)], ids=["n1", "n2"])
+    def test_nesting_lemma(self, d):
+        # the level-(k+1) cube q' of shift a' lies in the level-k cube
+        # (q' - [a' == 1]) // 2 of shift 2a' mod 3
+        for a in all_shifts(d.dim):
+            parent = tuple(2 * b % 3 for b in a)
+            for k in range(d.level - 1, d.min_cube_level() - 1, -1):
+                fine = cube_index_map(d, k + 1, a)
+                coarse = cube_index_map(d, k, parent)
+                for q, p, b in zip(fine, coarse, a):
+                    assert np.array_equal(p, (q - (b == 1)) // 2)
+
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 4, 5)], ids=["n1", "n2"])
+    @pytest.mark.parametrize(
+        "op",
+        [hl_maximal, local_maximal, lambda f: grid_maximal(f, (1,) * f.domain.dim)],
+        ids=["hl", "local", "grid"],
+    )
+    def test_constant_exact_inside(self, d, op):
+        c = 2.7
+        out = op(GridFunction(d, np.full(d.shape, c))).samples
+        assert np.all(out[interior(d)] == c)
+
+    def test_operators_route_through_grid_maximal(self, monkeypatch):
+        # the benchmark plants errors in maximal.grid_maximal; every operator
+        # built on it must still look it up by module attribute
+        d = Domain(1, 2, 5)
+        f = function_preset("bump:0.3,0.6", d)
+        ops = {
+            "hl": lambda: hl_maximal(f),
+            "local": lambda: local_maximal(f),
+            "restricted": lambda: restricted_dyadic_maximal(f, 0.5, "below"),
+        }
+        before = {name: op().samples for name, op in ops.items()}
+        real = maximal.grid_maximal
+        monkeypatch.setattr(maximal, "grid_maximal", lambda *a, **k: real(*a, **k) * 2.0)
+        for name, op in ops.items():
+            assert not np.array_equal(op().samples, before[name]), name
+
+
 class TestLocalMaximal:
     def test_dominated_by_global(self, dom):
         f = function_preset("bump:-2,1", dom)
@@ -198,6 +278,13 @@ class TestPoweredWeighted:
         a = powered_weighted_local_maximal(f, w, 0.5)
         b = powered_weighted_local_maximal(f, w, 2.0)
         assert np.all(b.samples >= a.samples - 1e-10)
+
+    def test_rejects_weight_from_another_domain(self, dom):
+        # Domain(1, 4, 10) has the same sample count as Domain(1, 8, 9)
+        f = function_preset("bump:0,1", dom)
+        w = weight_preset("const:1", Domain(1, 4, 10))
+        with pytest.raises(ValueError, match="domain mismatch"):
+            powered_weighted_local_maximal(f, w, 1.0)
 
     def test_rejects_bad_u(self, dom):
         f = function_preset("bump:0,1", dom)
