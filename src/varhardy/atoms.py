@@ -9,8 +9,15 @@ differences into atoms with exact vanishing moments via per-pair
 re-projections.  Reconstruction is exact by construction: whatever the
 cross terms fail to cancel is folded into the good part.
 
-Atom payloads are stored as windowed patches, not full-lattice arrays; a
-decomposition at default resolution holds thousands of atoms.
+One localisation path serves n = 1 and n = 2.  Cubes are grouped by
+(level, window shape, clip offset); a group shares its scaled monomial
+matrix, so its bumps, partition weights, Gram systems, projections and bad
+parts are batched contractions over windows gathered by flat lattice
+index.  The level-pair assembly finds each next-level window's owners by
+joining on that index and re-projects every (window, owner) pair of a
+group in one contraction.  Results become windowed patches only at the
+end, never full-lattice arrays; a decomposition at default resolution
+holds thousands of atoms.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product as iproduct
 from pathlib import Path
 
@@ -42,7 +50,6 @@ __all__ = [
     "whitney_decompose",
     "partition_of_unity",
     "moment_projection",
-    "PolynomialPatch",
     "cz_decompose",
     "atomic_decompose",
     "synthesize",
@@ -87,18 +94,6 @@ class Patch:
 
     def l1(self, domain: Domain) -> float:
         return domain.h ** domain.dim * float(np.sum(np.abs(self.arr)))
-
-
-def _union_patch(patches: list[tuple[Patch, float]], dim: int) -> Patch:
-    los = np.array([p.lo for p, _ in patches])
-    his = np.array([[l + s for l, s in zip(p.lo, p.arr.shape)] for p, _ in patches])
-    lo = los.min(axis=0)
-    hi = his.max(axis=0)
-    arr = np.zeros(tuple(hi - lo))
-    for p, scale in patches:
-        sl = tuple(slice(a - b, a - b + s) for a, b, s in zip(p.lo, lo, p.arr.shape))
-        arr[sl] += scale * p.arr
-    return Patch(tuple(int(v) for v in lo), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +236,20 @@ def whitney_decompose(omega: GridFunction) -> list[Cube]:
         int(math.ceil(-math.log2(max(gap * 4 * d.half_width * math.sqrt(n), d.h)))),
         d.min_cube_level(),
     )
+    inner = tuple(range(1, 2 * n, 2))
     for k in range(k_lo, d.level + 1):
         side = 2.0 ** (-k)
         run = 1 << (d.level - k)
         ncubes = d.npts // run
+        blocks = (ncubes, run) * n  # axis i splits into (cube index, offset)
         diam = side * math.sqrt(n)
-        if n == 1:
-            inside = mask.reshape(ncubes, run).all(axis=1)
-            dmin = dist.reshape(ncubes, run).min(axis=1)
-            free = ~taken.reshape(ncubes, run).any(axis=1)
-            ok = inside & free & (diam <= gap * dmin)
-            for flat in np.nonzero(ok)[0]:
-                out.append(Cube(k, shift, (int(flat) - ncubes // 2,)))
-            taken.reshape(ncubes, run)[ok] = True
-        else:
-            resh = mask.reshape(ncubes, run, ncubes, run)
-            inside = resh.all(axis=(1, 3))
-            dmin = dist.reshape(ncubes, run, ncubes, run).min(axis=(1, 3))
-            free = ~taken.reshape(ncubes, run, ncubes, run).any(axis=(1, 3))
-            ok = inside & free & (diam <= gap * dmin)
-            sel = np.nonzero(ok)
-            for fx, fy in zip(*sel):
-                out.append(Cube(k, shift, (int(fx) - ncubes // 2, int(fy) - ncubes // 2)))
-            tk = taken.reshape(ncubes, run, ncubes, run)
-            tk[sel[0], :, sel[1], :] = True
+        inside = mask.reshape(blocks).all(axis=inner)
+        dmin = dist.reshape(blocks).min(axis=inner)
+        free = ~taken.reshape(blocks).any(axis=inner)
+        ok = inside & free & (diam <= gap * dmin)
+        for ix in zip(*np.nonzero(ok)):
+            out.append(Cube(k, shift, tuple(int(i) - ncubes // 2 for i in ix)))
+        taken.reshape(blocks)[...] |= ok.reshape((ncubes, 1) * n)
     return out
 
 
@@ -305,66 +290,17 @@ def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
     )
 
 
-def _bump_patch(cube: Cube, domain: Domain) -> Patch:
-    """Plateau profile between the two dilations of the cube, windowed.
-
-    The ramp width is sub-lattice at every realizable cube size, so on the
-    lattice this is the cube indicator plus the shared corner points of
-    the closed inner dilation.
-    """
-    n = domain.dim
-    s1 = 0.5 * cube.side * (1.0 + 2.0 ** (-n - 11))
-    s2 = 0.5 * cube.side * (1.0 + 2.0 ** (-n - 10))
-    rngs = cube.lattice_ranges(domain)
-    lo = tuple(max(a - 1, 0) for a, _ in rngs)
-    hi = tuple(min(b + 1, domain.npts) for _, b in rngs)
-    axes = []
-    x = domain.axis()
-    for dim_i in range(n):
-        xs = x[lo[dim_i] : hi[dim_i]]
-        dist = np.abs(xs - cube.center[dim_i])
-        axes.append(np.clip((s2 - dist) / (s2 - s1), 0.0, 1.0))
-    if n == 1:
-        arr = axes[0]
-    else:
-        arr = axes[0][:, None] * axes[1][None, :]
-    return Patch(lo, arr.copy())
-
-
-def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[GridFunction]:
-    """Near-partition subordinate to the dilated Whitney cubes.
-
-    Returns one function per cube; they sum to exactly 1 on the covered
-    region (shared corner points are split evenly between neighbors).
-    """
-    patches = [_bump_patch(c, domain) for c in cubes]
-    total = np.zeros(domain.shape)
-    for p in patches:
-        p.add_into(total)
-    out = []
-    for p in patches:
-        sl = p.slices()
-        denom = np.where(total[sl] > 0, total[sl], 1.0)
-        eta = np.zeros(domain.shape)
-        eta[sl] = p.arr / denom
-        out.append(GridFunction(domain, eta))
-    return out
-
-
-def _eta_patches(cubes: list[Cube], domain: Domain) -> list[Patch]:
-    patches = [_bump_patch(c, domain) for c in cubes]
-    total = np.zeros(domain.shape)
-    for p in patches:
-        p.add_into(total)
-    for p in patches:
-        sl = p.slices()
-        denom = np.where(total[sl] > 0, total[sl], 1.0)
-        p.arr = p.arr / denom
-    return patches
-
-
 # ---------------------------------------------------------------------------
-# moment projection
+# grouped localisation
+
+
+def _tensor(factors: list[np.ndarray], ufunc=np.multiply) -> np.ndarray:
+    """Row-wise tensor combination of per-axis factors (K, W_i) into
+    (K, W_0 * W_1 * ...), flattened in lattice (row-major) order."""
+    out = factors[0]
+    for fac in factors[1:]:
+        out = ufunc(out[:, :, None], fac[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def _alphas(dim: int, L: int) -> list[tuple[int, ...]]:
@@ -373,80 +309,142 @@ def _alphas(dim: int, L: int) -> list[tuple[int, ...]]:
     return [a for a in iproduct(range(L + 1), repeat=dim) if sum(a) <= L]
 
 
-@dataclass
-class PolynomialPatch:
-    """Polynomial in coordinates centered/scaled per cube, with its weight
-    window; evaluate() renders it on an index window."""
-
-    coeffs: np.ndarray
-    alphas: list[tuple[int, ...]]
-    center: tuple[float, ...]
-    scale: float
-
-    def evaluate(self, domain: Domain, lo: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-        x = domain.axis()
-        axes = [
-            (x[lo[i] : lo[i] + shape[i]] - self.center[i]) / self.scale
-            for i in range(domain.dim)
-        ]
-        out = np.zeros(shape)
-        for c, a in zip(self.coeffs, self.alphas):
-            if domain.dim == 1:
-                out += c * axes[0] ** a[0]
-            else:
-                out += c * (axes[0] ** a[0])[:, None] * (axes[1] ** a[1])[None, :]
-        return out
+def _monomials(axes: list[np.ndarray], L: int) -> np.ndarray:
+    """(W, na) scaled monomials u^alpha, |alpha| <= L, on a flat window
+    spanned by the per-axis coordinates."""
+    cols = [_tensor([u[None] ** k for u, k in zip(axes, a)])[0] for a in _alphas(len(axes), L)]
+    return np.stack(cols, axis=1) if cols else np.zeros((math.prod(u.size for u in axes), 0))
 
 
 class DegenerateBumpError(ValueError):
     pass
 
 
-def _project_patch(
-    f_win: np.ndarray,
-    eta: Patch,
-    L: int,
-    center: tuple[float, ...],
-    scale: float,
-    domain: Domain,
-    gram_cache: dict | None = None,
-    cache_key=None,
-) -> PolynomialPatch:
-    """Least-moments projection: P in P_L with int (f - P) u^b eta = 0."""
-    alphas = _alphas(domain.dim, L)
-    if not alphas:
-        return PolynomialPatch(np.zeros(0), [], center, scale)
-    x = domain.axis()
-    axes = [
-        (x[eta.lo[i] : eta.lo[i] + eta.arr.shape[i]] - center[i]) / scale
-        for i in range(domain.dim)
-    ]
-
-    def mono(a):
-        if domain.dim == 1:
-            return axes[0] ** a[0]
-        return (axes[0] ** a[0])[:, None] * (axes[1] ** a[1])[None, :]
-
-    monos = [mono(a) for a in alphas]
-    solver = None
-    if gram_cache is not None and cache_key in gram_cache:
-        solver = gram_cache[cache_key]
-    if solver is None:
-        G = np.empty((len(alphas), len(alphas)))
-        for i, mi in enumerate(monos):
-            for j in range(i, len(monos)):
-                G[i, j] = G[j, i] = float(np.sum(mi * monos[j] * eta.arr))
-        if np.linalg.cond(G) > 1e10:
-            raise DegenerateBumpError("degenerate bump: moment Gram system ill conditioned")
-        solver = np.linalg.inv(G)
-        if gram_cache is not None:
-            gram_cache[cache_key] = solver
-    rhs = np.array([float(np.sum(f_win * m * eta.arr)) for m in monos])
-    return PolynomialPatch(solver @ rhs, alphas, center, scale)
+def _inverse_grams(eta: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """Inverse moment Gram matrices, one per weight row of eta."""
+    G = np.einsum("wa,kw,wb->kab", mono, eta, mono)
+    if G.size and np.any(np.linalg.cond(G) > 1e10):
+        raise DegenerateBumpError("degenerate bump: ill conditioned Gram block")
+    return np.linalg.inv(G)
 
 
-def moment_projection(f: GridFunction, eta: GridFunction, L: int) -> PolynomialPatch:
-    """Public projection: P in P_L with int (f - P) x^b eta dx = 0, |b| <= L.
+def _moment_fit(values: np.ndarray, eta: np.ndarray, mono: np.ndarray, inv_gram: np.ndarray) -> np.ndarray:
+    """Rows of P in P_L on the window with int (values - P) u^b eta = 0."""
+    rhs = np.einsum("kw,wa->ka", values * eta, mono)
+    coef = np.einsum("kab,kb->ka", inv_gram, rhs)
+    return np.einsum("ka,wa->kw", coef, mono)
+
+
+@dataclass
+class _Group:
+    """Cubes sharing level, window shape and clip offset: their relative
+    lattice offsets agree, so they share one scaled monomial matrix."""
+
+    cube: np.ndarray  # (K,) positions in the cover's cube list
+    point: np.ndarray  # (K, W) flat lattice indices of each window
+    eta: np.ndarray  # (K, W) partition weights
+    bad: np.ndarray  # (K, W) (f - P_k) eta_k
+    mono: np.ndarray  # (W, na)
+    inv_gram: np.ndarray  # (K, na, na)
+
+
+@dataclass
+class _Cover:
+    """Whitney cover of one set with its localisation, stored flat.
+
+    `owner`, `point`, `eta` and `bad` concatenate the cube windows in cube
+    order; `lo`/`shape` give each window's box for rendering patches.
+    """
+
+    cubes: list[Cube]
+    groups: list[_Group]
+    lo: np.ndarray  # (K, n)
+    shape: np.ndarray  # (K, n)
+    owner: np.ndarray
+    point: np.ndarray
+    eta: np.ndarray
+    bad: np.ndarray
+
+    def patches(self, flat: np.ndarray) -> list[Patch]:
+        stops = np.cumsum(np.prod(self.shape, axis=1))
+        return [
+            Patch(tuple(int(v) for v in lo), flat[stop - math.prod(shp) : stop].reshape(tuple(shp)))
+            for lo, shp, stop in zip(self.lo, self.shape, stops)
+        ]
+
+
+def _localise(f: np.ndarray, cubes: list[Cube], domain: Domain, L: int) -> _Cover:
+    """Bumps, partition weights, moment projections and bad parts of every
+    cube, one batched step per (level, window shape, clip offset) group.
+
+    The bump is the plateau profile between the two dilations of its cube;
+    its ramp width is sub-lattice at every realizable cube size, so on the
+    lattice it is the cube indicator plus the shared corner points of the
+    closed inner dilation, which the partition splits evenly.
+    """
+    d = domain
+    n = d.dim
+    x = d.axis()
+    K = len(cubes)
+    rng = np.array([c.lattice_ranges(d) for c in cubes], dtype=np.int64).reshape(K, n, 2)
+    lo = np.maximum(rng[:, :, 0] - 1, 0)
+    shape = np.minimum(rng[:, :, 1] + 1, d.npts) - lo
+    centers = np.array([c.center for c in cubes]).reshape(K, n)
+    levels = np.array([c.level for c in cubes], dtype=np.int64)
+    keys = np.concatenate([levels[:, None], shape, lo - rng[:, :, 0]], axis=1)
+    uniq, gid = np.unique(keys, axis=0, return_inverse=True)
+    members = [np.flatnonzero(gid == g) for g in range(len(uniq))]
+    strides = d.npts ** np.arange(n - 1, -1, -1)
+    total = np.zeros(d.npts**n)
+    staged = []
+    for idx in members:
+        side = 2.0 ** (-int(levels[idx[0]]))
+        s1 = 0.5 * side * (1.0 + 2.0 ** (-n - 11))
+        s2 = 0.5 * side * (1.0 + 2.0 ** (-n - 10))
+        offs = [np.arange(w) for w in shape[idx[0]]]
+        ix = [lo[idx, i, None] + offs[i] for i in range(n)]
+        bump = _tensor(
+            [np.clip((s2 - np.abs(x[ix[i]] - centers[idx, i, None])) / (s2 - s1), 0.0, 1.0) for i in range(n)]
+        )
+        point = _tensor([ix[i] * strides[i] for i in range(n)], np.add)
+        np.add.at(total, point.ravel(), bump.ravel())
+        # relative offsets agree across the group: scale on its first cube
+        mono = _monomials([(x[ix[i][0]] - centers[idx[0], i]) / (side / 2.0) for i in range(n)], L)
+        staged.append((idx, point, bump, mono))
+    f = f.ravel()
+    groups = []
+    for idx, point, bump, mono in staged:
+        tot = total[point]
+        eta = bump / np.where(tot > 0, tot, 1.0)
+        f_rows = f[point]
+        inv_gram = _inverse_grams(eta, mono)
+        bad = (f_rows - _moment_fit(f_rows, eta, mono, inv_gram)) * eta
+        groups.append(_Group(idx, point, eta, bad, mono, inv_gram))
+    # the same entries in cube order
+    size = np.prod(shape, axis=1)
+    start = np.cumsum(size) - size
+    flat = [np.empty(int(size.sum()), dtype=t) for t in (np.int64, np.int64, float, float)]
+    for g in groups:
+        at = (start[g.cube][:, None] + np.arange(g.point.shape[1])).ravel()
+        for dst, src in zip(flat, (np.repeat(g.cube, g.point.shape[1]), g.point, g.eta, g.bad)):
+            dst[at] = src.ravel()
+    return _Cover(cubes, groups, lo, shape, *flat)
+
+
+def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
+    """Near-partition subordinate to the dilated Whitney cubes.
+
+    Returns one windowed weight per cube; they sum to exactly 1 on the
+    covered region (shared corner points are split evenly between
+    neighbors).
+    """
+    cov = _localise(np.zeros(domain.shape), cubes, domain, -1)
+    return cov.patches(cov.eta)
+
+
+def moment_projection(f: GridFunction, eta: GridFunction, L: int) -> Patch:
+    """Public projection: P in P_L with int (f - P) x^b eta dx = 0, |b| <= L,
+    rendered on the bounding window of the weight's support.
 
     Monomials are centered at the weight's support center and scaled by
     half its support width, which keeps the Gram system well conditioned.
@@ -458,167 +456,38 @@ def moment_projection(f: GridFunction, eta: GridFunction, L: int) -> PolynomialP
     lo = tuple(int(np.min(ix)) for ix in nz)
     hi = tuple(int(np.max(ix)) + 1 for ix in nz)
     sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-    patch = Patch(lo, eta.samples[sl].copy())
     x = d.axis()
-    center = tuple((x[a] + x[b - 1]) / 2.0 for a, b in zip(lo, hi))
+    center = [(x[a] + x[b - 1]) / 2.0 for a, b in zip(lo, hi)]
     scale = max(max((x[b - 1] - x[a]) / 2.0 for a, b in zip(lo, hi)), d.h)
-    return _project_patch(f.samples[sl], patch, L, center, scale, d)
+    mono = _monomials([(x[a:b] - c) / scale for a, b, c in zip(lo, hi, center)], L)
+    w_row = eta.samples[sl].reshape(1, -1)
+    pvals = _moment_fit(f.samples[sl].reshape(1, -1), w_row, mono, _inverse_grams(w_row, mono))
+    return Patch(lo, pvals.reshape(eta.samples[sl].shape))
 
 
 # ---------------------------------------------------------------------------
 # good/bad split at a single threshold
 
 
-@dataclass
-class _CoverData:
-    """Whitney cover of one level set with batched localization data.
-
-    Cubes are grouped into same-size blocks; within a block the scaled
-    monomial matrix is shared, so Grams, projections and bad parts are
-    single batched contractions.
-    """
-
-    cubes: list[Cube]
-    eta_lo: np.ndarray  # (K,) window starts (1-D path)
-    win: np.ndarray  # (K,) window lengths
-    etas: list[np.ndarray]
-    bads: list[np.ndarray]
-    monos: list[np.ndarray | None]
-    inv_grams: list[np.ndarray | None]
-    order: np.ndarray  # argsort of eta_lo
-    sorted_starts: np.ndarray
-    sorted_stops: np.ndarray
-
-    def eta_patch(self, k: int) -> Patch:
-        return Patch((int(self.eta_lo[k]),), self.etas[k])
-
-    def bad_patch(self, k: int) -> Patch:
-        return Patch((int(self.eta_lo[k]),), self.bads[k])
-
-    def owners_of(self, lo: int, hi: int) -> np.ndarray:
-        """Indices of cubes whose eta window meets [lo, hi)."""
-        i0 = int(np.searchsorted(self.sorted_stops, lo, side="right"))
-        i1 = int(np.searchsorted(self.sorted_starts, hi, side="left"))
-        return self.order[i0:i1]
-
-    def project_onto(self, k: int, weighted_f: np.ndarray) -> np.ndarray:
-        """Projection values (on the window of cube k) of weighted_f against
-        this cube's localization weight."""
-        if self.monos[k] is None:
-            return np.zeros_like(weighted_f)
-        rhs = self.monos[k].T @ (weighted_f * self.etas[k])
-        return self.monos[k] @ (self.inv_grams[k] @ rhs)
-
-
-def _build_cover_1d(f: GridFunction, cubes: list[Cube], L: int) -> _CoverData:
-    d = f.domain
-    alphas = _alphas(1, L)
-    na = len(alphas)
-    patches = [_bump_patch(c, d) for c in cubes]
-    total = np.zeros(d.shape)
-    for pch in patches:
-        pch.add_into(total)
-    K = len(cubes)
-    eta_lo = np.array([pch.lo[0] for pch in patches], dtype=np.int64)
-    win = np.array([pch.arr.shape[0] for pch in patches], dtype=np.int64)
-    etas: list[np.ndarray] = [None] * K
-    bads: list[np.ndarray] = [None] * K
-    monos: list[np.ndarray | None] = [None] * K
-    inv_grams: list[np.ndarray | None] = [None] * K
-    # group by (level, window length, clip offset) so each block shares its
-    # relative lattice-offset pattern and hence its monomial matrix
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, (c, pch) in enumerate(zip(cubes, patches)):
-        rel = pch.lo[0] - c.lattice_ranges(d)[0][0]
-        groups.setdefault((c.level, pch.arr.shape[0], rel), []).append(i)
-    x = d.axis()
-    for (lvl, wlen, _rel), idxs in groups.items():
-        rows = np.stack([patches[i].arr for i in idxs])
-        lo_arr = eta_lo[idxs]
-        gather = lo_arr[:, None] + np.arange(wlen)[None, :]
-        tot = total[gather]
-        rows = rows / np.where(tot > 0, tot, 1.0)
-        f_rows = f.samples[gather]
-        side = 2.0 ** (-lvl)
-        centers = np.array([cubes[i].center[0] for i in idxs])
-        if na:
-            u = (x[gather] - centers[:, None]) / (side / 2.0)
-            # relative offsets are identical across the block
-            M = np.stack([u[0] ** a[0] for a in alphas], axis=1)
-            G = np.einsum("wa,kw,wb->kab", M, rows, M)
-            if np.any(np.linalg.cond(G) > 1e10):
-                raise DegenerateBumpError("degenerate bump: ill conditioned Gram block")
-            invG = np.linalg.inv(G)
-            rhs = np.einsum("kw,wa->ka", f_rows * rows, M)
-            coef = np.einsum("kab,kb->ka", invG, rhs)
-            pvals = np.einsum("ka,wa->kw", coef, M)
-        else:
-            M = None
-            invG = None
-            pvals = 0.0
-        brows = (f_rows - pvals) * rows
-        for pos, i in enumerate(idxs):
-            etas[i] = rows[pos]
-            bads[i] = brows[pos]
-            monos[i] = M
-            inv_grams[i] = None if invG is None else invG[pos]
-    order = np.argsort(eta_lo, kind="stable")
-    return _CoverData(
-        cubes,
-        eta_lo,
-        win,
-        etas,
-        bads,
-        monos,
-        inv_grams,
-        order,
-        eta_lo[order],
-        (eta_lo + win)[order],
-    )
-
-
-def _bad_parts(
-    f: GridFunction, cubes: list[Cube], L: int
-) -> tuple[list[Patch], list[Patch]]:
-    """(f - P_k) eta_k patches per Whitney cube plus the eta patches."""
-    d = f.domain
-    if d.dim == 1:
-        cov = _build_cover_1d(f, cubes, L)
-        return (
-            [cov.bad_patch(i) for i in range(len(cubes))],
-            [cov.eta_patch(i) for i in range(len(cubes))],
-        )
-    etas = _eta_patches(cubes, d)
-    bads: list[Patch] = []
-    for cube, eta in zip(cubes, etas):
-        f_win = f.samples[eta.slices()]
-        proj = _project_patch(f_win, eta, L, cube.center, cube.side / 2.0, d)
-        pvals = proj.evaluate(d, eta.lo, eta.arr.shape) if proj.coeffs.size else 0.0
-        bads.append(Patch(eta.lo, (f_win - pvals) * eta.arr))
-    return bads, etas
-
-
 def cz_decompose(
     f: GridFunction, lam: float, dic: TestDictionary, L: int
-) -> tuple[GridFunction, list[tuple[Cube, GridFunction]]]:
+) -> tuple[GridFunction, list[tuple[Cube, Patch]]]:
     """Good/bad split at one threshold of the grand maximal function.
 
-    f = good + sum of bad parts exactly; each bad part carries vanishing
-    moments, against its own localization weight, up to order L.
+    f = good + sum of the windowed bad parts exactly; each bad part carries
+    vanishing moments, against its own localization weight, up to order L.
     """
     d = f.domain
     mn = grand_maximal(f, dic, "MN")
     mask = mn.samples > lam
     if np.all(mask):
         raise ValueError("no exterior: threshold below the maximal function minimum")
-    omega = GridFunction(d, mask.astype(float))
-    cubes = whitney_decompose(omega)
-    bads, _ = _bad_parts(f, cubes, L)
-    dense = np.zeros(d.shape)
-    for b in bads:
-        b.add_into(dense)
-    good = GridFunction(d, f.samples - dense)
-    return good, [(c, b.materialize(d)) for c, b in zip(cubes, bads)]
+    cubes = whitney_decompose(GridFunction(d, mask.astype(float)))
+    cov = _localise(f.samples, cubes, d, L)
+    dense = np.zeros(f.samples.size)
+    np.add.at(dense, cov.point, cov.bad)
+    good = GridFunction(d, f.samples - dense.reshape(d.shape))
+    return good, list(zip(cubes, cov.patches(cov.bad)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,14 +495,103 @@ def cz_decompose(
 
 
 def _level_thresholds(mn: np.ndarray, max_levels: int) -> list[int]:
+    """Exponents j of the thresholds 2^j, from the first level set that
+    leaves part of the window uncovered up to the first empty one."""
     top = float(np.max(mn))
     if top <= 0:
         return []
     j_hi = int(math.ceil(math.log2(top)))
-    positive = mn[mn > 0]
-    j_lo = int(math.floor(math.log2(float(np.min(positive)))))
+    low = float(np.min(mn))
+    if low > 0:
+        j_lo = int(math.ceil(math.log2(low)))
+    else:
+        j_lo = int(math.floor(math.log2(float(np.min(mn[mn > 0])))))
     j_lo = max(j_lo, j_hi - max_levels)
     return list(range(j_lo, j_hi + 1))
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) for every position in [start[row], start[row] + count[row])."""
+    row = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    return row, start[row] + np.arange(row.size) - first[row]
+
+
+def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Atoms of one level pair as flat (owner, point, value) entries sorted
+    by owner, then point.
+
+    Each owner's atom is its bad part b_{j,k} minus, for every next-level
+    cube whose window meets the owner's, the owner's share of b_{j+1} re-
+    projected against that cube's weight so the moments stay exact.  The
+    pieces are summed in the order bad part first, then next-level cubes
+    ascending.
+    """
+    by_point = np.argsort(cov_j.point, kind="stable")
+    sorted_points = cov_j.point[by_point]
+    nj = len(cov_j.cubes)
+    # rank: the next-level cube of each entry, -1 for the bad part
+    owner, point, value, rank = [cov_j.owner], [cov_j.point], [cov_j.bad], [np.full(cov_j.point.size, -1)]
+    for g in cov_n.groups:
+        width = g.point.shape[1]
+        query = g.point.ravel()
+        start = np.searchsorted(sorted_points, query, side="left")
+        count = np.searchsorted(sorted_points, query, side="right") - start
+        rec, pos = _expand(start, count)
+        hit = by_point[pos]
+        pairs, pair_of = np.unique(rec // width * nj + cov_j.owner[hit], return_inverse=True)
+        row, own = np.divmod(pairs, nj)
+        cut = np.zeros((pairs.size, width))
+        cut[pair_of, rec % width] = cov_j.eta[hit]
+        f_minus_p = np.divide(g.bad, g.eta, out=np.zeros_like(g.bad), where=g.eta > 0)
+        weighted = cut * f_minus_p[row]
+        eta = g.eta[row]
+        corr = (weighted - _moment_fit(weighted, eta, g.mono, g.inv_gram[row])) * eta
+        owner.append(np.repeat(own, width))
+        point.append(g.point[row].ravel())
+        value.append(-corr.ravel())
+        rank.append(np.repeat(g.cube[row], width))
+    order = np.argsort(np.concatenate(rank), kind="stable")
+    owner, point, value = (np.concatenate(a)[order] for a in (owner, point, value))
+    keys, at = np.unique(owner * size + point, return_inverse=True)
+    summed = np.zeros(keys.size)
+    np.add.at(summed, at, value)
+    owner, point = np.divmod(keys, size)
+    return owner, point, summed
+
+
+def _coefficient(patch: Patch, region: Cube | None, domain: Domain, q: float, w: Weight | None) -> float:
+    """Tight coefficient: the patch's L^q_w norm over w(region)^{1/q}."""
+    mass = 1.0 if math.isinf(q) else w.mass(region) ** (1.0 / q)
+    return max(patch.norm_lq(domain, q, w) / max(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
+
+
+def _owner_atoms(point, value, starts, stops, domain: Domain, q: float, L: int, w: Weight):
+    """Normalized atoms from the flat entries of each [start, stop) owner
+    segment, on the bounding window of the segment; the support is the
+    smallest cube around the nonzero values, and an oversized atom is cut
+    into unit pieces."""
+    d = domain
+    x = d.axis()
+    coords = np.unravel_index(point, d.shape)
+    out = []
+    for s, e in zip(starts, stops):
+        c = [ax[s:e] for ax in coords]
+        vals = value[s:e]
+        lo = tuple(int(ax.min()) for ax in c)
+        arr = np.zeros(tuple(int(ax.max()) + 1 - l for ax, l in zip(c, lo)))
+        arr[tuple(ax - l for ax, l in zip(c, lo))] = vals
+        nz = vals != 0
+        support = smallest_enclosing_cube(d, [x[ax[nz].min()] for ax in c], [x[ax[nz].max()] for ax in c])
+        patch = Patch(lo, arr)
+        lam = _coefficient(patch, support, d, q, w)
+        patch.arr = patch.arr / lam
+        if support.volume < 1.0 + 1e-12:
+            kind = "local" if support.volume < 1.0 else "unit"
+            out.append((lam, Atom(support, d, patch, q, L, kind)))
+        else:
+            out.extend(_split_unit_pieces(Atom(support, d, patch, q, L, "unit"), lam, w))
+    return out
 
 
 def atomic_decompose(
@@ -682,122 +640,49 @@ def atomic_decompose(
     if not levels:
         return AtomicDecomposition(d, [], [], [], q, L, v)
 
-    # Whitney cover per threshold 2^j; identical masks share one cover, and
-    # pairs of identical masks are skipped outright (their difference is 0)
-    masks = [mn > 2.0**j for j in levels]
-    cover_cache: dict[bytes, _CoverData | None] = {}
-    per_level: list[_CoverData | None] = []
-    for mask in masks:
-        key = mask.tobytes()
-        if key not in cover_cache:
-            if not np.any(mask):
-                cover_cache[key] = None
-            else:
-                cubes = whitney_decompose(GridFunction(d, mask.astype(float)))
-                cover_cache[key] = (
-                    _build_cover_1d(f, cubes, L) if d.dim == 1 else None
-                )
-                if cover_cache[key] is None and cubes:
-                    raise NotImplementedError(
-                        "atomic decomposition batching is one dimensional"
-                    )
-        per_level.append(cover_cache[key])
+    def cover(mask: np.ndarray) -> _Cover:
+        return _localise(f.samples, whitney_decompose(GridFunction(d, mask.astype(float))), d, L)
 
     lambdas: list[float] = []
     atoms: list[Atom] = []
     sup_cubes: list[Cube] = []
     tags: list[int] = []
-    residual = np.zeros(d.shape)  # sum_j (sum_k A_{j,k} - (b_j - b_{j+1}))
+    residual = np.zeros(f.samples.size)  # sum_j (sum_k A_{j,k} - (b_j - b_{j+1}))
     f_scale = max(f.sup(), 1e-300)
-
-    for li in range(len(levels) - 1):
-        j = levels[li]
-        cov_j = per_level[li]
-        cov_n = per_level[li + 1]
-        if cov_j is None and cov_n is None:
-            continue
-        if cov_j is cov_n:
+    masks = [mn > 2.0**j for j in levels]
+    lowest = cov_j = cover(masks[0])
+    for j, mask_j, mask_n in zip(levels, masks, masks[1:]):
+        if np.array_equal(mask_j, mask_n):
             continue  # identical level sets: the difference vanishes exactly
-        # start from b_{j,k}; subtract the overlapping next-level pieces with
-        # moment-restoring re-projection per pair
-        nj = len(cov_j.cubes) if cov_j else 0
-        pieces: list[list[tuple[Patch, float]]] = [
-            [(cov_j.bad_patch(i), 1.0)] for i in range(nj)
-        ]
-        residual_level = np.zeros(d.shape)
-        if cov_n:
-            for i in range(len(cov_n.cubes)):
-                cov_n.bad_patch(i).add_into(residual_level, -1.0)  # -(b_{j+1})
-        for i in range(nj):
-            cov_j.bad_patch(i).add_into(residual_level)  # + b_j
-        for kk in range(len(cov_n.cubes) if cov_n else 0):
-            eta_n = cov_n.eta_patch(kk)
-            b_n = cov_n.bad_patch(kk)
-            lo = eta_n.lo[0]
-            shape = eta_n.arr.shape
-            owners = cov_j.owners_of(lo, lo + shape[0]) if cov_j else []
-            f_minus_p = np.divide(
-                b_n.arr, eta_n.arr, out=np.zeros_like(b_n.arr), where=eta_n.arr > 0
-            )
-            for oi in owners:
-                eta_j = cov_j.eta_patch(int(oi))
-                cut = np.zeros(shape)
-                a0 = max(lo, eta_j.lo[0])
-                b0 = min(lo + shape[0], eta_j.lo[0] + eta_j.arr.shape[0])
-                if b0 <= a0:
-                    continue
-                cut[a0 - lo : b0 - lo] = eta_j.arr[a0 - eta_j.lo[0] : b0 - eta_j.lo[0]]
-                weighted_f = cut * f_minus_p
-                pvals = cov_n.project_onto(kk, weighted_f)
-                corr = Patch(eta_n.lo, (weighted_f - pvals) * eta_n.arr)
-                pieces[int(oi)].append((corr, -1.0))
-        for oi, plist in enumerate(pieces):
-            a_patch = _union_patch(plist, d.dim)
-            # round-off dust (saturated regions where consecutive bad parts
-            # agree) flows into the residual instead of becoming an atom
-            if np.max(np.abs(a_patch.arr), initial=0.0) <= 1e-13 * f_scale:
-                continue
-            a_patch.add_into(residual_level, -1.0)
-            nz = np.nonzero(np.abs(a_patch.arr) > 0)
-            if nz[0].size == 0:
-                continue
-            lo_idx = tuple(int(np.min(ix)) + l for ix, l in zip(nz, a_patch.lo))
-            hi_idx = tuple(int(np.max(ix)) + l for ix, l in zip(nz, a_patch.lo))
-            x = d.axis()
-            box_lo = [x[i] for i in lo_idx]
-            box_hi = [x[i] for i in hi_idx]
-            support = smallest_enclosing_cube(d, box_lo, box_hi)
-            nu = a_patch.norm_lq(d, q, w) / max(w.mass(support) ** (1.0 / q) if not math.isinf(q) else 1.0, LAMBDA_FLOOR)
-            lam = max(nu, LAMBDA_FLOOR)
-            a_patch.arr = a_patch.arr / lam
-            kind = "local" if support.volume < 1.0 else "unit"
-            atom = Atom(support, d, a_patch, q, L, kind)
-            if support.volume < 1.0 + 1e-12:
-                lambdas.append(lam)
-                atoms.append(atom)
-                sup_cubes.append(support)
-                tags.append(j)
-            else:
-                for piece_lam, piece_atom in _split_unit_pieces(atom, lam, w):
-                    lambdas.append(piece_lam)
-                    atoms.append(piece_atom)
-                    sup_cubes.append(piece_atom.support)
-                    tags.append(j)
+        cov_n = cover(mask_n)
+        owner, point, value = _level_pieces(cov_j, cov_n, f.samples.size)
+        residual_level = np.zeros(f.samples.size)
+        np.add.at(residual_level, cov_n.point, -cov_n.bad)  # -(b_{j+1})
+        np.add.at(residual_level, cov_j.point, cov_j.bad)  # + b_j
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        stops = np.append(starts[1:], owner.size)
+        # round-off dust (saturated regions where consecutive bad parts
+        # agree) flows into the residual instead of becoming an atom
+        kept = np.maximum.reduceat(np.abs(value), starts) > 1e-13 * f_scale
+        keep = np.repeat(kept, stops - starts)
+        np.add.at(residual_level, point[keep], -value[keep])
+        for lam, atom in _owner_atoms(point, value, starts[kept], stops[kept], d, q, L, w):
+            lambdas.append(lam)
+            atoms.append(atom)
+            sup_cubes.append(atom.support)
+            tags.append(j)
         residual -= residual_level
+        cov_j = cov_n
 
     # good part of the lowest threshold, corrected by the exact residual
-    dense_b = np.zeros(d.shape)
-    if per_level[0] is not None:
-        for i in range(len(per_level[0].cubes)):
-            per_level[0].bad_patch(i).add_into(dense_b)
-    good = f.samples - dense_b - residual
+    dense_b = np.zeros(f.samples.size)
+    np.add.at(dense_b, lowest.point, lowest.bad)
+    good = f.samples - dense_b.reshape(d.shape) - residual.reshape(d.shape)
     single = None
     remainder = None
     if include_single:
         gpatch = Patch((0,) * d.dim, good.copy())
-        mass = w.mass() ** (1.0 / q) if not math.isinf(q) else 1.0
-        nu0 = gpatch.norm_lq(d, q, w) / max(mass, LAMBDA_FLOOR)
-        lam0 = max(nu0, LAMBDA_FLOOR)
+        lam0 = _coefficient(gpatch, None, d, q, w)
         gpatch.arr = gpatch.arr / lam0
         window_cube = smallest_enclosing_cube(
             d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim
@@ -815,30 +700,22 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
     d = atom.domain
     dense = atom.patch.materialize(d).samples * lam
     x = d.axis()
-    lo_cell = int(math.floor(x[atom.patch.lo[0]])) if d.dim == 1 else None
+    spans = [
+        range(int(math.floor(x[a])), int(math.ceil(x[min(b, d.npts) - 1])) + 1)
+        for a, b in atom.support.lattice_ranges(d)
+    ]
     out = []
-    rngs = atom.support.lattice_ranges(d)
-    if d.dim == 1:
-        (a, b), = rngs
-        start = int(math.floor(x[a]))
-        stop = int(math.ceil(x[min(b, d.npts) - 1])) + 1
-        for l in range(start, stop):
-            cube = Cube(0, (0,), (l,))
-            (ca, cb), = cube.lattice_ranges(d)
-            if cb <= ca:
-                continue
-            win = dense[ca:cb]
-            if not np.any(win):
-                continue
-            patch = Patch((ca,), win.copy())
-            nu = patch.norm_lq(d, atom.q, w)
-            if not math.isinf(atom.q):
-                nu = nu / max(w.mass(cube) ** (1.0 / atom.q), LAMBDA_FLOOR)
-            piece_lam = max(nu, LAMBDA_FLOOR)
-            patch.arr = patch.arr / piece_lam
-            out.append((piece_lam, Atom(cube, d, patch, atom.q, atom.L, "unit")))
-        return out
-    raise NotImplementedError("unit splitting implemented for n = 1")
+    for index in iproduct(*spans):
+        cube = Cube(0, (0,) * d.dim, index)
+        sl = tuple(slice(a, b) for a, b in cube.lattice_ranges(d))
+        win = dense[sl]
+        if not np.any(win):
+            continue
+        patch = Patch(tuple(s.start for s in sl), win.copy())
+        piece_lam = _coefficient(patch, cube, d, atom.q, w)
+        patch.arr = patch.arr / piece_lam
+        out.append((piece_lam, Atom(cube, d, patch, atom.q, atom.L, "unit")))
+    return out
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
@@ -870,7 +747,7 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
         support_leak = 0.0
     size = a.lq_norm(w)
     if math.isinf(a.q):
-        budget = 1.0 if a.kind != "single" else 1.0
+        budget = 1.0
     else:
         region = None if a.kind == "single" else a.support
         budget = (w.mass(region) if w is not None else (
@@ -881,15 +758,9 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
     if a.kind == "local" and a.L >= 0:
         l1 = a.patch.l1(d)
         x = d.axis()
+        axes = [x[s] - c for s, c in zip(a.patch.slices(), a.support.center)]
         for alpha in _alphas(d.dim, a.L):
-            sl = a.patch.slices()
-            axes = [
-                x[sl[i].start : sl[i].stop] - a.support.center[i] for i in range(d.dim)
-            ]
-            if d.dim == 1:
-                mono = axes[0] ** alpha[0]
-            else:
-                mono = (axes[0] ** alpha[0])[:, None] * (axes[1] ** alpha[1])[None, :]
+            mono = reduce(np.multiply, np.ix_(*[ax**k for ax, k in zip(axes, alpha)]))
             mom = d.h ** d.dim * float(np.sum(a.patch.arr * mono))
             tol = MOMENT_TOL * max(l1, 1e-300) * a.support.side ** sum(alpha)
             moment_worst = max(moment_worst, abs(mom) / tol if tol > 0 else math.inf)
@@ -983,7 +854,10 @@ def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
             "half_width": dec.domain.half_width,
             "level": dec.domain.level,
         },
+        "q": None if math.isinf(dec.q) else dec.q,
+        "L": dec.L,
         "v": dec.v,
+        "level_tags": list(dec.level_tags),
         "single": dec.single_part is not None,
         "sidecar": sidecar.name,
         "atoms": entries,
@@ -1015,6 +889,7 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
             lambdas.append(e["lambda"])
             atoms.append(atom)
             cubes.append(cube)
-    L = entries[0]["L"] if entries else 0
-    q = math.inf if not entries or entries[0]["q"] is None else entries[0]["q"]
-    return AtomicDecomposition(dom, lambdas, atoms, cubes, q, L, doc["v"], single)
+    q = math.inf if doc["q"] is None else doc["q"]
+    return AtomicDecomposition(
+        dom, lambdas, atoms, cubes, q, doc["L"], doc["v"], single, level_tags=doc["level_tags"]
+    )

@@ -477,7 +477,9 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Case]:
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
         good, bad = atoms_mod.cz_decompose(f, lam, large, 1)
-        recon = good.samples + sum(b.samples for _, b in bad)
+        recon = good.samples.copy()
+        for _, b in bad:
+            b.add_into(recon)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / max(f.sup(), 1e-300))
         om = GridFunction(d, (mn > lam).astype(float))
         rep = atoms_mod.whitney_geometry_report(om, [c for c, _ in bad])

@@ -320,7 +320,9 @@ def test_criterion_09_cz_and_whitney(dicts):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
         good, bad = cz_decompose(f, lam, large, 1)
-        recon = good.samples + sum(b.samples for _, b in bad)
+        recon = good.samples.copy()
+        for _, b in bad:
+            b.add_into(recon)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / f.sup())
         om = GridFunction(DOM, (mn > lam).astype(float))
         rep = whitney_geometry_report(om, [c for c, _ in bad])

@@ -1,8 +1,10 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from varhardy import atoms
 from varhardy.atoms import (
     Atom,
     Patch,
@@ -36,6 +38,28 @@ def dom():
 @pytest.fixture(scope="module")
 def dicts(dom):
     return nested_dictionaries(2, 8, dom)
+
+
+@pytest.fixture(scope="module")
+def dom2():
+    # the first 2-D window with Whitney cubes: the 2^{-n-6} gap needs a
+    # distance of 2^{n+6} sqrt(n) h to the complement
+    return Domain(2, 2, 8)
+
+
+def square_level_sets(domain, levels):
+    """Surrogate grand maximal function: 0.5 outside, value v on the
+    square max(|x|, |y|) < r for each (r, v), nested."""
+    x, y = domain.coords()
+    box = np.maximum(np.abs(x), np.abs(y))
+    out = np.full(domain.shape, 0.5)
+    for r, v in levels:
+        out[box < r] = v
+
+    def fake(f, dic, kind):
+        return GridFunction(domain, out)
+
+    return fake
 
 
 def haar_atom(dom, cube):
@@ -203,7 +227,7 @@ class TestPartition:
         etas = partition_of_unity(cubes, dom)
         total = np.zeros(dom.shape)
         for e in etas:
-            total += e.samples
+            e.add_into(total)
         x = dom.axis()
         deep = (x > 1.0) & (x < 5.0)
         assert np.max(np.abs(total[deep] - 1.0)) <= 1e-10
@@ -220,7 +244,7 @@ class TestPartition:
             (a, b), = c.lattice_ranges(dom)
             mask = np.ones(dom.shape, bool)
             mask[max(a - 1, 0) : b + 1] = False
-            assert np.all(e.samples[mask] == 0.0)
+            assert np.all(e.materialize(dom).samples[mask] == 0.0)
 
 
 class TestMomentProjection:
@@ -230,7 +254,7 @@ class TestMomentProjection:
         )
         f = GridFunction.from_callable(dom, lambda x: 2.0 + 3.0 * (x - 1.0))
         proj = moment_projection(f, eta, 1)
-        vals = proj.evaluate(dom, (0,), dom.shape)
+        vals = proj.materialize(dom).samples
         sup_region = eta.samples > 0
         assert np.max(np.abs(vals[sup_region] - f.samples[sup_region])) <= 1e-8
 
@@ -240,7 +264,7 @@ class TestMomentProjection:
         f = GridFunction(dom, rng.normal(size=dom.shape))
         proj = moment_projection(f, eta, 0)
         want = quadrature(f * eta) / quadrature(eta)
-        assert proj.coeffs[0] == pytest.approx(want, rel=1e-10)
+        assert proj.arr == pytest.approx(np.full(proj.arr.shape, want), rel=1e-10)
 
     def test_residual_moments_vanish(self, dom):
         eta = GridFunction.from_callable(
@@ -249,7 +273,7 @@ class TestMomentProjection:
         rng = np.random.default_rng(4)
         f = GridFunction(dom, rng.normal(size=dom.shape))
         proj = moment_projection(f, eta, 2)
-        pv = proj.evaluate(dom, (0,), dom.shape)
+        pv = proj.materialize(dom).samples
         x = dom.axis()
         for beta in range(3):
             resid = quadrature(GridFunction(dom, (f.samples - pv) * x**beta * eta.samples))
@@ -274,7 +298,9 @@ class TestCZ:
             mn = grand_maximal(f, large, "MN").samples
             lam = float(np.median(mn[mn > 0]))
             good, bad = cz_decompose(f, lam, large, 1)
-            recon = good.samples + sum(b.samples for _, b in bad)
+            recon = good.samples.copy()
+            for _, b in bad:
+                b.add_into(recon)
             assert np.max(np.abs(recon - f.samples)) <= 1e-10 * f.sup()
 
     def test_good_part_bound_recorded(self, dom, dicts):
@@ -299,13 +325,33 @@ class TestCZ:
         x = dom.axis()
         checked = 0
         for (cube, b), eta in list(zip(bad, etas))[:40]:
+            b = b.materialize(dom).samples
             for beta in range(2):
                 mono = (x - cube.center[0]) ** beta
-                resid = quadrature(GridFunction(dom, b.samples * mono))
-                scale = dom.h * float(np.sum(np.abs(b.samples))) + 1e-300
+                resid = quadrature(GridFunction(dom, b * mono))
+                scale = dom.h * float(np.sum(np.abs(b))) + 1e-300
                 assert abs(resid) <= 1e-7 * scale + 1e-14
             checked += 1
         assert checked
+
+    def test_2d_square_split(self, dom2, monkeypatch):
+        monkeypatch.setattr(atoms, "grand_maximal", square_level_sets(dom2, [(1.6, 1.0)]))
+        x, y = dom2.coords()
+        f = GridFunction(dom2, np.exp(-(x**2 + y**2)) * (1.0 + x * y))
+        good, bad = cz_decompose(f, 0.75, types.SimpleNamespace(order=2), 1)
+        assert len(bad) > 1000
+        recon = good.samples.copy()
+        for _, b in bad:
+            b.add_into(recon)
+        assert np.max(np.abs(recon - f.samples)) <= 1e-10 * f.sup()
+        axis = dom2.axis()
+        hn = dom2.h**2
+        for cube, b in bad:
+            u, v = (axis[s] - c for s, c in zip(b.slices(), cube.center))
+            scale = hn * float(np.sum(np.abs(b.arr))) + 1e-300
+            for a, c in ((0, 0), (1, 0), (0, 1)):
+                resid = hn * float(np.sum(b.arr * (u**a)[:, None] * (v**c)[None, :]))
+                assert abs(resid) <= 1e-7 * scale + 1e-14
 
 
 @pytest.fixture(scope="module")
@@ -394,6 +440,61 @@ class TestAtomicDecompose:
         assert (dec.single_part[0] + a_norm) / bound < 100.0
 
 
+    def test_constant_function_round_trips(self):
+        # M_N f stays above its lowest dyadic threshold on the whole window;
+        # the thresholds start at the first level set with an exterior
+        d = Domain(1, 8, 7)
+        _, large = nested_dictionaries(2, 8, d)
+        p = VariableExponent.constant(d, 2.0)
+        w = weight_preset("const:1", d)
+        f = GridFunction(d, np.ones(d.shape))
+        dec = atomic_decompose(f, p, w, large, L=1)
+        assert lq_norm(synthesize(dec) - f, 2.0) <= 1e-10 * lq_norm(f, 2.0)
+        for atom in dec.atoms + [dec.single_part[1]]:
+            assert validate_atom(atom, w, p).passed
+
+    # recorded before the grouped localisation replaced the per-cube paths
+    PINNED = {
+        ("bump:-0.7,0.9,1.3", 0): (8.919438433000119, 0.02742187048935259, 1.299837368267868, 0.9947618073279059),
+        ("bump:-0.7,0.9,1.3", 1): (8.919438433000119, 0.02742187048935259, 1.299837368267868, 1.199820310446864),
+        ("bump:0.4,0.5,0.8", 0): (5.611096977115798, 0.025046968222395223, 0.7994253152159401, 0.8020264895396927),
+        ("bump:0.4,0.5,0.8", 1): (5.611096977115798, 0.025046968222395223, 0.7994253152159401, 0.9704012232495292),
+    }
+
+    @pytest.mark.parametrize("spec,pair", sorted(PINNED))
+    def test_pinned_values(self, spec, pair):
+        d = Domain(1, 8, 7)
+        _, large = nested_dictionaries(2, 8, d)
+        p, w = [
+            (VariableExponent.constant(d, 2.0), weight_preset("const:1", d)),
+            (exponent_preset("lhdecay:1", d), weight_preset("power:1", d)),
+        ][pair]
+        dec = atomic_decompose(function_preset(spec, d), p, w, large)
+        got = (
+            sum(dec.lambdas),
+            max(dec.lambdas),
+            dec.single_part[0],
+            sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v),
+        )
+        assert got == pytest.approx(self.PINNED[(spec, pair)], rel=1e-9)
+
+    def test_2d_round_trip(self, dom2, monkeypatch):
+        monkeypatch.setattr(
+            atoms, "grand_maximal", square_level_sets(dom2, [(1.45, 4.0), (1.44, 2.0), (1.43, 1.0)])
+        )
+        monkeypatch.setattr(atoms, "q_w_estimate", lambda w: 1.0)  # exact for const:1
+        x, y = dom2.coords()
+        f = GridFunction(dom2, np.exp(-(x**2 + y**2)) * (1.0 + x * y))
+        p = VariableExponent.constant(dom2, 2.0)
+        w = weight_preset("const:1", dom2)
+        dec = atomic_decompose(f, p, w, types.SimpleNamespace(order=2), L=1)
+        assert any(a.kind == "local" for a in dec.atoms)
+        out = synthesize(dec)
+        assert np.max(np.abs(out.samples - f.samples)) <= 1e-10 * f.sup()
+        for atom in dec.atoms + [dec.single_part[1]]:
+            assert validate_atom(atom, w, p).passed
+
+
 class TestUnitSplit:
     def test_oversized_atom_splits_into_unit_pieces(self, dom):
         cube = Cube(-2, (0,), (0,))  # side 4
@@ -410,6 +511,28 @@ class TestUnitSplit:
         for lam, piece in pieces:
             piece.patch.add_into(total, lam)
         assert np.max(np.abs(total[a:b] - 1.0)) <= 1e-12
+
+    def test_2d_atom_splits_into_four(self):
+        d = Domain(2, 4, 4)
+        cube = Cube(-1, (0, 0), (0, 0))  # side 2
+        sl = tuple(slice(a, b) for a, b in cube.lattice_ranges(d))
+        x, y = d.coords()
+        arr = (0.5 + 0.25 * np.sin(3 * x) * np.cos(2 * y))[sl]
+        lo = tuple(s.start for s in sl)
+        atom = Atom(cube, d, Patch(lo, arr / np.max(np.abs(arr))), math.inf, -1, "unit")
+        w = weight_preset("const:1", d)
+        lam = float(np.max(np.abs(arr)))
+        pieces = _split_unit_pieces(atom, lam, w)
+        assert len(pieces) == 4
+        total = np.zeros(d.shape)
+        for piece_lam, piece in pieces:
+            assert piece.support.volume == 1.0
+            assert validate_atom(piece, w).passed
+            piece.patch.add_into(total, piece_lam)
+        assert np.max(np.abs(total[sl] - arr)) <= 1e-12
+        outside = np.ones(d.shape, dtype=bool)
+        outside[sl] = False
+        assert not np.any(total[outside])
 
 
 class TestMajorantCheck:
@@ -449,6 +572,21 @@ class TestSerialization:
         back = load_decomposition(path)
         assert len(back.atoms) == len(dec.atoms)
         assert back.lambdas == pytest.approx(dec.lambdas)
+        assert (back.q, back.L, back.v) == (dec.q, dec.L, dec.v)
+        assert back.level_tags == dec.level_tags
         a = synthesize(dec)
         b = synthesize(back)
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
+
+    def test_empty_round_trip(self, tmp_path, dom, dicts):
+        _, large = dicts
+        p = VariableExponent.constant(dom, 2.0)
+        w = weight_preset("const:1", dom)
+        zero = GridFunction(dom, np.zeros(dom.shape))
+        dec = atomic_decompose(zero, p, w, large, q=4.0, L=2)
+        assert dec.atoms == []
+        path = tmp_path / "empty.json"
+        save_decomposition(dec, path)
+        back = load_decomposition(path)
+        assert back.atoms == [] and back.single_part is None
+        assert (back.q, back.L, back.v, back.level_tags) == (4.0, 2, dec.v, [])
