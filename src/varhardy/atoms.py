@@ -168,9 +168,7 @@ def sequence_norm(
     for lam, cube in zip(lambdas, cubes):
         if lam < 0:
             raise ValueError("coefficients must be nonnegative")
-        rngs = cube.lattice_ranges(d)
-        sl = tuple(slice(a, b) for a, b in rngs)
-        acc[sl] += abs(lam) ** v
+        acc[cube.lattice_slices(d)] += abs(lam) ** v
     return luxemburg_norm(GridFunction(d, acc ** (1.0 / v)), p, w)
 
 
@@ -187,7 +185,7 @@ def sequence_norm_dagger(lambdas, cubes, p: VariableExponent, w: Weight | None) 
     for lam, cube in zip(lambdas, cubes):
         if lam == 0:
             continue
-        sl = tuple(slice(a, b) for a, b in cube.lattice_ranges(d))
+        sl = cube.lattice_slices(d)
         p_pts.append(p.values.samples[sl].ravel())
         w_pts.append((np.ones(p_pts[-1].size) if ws is None else ws[sl].ravel()))
         lam_pts.append(np.full(p_pts[-1].size, abs(lam)))
@@ -264,8 +262,7 @@ def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
     h = d.h
     m0 = d.half_npts
     for c in cubes:
-        sl = tuple(slice(a, b) for a, b in c.lattice_ranges(d))
-        dmin = float(np.min(dist[sl]))
+        dmin = float(np.min(dist[c.lattice_slices(d)]))
         diam = c.side * math.sqrt(n)
         if not (diam <= gap * dmin <= 4.0 * diam + 1e-12):
             violations += 1
@@ -707,7 +704,7 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
     out = []
     for index in iproduct(*spans):
         cube = Cube(0, (0,) * d.dim, index)
-        sl = tuple(slice(a, b) for a, b in cube.lattice_ranges(d))
+        sl = cube.lattice_slices(d)
         win = dense[sl]
         if not np.any(win):
             continue
@@ -736,15 +733,14 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
 def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) -> Report:
     """Support, size and moment margins of one atom."""
     d = a.domain
-    dense = a.patch.materialize(d).samples
-    outside = np.ones(d.shape, dtype=bool)
+    support_leak = 0.0
     if a.kind != "single":
-        rngs = a.support.lattice_ranges(d)
-        sl = tuple(slice(x, y) for x, y in rngs)
-        outside[sl] = False
-        support_leak = float(np.max(np.abs(dense[outside]))) if np.any(outside) else 0.0
-    else:
-        support_leak = 0.0
+        leak = np.abs(a.patch.arr)  # the lattice outside the patch is zero
+        leak[tuple(
+            slice(max(s.start - lo, 0), max(s.stop - lo, 0))
+            for s, lo in zip(a.support.lattice_slices(d), a.patch.lo)
+        )] = 0.0
+        support_leak = float(leak.max(initial=0.0))
     size = a.lq_norm(w)
     if math.isinf(a.q):
         budget = 1.0
@@ -790,20 +786,17 @@ def bad_part_majorant_check(
         raise ValueError("majorant check applies to local atoms with |Q| < 1")
     m0 = grand_maximal(a.values, dic, "M0").samples
     chi = np.zeros(d.shape)
-    sl = tuple(slice(x, y) for x, y in a.support.lattice_ranges(d))
-    chi[sl] = 1.0
+    chi[a.support.lattice_slices(d)] = 1.0
     mloc = local_maximal(GridFunction(d, chi)).samples
     exponent = (d.dim + a.L + 1) / d.dim
     outside = ~a.support.box().dilate(2.0).lattice_mask(d)
     mask = outside & (mloc > 0)
     const = float(np.max(m0[mask] / mloc[mask] ** exponent)) if np.any(mask) else 0.0
     reach = a.support.box().dilate(1.0)
-    x = d.axis()
-    if d.dim == 1:
-        far = (x < reach.lo[0] - dic.radius - 1.0) | (x > reach.hi[0] + dic.radius + 1.0)
-    else:
-        r = d.radius()
-        far = r > float(np.max(np.abs(reach.hi))) + dic.radius + 1.0
+    far = reduce(np.logical_or, (
+        (x < lo - dic.radius - 1.0) | (x > hi + dic.radius + 1.0)
+        for x, lo, hi in zip(d.coords(), reach.lo, reach.hi)
+    ))
     leak = float(np.max(m0[far])) if np.any(far) else 0.0
     return Report(
         "bad_part_majorant_check",

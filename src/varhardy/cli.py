@@ -136,16 +136,11 @@ def cmd_maximal(args) -> int:
     w = weight_preset(cfg.w, d)
     out = _apply_operator(args.operator, f, w)
     path = Path(cfg.out or "maximal_profile.csv")
-    xs = d.axis()
+    row = out.samples[(d.half_npts,) * (d.dim - 1)]  # the last axis through 0
     with open(path, "w") as fh:
         fh.write("x,value\n")
-        if d.dim == 1:
-            for x, v in zip(xs, out.samples):
-                fh.write(f"{x!r},{v!r}\n")
-        else:
-            mid = d.half_npts
-            for x, v in zip(xs, out.samples[mid]):
-                fh.write(f"{x!r},{v!r}\n")
+        for x, v in zip(d.axis(), row):
+            fh.write(f"{x!r},{v!r}\n")
     print(f"operator {args.operator}: sup = {out.sup():.8g}, profile -> {path}")
     return 0
 
@@ -242,9 +237,7 @@ def _export_coefficients(co, path: Path) -> None:
                         "offset": offset, "count": arr.size})
         offset += arr.nbytes
         for j in sorted(co.details):
-            det = co.details[j]
-            channels = {"d": det} if not isinstance(det, dict) else det
-            for li, (name, ch) in enumerate(sorted(channels.items()), start=1):
+            for li, (name, ch) in enumerate(sorted(co.details[j].items()), start=1):
                 arr = np.ascontiguousarray(ch, dtype="<f8")
                 fh.write(arr.tobytes())
                 entries.append({"l": li, "j": j, "k": co.k_offset(j), "kind": name,

@@ -87,12 +87,9 @@ def _subgrid_points(p: VariableExponent, per_axis: int) -> tuple[np.ndarray, np.
     """Lattice points and exponent values on a coarsened subgrid."""
     d = p.domain
     stride = max(1, d.npts // per_axis)
-    x = d.axis()[::stride]
-    if d.dim == 1:
-        return x[:, None], p.values.samples[::stride]
-    gx, gy = np.meshgrid(x, x, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    return pts, p.values.samples[::stride, ::stride].ravel()
+    grids = np.meshgrid(*[d.axis()[::stride]] * d.dim, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=1)
+    return pts, p.values.samples[(slice(None, None, stride),) * d.dim].ravel()
 
 
 def lh0_constant(p: VariableExponent) -> float:
@@ -153,16 +150,9 @@ def dual_exponent(p: VariableExponent) -> VariableExponent:
 
 def mean_exponent(p: VariableExponent, cube: Cube) -> float:
     """Harmonic-type average p_E with 1/p_E the mean of 1/p over the cube."""
-    d = p.domain
-    rngs = cube.lattice_ranges(d)
-    if any(b <= a for a, b in rngs):
+    block = p.values.samples[cube.lattice_slices(p.domain)]
+    if block.size == 0:
         raise ValueError("cube does not meet the window")
-    if d.dim == 1:
-        (a, b), = rngs
-        block = p.values.samples[a:b]
-    else:
-        (a, b), (c, e) = rngs
-        block = p.values.samples[a:b, c:e]
     return 1.0 / float(np.mean(1.0 / block))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -101,17 +101,11 @@ class Domain:
 
     def coords(self) -> tuple[np.ndarray, ...]:
         """Coordinate arrays broadcastable to `shape`."""
-        x = self.axis()
-        if self.dim == 1:
-            return (x,)
-        return (x[:, None], x[None, :])
+        return np.ix_(*[self.axis()] * self.dim)
 
     def radius(self) -> np.ndarray:
         """|x| at every lattice point."""
-        if self.dim == 1:
-            return np.abs(self.axis())
-        x, y = self.coords()
-        return np.hypot(x, y)
+        return reduce(np.hypot, self.coords(), 0.0)
 
     def refine(self, by: int = 1) -> "Domain":
         return Domain(self.dim, self.half_width, self.level + by)
@@ -145,12 +139,7 @@ class GridFunction:
 
     @classmethod
     def from_callable(cls, domain: Domain, fn: Callable) -> "GridFunction":
-        if domain.dim == 1:
-            vals = fn(domain.axis())
-        else:
-            x, y = domain.coords()
-            vals = fn(x, y)
-        return cls(domain, np.broadcast_to(vals, domain.shape))
+        return cls(domain, np.broadcast_to(fn(*domain.coords()), domain.shape))
 
     def with_samples(self, arr: np.ndarray) -> "GridFunction":
         return GridFunction(self.domain, arr)
@@ -198,13 +187,8 @@ class Box:
         return Box(tuple(c - r), tuple(c + r))
 
     def lattice_mask(self, domain: Domain) -> np.ndarray:
-        x = domain.axis()
-        masks = []
-        for d in range(domain.dim):
-            masks.append((x >= self.lo[d]) & (x < self.hi[d]))
-        if domain.dim == 1:
-            return masks[0]
-        return masks[0][:, None] & masks[1][None, :]
+        masks = ((x >= lo) & (x < hi) for x, lo, hi in zip(domain.coords(), self.lo, self.hi))
+        return reduce(np.logical_and, masks)
 
 
 @dataclass(frozen=True)
@@ -264,6 +248,11 @@ class Cube:
             out.append((max(start, -m0) + m0, min(stop, m0) + m0))
         return tuple(out)
 
+    def lattice_slices(self, domain: Domain) -> tuple[slice, ...]:
+        """Index window of the cube on the lattice; empty on every axis
+        where the cube misses the window."""
+        return tuple(slice(a, max(a, b)) for a, b in self.lattice_ranges(domain))
+
     def lattice_count(self, domain: Domain) -> int:
         cnt = 1
         for a, b in self.lattice_ranges(domain):
@@ -301,12 +290,10 @@ class CubeLayout:
         self.first = tuple(int(q[0]) for q in idx)
         self.shape = tuple(int(q[-1]) - q0 + 1 for q, q0 in zip(idx, self.first))
         self.count = math.prod(self.shape)
-        if domain.dim == 1:
-            self.ids = idx[0] - self.first[0]
-        else:
-            (qx, qy), (qx0, qy0) = idx, self.first
-            ncols = self.shape[1]
-            self.ids = (qx[:, None] - qx0) * ncols + (qy[None, :] - qy0)
+        ids, *rest = (q - q0 for q, q0 in zip(idx, self.first))
+        for q, n in zip(rest, self.shape[1:]):
+            ids = np.add.outer(ids * n, q)  # row-major
+        self.ids = ids
 
     def sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of `values` over the lattice points of each cube."""
@@ -338,17 +325,8 @@ def quadrature(f: GridFunction, cube: Cube | None = None) -> float:
     An empty cube/window intersection integrates to zero.
     """
     d = f.domain
-    hn = d.h ** d.dim
-    if cube is None:
-        return hn * float(np.sum(f.samples))
-    rngs = cube.lattice_ranges(d)
-    if any(b <= a for a, b in rngs):
-        return 0.0
-    if d.dim == 1:
-        (a, b), = rngs
-        return hn * float(np.sum(f.samples[a:b]))
-    (a, b), (c, e) = rngs
-    return hn * float(np.sum(f.samples[a:b, c:e]))
+    block = f.samples if cube is None else f.samples[cube.lattice_slices(d)]
+    return d.h ** d.dim * float(np.sum(block))
 
 
 def all_shifts(dim: int) -> list[tuple[int, ...]]:
@@ -451,18 +429,12 @@ def rescale_mollifier(phi: GridFunction, t: float) -> GridFunction:
     stride = 1 << j
     m = d.half_npts
     i = d.axis_ints()
-    src = i * stride  # lattice index of x/t
-    inside = (src >= -m) & (src < m)
+    i = i[(i * stride >= -m) & (i * stride < m)]  # a run of x with x/t in the window
+    dst = slice(i[0] + m, i[-1] + m + 1)
+    src = slice(i[0] * stride + m, i[-1] * stride + m + 1, stride)  # sample index of x/t
     scale = float(stride) ** d.dim  # t^-n
-    if d.dim == 1:
-        out = np.zeros(d.npts)
-        out[inside] = phi.samples[src[inside] + m] * scale
-    else:
-        out = np.zeros(d.shape)
-        ix = np.clip(src + m, 0, d.npts - 1)
-        vals = phi.samples[np.ix_(ix, ix)] * scale
-        mask = inside[:, None] & inside[None, :]
-        out[mask] = vals[mask]
+    out = np.zeros(d.shape)
+    out[(dst,) * d.dim] = phi.samples[(src,) * d.dim] * scale
     return GridFunction(d, out)
 
 

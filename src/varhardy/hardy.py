@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import product
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -76,25 +77,17 @@ class TestDictionary:
 
 
 def _fd_derivative_sup(vals: np.ndarray, h: float, order: int, dim: int) -> float:
-    """Max absolute finite-difference derivative over all orders <= order."""
+    """Max absolute finite-difference derivative over all orders <= order.
+
+    Every mixed partial comes from repeated gradients along each axis, keyed
+    by its per-axis derivative counts."""
     worst = float(np.max(np.abs(vals)))
-    if dim == 1:
-        cur = {(): vals}
-        for total in range(1, order + 1):
-            nxt = {}
-            for key, arr in cur.items():
-                darr = np.gradient(arr, h)
-                nxt[key + (0,)] = darr
-                worst = max(worst, float(np.max(np.abs(darr))))
-            cur = nxt
-        return worst
-    # all mixed partials via repeated gradients along each axis
-    frontier = {(0, 0): vals}
-    for total in range(1, order + 1):
+    frontier = {(0,) * dim: vals}
+    for _ in range(order):
         nxt = {}
-        for (ax_count_x, ax_count_y), arr in frontier.items():
-            for ax in (0, 1):
-                key = (ax_count_x + (ax == 0), ax_count_y + (ax == 1))
+        for counts, arr in frontier.items():
+            for ax in range(dim):
+                key = counts[:ax] + (counts[ax] + 1,) + counts[ax + 1 :]
                 if key in nxt:
                     continue
                 darr = np.gradient(arr, h, axis=ax)
@@ -197,20 +190,23 @@ def _offset_max(vals: np.ndarray, t_over_h: int, dim: int) -> np.ndarray:
     w = t_over_h - 1  # strict inequality: offsets up to t/h - 1 cells
     if w <= 0:
         return vals
-    if dim == 1:
-        return maximum_filter1d(vals, size=2 * w + 1, mode="constant", cval=0.0)
-    # the disk dx^2 + dy^2 <= w^2, one row dx at a time: a window of
-    # half-width isqrt(w^2 - dx^2) along axis 1, shifted by dx along axis 0
+    # the ball |z|^2 <= w^2, one offset z' in the leading axes at a time: a
+    # window of half-width isqrt(w^2 - |z'|^2) along the last axis, shifted
+    # by z'; z' = 0 starts the result
+    last = dim - 1
+    out = maximum_filter1d(vals, size=2 * w + 1, axis=last, mode="constant", cval=0.0)
+    lead = vals.shape[:last]
     rows = {}
-    out = np.zeros_like(vals)
-    reach = min(w, vals.shape[0] - 1)
-    for dx in range(-reach, reach + 1):
-        r = math.isqrt(w * w - dx * dx)
+    for z in product(*(range(-min(w, n - 1), min(w, n - 1) + 1) for n in lead)):
+        rest = w * w - sum(c * c for c in z)
+        if not any(z) or rest < 0:
+            continue
+        r = math.isqrt(rest)
         if r not in rows:
-            rows[r] = maximum_filter1d(vals, size=2 * r + 1, axis=1, mode="constant", cval=0.0)
-        row, n = rows[r], vals.shape[0] - abs(dx)
-        dst, src = (slice(0, n), slice(dx, None)) if dx >= 0 else (slice(-dx, None), slice(0, n))
-        np.maximum(out[dst], row[src], out=out[dst])
+            rows[r] = maximum_filter1d(vals, size=2 * r + 1, axis=last, mode="constant", cval=0.0)
+        dst = tuple(slice(0, n - c) if c >= 0 else slice(-c, None) for c, n in zip(z, lead))
+        src = tuple(slice(c, None) if c >= 0 else slice(0, n + c) for c, n in zip(z, lead))
+        np.maximum(out[dst], rows[r][src], out=out[dst])
     return out
 
 
@@ -275,11 +271,7 @@ def dirac_membership_check(
     def integral(pp: VariableExponent, ww: Weight) -> float:
         dd = pp.domain
         half = dd.h / 2
-        if dd.dim == 1:
-            r = np.abs(dd.axis() + half)
-        else:
-            x, y = dd.coords()
-            r = np.hypot(x + half, y + half)
+        r = reduce(np.hypot, (x + half for x in dd.coords()), 0.0)
         mask = r < 1.0
         integrand = np.where(mask, r ** (-dd.dim * pp.values.samples), 0.0)
         return dd.h ** dd.dim * float(np.sum(integrand * ww.values.samples))

@@ -71,19 +71,11 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
     coef = np.linalg.solve(gram, rhs)
 
     def phi_fn(*xs):
-        if d.dim == 1:
-            x = np.asarray(xs[0], dtype=float)
-            b = _monomial_bump_1d(x, 0)
-            acc = np.zeros_like(x)
-            for c, a in zip(coef, alphas):
-                acc += c * x ** a[0]
-            return acc * b
-        x, y = (np.asarray(v, dtype=float) for v in xs)
-        b = _monomial_bump_1d(x, 0) * _monomial_bump_1d(y, 0)
-        acc = np.zeros(np.broadcast(x, y).shape)
+        xs = [np.asarray(v, dtype=float) for v in xs]
+        acc = np.zeros(np.broadcast(*xs).shape)
         for c, a in zip(coef, alphas):
-            acc += c * x ** a[0] * y ** a[1]
-        return acc * b
+            acc += math.prod((x**k for x, k in zip(xs, a)), start=c)
+        return acc * math.prod(_monomial_bump_1d(x, 0) for x in xs)
 
     def phi_star_fn(*xs):
         half = [np.asarray(v, dtype=float) / 2.0 for v in xs]
@@ -193,21 +185,15 @@ def telescoping_reconstruct(
 
 
 def rescale_mollifier_half(phi: GridFunction) -> GridFunction:
-    """2^-n phi(./2) sampled on the lattice via linear interpolation at
-    half-integer source points."""
+    """2^-n phi(./2) sampled on the lattice via separable linear
+    interpolation at half-integer source points."""
     d = phi.domain
-    if d.dim == 1:
-        x = d.axis()
-        vals = 0.5 * np.interp(x / 2.0, x, phi.samples, left=0.0, right=0.0)
-        return GridFunction(d, vals)
     x = d.axis()
-    half = x / 2.0
-    # separable linear interpolation on the tensor grid
-    idx = np.interp(half, x, np.arange(d.npts))
+    idx = np.interp(x / 2.0, x, np.arange(d.npts))
     lo = np.floor(idx).astype(int)
-    frac = idx - lo
     hi = np.minimum(lo + 1, d.npts - 1)
-    s = phi.samples
-    row = s[lo][:, :] * (1 - frac)[:, None] + s[hi][:, :] * frac[:, None]
-    out = row[:, lo] * (1 - frac)[None, :] + row[:, hi] * frac[None, :]
-    return GridFunction(d, 0.25 * out)
+    out = phi.samples
+    for ax, frac in enumerate(np.ix_(*[idx - lo] * d.dim)):
+        a, b = out.take(lo, axis=ax), out.take(hi, axis=ax)
+        out = a + (b - a) * frac
+    return GridFunction(d, 2.0 ** (-d.dim) * out)

@@ -136,13 +136,12 @@ def indicator_norm_profile(cube: Cube, p: VariableExponent, band: float = 10.0) 
     Pass means every ratio lies in [1/band, band].
     """
     d = p.domain
-    rngs = cube.lattice_ranges(d)
-    if any(b <= a for a, b in rngs):
+    sl = cube.lattice_slices(d)
+    pvals = p.values.samples[sl]
+    if pvals.size == 0:
         raise ValueError("cube does not meet the window")
-    sl = tuple(slice(a, b) for a, b in rngs)
     mask = np.zeros(d.shape)
     mask[sl] = 1.0
-    pvals = p.values.samples[sl]
     chi = GridFunction(d, mask)
     nrm = luxemburg_norm(chi, p)
     vol = cube.volume

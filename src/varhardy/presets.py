@@ -156,11 +156,7 @@ def function_preset(spec: str, domain: Domain) -> GridFunction:
             c = fargs[0] if fargs else 0.0
             vals = np.zeros(domain.shape)
             i = int(round(c / domain.h)) + domain.half_npts
-            mass = domain.h ** -domain.dim
-            if domain.dim == 1:
-                vals[i] = mass
-            else:
-                vals[i, i] = mass
+            vals[(i,) * domain.dim] = domain.h ** -domain.dim
             return GridFunction(domain, vals)
     except PresetError:
         raise

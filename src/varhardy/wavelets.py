@@ -117,9 +117,11 @@ def _validate_qmf(sys: WaveletSystem) -> None:
 class WaveletCoefficients:
     """Output of the periodized fast transform on the window.
 
-    scaling: level-J array (per axis 2T * 2^J entries); details[j] holds
-    the level-j wavelet channels, a single array for n = 1 or the dict
-    {"lh", "hl", "hh"} for n = 2.  k-labels start at -T * 2^j.
+    The tensor-product bands of level j are keyed by one letter per axis,
+    "l" for the scaling filter and "h" for the wavelet filter along it.
+    scaling: the all-"l" band of level J (per axis 2T * 2^J entries);
+    details[j]: dict of the other 2^n - 1 bands of level j ("h" for n = 1;
+    "lh", "hl", "hh" for n = 2).  k-labels start at -T * 2^j.
     """
 
     domain: Domain
@@ -127,24 +129,15 @@ class WaveletCoefficients:
     J: int
     Jmax: int
     scaling: np.ndarray
-    details: dict[int, object]
+    details: dict[int, dict[str, np.ndarray]]
 
     def coefficient_count(self) -> int:
-        total = self.scaling.size
-        for v in self.details.values():
-            if isinstance(v, dict):
-                total += sum(a.size for a in v.values())
-            else:
-                total += v.size
-        return total
+        return self.scaling.size + sum(a.size for v in self.details.values() for a in v.values())
 
     def energy(self) -> float:
         total = float(np.sum(self.scaling**2))
         for v in self.details.values():
-            if isinstance(v, dict):
-                total += sum(float(np.sum(a**2)) for a in v.values())
-            else:
-                total += float(np.sum(v**2))
+            total += sum(float(np.sum(a**2)) for a in v.values())
         return total
 
     def k_offset(self, j: int) -> int:
@@ -194,22 +187,17 @@ def analyze(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None
     # the full cascade down to J is always kept, so the transform stays
     # orthonormal (count and energy conserved); Jmax only marks how deep
     # the square-function consumers look
-    details: dict[int, object] = {}
+    details: dict[int, dict[str, np.ndarray]] = {}
     for j in range(d.level - 1, J - 1, -1):
-        if d.dim == 1:
-            a = _analysis_step(c, h)
-            dd = _analysis_step(c, g)
-            details[j] = dd
-            c = a
-        else:
-            lo0 = _analysis_step(c, h, 0)
-            hi0 = _analysis_step(c, g, 0)
-            details[j] = {
-                "lh": _analysis_step(lo0, g, 1),
-                "hl": _analysis_step(hi0, h, 1),
-                "hh": _analysis_step(hi0, g, 1),
+        bands = {"": c}
+        for ax in range(d.dim):
+            bands = {
+                key + name: _analysis_step(band, filt, ax)
+                for key, band in bands.items()
+                for name, filt in (("l", h), ("h", g))
             }
-            c = _analysis_step(lo0, h, 1)
+        c = bands.pop("l" * d.dim)
+        details[j] = bands
     return WaveletCoefficients(d, sys, J, Jmax, c, details)
 
 
@@ -220,22 +208,22 @@ def synthesize_coefficients(coeffs: WaveletCoefficients) -> GridFunction:
     h, g = sys.scaling_filter, sys.wavelet_filter
     c = coeffs.scaling
     for j in range(coeffs.J, d.level):
-        det = coeffs.details[j]
-        if d.dim == 1:
-            c = _synthesis_step(c, det, h, g)
-        else:
-            lo0 = _synthesis_step(c, det["lh"], h, g, 1)
-            hi0 = _synthesis_step(det["hl"], det["hh"], h, g, 1)
-            c = _synthesis_step(lo0, hi0, h, g, 0)
+        bands = {"l" * d.dim: c, **coeffs.details[j]}
+        for ax in reversed(range(d.dim)):
+            bands = {
+                key: _synthesis_step(bands[key + "l"], bands[key + "h"], h, g, ax)
+                for key in dict.fromkeys(k[:ax] for k in bands)
+            }
+        c = bands[""]
     return GridFunction(d, c * d.h ** (-d.dim / 2.0))
 
 
 def _upsample_to_grid(arr: np.ndarray, domain: Domain, j: int) -> np.ndarray:
     """Repeat level-j per-cube values onto the sample lattice."""
     rep = 1 << (domain.level - j)
-    if domain.dim == 1:
-        return np.repeat(arr, rep)
-    return np.repeat(np.repeat(arr, rep, axis=0), rep, axis=1)
+    for ax in range(domain.dim):
+        arr = np.repeat(arr, rep, axis=ax)
+    return arr
 
 
 def _v_samples(coeffs: WaveletCoefficients) -> GridFunction:
@@ -251,11 +239,8 @@ def _w_samples(coeffs: WaveletCoefficients) -> GridFunction:
         if j > coeffs.Jmax:
             continue
         amp2 = 2.0 ** (j * d.dim)
-        if d.dim == 1:
-            acc += _upsample_to_grid(det**2, d, j) * amp2
-        else:
-            for ch in det.values():
-                acc += _upsample_to_grid(ch**2, d, j) * amp2
+        for ch in det.values():
+            acc += _upsample_to_grid(ch**2, d, j) * amp2
     return GridFunction(d, np.sqrt(acc))
 
 

@@ -92,10 +92,8 @@ class Weight:
 
 def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:
     off = domain.h / 2 if midpoint else 0.0
-    if domain.dim == 1:
-        return np.broadcast_to(fn(domain.axis() + off), domain.shape).astype(float)
-    x, y = domain.coords()
-    return np.broadcast_to(fn(x + off, y + off), domain.shape).astype(float)
+    vals = fn(*(x + off for x in domain.coords()))
+    return np.broadcast_to(vals, domain.shape).astype(float)
 
 
 @dataclass

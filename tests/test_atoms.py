@@ -558,6 +558,19 @@ class TestMajorantCheck:
         c_bad = bad_part_majorant_check(bad, large, w, p).q("constant")
         assert c_bad > 2.0 * c_good
 
+    @pytest.mark.parametrize("corner", [(2, 2), (-3, -3), (2, -3)])
+    def test_2d_reach_is_per_axis(self, corner):
+        # the grand maximal function of an atom vanishes beyond its cube
+        # grown by R + 1 on every axis, wherever the cube sits
+        d = Domain(2, 8, 4)
+        _, large = nested_dictionaries(2, 8, d)
+        cube = Cube(2, (0, 0), tuple(4 * c for c in corner))  # side 1/4
+        arr = np.outer([1.0, 1.0, -1.0, -1.0], np.ones(4))
+        lo = tuple(s.start for s in cube.lattice_slices(d))
+        atom = Atom(cube, d, Patch(lo, arr), math.inf, 0, "local")
+        rep = bad_part_majorant_check(atom, large, None, VariableExponent.constant(d, 2.0))
+        assert rep.passed, rep.quantities
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path, dom, dicts):

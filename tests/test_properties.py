@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from varhardy.exponent import VariableExponent, dual_exponent
-from varhardy.grid import Domain, GridFunction, quadrature
+from varhardy.grid import Box, Cube, Domain, GridFunction, quadrature, rescale_mollifier
+from varhardy.littlewood_paley import rescale_mollifier_half
 from varhardy.maximal import hl_maximal
 from varhardy.norms import luxemburg_norm, modular
+from varhardy.wavelets import analyze, build_wavelet_system
 from varhardy.weights import Weight
 
 DOM = Domain(1, 2, 5)  # small lattice keeps every example cheap
+SQUARE = Domain(2, DOM.half_width, DOM.level)  # DOM x DOM, for tensor products
 MAXIMAL_DOMS = pytest.mark.parametrize("dom", [DOM, Domain(2, 0.5, 4)], ids=["n1", "n2"])
 
 finite_arrays = st.lists(
@@ -99,3 +102,66 @@ def test_modular_monotone_under_shrinking(a, pv, t):
     w = Weight(GridFunction(DOM, np.ones(DOM.shape)))
     f = GridFunction(DOM, a)
     assert modular(t * f, p, w) <= modular(f, p, w) + 1e-12
+
+
+# Tensor consistency: on a separable input f(x) g(y) every lattice helper
+# must give the outer product of its one-dimensional results.
+
+
+def tensor(a, b):
+    return GridFunction(SQUARE, np.outer(a, b))
+
+
+@settings(max_examples=10, deadline=None)
+@given(finite_arrays, finite_arrays, st.integers(min_value=0, max_value=3))
+def test_rescale_mollifier_is_separable(a, b, j):
+    t = 2.0**-j
+    lhs = rescale_mollifier(tensor(a, b), t).samples
+    rhs = np.outer(*(rescale_mollifier(GridFunction(DOM, v), t).samples for v in (a, b)))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(finite_arrays, finite_arrays)
+def test_rescale_mollifier_half_is_separable(a, b):
+    lhs = rescale_mollifier_half(tensor(a, b)).samples
+    rhs = np.outer(*(rescale_mollifier_half(GridFunction(DOM, v)).samples for v in (a, b)))
+    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+
+edges = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(edges, edges, edges, edges)
+def test_lattice_mask_is_separable(x0, x1, y0, y1):
+    lhs = Box((x0, y0), (x1, y1)).lattice_mask(SQUARE)
+    rhs = np.outer(Box((x0,), (x1,)).lattice_mask(DOM), Box((y0,), (y1,)).lattice_mask(DOM))
+    assert np.array_equal(lhs, rhs)
+
+
+cube_axes = st.tuples(st.integers(0, 2), st.integers(-6, 5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(finite_arrays, finite_arrays, st.integers(-1, 4), cube_axes, cube_axes)
+def test_cube_quadrature_is_separable(a, b, k, ax, ay):
+    (sx, mx), (sy, my) = ax, ay
+    lhs = quadrature(tensor(a, b), Cube(k, (sx, sy), (mx, my)))
+    qa = quadrature(GridFunction(DOM, a), Cube(k, (sx,), (mx,)))
+    qb = quadrature(GridFunction(DOM, b), Cube(k, (sy,), (my,)))
+    assert abs(lhs - qa * qb) <= 1e-12 * max(1.0, abs(qa * qb))
+
+
+@settings(max_examples=10, deadline=None)
+@given(finite_arrays, finite_arrays)
+def test_wavelet_bands_are_separable(a, b):
+    db2 = build_wavelet_system(2)
+    co = analyze(tensor(a, b), db2, 1)
+    for j, bands in co.details.items():
+        lo_hi = [analyze(GridFunction(DOM, v), db2, j) for v in (a, b)]
+        lo = [c.scaling for c in lo_hi]
+        hi = [c.details[j]["h"] for c in lo_hi]
+        for key, want in (("lh", np.outer(lo[0], hi[1])), ("hl", np.outer(hi[0], lo[1])),
+                          ("hh", np.outer(hi[0], hi[1]))):
+            assert np.max(np.abs(bands[key] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

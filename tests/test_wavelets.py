@@ -85,7 +85,7 @@ class TestTransform:
         cg = analyze(g, db2, 3)
         assert np.allclose(ca.scaling, cf.scaling + 2 * cg.scaling, atol=1e-12)
         for j in ca.details:
-            assert np.allclose(ca.details[j], cf.details[j] + 2 * cg.details[j], atol=1e-12)
+            assert np.allclose(ca.details[j]["h"], cf.details[j]["h"] + 2 * cg.details[j]["h"], atol=1e-12)
 
     def test_basis_member_gives_indicator_coefficients(self, dom, db2):
         co0 = analyze(GridFunction(dom, np.zeros(dom.shape)), db2, 0)
@@ -97,7 +97,7 @@ class TestTransform:
         rest = np.delete(co.scaling, k0)
         assert np.max(np.abs(rest)) <= 1e-8
         for j in co.details:
-            assert np.max(np.abs(co.details[j])) <= 1e-8
+            assert np.max(np.abs(co.details[j]["h"])) <= 1e-8
 
     def test_shift_covariance(self, dom, db2):
         rng = np.random.default_rng(3)
@@ -113,6 +113,26 @@ class TestTransform:
         f = GridFunction(dom, np.zeros(dom.shape))
         with pytest.raises(ValueError, match="overflow"):
             analyze(f, db2, 2, Jmax=dom.level)
+
+
+class TestTransform2D:
+    @pytest.fixture(scope="class")
+    def dom2(self):
+        return Domain(2, 2, 6)
+
+    def test_perfect_reconstruction(self, dom2, db2):
+        rng = np.random.default_rng(0)
+        f = GridFunction(dom2, rng.normal(size=dom2.shape))
+        back = synthesize_coefficients(analyze(f, db2, 0))
+        assert np.max(np.abs(back.samples - f.samples)) <= 1e-10
+
+    def test_parseval(self, dom2, db2):
+        rng = np.random.default_rng(1)
+        f = GridFunction(dom2, rng.normal(size=dom2.shape))
+        co = analyze(f, db2, 0)
+        assert sorted(co.details[0]) == ["hh", "hl", "lh"]
+        assert co.energy() == pytest.approx(l2(f) ** 2, abs=1e-8)
+        assert co.coefficient_count() == dom2.npts**2
 
 
 class TestSquareFunctions:
@@ -200,7 +220,7 @@ class TestExpandedCube:
         f = function_preset("bump:3,0.5", dom)
         co = analyze(f, db2, 0)
         off = co.k_offset(0)
-        for k_pos, val in enumerate(co.details[0]):
+        for k_pos, val in enumerate(co.details[0]["h"]):
             if abs(val) > 1e-12:
                 (iv,) = expanded_cube(0, k_pos + off, db2)
                 assert iv[1] > 2.5 and iv[0] < 3.5
