@@ -6,8 +6,10 @@ is a fixed small fraction (2^{-n-6}) of their distance to the complement,
 a near-partition of unity localizes f minus its moment projection on each
 cube, and the multi-level assembly over thresholds 2^j turns the level
 differences into atoms with exact vanishing moments via per-pair
-re-projections.  Reconstruction is exact by construction: whatever the
-cross terms fail to cancel is folded into the good part.
+re-projections.  The good part, carried by the single atom, is f minus
+the kept atoms, so reconstruction is exact by construction; a piece whose
+peak is below KEEP_FLOOR times the largest |f| on its window, or below
+DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
 
 One localisation path serves n = 1 and n = 2.  Cubes are grouped by
 (level, window shape, clip offset); a group shares its scaled monomial
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .exponent import VariableExponent
-from .grid import Cube, Domain, GridFunction, smallest_enclosing_cube
+from .grid import Cube, Domain, GridFunction, multi_indices, smallest_enclosing_cube
 from .hardy import TestDictionary, grand_maximal
 from .maximal import local_maximal
 from .norms import _luxemburg_solve, luxemburg_norm
@@ -60,7 +62,16 @@ __all__ = [
 
 WHITNEY_GAP_EXP = 6  # diam(Q) <= 2^{-n-6} dist(Q, complement)
 MOMENT_TOL = 1e-8
+# A level piece is a difference of terms up to max|f| on its window, so its
+# values, and its moments in units of its L^1 norm over its peak, carry a
+# rounding error of a few eps * max|f|.  validate_atom certifies moments to
+# MOMENT_TOL of the L^1 norm, which rounding allows only for peaks well
+# above (eps / MOMENT_TOL) * max|f|.  DUST_FLOOR, relative to sup|f|, drops
+# the round-off left where consecutive bad parts agree.
+KEEP_FLOOR = 4.0 * np.finfo(float).eps / MOMENT_TOL
+DUST_FLOOR = 1e-13
 LAMBDA_FLOOR = 1e-300
+MAX_LEVELS = 16  # thresholds 2^j below the top one
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +90,15 @@ class Patch:
 
     def add_into(self, dense: np.ndarray, scale: float = 1.0) -> None:
         dense[self.slices()] += scale * self.arr
+
+    def window(self, box: tuple[slice, ...]) -> np.ndarray:
+        """Values on the lattice box `box`, zero outside the patch."""
+        out = np.zeros(tuple(s.stop - s.start for s in box))
+        ov = [(max(s.start, lo), min(s.stop, lo + n)) for s, lo, n in zip(box, self.lo, self.arr.shape)]
+        if all(a < b for a, b in ov):
+            dst = tuple(slice(a - s.start, b - s.start) for (a, b), s in zip(ov, box))
+            out[dst] = self.arr[tuple(slice(a - lo, b - lo) for (a, b), lo in zip(ov, self.lo))]
+        return out
 
     def materialize(self, domain: Domain) -> GridFunction:
         dense = np.zeros(domain.shape)
@@ -125,27 +145,21 @@ class Atom:
 
 @dataclass
 class AtomicDecomposition:
-    """Coefficient/atom/cube triples plus the optional single-atom part.
-
-    `remainder` holds the unassigned good part when no single atom is
-    requested; synthesis does not include it, so its norm measures the
-    truncation honesty of the no-single-atom branch.
-    """
+    """Coefficient/atom pairs plus the single-atom part (None only when
+    there are no thresholds, as for f = 0)."""
 
     domain: Domain
     lambdas: list[float]
     atoms: list[Atom]
-    cubes: list[Cube]
     q: float
     L: int
     v: float
     single_part: tuple[float, Atom] | None = None
-    remainder: GridFunction | None = None
     level_tags: list[int] = field(default_factory=list)
 
-    def __post_init__(self):
-        if not (len(self.lambdas) == len(self.atoms) == len(self.cubes)):
-            raise ValueError("lambdas, atoms and cubes must have equal length")
+    @property
+    def cubes(self) -> list[Cube]:
+        return [a.support for a in self.atoms]
 
 
 # ---------------------------------------------------------------------------
@@ -300,16 +314,10 @@ def _tensor(factors: list[np.ndarray], ufunc=np.multiply) -> np.ndarray:
     return out
 
 
-def _alphas(dim: int, L: int) -> list[tuple[int, ...]]:
-    if L < 0:
-        return []
-    return [a for a in iproduct(range(L + 1), repeat=dim) if sum(a) <= L]
-
-
 def _monomials(axes: list[np.ndarray], L: int) -> np.ndarray:
     """(W, na) scaled monomials u^alpha, |alpha| <= L, on a flat window
     spanned by the per-axis coordinates."""
-    cols = [_tensor([u[None] ** k for u, k in zip(axes, a)])[0] for a in _alphas(len(axes), L)]
+    cols = [_tensor([u[None] ** k for u, k in zip(axes, a)])[0] for a in multi_indices(len(axes), L)]
     return np.stack(cols, axis=1) if cols else np.zeros((math.prod(u.size for u in axes), 0))
 
 
@@ -491,7 +499,7 @@ def cz_decompose(
 # multi-level atomic decomposition
 
 
-def _level_thresholds(mn: np.ndarray, max_levels: int) -> list[int]:
+def _level_thresholds(mn: np.ndarray) -> list[int]:
     """Exponents j of the thresholds 2^j, from the first level set that
     leaves part of the window uncovered up to the first empty one."""
     top = float(np.max(mn))
@@ -503,7 +511,7 @@ def _level_thresholds(mn: np.ndarray, max_levels: int) -> list[int]:
         j_lo = int(math.ceil(math.log2(low)))
     else:
         j_lo = int(math.floor(math.log2(float(np.min(mn[mn > 0])))))
-    j_lo = max(j_lo, j_hi - max_levels)
+    j_lo = max(j_lo, j_hi - MAX_LEVELS)
     return list(range(j_lo, j_hi + 1))
 
 
@@ -520,15 +528,12 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, 
 
     Each owner's atom is its bad part b_{j,k} minus, for every next-level
     cube whose window meets the owner's, the owner's share of b_{j+1} re-
-    projected against that cube's weight so the moments stay exact.  The
-    pieces are summed in the order bad part first, then next-level cubes
-    ascending.
+    projected against that cube's weight so the moments stay exact.
     """
     by_point = np.argsort(cov_j.point, kind="stable")
     sorted_points = cov_j.point[by_point]
     nj = len(cov_j.cubes)
-    # rank: the next-level cube of each entry, -1 for the bad part
-    owner, point, value, rank = [cov_j.owner], [cov_j.point], [cov_j.bad], [np.full(cov_j.point.size, -1)]
+    owner, point, value = [cov_j.owner], [cov_j.point], [cov_j.bad]
     for g in cov_n.groups:
         width = g.point.shape[1]
         query = g.point.ravel()
@@ -547,9 +552,7 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, 
         owner.append(np.repeat(own, width))
         point.append(g.point[row].ravel())
         value.append(-corr.ravel())
-        rank.append(np.repeat(g.cube[row], width))
-    order = np.argsort(np.concatenate(rank), kind="stable")
-    owner, point, value = (np.concatenate(a)[order] for a in (owner, point, value))
+    owner, point, value = (np.concatenate(a) for a in (owner, point, value))
     keys, at = np.unique(owner * size + point, return_inverse=True)
     summed = np.zeros(keys.size)
     np.add.at(summed, at, value)
@@ -599,16 +602,16 @@ def atomic_decompose(
     q: float = math.inf,
     L: int | None = None,
     v: float | None = None,
-    include_single: bool = True,
-    max_levels: int = 16,
 ) -> AtomicDecomposition:
     """Multi-level atomic decomposition driven by thresholds 2^j.
 
     Atoms at level j are the Whitney-localized pieces of the difference of
     consecutive good parts, re-projected pairwise so every local atom keeps
     exact vanishing moments; coefficients absorb the tight normalization.
-    The admissibility gates on (q, L, v) follow the standing assumptions
-    of the equivalence theorem and raise with the violated inequality.
+    The single atom carries the good part f minus the kept atoms, so the
+    reconstruction is exact.  The admissibility gates on (q, L, v) follow
+    the standing assumptions of the equivalence theorem and raise with the
+    violated inequality.
     """
     d = f.domain
     q_w = q_w_estimate(w)
@@ -633,69 +636,52 @@ def atomic_decompose(
         )
 
     mn = grand_maximal(f, dic, "MN").samples
-    levels = _level_thresholds(mn, max_levels)
+    levels = _level_thresholds(mn)
     if not levels:
-        return AtomicDecomposition(d, [], [], [], q, L, v)
+        return AtomicDecomposition(d, [], [], q, L, v)
 
     def cover(mask: np.ndarray) -> _Cover:
         return _localise(f.samples, whitney_decompose(GridFunction(d, mask.astype(float))), d, L)
 
     lambdas: list[float] = []
     atoms: list[Atom] = []
-    sup_cubes: list[Cube] = []
     tags: list[int] = []
-    residual = np.zeros(f.samples.size)  # sum_j (sum_k A_{j,k} - (b_j - b_{j+1}))
-    f_scale = max(f.sup(), 1e-300)
+    kept_sum = np.zeros(f.samples.size)
+    f_abs = np.abs(f.samples.ravel())
+    dust = DUST_FLOOR * f.sup()
     masks = [mn > 2.0**j for j in levels]
-    lowest = cov_j = cover(masks[0])
+    cov_j = cover(masks[0])
     for j, mask_j, mask_n in zip(levels, masks, masks[1:]):
         if np.array_equal(mask_j, mask_n):
             continue  # identical level sets: the difference vanishes exactly
         cov_n = cover(mask_n)
         owner, point, value = _level_pieces(cov_j, cov_n, f.samples.size)
-        residual_level = np.zeros(f.samples.size)
-        np.add.at(residual_level, cov_n.point, -cov_n.bad)  # -(b_{j+1})
-        np.add.at(residual_level, cov_j.point, cov_j.bad)  # + b_j
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         stops = np.append(starts[1:], owner.size)
-        # round-off dust (saturated regions where consecutive bad parts
-        # agree) flows into the residual instead of becoming an atom
-        kept = np.maximum.reduceat(np.abs(value), starts) > 1e-13 * f_scale
+        peak = np.maximum.reduceat(np.abs(value), starts)
+        kept = peak > np.maximum(KEEP_FLOOR * np.maximum.reduceat(f_abs[point], starts), dust)
         keep = np.repeat(kept, stops - starts)
-        np.add.at(residual_level, point[keep], -value[keep])
+        np.add.at(kept_sum, point[keep], value[keep])
         for lam, atom in _owner_atoms(point, value, starts[kept], stops[kept], d, q, L, w):
             lambdas.append(lam)
             atoms.append(atom)
-            sup_cubes.append(atom.support)
             tags.append(j)
-        residual -= residual_level
         cov_j = cov_n
 
-    # good part of the lowest threshold, corrected by the exact residual
-    dense_b = np.zeros(f.samples.size)
-    np.add.at(dense_b, lowest.point, lowest.bad)
-    good = f.samples - dense_b.reshape(d.shape) - residual.reshape(d.shape)
-    single = None
-    remainder = None
-    if include_single:
-        gpatch = Patch((0,) * d.dim, good.copy())
-        lam0 = _coefficient(gpatch, None, d, q, w)
-        gpatch.arr = gpatch.arr / lam0
-        window_cube = smallest_enclosing_cube(
-            d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim
-        )
-        single = (lam0, Atom(window_cube, d, gpatch, q, L, "single"))
-    else:
-        remainder = GridFunction(d, good)
-    return AtomicDecomposition(
-        d, lambdas, atoms, sup_cubes, q, L, v, single, remainder, tags
-    )
+    # the top threshold's level set is empty, so the level differences
+    # telescope to the first threshold's bad part: f - kept is its good part
+    gpatch = Patch((0,) * d.dim, f.samples - kept_sum.reshape(d.shape))
+    lam0 = _coefficient(gpatch, None, d, q, w)
+    gpatch.arr = gpatch.arr / lam0
+    window_cube = smallest_enclosing_cube(d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim)
+    single = (lam0, Atom(window_cube, d, gpatch, q, L, "single"))
+    return AtomicDecomposition(d, lambdas, atoms, q, L, v, single, tags)
 
 
 def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
-    """Cut an oversized atom into unit-cube pieces, renormalized."""
+    """Cut an oversized atom into unit-cube pieces, renormalized; each
+    piece is read from the atom's patch window."""
     d = atom.domain
-    dense = atom.patch.materialize(d).samples * lam
     x = d.axis()
     spans = [
         range(int(math.floor(x[a])), int(math.ceil(x[min(b, d.npts) - 1])) + 1)
@@ -705,10 +691,10 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
     for index in iproduct(*spans):
         cube = Cube(0, (0,) * d.dim, index)
         sl = cube.lattice_slices(d)
-        win = dense[sl]
+        win = lam * atom.patch.window(sl)
         if not np.any(win):
             continue
-        patch = Patch(tuple(s.start for s in sl), win.copy())
+        patch = Patch(tuple(s.start for s in sl), win)
         piece_lam = _coefficient(patch, cube, d, atom.q, w)
         patch.arr = patch.arr / piece_lam
         out.append((piece_lam, Atom(cube, d, patch, atom.q, atom.L, "unit")))
@@ -755,7 +741,7 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
         l1 = a.patch.l1(d)
         x = d.axis()
         axes = [x[s] - c for s, c in zip(a.patch.slices(), a.support.center)]
-        for alpha in _alphas(d.dim, a.L):
+        for alpha in multi_indices(d.dim, a.L):
             mono = reduce(np.multiply, np.ix_(*[ax**k for ax, k in zip(axes, alpha)]))
             mom = d.h ** d.dim * float(np.sum(a.patch.arr * mono))
             tol = MOMENT_TOL * max(l1, 1e-300) * a.support.side ** sum(alpha)
@@ -863,7 +849,7 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
     doc = json.loads(path.read_text())
     dom = Domain(**doc["domain"])
     raw = (path.parent / doc["sidecar"]).read_bytes()
-    lambdas, atoms, cubes = [], [], []
+    lambdas, atoms = [], []
     single = None
     entries = doc["atoms"]
     n_single = 1 if doc["single"] else 0
@@ -881,8 +867,5 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
         else:
             lambdas.append(e["lambda"])
             atoms.append(atom)
-            cubes.append(cube)
     q = math.inf if doc["q"] is None else doc["q"]
-    return AtomicDecomposition(
-        dom, lambdas, atoms, cubes, q, doc["L"], doc["v"], single, level_tags=doc["level_tags"]
-    )
+    return AtomicDecomposition(dom, lambdas, atoms, q, doc["L"], doc["v"], single, doc["level_tags"])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,9 @@ def _build_config(args: argparse.Namespace, suite: str | None = None) -> Experim
     merged: dict = {}
     if args.config:
         merged.update(json.loads(Path(args.config).read_text()))
+        unknown = sorted(set(merged) - {f.name for f in fields(ExperimentConfig)})
+        if unknown:
+            raise PresetError(f"unknown config keys {unknown} in {args.config}")
     for key in ("n", "T", "m", "p", "w", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:

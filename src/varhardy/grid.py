@@ -31,12 +31,27 @@ __all__ = [
     "kernel_spectrum",
     "rescale_mollifier",
     "smallest_enclosing_cube",
+    "bump_profile",
+    "multi_indices",
 ]
 
 
 def _is_pow2(x: float) -> bool:
     m, e = math.frexp(x)
     return m == 0.5
+
+
+def bump_profile(u: np.ndarray) -> np.ndarray:
+    """Bump exp(1 - 1/(1 - u^2)) on |u| < 1 with peak value 1, zero outside."""
+    u2 = np.minimum(u * u, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        vals = np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 1e-300))
+    return np.where(u2 < 1.0, vals, 0.0)
+
+
+def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
+    """Multi-indices alpha in N^dim with |alpha| <= order (none if order < 0)."""
+    return [a for a in product(range(order + 1), repeat=dim) if sum(a) <= order]
 
 
 @lru_cache(maxsize=32)

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, convolve_bank, kernel_spectrum, quadrature, rescale_mollifier
+from .grid import Domain, GridFunction, bump_profile, convolve_bank, kernel_spectrum, quadrature, rescale_mollifier
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight, q_w_estimate, stability_ratio, STABILITY_FACTOR
@@ -99,21 +99,13 @@ def _fd_derivative_sup(vals: np.ndarray, h: float, order: int, dim: int) -> floa
 
 def _profiles(count: int, rng: np.random.Generator):
     """Analytic radial profiles on [0, 1): bump, modulations, perturbations."""
-
-    def base(u):
-        u2 = np.minimum(u * u, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            v = np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 1e-300))
-        return np.where(u2 < 1.0, v, 0.0)
-
-    profiles = [lambda u: base(u)]
-    modulations = [
-        lambda u: base(u) * np.cos(np.pi * u),
-        lambda u: base(u) * np.sin(np.pi * u),
-        lambda u: base(u) * np.cos(2 * np.pi * u),
-        lambda u: base(u) * (1.0 - 2.0 * u * u),
+    profiles = [
+        bump_profile,
+        lambda u: bump_profile(u) * np.cos(np.pi * u),
+        lambda u: bump_profile(u) * np.sin(np.pi * u),
+        lambda u: bump_profile(u) * np.cos(2 * np.pi * u),
+        lambda u: bump_profile(u) * (1.0 - 2.0 * u * u),
     ]
-    profiles.extend(modulations)
     while len(profiles) < count:
         coefs = rng.normal(scale=0.5, size=3)
 
@@ -121,7 +113,7 @@ def _profiles(count: int, rng: np.random.Generator):
             trig = 1.0 + c[0] * np.cos(np.pi * u) + c[1] * np.sin(2 * np.pi * u) + c[2] * np.cos(
                 3 * np.pi * u
             )
-            return base(u) * trig
+            return bump_profile(u) * trig
 
         profiles.append(perturbed)
     return profiles[:count]

@@ -69,7 +69,6 @@ class ExperimentConfig:
     dict_size: int = 8
     dict_seed: int = 42
     dict_radius: float = 4.0
-    cases_per_family: int = 20
 
     def __post_init__(self):
         if not (5 <= self.m <= 12):

@@ -12,12 +12,12 @@ error beyond round-off.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, product as iproduct
+from itertools import chain, islice
 
 import numpy as np
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, convolve_bank, kernel_spectrum, rescale_mollifier
+from .grid import Domain, GridFunction, bump_profile, convolve_bank, kernel_spectrum, multi_indices, rescale_mollifier
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight
@@ -28,17 +28,6 @@ __all__ = [
     "lp_norm",
     "telescoping_reconstruct",
 ]
-
-
-def _monomial_bump_1d(x: np.ndarray, power: int) -> np.ndarray:
-    u2 = np.minimum(x * x, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        base = np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 1e-300))
-    return np.where(u2 < 1.0, base, 0.0) * x**power
-
-
-def _multi_indices(dim: int, max_order: int) -> list[tuple[int, ...]]:
-    return [a for a in iproduct(range(max_order + 1), repeat=dim) if sum(a) <= max_order]
 
 
 def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, GridFunction]:
@@ -55,14 +44,13 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
     if domain is None:
         domain = Domain(1, 8, 9)
     d = domain
-    alphas = _multi_indices(d.dim, L)
+    alphas = multi_indices(d.dim, L)
     # The bump and the monomials are separable, so the Gram system over
     # [-1,1]^n is a product of 1-D moment matrices, each a midpoint rule
     fine = 4096
     t = (np.arange(fine) + 0.5) / fine * 2.0 - 1.0
-    base = _monomial_bump_1d(t, 0)
     mono = t[:, None] ** np.arange(L + 1)
-    gram_1d = (mono[:, :, None] * mono[:, None, :] * base[:, None, None]).sum(axis=0) * (2.0 / fine)
+    gram_1d = (mono[:, :, None] * mono[:, None, :] * bump_profile(t)[:, None, None]).sum(axis=0) * (2.0 / fine)
     gram = np.prod([gram_1d[np.ix_(a, a)] for a in np.array(alphas).T], axis=0)
     rhs = np.zeros(len(alphas))
     rhs[alphas.index((0,) * d.dim)] = 1.0
@@ -75,7 +63,7 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
         acc = np.zeros(np.broadcast(*xs).shape)
         for c, a in zip(coef, alphas):
             acc += math.prod((x**k for x, k in zip(xs, a)), start=c)
-        return acc * math.prod(_monomial_bump_1d(x, 0) for x in xs)
+        return acc * math.prod(bump_profile(x) for x in xs)
 
     def phi_star_fn(*xs):
         half = [np.asarray(v, dtype=float) / 2.0 for v in xs]

@@ -291,7 +291,6 @@ def boundedness_probe(op, p: VariableExponent, w: Weight | None, family) -> Repo
     return Report(
         "boundedness_probe",
         quantities={"operator_norm": float(np.max(ratios)), "skipped": float(skipped)},
-        details={"ratios": ratios},
     )
 
 

@@ -8,10 +8,12 @@ cell centers and floor at 2^-52, the standard midpoint regularization.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction
+from .grid import Domain, GridFunction, bump_profile
 from .weights import Weight
 
 __all__ = [
@@ -28,9 +30,7 @@ class PresetError(ValueError):
 
 
 def _radius(*xs):
-    if len(xs) == 1:
-        return np.abs(np.asarray(xs[0], dtype=float))
-    return np.hypot(*[np.asarray(x, dtype=float) for x in xs])
+    return reduce(np.hypot, xs[1:], np.abs(xs[0]))
 
 
 def _split(spec: str) -> tuple[str, list[str]]:
@@ -57,8 +57,7 @@ def exponent_preset(spec: str, domain: Domain) -> VariableExponent:
             return VariableExponent.from_callable(domain, fn, p_infty=2.0)
         if name == "sin2":
             def fn(*xs):
-                s = xs[0] if len(xs) == 1 else xs[0] + xs[1]
-                return 2.0 + np.sin(np.asarray(s, dtype=float)) ** 2
+                return 2.0 + np.sin(np.asarray(sum(xs), dtype=float)) ** 2
             return VariableExponent.from_callable(domain, fn, p_infty=2.5)
     except PresetError:
         raise
@@ -82,8 +81,7 @@ def weight_preset(spec: str, domain: Domain) -> Weight:
         if name == "exp":
             (mu,) = map(float, args)
             def fn(*xs):
-                x0 = np.asarray(xs[0], dtype=float)
-                return np.broadcast_to(np.exp(mu * x0), np.broadcast(*xs).shape if len(xs) > 1 else x0.shape)
+                return np.broadcast_to(np.exp(mu * np.asarray(xs[0], dtype=float)), np.broadcast(*xs).shape)
             return Weight.from_callable(domain, fn)
         if name == "absp":
             (alpha,) = map(float, args)
@@ -97,14 +95,6 @@ def weight_preset(spec: str, domain: Domain) -> Weight:
     raise PresetError(f"unknown weight preset key {name!r} in {spec!r}")
 
 
-def _bump_profile(u: np.ndarray) -> np.ndarray:
-    """Standard compactly supported bump on |u| < 1 with peak value 1."""
-    u2 = np.minimum(u * u, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        vals = np.exp(1.0 - 1.0 / np.maximum(1.0 - u2, 1e-300))
-    return np.where(u2 < 1.0, vals, 0.0)
-
-
 def function_preset(spec: str, domain: Domain) -> GridFunction:
     """Build a test function from its preset string."""
     name, args = _split(spec)
@@ -115,7 +105,7 @@ def function_preset(spec: str, domain: Domain) -> GridFunction:
             s = fargs[1] if len(fargs) > 1 else 1.0
             amp = fargs[2] if len(fargs) > 2 else 1.0
             return GridFunction.from_callable(
-                domain, lambda *xs: amp * _bump_profile(_radius(*[np.asarray(x) - c for x in xs]) / s)
+                domain, lambda *xs: amp * bump_profile(_radius(*[np.asarray(x) - c for x in xs]) / s)
             )
         if name == "haar":
             c = fargs[0] if fargs else 0.0
@@ -124,8 +114,8 @@ def function_preset(spec: str, domain: Domain) -> GridFunction:
             def fn(*xs):
                 t = np.asarray(xs[0], dtype=float) - c
                 out = np.where((t >= -s) & (t < 0), 1.0, 0.0) - np.where((t >= 0) & (t < s), 1.0, 0.0)
-                if len(xs) > 1:
-                    out = out * ((np.abs(np.asarray(xs[1]) - 0.0) < s).astype(float))
+                for y in xs[1:]:
+                    out = out * (np.abs(y) < s).astype(float)
                 return out
 
             return GridFunction.from_callable(domain, fn)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 __all__ = ["Report"]
 
@@ -18,7 +17,6 @@ class Report:
     name: str
     passed: bool | None = None
     quantities: dict[str, float] = field(default_factory=dict)
-    details: dict[str, Any] = field(default_factory=dict)
 
     def __bool__(self) -> bool:
         return bool(self.passed)

@@ -99,9 +99,7 @@ def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:
 @dataclass
 class MuckenhouptReport:
     constant: float
-    worst_cube: Cube | None
     cube_count: int
-    resolution_stable: bool | None = None
 
 
 def _layouts(domain: Domain, max_side: float = 1.0, shifts=None):
@@ -111,18 +109,14 @@ def _layouts(domain: Domain, max_side: float = 1.0, shifts=None):
     return (CubeLayout(domain, k, a) for k in level_range(domain, max_side) for a in shifts)
 
 
-def _argmax(per_layout) -> MuckenhouptReport:
-    """Largest value over (layout, flat per-cube values) pairs, with its cube."""
+def _largest(per_layout) -> MuckenhouptReport:
+    """Largest value over the flat per-cube value arrays of the layouts."""
     best = -np.inf
-    best_cube = None
     count = 0
-    for cubes, vals in per_layout:
+    for vals in per_layout:
         count += vals.size
-        j = int(np.argmax(vals))
-        if vals[j] > best:
-            best = float(vals[j])
-            best_cube = cubes.cube(j)
-    return MuckenhouptReport(best, best_cube, count)
+        best = max(best, float(np.max(vals)))
+    return MuckenhouptReport(best, count)
 
 
 def _sweep_cubes(
@@ -131,12 +125,12 @@ def _sweep_cubes(
     max_side: float = 1.0,
     shifts=None,
 ) -> MuckenhouptReport:
-    """Maximize a per-cube quantity over the enumeration, tracking the argmax.
+    """Maximize a per-cube quantity over the enumeration.
 
     per_cube_fn(cubes) gets the CubeLayout of one (level, shift) and must
     return a flat array with one value per cube of that layout.
     """
-    return _argmax((cubes, per_cube_fn(cubes)) for cubes in _layouts(domain, max_side, shifts))
+    return _largest(per_cube_fn(cubes) for cubes in _layouts(domain, max_side, shifts))
 
 
 def _inside(cubes: CubeLayout) -> np.ndarray:
@@ -168,9 +162,8 @@ def _a_p_sweep(w: Weight) -> Callable[[float], MuckenhouptReport]:
 
     def sweep(p: float) -> MuckenhouptReport:
         sig = ws ** (-1.0 / (p - 1.0))
-        return _argmax(
-            (cubes, np.where(inside, mw * cubes.means(sig) ** (p - 1.0), -np.inf))
-            for cubes, inside, mw in table
+        return _largest(
+            np.where(inside, mw * cubes.means(sig) ** (p - 1.0), -np.inf) for cubes, inside, mw in table
         )
 
     return sweep
@@ -189,8 +182,7 @@ def a1_loc_constant(w: Weight) -> MuckenhouptReport:
 
     mloc = local_maximal(w.values)
     ratio = mloc.samples / w.values.samples
-    j = int(np.argmax(ratio))
-    return MuckenhouptReport(float(ratio.flat[j]), None, ratio.size)
+    return MuckenhouptReport(float(np.max(ratio)), ratio.size)
 
 
 def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
@@ -218,7 +210,6 @@ def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
         "reverse_holder_check",
         passed=worst.constant <= 2.0,
         quantities={"worst_ratio": worst.constant, "q": q},
-        details={"worst_cube": worst.worst_cube},
     )
 
 

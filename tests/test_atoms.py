@@ -414,15 +414,6 @@ class TestAtomicDecompose:
         with pytest.raises(ValueError, match="admissibility"):
             atomic_decompose(f, p, w, large, L=-1, v=1.0)  # L below the floor
 
-    def test_no_single_branch_reports_remainder(self, dom, dicts):
-        _, large = dicts
-        p = VariableExponent.constant(dom, 2.0)
-        w = weight_preset("const:1", dom)
-        f = function_preset("bump:0.5,1.2", dom)
-        dec = atomic_decompose(f, p, w, large, L=1, include_single=False)
-        assert dec.single_part is None
-        assert dec.remainder is not None
-
     def test_self_decomposition_of_atom(self, dom, dicts):
         _, large = dicts
         p = VariableExponent.constant(dom, 2.0)
@@ -452,6 +443,27 @@ class TestAtomicDecompose:
         assert lq_norm(synthesize(dec) - f, 2.0) <= 1e-10 * lq_norm(f, 2.0)
         for atom in dec.atoms + [dec.single_part[1]]:
             assert validate_atom(atom, w, p).passed
+
+    # f does not vanish around the cover, so pieces carry the rounding of
+    # f - P; every kept atom must still pass the moment check
+    NONVANISHING = {
+        "1+exp(-x^2)": lambda x: 1 + np.exp(-(x**2)),
+        "exp(-(x/4)^2)": lambda x: np.exp(-((x / 4) ** 2)),
+        "2+sin(x)exp(-x^2/8)": lambda x: 2 + np.sin(x) * np.exp(-(x**2) / 8),
+    }
+
+    @pytest.mark.parametrize("m", [7, 8, 9])
+    @pytest.mark.parametrize("name", sorted(NONVANISHING))
+    def test_atoms_above_rounding_validate(self, m, name):
+        d = Domain(1, 8, m)
+        _, large = nested_dictionaries(2, 8, d)
+        p = VariableExponent.constant(d, 2.0)
+        w = weight_preset("const:1", d)
+        f = GridFunction.from_callable(d, self.NONVANISHING[name])
+        dec = atomic_decompose(f, p, w, large, L=1)
+        assert dec.atoms
+        assert [a for a in dec.atoms if not validate_atom(a, w, p).passed] == []
+        assert np.max(np.abs(synthesize(dec).samples - f.samples)) <= 1e-12 * f.sup()
 
     # recorded before the grouped localisation replaced the per-cube paths
     PINNED = {

@@ -142,3 +142,9 @@ class TestCLI:
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"suite": "E1", "seed": 11, "m": 8}))
         assert main(["suite", "--config", str(cfgfile)]) == 0
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"bogus": 1}))
+        assert main(["norm", "--config", str(cfgfile)]) == 2
+        assert "'bogus'" in capsys.readouterr().err
