@@ -11,15 +11,19 @@ the kept atoms, so reconstruction is exact by construction; a piece whose
 peak is below KEEP_FLOOR times the largest |f| on its window, or below
 DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
 
-One localisation path serves n = 1 and n = 2.  Cubes are grouped by
-(level, window shape, clip offset); a group shares its scaled monomial
-matrix, so its bumps, partition weights, Gram systems, projections and bad
-parts are batched contractions over windows gathered by flat lattice
-index.  The level-pair assembly finds each next-level window's owners by
-joining on that index and re-projects every (window, owner) pair of a
-group in one contraction.  Results become windowed patches only at the
-end, never full-lattice arrays; a decomposition at default resolution
-holds thousands of atoms.
+One localisation path serves n = 1 and n = 2.  A Whitney cover stays
+integer arrays, one level, shift and index row per cube, from the builder
+through localisation; `whitney_decompose` is the list-of-cubes view of the
+same builder.  Cubes are grouped by (level, window shape, clip offset,
+shift); a group shares its scaled monomial matrix, so its bumps, partition
+weights, Gram systems, projections and bad parts are batched contractions
+over windows gathered by flat lattice index.  The level-pair assembly
+finds each next-level window's owners by joining on that index and
+re-projects every (window, owner) pair of a group in one contraction.  The
+supports of a level pair's kept atoms come from one batched search
+(`grid.smallest_enclosing_cubes`), and `Cube` objects are built only for
+them.  Results become windowed patches only at the end, never full-lattice
+arrays; a decomposition at default resolution holds thousands of atoms.
 """
 
 from __future__ import annotations
@@ -35,7 +39,16 @@ import numpy as np
 from scipy.ndimage import distance_transform_edt
 
 from .exponent import VariableExponent
-from .grid import Cube, Domain, GridFunction, multi_indices, smallest_enclosing_cube
+from .grid import (
+    Cube,
+    Domain,
+    GridFunction,
+    cube_centers,
+    cube_lattice_ranges,
+    multi_indices,
+    smallest_enclosing_cube,
+    smallest_enclosing_cubes,
+)
 from .hardy import TestDictionary, grand_maximal
 from .maximal import local_maximal
 from .norms import _luxemburg_solve, luxemburg_norm
@@ -223,32 +236,24 @@ def _edt_cells(mask: np.ndarray) -> np.ndarray:
     return d[sl]
 
 
-def whitney_decompose(omega: GridFunction) -> list[Cube]:
-    """Maximal standard-dyadic cubes inside the open set with the two-sided
-    size/distance bound diam <= 2^{-n-6} dist <= 4 diam.
-
-    The open set is given by its lattice indicator.  Cubes at the finest
-    level whose required size would fall below the grid step are left
-    uncovered (a boundary band of width about 2^{n+6} h).
-    """
-    d = omega.domain
-    mask = omega.samples > 0.5
+def _whitney_cover(mask: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(level, shift, index) arrays of the Whitney cubes of a lattice set,
+    coarsest level first and row-major within a level; every shift is 0."""
+    n = d.dim
     if not np.any(mask):
-        return []
+        return np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64), np.zeros((0, n), dtype=np.int64)
     if np.all(mask):
         raise ValueError("no exterior: the set must be a strict subset of the window")
-    n = d.dim
     gap = 2.0 ** (-n - WHITNEY_GAP_EXP)
     dist = _edt_cells(mask) * d.h
-    shift = (0,) * n
     taken = np.zeros(d.shape, dtype=bool)
-    out: list[Cube] = []
     # coarsest conceivable side: diam <= gap * dist <= gap * window dimeter
     k_lo = max(
         int(math.ceil(-math.log2(max(gap * 4 * d.half_width * math.sqrt(n), d.h)))),
         d.min_cube_level(),
     )
     inner = tuple(range(1, 2 * n, 2))
+    level, index = [], []
     for k in range(k_lo, d.level + 1):
         side = 2.0 ** (-k)
         run = 1 << (d.level - k)
@@ -259,10 +264,27 @@ def whitney_decompose(omega: GridFunction) -> list[Cube]:
         dmin = dist.reshape(blocks).min(axis=inner)
         free = ~taken.reshape(blocks).any(axis=inner)
         ok = inside & free & (diam <= gap * dmin)
-        for ix in zip(*np.nonzero(ok)):
-            out.append(Cube(k, shift, tuple(int(i) - ncubes // 2 for i in ix)))
+        found = np.stack(np.nonzero(ok), axis=1) - ncubes // 2
+        level.append(np.full(len(found), k, dtype=np.int64))
+        index.append(found)
         taken.reshape(blocks)[...] |= ok.reshape((ncubes, 1) * n)
-    return out
+    index = np.concatenate(index)
+    return np.concatenate(level), np.zeros_like(index), index
+
+
+def _cube_list(level: np.ndarray, shift: np.ndarray, index: np.ndarray) -> list[Cube]:
+    return [Cube(k, tuple(a), tuple(m)) for k, a, m in zip(level.tolist(), shift.tolist(), index.tolist())]
+
+
+def whitney_decompose(omega: GridFunction) -> list[Cube]:
+    """Maximal standard-dyadic cubes inside the open set with the two-sided
+    size/distance bound diam <= 2^{-n-6} dist <= 4 diam.
+
+    The open set is given by its lattice indicator.  Cubes at the finest
+    level whose required size would fall below the grid step are left
+    uncovered (a boundary band of width about 2^{n+6} h).
+    """
+    return _cube_list(*_whitney_cover(omega.samples > 0.5, omega.domain))
 
 
 def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
@@ -342,10 +364,11 @@ def _moment_fit(values: np.ndarray, eta: np.ndarray, mono: np.ndarray, inv_gram:
 
 @dataclass
 class _Group:
-    """Cubes sharing level, window shape and clip offset: their relative
-    lattice offsets agree, so they share one scaled monomial matrix."""
+    """Cubes sharing level, window shape, clip offset and shift: their
+    relative lattice offsets agree, so they share one scaled monomial
+    matrix."""
 
-    cube: np.ndarray  # (K,) positions in the cover's cube list
+    cube: np.ndarray  # (K,) positions in the cover's cube arrays
     point: np.ndarray  # (K, W) flat lattice indices of each window
     eta: np.ndarray  # (K, W) partition weights
     bad: np.ndarray  # (K, W) (f - P_k) eta_k
@@ -361,7 +384,6 @@ class _Cover:
     order; `lo`/`shape` give each window's box for rendering patches.
     """
 
-    cubes: list[Cube]
     groups: list[_Group]
     lo: np.ndarray  # (K, n)
     shape: np.ndarray  # (K, n)
@@ -378,9 +400,10 @@ class _Cover:
         ]
 
 
-def _localise(f: np.ndarray, cubes: list[Cube], domain: Domain, L: int) -> _Cover:
+def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.ndarray, domain: Domain, L: int) -> _Cover:
     """Bumps, partition weights, moment projections and bad parts of every
-    cube, one batched step per (level, window shape, clip offset) group.
+    cube, given as (level, shift, index) arrays, one batched step per
+    (level, window shape, clip offset, shift) group.
 
     The bump is the plateau profile between the two dilations of its cube;
     its ramp width is sub-lattice at every realizable cube size, so on the
@@ -390,20 +413,18 @@ def _localise(f: np.ndarray, cubes: list[Cube], domain: Domain, L: int) -> _Cove
     d = domain
     n = d.dim
     x = d.axis()
-    K = len(cubes)
-    rng = np.array([c.lattice_ranges(d) for c in cubes], dtype=np.int64).reshape(K, n, 2)
-    lo = np.maximum(rng[:, :, 0] - 1, 0)
-    shape = np.minimum(rng[:, :, 1] + 1, d.npts) - lo
-    centers = np.array([c.center for c in cubes]).reshape(K, n)
-    levels = np.array([c.level for c in cubes], dtype=np.int64)
-    keys = np.concatenate([levels[:, None], shape, lo - rng[:, :, 0]], axis=1)
+    start, stop = cube_lattice_ranges(d, level[:, None], shift, index)
+    lo = np.maximum(start - 1, 0)
+    shape = np.minimum(stop + 1, d.npts) - lo
+    centers = cube_centers(level[:, None], shift, index)
+    keys = np.concatenate([level[:, None], shape, lo - start, shift], axis=1)
     uniq, gid = np.unique(keys, axis=0, return_inverse=True)
     members = [np.flatnonzero(gid == g) for g in range(len(uniq))]
     strides = d.npts ** np.arange(n - 1, -1, -1)
     total = np.zeros(d.npts**n)
     staged = []
     for idx in members:
-        side = 2.0 ** (-int(levels[idx[0]]))
+        side = 2.0 ** (-int(level[idx[0]]))
         s1 = 0.5 * side * (1.0 + 2.0 ** (-n - 11))
         s2 = 0.5 * side * (1.0 + 2.0 ** (-n - 10))
         offs = [np.arange(w) for w in shape[idx[0]]]
@@ -427,13 +448,13 @@ def _localise(f: np.ndarray, cubes: list[Cube], domain: Domain, L: int) -> _Cove
         groups.append(_Group(idx, point, eta, bad, mono, inv_gram))
     # the same entries in cube order
     size = np.prod(shape, axis=1)
-    start = np.cumsum(size) - size
+    offset = np.cumsum(size) - size
     flat = [np.empty(int(size.sum()), dtype=t) for t in (np.int64, np.int64, float, float)]
     for g in groups:
-        at = (start[g.cube][:, None] + np.arange(g.point.shape[1])).ravel()
+        at = (offset[g.cube][:, None] + np.arange(g.point.shape[1])).ravel()
         for dst, src in zip(flat, (np.repeat(g.cube, g.point.shape[1]), g.point, g.eta, g.bad)):
             dst[at] = src.ravel()
-    return _Cover(cubes, groups, lo, shape, *flat)
+    return _Cover(groups, lo, shape, *flat)
 
 
 def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
@@ -443,7 +464,10 @@ def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
     covered region (shared corner points are split evenly between
     neighbors).
     """
-    cov = _localise(np.zeros(domain.shape), cubes, domain, -1)
+    level = np.array([c.level for c in cubes], dtype=np.int64)
+    shift = np.array([c.shift for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
+    index = np.array([c.index for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
+    cov = _localise(np.zeros(domain.shape), level, shift, index, domain, -1)
     return cov.patches(cov.eta)
 
 
@@ -487,12 +511,12 @@ def cz_decompose(
     mask = mn.samples > lam
     if np.all(mask):
         raise ValueError("no exterior: threshold below the maximal function minimum")
-    cubes = whitney_decompose(GridFunction(d, mask.astype(float)))
-    cov = _localise(f.samples, cubes, d, L)
+    cubes = _whitney_cover(mask, d)
+    cov = _localise(f.samples, *cubes, d, L)
     dense = np.zeros(f.samples.size)
     np.add.at(dense, cov.point, cov.bad)
     good = GridFunction(d, f.samples - dense.reshape(d.shape))
-    return good, list(zip(cubes, cov.patches(cov.bad)))
+    return good, list(zip(_cube_list(*cubes), cov.patches(cov.bad)))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +556,7 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, 
     """
     by_point = np.argsort(cov_j.point, kind="stable")
     sorted_points = cov_j.point[by_point]
-    nj = len(cov_j.cubes)
+    nj = len(cov_j.lo)
     owner, point, value = [cov_j.owner], [cov_j.point], [cov_j.bad]
     for g in cov_n.groups:
         width = g.point.shape[1]
@@ -566,24 +590,38 @@ def _coefficient(patch: Patch, region: Cube | None, domain: Domain, q: float, w:
     return max(patch.norm_lq(domain, q, w) / max(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
 
 
-def _owner_atoms(point, value, starts, stops, domain: Domain, q: float, L: int, w: Weight):
-    """Normalized atoms from the flat entries of each [start, stop) owner
-    segment, on the bounding window of the segment; the support is the
-    smallest cube around the nonzero values, and an oversized atom is cut
-    into unit pieces."""
+def _owner_atoms(point, value, starts, kept, domain: Domain, q: float, L: int, w: Weight | None):
+    """Normalized atoms from the flat entries of the kept owner segments
+    (segment s spans [starts[s], starts[s + 1])), each on the bounding
+    window of its segment; the support is the smallest cube around the
+    nonzero values, and an oversized atom is cut into unit pieces."""
     d = domain
     x = d.axis()
-    coords = np.unravel_index(point, d.shape)
+    coords = np.stack(np.unravel_index(point, d.shape), axis=1)
+    # reduce over every segment, then select: each box spans its own segment
+    nz = (value != 0)[:, None]
+    lo = np.minimum.reduceat(coords, starts)[kept]
+    hi = np.maximum.reduceat(coords, starts)[kept]
+    sup_lo = np.minimum.reduceat(np.where(nz, coords, d.npts), starts)[kept]
+    sup_hi = np.maximum.reduceat(np.where(nz, coords, -1), starts)[kept]
+    level, shift, index = smallest_enclosing_cubes(d, x[sup_lo], x[sup_hi])
+    # scatter the kept entries into one row-major buffer of all windows
+    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=point.size))
+    sel = kept[seg]
+    row = (np.cumsum(kept) - 1)[seg[sel]]
+    shape = hi - lo + 1
+    size = np.prod(shape, axis=1)
+    at = np.zeros(row.size, dtype=np.int64)
+    for i in range(d.dim):
+        at = at * shape[row, i] + coords[sel, i] - lo[row, i]
+    buf = np.zeros(int(size.sum()))
+    buf[at + (np.cumsum(size) - size)[row]] = value[sel]
+    arrs = np.split(buf, np.cumsum(size)[:-1])
     out = []
-    for s, e in zip(starts, stops):
-        c = [ax[s:e] for ax in coords]
-        vals = value[s:e]
-        lo = tuple(int(ax.min()) for ax in c)
-        arr = np.zeros(tuple(int(ax.max()) + 1 - l for ax, l in zip(c, lo)))
-        arr[tuple(ax - l for ax, l in zip(c, lo))] = vals
-        nz = vals != 0
-        support = smallest_enclosing_cube(d, [x[ax[nz].min()] for ax in c], [x[ax[nz].max()] for ax in c])
-        patch = Patch(lo, arr)
+    boxes = zip(level.tolist(), shift.tolist(), index.tolist(), lo.tolist(), shape.tolist(), arrs)
+    for k, a, m, l, shp, arr in boxes:
+        support = Cube(k, tuple(a), tuple(m))
+        patch = Patch(tuple(l), arr.reshape(shp))
         lam = _coefficient(patch, support, d, q, w)
         patch.arr = patch.arr / lam
         if support.volume < 1.0 + 1e-12:
@@ -641,7 +679,7 @@ def atomic_decompose(
         return AtomicDecomposition(d, [], [], q, L, v)
 
     def cover(mask: np.ndarray) -> _Cover:
-        return _localise(f.samples, whitney_decompose(GridFunction(d, mask.astype(float))), d, L)
+        return _localise(f.samples, *_whitney_cover(mask, d), d, L)
 
     lambdas: list[float] = []
     atoms: list[Atom] = []
@@ -657,12 +695,11 @@ def atomic_decompose(
         cov_n = cover(mask_n)
         owner, point, value = _level_pieces(cov_j, cov_n, f.samples.size)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        stops = np.append(starts[1:], owner.size)
         peak = np.maximum.reduceat(np.abs(value), starts)
         kept = peak > np.maximum(KEEP_FLOOR * np.maximum.reduceat(f_abs[point], starts), dust)
-        keep = np.repeat(kept, stops - starts)
+        keep = np.repeat(kept, np.diff(starts, append=owner.size))
         np.add.at(kept_sum, point[keep], value[keep])
-        for lam, atom in _owner_atoms(point, value, starts[kept], stops[kept], d, q, L, w):
+        for lam, atom in _owner_atoms(point, value, starts, kept, d, q, L, w):
             lambdas.append(lam)
             atoms.append(atom)
             tags.append(j)

@@ -56,13 +56,31 @@ def _parse_hardy_dict(spec: str) -> dict:
     return out
 
 
+# JSON value types accepted for each ExperimentConfig field annotation
+_CONFIG_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "str | None": (str, type(None))}
+
+
+def _read_config(path: str) -> dict:
+    """The config file's settings; a file that is not a JSON object of
+    known keys with values of the field types is a usage error."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise PresetError(f"malformed JSON in config {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PresetError(f"config {path} must hold a JSON object, got {type(doc).__name__}")
+    annotation = {f.name: f.type for f in fields(ExperimentConfig)}
+    unknown = sorted(set(doc) - set(annotation))
+    if unknown:
+        raise PresetError(f"unknown config keys {unknown} in {path}")
+    for key, val in doc.items():
+        if isinstance(val, bool) or not isinstance(val, _CONFIG_TYPES[annotation[key]]):
+            raise PresetError(f"config key {key!r} in {path} must be {annotation[key]}, got {val!r}")
+    return doc
+
+
 def _build_config(args: argparse.Namespace, suite: str | None = None) -> ExperimentConfig:
-    merged: dict = {}
-    if args.config:
-        merged.update(json.loads(Path(args.config).read_text()))
-        unknown = sorted(set(merged) - {f.name for f in fields(ExperimentConfig)})
-        if unknown:
-            raise PresetError(f"unknown config keys {unknown} in {args.config}")
+    merged: dict = _read_config(args.config) if args.config else {}
     for key in ("n", "T", "m", "p", "w", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:

@@ -30,7 +30,10 @@ __all__ = [
     "convolve_bank",
     "kernel_spectrum",
     "rescale_mollifier",
+    "cube_lattice_ranges",
+    "cube_centers",
     "smallest_enclosing_cube",
+    "smallest_enclosing_cubes",
     "bump_profile",
     "multi_indices",
 ]
@@ -238,30 +241,17 @@ class Cube:
 
     @property
     def center(self) -> tuple[float, ...]:
-        return tuple(c + self.side / 2 for c in self.corner)
+        return tuple(cube_centers(self.level, a, m) for m, a in zip(self.index, self.shift))
 
     def box(self) -> Box:
         c = self.corner
         return Box(c, tuple(v + self.side for v in c))
 
     def lattice_ranges(self, domain: Domain) -> tuple[tuple[int, int], ...]:
-        """Half-open [start, stop) sample-index ranges per axis, clipped.
-
-        Exact: the cube boundary 2^-level*(m + a/3) never coincides with a
-        lattice point unless a == 0, and the a == 0 case is exact integer
-        arithmetic as well.
-        """
-        s = 1 << (domain.level - self.level) if self.level <= domain.level else None
-        if s is None:
+        """Half-open [start, stop) sample-index ranges per axis, clipped."""
+        if self.level > domain.level:
             raise ValueError("cube below grid resolution")
-        m0 = domain.half_npts
-        out = []
-        for m, a in zip(self.index, self.shift):
-            num = s * (3 * m + a)  # 3 * corner / h
-            start = -((-num) // 3)
-            stop = -((-(num + 3 * s)) // 3)
-            out.append((max(start, -m0) + m0, min(stop, m0) + m0))
-        return tuple(out)
+        return tuple(cube_lattice_ranges(domain, self.level, a, m) for m, a in zip(self.index, self.shift))
 
     def lattice_slices(self, domain: Domain) -> tuple[slice, ...]:
         """Index window of the cube on the lattice; empty on every axis
@@ -277,6 +267,29 @@ class Cube:
     def contains_point(self, x: Sequence[float]) -> bool:
         c = self.corner
         return all(ci <= xi < ci + self.side for ci, xi in zip(c, np.atleast_1d(x)))
+
+
+def cube_lattice_ranges(domain: Domain, level, shift, index):
+    """Sample-index range [start, stop) along one axis of the cube
+    2^-level [index + shift/3, index + shift/3 + 1), clipped to the window.
+
+    Elementwise over ints or broadcastable integer arrays, with level at
+    most domain.level.  Exact: 3 * corner / h is an integer, so both ends
+    are integer ceilings, and for shift 0 they are lattice points.
+    """
+    s = 1 << (domain.level - level)
+    num = s * (3 * index + shift)  # 3 * corner / h
+    start = -((-num) // 3) + domain.half_npts
+    stop = -((-(num + 3 * s)) // 3) + domain.half_npts
+    # clip with operators that ints and arrays share
+    return start - start * (start < 0), stop - (stop - domain.npts) * (stop > domain.npts)
+
+
+def cube_centers(level, shift, index):
+    """Center coordinate along one axis of the cube 2^-level [index +
+    shift/3, index + shift/3 + 1); elementwise over ints or arrays."""
+    side = 2.0 ** (-level)
+    return side * (index + shift / 3.0) + side / 2
 
 
 def cube_index_map(domain: Domain, level: int, shift: tuple[int, ...]) -> list[np.ndarray]:
@@ -453,31 +466,46 @@ def rescale_mollifier(phi: GridFunction, t: float) -> GridFunction:
     return GridFunction(d, out)
 
 
-def smallest_enclosing_cube(domain: Domain, lo: Sequence[float], hi: Sequence[float]) -> Cube:
-    """Smallest cube in the union of shifted grids containing the box [lo, hi].
+def smallest_enclosing_cubes(
+    domain: Domain, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(level, shift, index) arrays of the smallest shifted-grid cube
+    containing each row [lo, hi] of the (B, n) boxes.
 
-    Exists with volume at most 6^n times the box's enclosing cube volume.
+    Each box is searched from the finest level its width allows down to
+    the coarsest, shifts in `all_shifts` order; the first cube that holds
+    it wins.  It exists with volume at most 6^n times the box's enclosing
+    cube volume.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     if np.any(hi < lo):
         raise ValueError("empty box")
-    width = float(np.max(hi - lo))
-    k_start = min(
-        int(math.floor(-math.log2(max(width, domain.h / 4)) + 1e-12)), domain.level
-    )
-    for k in range(k_start, domain.min_cube_level() - 1, -1):
-        side = 2.0 ** (-k)
+    width = np.max(hi - lo, axis=1, initial=0.0)
+    k = np.minimum(np.floor(-np.log2(np.maximum(width, domain.h / 4)) + 1e-12), domain.level).astype(np.int64)
+    level = np.zeros(len(lo), dtype=np.int64)
+    shift = np.zeros(lo.shape, dtype=np.int64)
+    index = np.zeros(lo.shape, dtype=np.int64)
+    todo = np.arange(len(lo))
+    while todo.size:  # each pass tries every open box one level coarser
+        if k[todo].min() < domain.min_cube_level():
+            raise ValueError("box exceeds the largest enumerable cube")
         for a in all_shifts(domain.dim):
-            idx = []
-            ok = True
-            for d in range(domain.dim):
-                m = math.floor(lo[d] / side - a[d] / 3.0)
-                c = side * (m + a[d] / 3.0)
-                if not (c <= lo[d] and hi[d] < c + side):
-                    ok = False
-                    break
-                idx.append(m)
-            if ok:
-                return Cube(k, a, tuple(idx))
-    raise ValueError("box exceeds the largest enumerable cube")
+            side = 2.0 ** -k[todo, None]
+            frac = np.array(a) / 3.0
+            m = np.floor(lo[todo] / side - frac)
+            c = side * (m + frac)
+            hit = np.all((c <= lo[todo]) & (hi[todo] < c + side), axis=1)
+            at = todo[hit]
+            level[at], shift[at], index[at] = k[at], a, m[hit]
+            todo = todo[~hit]
+        k[todo] -= 1
+    return level, shift, index
+
+
+def smallest_enclosing_cube(domain: Domain, lo: Sequence[float], hi: Sequence[float]) -> Cube:
+    """Smallest cube in the union of shifted grids containing the box [lo, hi]:
+    the one-box case of `smallest_enclosing_cubes`."""
+    box = [np.reshape(np.asarray(v, dtype=float), (1, -1)) for v in (lo, hi)]
+    level, shift, index = smallest_enclosing_cubes(domain, *box)
+    return Cube(int(level[0]), tuple(shift[0].tolist()), tuple(index[0].tolist()))

@@ -1,5 +1,6 @@
 import math
 import types
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -60,6 +61,11 @@ def square_level_sets(domain, levels):
         return GridFunction(domain, out)
 
     return fake
+
+
+def support_counts(dec):
+    """Atom count per (level, shift, kind) in 1-D; the counts sum to the atom count."""
+    return dict(Counter((a.support.level, *a.support.shift, a.kind) for a in dec.atoms))
 
 
 def haar_atom(dom, cube):
@@ -489,6 +495,49 @@ class TestAtomicDecompose:
             sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v),
         )
         assert got == pytest.approx(self.PINNED[(spec, pair)], rel=1e-9)
+        assert support_counts(dec) == self.SUPPORTS[spec]
+
+    # atoms per (level, shift, kind), recorded before the Whitney covers and
+    # the support search became integer arrays; q = inf, so both (p, w)
+    # pairs give the same supports
+    SUPPORTS = {
+        "bump:-0.7,0.9,1.3": {
+            (2, 0, "local"): 65, (2, 1, "local"): 66, (3, 0, "local"): 218, (3, 1, "local"): 182,
+            (3, 2, "local"): 146, (4, 0, "local"): 102, (4, 1, "local"): 89, (4, 2, "local"): 82,
+            (5, 0, "local"): 29, (5, 1, "local"): 28, (5, 2, "local"): 2, (6, 0, "local"): 57,
+            (6, 1, "local"): 57,
+        },
+        "bump:0.4,0.5,0.8": {
+            (2, 0, "local"): 37, (2, 1, "local"): 37, (3, 0, "local"): 112, (3, 1, "local"): 105,
+            (3, 2, "local"): 74, (4, 0, "local"): 70, (4, 1, "local"): 42, (4, 2, "local"): 43,
+            (5, 1, "local"): 5, (6, 0, "local"): 64, (6, 1, "local"): 63,
+        },
+        # benchmark-style round trips at m = 9, one per (p, w) pair
+        ("bump:0.3,0.5,1.4", 0): {
+            (2, 0, "local"): 36, (2, 1, "local"): 37, (3, 0, "local"): 112, (3, 1, "local"): 97,
+            (3, 2, "local"): 81, (4, 0, "local"): 61, (4, 1, "local"): 64, (4, 2, "local"): 45,
+            (5, 0, "local"): 32, (5, 1, "local"): 19, (5, 2, "local"): 16, (6, 0, "local"): 18,
+            (6, 1, "local"): 43, (6, 2, "local"): 40, (7, 0, "local"): 44, (7, 1, "local"): 44,
+            (7, 2, "local"): 1, (8, 0, "local"): 164, (8, 1, "local"): 165,
+        },
+        ("bump:-0.8,0.9,0.7", 1): {
+            (2, 0, "local"): 74, (2, 1, "local"): 65, (3, 0, "local"): 203, (3, 1, "local"): 191,
+            (3, 2, "local"): 148, (4, 0, "local"): 105, (4, 1, "local"): 88, (4, 2, "local"): 88,
+            (5, 0, "local"): 10, (5, 1, "local"): 38, (5, 2, "local"): 37, (6, 0, "local"): 8,
+            (6, 1, "local"): 40, (6, 2, "local"): 32, (7, 0, "local"): 147, (7, 1, "local"): 146,
+            (8, 0, "local"): 128, (8, 1, "local"): 129,
+        },
+    }
+
+    @pytest.mark.parametrize("spec,pair", [("bump:0.3,0.5,1.4", 0), ("bump:-0.8,0.9,0.7", 1)])
+    def test_pinned_supports_at_m9(self, dom, dicts, spec, pair):
+        _, large = dicts
+        p, w = [
+            (VariableExponent.constant(dom, 2.0), weight_preset("const:1", dom)),
+            (exponent_preset("lhdecay:1", dom), weight_preset("power:1", dom)),
+        ][pair]
+        dec = atomic_decompose(function_preset(spec, dom), p, w, large)
+        assert support_counts(dec) == self.SUPPORTS[(spec, pair)]
 
     def test_2d_round_trip(self, dom2, monkeypatch):
         monkeypatch.setattr(

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from varhardy.atoms import _owner_atoms, whitney_decompose
 from varhardy.grid import (
     Box,
     Cube,
@@ -9,10 +12,14 @@ from varhardy.grid import (
     GridFunction,
     all_shifts,
     convolve,
+    cube_centers,
+    cube_index_map,
+    cube_lattice_ranges,
     enumerate_cubes,
     quadrature,
     rescale_mollifier,
     smallest_enclosing_cube,
+    smallest_enclosing_cubes,
 )
 
 
@@ -170,6 +177,123 @@ class TestOneThirdTrick:
             w = rng.uniform(d2.h, 1.5)
             R = smallest_enclosing_cube(d2, lo, lo + w)
             assert R.volume <= 6.0**2 * w**2 + 1e-9
+
+
+def reference_enclosing_cube(domain, lo, hi):
+    """The search written out box by box: levels from the finest the width
+    allows down to the coarsest, shifts in `all_shifts` order, first hit."""
+    width = max(b - a for a, b in zip(lo, hi))
+    k_start = min(math.floor(-math.log2(max(width, domain.h / 4)) + 1e-12), domain.level)
+    for k in range(k_start, domain.min_cube_level() - 1, -1):
+        side = 2.0**-k
+        for a in all_shifts(domain.dim):
+            m = [math.floor(l / side - s / 3.0) for l, s in zip(lo, a)]
+            corner = [side * (i + s / 3.0) for i, s in zip(m, a)]
+            if all(c <= l and h < c + side for c, l, h in zip(corner, lo, hi)):
+                return Cube(k, a, tuple(m))
+    raise ValueError("no cube")
+
+
+class TestEnclosingCubes:
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 4, 6)], ids=["n1", "n2"])
+    def test_batch_matches_reference(self, d):
+        rng = np.random.default_rng(d.dim)
+        # float boxes of every scale, lattice boxes, points and integer
+        # edges, mixed in one batch
+        lo = rng.uniform(-6, 5, size=(400, d.dim))
+        width = rng.choice([0.0, d.h, 0.01, 0.3, 1.0, 2.5, 6.0], size=(400, 1)) * rng.uniform(0, 1, size=(400, d.dim))
+        lo[::3] = np.round(lo[::3] / d.h) * d.h
+        width[1::3] = np.round(width[1::3] / d.h) * d.h
+        lo[2::5] = np.floor(lo[2::5])
+        hi = lo + width
+        level, shift, index = smallest_enclosing_cubes(d, lo, hi)
+        for row in range(len(lo)):
+            want = reference_enclosing_cube(d, lo[row].tolist(), hi[row].tolist())
+            assert Cube(int(level[row]), tuple(shift[row].tolist()), tuple(index[row].tolist())) == want
+            assert smallest_enclosing_cube(d, lo[row], hi[row]) == want
+
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 2, 6)], ids=["n1", "n2"])
+    def test_kept_owner_segments_keep_their_own_boxes(self, d):
+        # owner segments as atomic_decompose hands them over: the dropped
+        # ones, far out near the window edge, lie between kept segments
+        rng = np.random.default_rng(5)
+        x = d.axis()
+        kept = np.array([True, False, False, True, False, True, True, False, True, False] * 3)
+        reach = 24 if d.dim == 1 else 12  # keeps every support below unit volume
+        points, values = [], []
+        for keep in kept:
+            corner = rng.integers(d.npts // 4, d.npts // 2, size=d.dim) if keep else rng.choice([1, d.npts - reach - 1], size=d.dim)
+            offs = rng.integers(0, reach, size=(rng.integers(4, 16), d.dim))
+            pts = np.unique(np.ravel_multi_index(tuple((corner + offs).T), d.shape))
+            vals = rng.normal(size=pts.size) * (rng.random(pts.size) < 0.7)
+            vals[rng.integers(pts.size)] = 1.0
+            points.append(pts)
+            values.append(vals)
+        stops = np.cumsum([p.size for p in points])
+        starts = stops - [p.size for p in points]
+        point, value = np.concatenate(points), np.concatenate(values)
+        got = _owner_atoms(point, value, starts, kept, d, math.inf, 0, None)
+        assert len(got) == kept.sum()
+        for (lam, atom), s in zip(got, np.flatnonzero(kept)):
+            seg = slice(starts[s], stops[s])
+            c = np.stack(np.unravel_index(point[seg], d.shape), axis=1)
+            nz = value[seg] != 0
+            assert atom.support == reference_enclosing_cube(d, x[c[nz].min(0)].tolist(), x[c[nz].max(0)].tolist())
+            assert atom.patch.lo == tuple(c.min(0).tolist())
+            assert atom.patch.arr.shape == tuple((c.max(0) - c.min(0) + 1).tolist())
+            dense = atom.patch.materialize(d).samples.ravel()
+            assert np.count_nonzero(dense) == np.count_nonzero(value[seg])
+            np.testing.assert_allclose(lam * dense[point[seg]], value[seg], rtol=1e-15, atol=0)
+
+    def test_empty_batch_and_errors(self, dom):
+        level, shift, index = smallest_enclosing_cubes(dom, np.zeros((0, 1)), np.zeros((0, 1)))
+        assert level.shape == (0,) and shift.shape == index.shape == (0, 1)
+        with pytest.raises(ValueError, match="empty box"):
+            smallest_enclosing_cubes(dom, np.array([[0.0], [1.0]]), np.array([[1.0], [0.5]]))
+        with pytest.raises(ValueError, match="largest"):
+            smallest_enclosing_cube(dom, [-8.0], [40.0])
+
+
+def check_ranges_and_centres(d, level, shift, cubes):
+    """`cube_lattice_ranges` and `cube_centers` of cubes of one (level,
+    shift) against `cube_index_map`, the cube box and the Cube methods."""
+    qmap = cube_index_map(d, level, shift)
+    index = np.array([c.index for c in cubes]).reshape(-1, d.dim)
+    start, stop = cube_lattice_ranges(d, level, np.array(shift), index)
+    for i in range(d.dim):  # cube_index_map is sorted along each axis
+        first = np.searchsorted(qmap[i], index[:, i], "left")
+        last = np.searchsorted(qmap[i], index[:, i], "right")
+        met = last > first
+        assert np.array_equal(start[met, i], first[met])
+        assert np.array_equal(stop[met, i], last[met])
+        assert np.all(stop[~met, i] <= start[~met, i])
+    centre = cube_centers(level, np.array(shift), index)
+    side = 2.0**-level
+    corner = side * (index + np.array(shift) / 3.0)
+    assert np.allclose(centre, corner + side / 2, rtol=0, atol=1e-15 * max(side, 1.0))
+    assert [c.lattice_ranges(d) for c in cubes] == [tuple(zip(s, e)) for s, e in zip(start.tolist(), stop.tolist())]
+    assert [c.center for c in cubes] == [tuple(r) for r in centre.tolist()]
+
+
+class TestCubeArithmetic:
+    """The one range/centre routine against `cube_index_map`, an
+    independent integer path: the points of cube index q are its range."""
+
+    @pytest.mark.parametrize("d", [Domain(1, 2, 6), Domain(2, 1, 5)], ids=["n1", "n2"])
+    def test_every_enumerated_cube(self, d):
+        # coarse levels clip the edge cubes of every grid at the window
+        for level in (d.level - 1, d.level - 3, d.min_cube_level()):
+            for a in all_shifts(d.dim):
+                check_ranges_and_centres(d, level, a, enumerate_cubes(d, 2.0**-level, [a], 2.0**-level))
+
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 4, 8)], ids=["n1", "n2"])
+    def test_every_whitney_cube(self, d):
+        r = d.coords()[0] if d.dim == 1 else np.maximum(*map(np.abs, d.coords()))
+        om = GridFunction(d, np.broadcast_to((r > -1.5) & (r < 1.6), d.shape).astype(float))
+        cubes = whitney_decompose(om)
+        assert cubes
+        for level in {c.level for c in cubes}:
+            check_ranges_and_centres(d, level, (0,) * d.dim, [c for c in cubes if c.level == level])
 
 
 class TestConvolve:

@@ -143,6 +143,13 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"suite": "E1", "seed": 11, "m": 8}))
         assert main(["suite", "--config", str(cfgfile)]) == 0
 
+    @pytest.mark.parametrize("text", ['{"m": "9"}', "[1]", '{"m": 9,}'], ids=["wrong_type", "not_object", "bad_json"])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        assert main(["norm", "--config", str(cfgfile)]) == 2
+        assert str(cfgfile) in capsys.readouterr().err
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"bogus": 1}))
