@@ -24,6 +24,7 @@ __all__ = [
     "Cube",
     "Box",
     "CubeLayout",
+    "chain_sums",
     "quadrature",
     "enumerate_cubes",
     "convolve",
@@ -306,8 +307,9 @@ class CubeLayout:
 
     `ids` maps every lattice point to a flat cube id, row-major over the
     per-axis cube indices; `count` cubes meet the window and `first` holds
-    the cube index of the first lattice point on each axis.  Every per-cube
-    sum, mean and sweep goes through this one layout.
+    the cube index of the first lattice point on each axis.  It serves the
+    work done on one level at a time, such as per-cube Luxemburg solves;
+    sweeps over every level run along `chain_sums` instead.
     """
 
     def __init__(self, domain: Domain, level: int, shift: tuple[int, ...]):
@@ -345,6 +347,67 @@ class CubeLayout:
     def cube(self, j: int) -> Cube:
         index = np.unravel_index(j, self.shape)
         return Cube(self.level, self.shift, tuple(int(i) + q0 for i, q0 in zip(index, self.first)))
+
+
+def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
+    return (slice(None),) * ax + (sl,)
+
+
+def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
+    """Sums over the parent cubes of one coarser chain level.  Per axis a
+    `lead` of 1 leaves the first child alone in its parent; the rest pair
+    up, and an odd one out at the end is alone in the last parent."""
+    for ax, z in enumerate(lead):
+        n = s.shape[ax]
+        pairs = (n - z) // 2
+        shape = list(s.shape)
+        shape[ax] = (n + z + 1) // 2
+        out = np.empty(shape)
+        stop = z + 2 * pairs
+        np.add(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
+               out=out[_axis(ax, slice(z, z + pairs))])
+        if z:
+            out[_axis(ax, slice(0, 1))] = s[_axis(ax, slice(0, 1))]
+        if stop < n:
+            out[_axis(ax, slice(-1, None))] = s[_axis(ax, slice(-1, None))]
+        s = out
+    return s
+
+
+def _children(r: np.ndarray, lead: list[int], shape: tuple[int, ...]) -> np.ndarray:
+    """The parent value at every child cube: the inverse of `_pair_sums`."""
+    for ax in reversed(range(r.ndim)):  # whole rows are copied last
+        r = np.repeat(r, 2, axis=ax)[_axis(ax, slice(lead[ax], lead[ax] + shape[ax]))]
+    return r
+
+
+def chain_sums(
+    domain: Domain, shift: tuple[int, ...], arrays: Sequence[np.ndarray], coarsest: int
+) -> Iterator[tuple[int, tuple[int, ...], list[int] | None, tuple[np.ndarray, ...]]]:
+    """Per-level cube sums of lattice arrays along one chain of grids.
+
+    A level-k cube of shift a is exactly the union of 2^n level-(k+1) cubes
+    of shift 2a mod 3, so the chain with shift `shift` on the lattice level
+    and 2a mod 3 on each coarser one is a pyramid of pair sums.  a -> 2a
+    mod 3 is a bijection: the chains from the 3^n lattice shifts cover every
+    (level, shift) once.  Yields (k, shift at k, lead, sums) for k from
+    domain.level down to `coarsest`, keeping only the current level.  sums
+    holds each array's sums over the level-k cubes meeting the window,
+    indexed like `CubeLayout.shape`; lead is the `_pair_sums` layout that
+    made them (None on the lattice level, where the sums are the arrays).
+    Signed terms may cancel; only the order of summation differs from
+    `CubeLayout.sums`.
+    """
+    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
+    shift, sums = tuple(shift), tuple(arrays)
+    yield domain.level, shift, None, sums
+    for k in range(domain.level - 1, coarsest - 1, -1):
+        carry = [int(a == 1) for a in shift]  # cube q of shift a lies in the parent (q - [a == 1]) // 2
+        lead = [(q - c) % 2 for q, c in zip(first, carry)]
+        first = [(q - c) // 2 for q, c in zip(first, carry)]
+        shift = tuple(2 * a % 3 for a in shift)
+        sums = tuple(_pair_sums(s, lead) for s in sums)
+        yield k, shift, lead, sums
 
 
 def quadrature(f: GridFunction, cube: Cube | None = None) -> float:

@@ -73,8 +73,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (5 <= self.m <= 12):
             raise PresetError(f"m must lie in [5, 12], got {self.m}")
-        # presets must resolve; errors surface as usage errors
-        d = self.domain()
+        # the domain and presets must resolve; errors surface as usage errors
+        try:
+            d = self.domain()
+        except ValueError as exc:
+            raise PresetError(str(exc)) from exc
         exponent_preset(self.p, d)
         weight_preset(self.w, d)
 

@@ -3,13 +3,11 @@
 Every cube supremum runs over the shifted dyadic enumeration: the covering
 property of the three shifted grids brackets the supremum over arbitrary
 cubes within a factor 6^n, so the dyadic supremum is the canonical
-computable object here.  A level-k cube of shift a is exactly the union of
-2^n level-(k+1) cubes of shift 2a mod 3 (the one-third trick of shifted
-dyadic lattices), so one "chain" of grids, whose shift on the lattice
-level is fixed and becomes 2a mod 3 at each coarser level, forms a sum
-pyramid: each level is the pair sums of the level below, and the running
-supremum comes back down by repeats.  One grid is the union of two chains
-on alternate levels, so each operator costs O(points * grids).
+computable object here.  The cube sums of every level come from the chain
+pyramid of `grid.chain_sums`, the one multi-level sweep that the weight
+constants use too; the running supremum comes back down the pyramid by
+repeats.  One grid is the union of two chains on alternate levels, so
+each operator costs O(points * grids).
 """
 
 from __future__ import annotations
@@ -24,7 +22,9 @@ from .grid import (
     CubeLayout,
     Domain,
     GridFunction,
+    _children,
     all_shifts,
+    chain_sums,
     convolve,
     level_range,
 )
@@ -48,72 +48,21 @@ __all__ = [
 MAIN_GRID_SHIFT = 1  # the distinguished dyadic grid uses shift (1,...,1)
 
 
-def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
-    return (slice(None),) * ax + (sl,)
-
-
-def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
-    """Sums over the parent cubes of one coarser chain level.  Per axis a
-    `lead` of 1 leaves the first child alone in its parent; the rest pair
-    up, and an odd one out at the end is alone in the last parent."""
-    for ax, z in enumerate(lead):
-        n = s.shape[ax]
-        pairs = (n - z) // 2
-        shape = list(s.shape)
-        shape[ax] = (n + z + 1) // 2
-        out = np.empty(shape)
-        stop = z + 2 * pairs
-        np.add(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
-               out=out[_axis(ax, slice(z, z + pairs))])
-        if z:
-            out[_axis(ax, slice(0, 1))] = s[_axis(ax, slice(0, 1))]
-        if stop < n:
-            out[_axis(ax, slice(-1, None))] = s[_axis(ax, slice(-1, None))]
-        s = out
-    return s
-
-
-def _children(r: np.ndarray, lead: list[int], shape: tuple[int, ...]) -> np.ndarray:
-    """The parent value at every child cube: the inverse of `_pair_sums`."""
-    for ax in reversed(range(r.ndim)):  # whole rows are copied last
-        r = np.repeat(r, 2, axis=ax)[_axis(ax, slice(lead[ax], lead[ax] + shape[ax]))]
-    return r
-
-
 def _chain_sup(domain: Domain, shift: tuple[int, ...], levels, value, *arrays) -> np.ndarray:
     """Lattice field of the max over `levels` of value(k, *cube sums) along
-    the chain whose shift on the lattice level is `shift`.
-
-    At level k the chain has shift `shift` if domain.level - k is even and
-    2 * shift mod 3 if odd.  Per axis the level-(k+1) cube q' of shift a'
-    lies in the level-k cube (q' - [a' == 1]) // 2, so each level's sums
-    are pair sums of the level below (no cancellation: the callers sum
-    non-negative terms).  A level-m cube holds one lattice point, so the
-    finest level is the lattice array itself.
-    """
+    the chain whose shift on the lattice level is `shift`: the sums come up
+    from `chain_sums` and the running max goes back down by `_children`."""
     levels = set(levels)
     if not levels:
         return np.zeros(domain.shape)
-    # per-axis cube index of the first lattice point on the lattice level
-    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]
-    shifts = list(shift)
-    pyramid = [arrays]
-    leads = []
-    for _ in range(domain.level - min(levels)):
-        carry = [int(a == 1) for a in shifts]
-        leads.append([(q - c) % 2 for q, c in zip(first, carry)])
-        first = [(q - c) // 2 for q, c in zip(first, carry)]
-        shifts = [2 * a % 3 for a in shifts]
-        pyramid.append(tuple(_pair_sums(s, leads[-1]) for s in pyramid[-1]))
-    run = None
-    for j in range(len(pyramid) - 1, -1, -1):
-        sums = pyramid[j]
+    run = above = None
+    for k, _, lead, sums in reversed(list(chain_sums(domain, shift, arrays, min(levels)))):
         if run is not None:
-            run = _children(run, leads[j], sums[0].shape)
-        k = domain.level - j
+            run = _children(run, above, sums[0].shape)
         if k in levels:
             v = value(k, *sums)
             run = v if run is None else np.maximum(run, v, out=run)
+        above = lead
     return run
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import Cube, CubeLayout, Domain, GridFunction, all_shifts, level_range
+from .grid import Cube, CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
 from .report import Report
 
 __all__ = [
@@ -102,15 +102,8 @@ class MuckenhouptReport:
     cube_count: int
 
 
-def _layouts(domain: Domain, max_side: float = 1.0, shifts=None):
-    """CubeLayouts of every (level, shift) of the enumeration, finest first."""
-    if shifts is None:
-        shifts = all_shifts(domain.dim)
-    return (CubeLayout(domain, k, a) for k in level_range(domain, max_side) for a in shifts)
-
-
 def _largest(per_layout) -> MuckenhouptReport:
-    """Largest value over the flat per-cube value arrays of the layouts."""
+    """Largest value over flat per-cube value arrays, one per (level, shift)."""
     best = -np.inf
     count = 0
     for vals in per_layout:
@@ -119,23 +112,15 @@ def _largest(per_layout) -> MuckenhouptReport:
     return MuckenhouptReport(best, count)
 
 
-def _sweep_cubes(
-    domain: Domain,
-    per_cube_fn,
-    max_side: float = 1.0,
-    shifts=None,
-) -> MuckenhouptReport:
-    """Maximize a per-cube quantity over the enumeration.
-
-    per_cube_fn(cubes) gets the CubeLayout of one (level, shift) and must
-    return a flat array with one value per cube of that layout.
-    """
-    return _largest(per_cube_fn(cubes) for cubes in _layouts(domain, max_side, shifts))
-
-
-def _inside(cubes: CubeLayout) -> np.ndarray:
-    """Cubes lying wholly inside the window."""
-    return cubes.occupancy() > 1.0 - 1e-9
+def _cube_means(domain: Domain, *arrays):
+    """Zero-extension means of the arrays over the cubes of each (level,
+    shift) with side at most 1, in one fixed order, from the chain pyramid.
+    The mean of ones is exactly 1 on the cubes wholly inside the window."""
+    coarsest = level_range(domain, 1.0)[-1]
+    for a in all_shifts(domain.dim):
+        for k, _, _, sums in chain_sums(domain, a, arrays, coarsest):
+            full = 2.0 ** ((domain.level - k) * domain.dim)  # lattice points per cube
+            yield [s / full for s in sums] if full > 1 else sums  # one-point cubes need no copy
 
 
 def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
@@ -144,26 +129,23 @@ def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
     Only cubes fully inside the window enter: with zero extension the
     logarithmic mean is undefined on partially covered cubes.
     """
-    d = w.domain
     ws = w.values.samples
-    logw = np.log(ws)
-
-    def per_cube(cubes):
-        return np.where(_inside(cubes), cubes.means(ws) * np.exp(-cubes.means(logw)), -np.inf)
-
-    return _sweep_cubes(d, per_cube)
+    means = _cube_means(w.domain, np.ones(ws.shape), ws, np.log(ws))
+    return _largest(np.where(one == 1.0, mw * np.exp(-mlog), -np.inf) for one, mw, mlog in means)
 
 
 def _a_p_sweep(w: Weight) -> Callable[[float], MuckenhouptReport]:
-    """p -> the A_p^loc sweep of w.  The layouts, their inside masks and
-    m_Q(w) are built once; only m_Q(w^{-1/(p-1)}) depends on p."""
+    """p -> the A_p^loc sweep of w.  The inside masks and m_Q(w) are built
+    once; only m_Q(w^{-1/(p-1)}) depends on p."""
+    d = w.domain
     ws = w.values.samples
-    table = [(cubes, _inside(cubes), cubes.means(ws)) for cubes in _layouts(w.domain)]
+    table = [(one == 1.0, mw) for one, mw in _cube_means(d, np.ones(ws.shape), ws)]
 
     def sweep(p: float) -> MuckenhouptReport:
         sig = ws ** (-1.0 / (p - 1.0))
         return _largest(
-            np.where(inside, mw * cubes.means(sig) ** (p - 1.0), -np.inf) for cubes, inside, mw in table
+            np.where(inside, mw * ms ** (p - 1.0), -np.inf)
+            for (inside, mw), (ms,) in zip(table, _cube_means(d, sig))
         )
 
     return sweep
@@ -199,13 +181,11 @@ def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
             raise ValueError("A1 constant not finite")
         q = 1.0 + 1.0 / (4.0 ** (d.dim + 6) * a1)
     ws = w.values.samples
-    wq = ws ** q
-
-    def per_cube(cubes):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(_inside(cubes), cubes.means(wq) ** (1.0 / q) / cubes.means(ws), -np.inf)
-
-    worst = _sweep_cubes(d, per_cube)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        worst = _largest(
+            np.where(one == 1.0, mq ** (1.0 / q) / mw, -np.inf)
+            for one, mq, mw in _cube_means(d, np.ones(ws.shape), ws ** q, ws)
+        )
     return Report(
         "reverse_holder_check",
         passed=worst.constant <= 2.0,
@@ -242,12 +222,12 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     pd = dual_exponent(p)
     sigma = dual_weight(w, p)
 
-    def per_cube(cubes):
-        n1, _ = batch_indicator_norms(p, w, cubes.level, cubes.shift)
-        n2, _ = batch_indicator_norms(pd, sigma, cubes.level, cubes.shift)
-        return n1 * n2 / (2.0 ** (-cubes.level)) ** d.dim
+    def per_cube(level, shift):
+        n1, _ = batch_indicator_norms(p, w, level, shift)
+        n2, _ = batch_indicator_norms(pd, sigma, level, shift)
+        return n1 * n2 / (2.0 ** (-level)) ** d.dim
 
-    return _sweep_cubes(d, per_cube)
+    return _largest(per_cube(k, a) for k in level_range(d, 1.0) for a in all_shifts(d.dim))
 
 
 def q_w_estimate(
@@ -308,13 +288,15 @@ def tilde_a_constant(
     ws = w.values.samples
     hn = d.h ** d.dim
 
-    def per_cube(cubes):
-        norms, _ = batch_restricted_norms(winv, ratio_exp, None, cubes.level, shift)
-        vol = (2.0 ** (-cubes.level)) ** d.dim
-        p_q = cubes.occupancy() / cubes.means(1.0 / pv)  # harmonic mean of p over each cube
-        return np.where(_inside(cubes), vol ** (-p_q) * (cubes.sums(ws) * hn) * norms, -np.inf)
+    def per_cube(level):
+        cubes = CubeLayout(d, level, shift)
+        norms, _ = batch_restricted_norms(winv, ratio_exp, None, level, shift)
+        vol = (2.0 ** (-level)) ** d.dim
+        occupancy = cubes.occupancy()
+        p_q = occupancy / cubes.means(1.0 / pv)  # harmonic mean of p over each cube
+        return np.where(occupancy > 1.0 - 1e-9, vol ** (-p_q) * (cubes.sums(ws) * hn) * norms, -np.inf)
 
-    return _sweep_cubes(d, per_cube, max_side, shifts=[shift])
+    return _largest(per_cube(k) for k in level_range(d, max_side))
 
 
 def stability_ratio(coarse: float, fine: float) -> float:

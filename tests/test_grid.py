@@ -11,11 +11,13 @@ from varhardy.grid import (
     Domain,
     GridFunction,
     all_shifts,
+    chain_sums,
     convolve,
     cube_centers,
     cube_index_map,
     cube_lattice_ranges,
     enumerate_cubes,
+    level_range,
     quadrature,
     rescale_mollifier,
     smallest_enclosing_cube,
@@ -157,6 +159,27 @@ class TestCubeLayout:
             if step > 0 and any(a):
                 # a shifted grid never has a cube edge on the window edge
                 assert cubes.occupancy()[0] < 1.0
+
+
+class TestChainSums:
+    """The chain pyramid against `CubeLayout`, the reference for every
+    (level, shift)."""
+
+    @pytest.mark.parametrize("d", [Domain(1, 2, 5), Domain(2, 1, 4)], ids=["n1", "n2"])
+    def test_chains_cover_every_level_and_shift_once(self, d):
+        f = np.random.default_rng(5).random(d.shape)
+        levels = level_range(d, 1.0)
+        seen = []
+        for a in all_shifts(d.dim):
+            for k, shift, _, (s, count) in chain_sums(d, a, (f, np.ones(d.shape)), levels[-1]):
+                seen.append((k, shift))
+                cubes = CubeLayout(d, k, shift)
+                assert s.shape == cubes.shape
+                np.testing.assert_allclose(s.ravel(), cubes.sums(f), rtol=1e-12, atol=0.0)
+                inside = count.ravel() == 2.0 ** ((d.level - k) * d.dim)
+                assert np.array_equal(inside, cubes.occupancy() > 1.0 - 1e-9)
+        assert len(seen) == len(set(seen))
+        assert set(seen) == {(k, a) for k in levels for a in all_shifts(d.dim)}
 
 
 class TestOneThirdTrick:

@@ -143,12 +143,26 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"suite": "E1", "seed": 11, "m": 8}))
         assert main(["suite", "--config", str(cfgfile)]) == 0
 
-    @pytest.mark.parametrize("text", ['{"m": "9"}', "[1]", '{"m": 9,}'], ids=["wrong_type", "not_object", "bad_json"])
-    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text):
+    @pytest.mark.parametrize(
+        "text, needle",
+        [('{"m": "9"}', None), ("[1]", None), ('{"m": 9,}', None), ('{"n": 3}', "dim must be 1 or 2")],
+        ids=["wrong_type", "not_object", "bad_json", "bad_dim"],
+    )
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text, needle):
+        # the file is named, unless the error names the offending setting
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(text)
         assert main(["norm", "--config", str(cfgfile)]) == 2
-        assert str(cfgfile) in capsys.readouterr().err
+        assert (needle or str(cfgfile)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, needle",
+        [(["--m", "30"], "m must lie"), (["--T", "3"], "half_width"), (["--n", "3"], "dim must be 1 or 2")],
+        ids=["m", "T", "n"],
+    )
+    def test_out_of_range_domain_is_usage_error(self, capsys, flags, needle):
+        assert main(["norm", *flags]) == 2
+        assert needle in capsys.readouterr().err
 
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.json"

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from varhardy import weights as weights_mod
 from varhardy.exponent import VariableExponent
-from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, level_range
+from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
 from varhardy.presets import exponent_preset, weight_preset
 from varhardy.weights import (
     Weight,
@@ -31,9 +33,13 @@ def two_res(spec, fn, m=9):
     return c0, c1
 
 
+DOMAINS_1D_2D = pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
+
+
 class TestAInfty:
-    def test_constant_weight(self, dom):
-        rep = a_loc_infty_constant(weight_preset("const:4", dom))
+    @DOMAINS_1D_2D
+    def test_constant_weight(self, domain):
+        rep = a_loc_infty_constant(weight_preset("const:4", domain))
         assert rep.constant == pytest.approx(1.0, abs=1e-10)
 
     def test_power_weight_finite_stable(self):
@@ -90,8 +96,9 @@ class TestA1:
 
 
 class TestReverseHolder:
-    def test_constant_weight(self, dom):
-        rep = reverse_holder_check(weight_preset("const:1", dom))
+    @DOMAINS_1D_2D
+    def test_constant_weight(self, domain):
+        rep = reverse_holder_check(weight_preset("const:1", domain))
         assert rep.passed
         assert rep.q("worst_ratio") == pytest.approx(1.0, abs=1e-9)
 
@@ -178,10 +185,11 @@ class TestQW:
         q = q_w_estimate(weight_preset("const:1", dom))
         assert q == pytest.approx(1.0, abs=1.1 / 32.0)
 
-    def test_sqrt_power_threshold(self, dom):
-        # classical critical index for |x|^alpha is 1 + alpha
-        q = q_w_estimate(weight_preset("absp:0.5", dom))
-        assert q == pytest.approx(1.5, abs=0.1)
+    @DOMAINS_1D_2D
+    def test_sqrt_power_threshold(self, domain):
+        # classical critical index for |x|^alpha is 1 + alpha / n
+        q = q_w_estimate(weight_preset("absp:0.5", domain))
+        assert q == pytest.approx(1.0 + 0.5 / domain.dim, abs=0.1)
 
     def test_decaying_power(self, dom):
         q = q_w_estimate(weight_preset("power:-0.5", dom))
@@ -189,19 +197,21 @@ class TestQW:
 
 
 def plain_a_p(w, p):
-    """sup of m_Q(w) m_Q(w^{-1/(p-1)})^{p-1} over the inside cubes, one
-    layout at a time."""
+    """(sup of m_Q(w) m_Q(w^{-1/(p-1)})^{p-1} over the inside cubes, cube
+    count), one `CubeLayout` at a time."""
     d = w.domain
     ws = w.values.samples
     sig = ws ** (-1.0 / (p - 1.0))
     best = -np.inf
+    count = 0
     for k in level_range(d, 1.0):
         for a in all_shifts(d.dim):
             cubes = CubeLayout(d, k, a)
             inside = cubes.occupancy() > 1.0 - 1e-9
             vals = np.where(inside, cubes.means(ws) * cubes.means(sig) ** (p - 1.0), -np.inf)
             best = max(best, float(np.max(vals)))
-    return best
+            count += cubes.count
+    return best, count
 
 
 def plain_q_w(w, tol=1.0 / 32.0, cap=64.0, threshold=1.05):
@@ -237,40 +247,56 @@ class TestQWReuse:
 
     @pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
     def test_a_p_matches_plain_sweep(self, domain):
+        # the chain pyramid sums in another order than the layouts
         for spec in ("power:1", "absp:0.5"):
             w = weight_preset(spec, domain)
             for p in (1.25, 2.0, 5.5):
-                assert a_loc_p_constant(w, p).constant == plain_a_p(w, p)
+                rep = a_loc_p_constant(w, p)
+                best, count = plain_a_p(w, p)
+                assert rep.constant == pytest.approx(best, rel=1e-12, abs=0.0)
+                assert rep.cube_count == count
 
     @pytest.fixture
-    def layouts_built(self, monkeypatch):
+    def chains_built(self, monkeypatch):
+        """Every chain pyramid the weight constants start."""
         built = []
 
-        class Counting(CubeLayout):
-            def __init__(self, *args):
-                built.append(args)
-                super().__init__(*args)
+        def counting(domain, shift, *args):
+            built.append((domain, shift))
+            return chain_sums(domain, shift, *args)
 
-        monkeypatch.setattr(weights_mod, "CubeLayout", Counting)
+        monkeypatch.setattr(weights_mod, "chain_sums", counting)
         return built
 
-    def test_second_call_builds_no_layout(self, dom, layouts_built):
-        w = weight_preset("absp:0.5", dom)
-        first = q_w_estimate(w)
-        assert layouts_built
-        layouts_built.clear()
-        assert q_w_estimate(w) == first
-        assert layouts_built == []
+    def test_2d_peak_memory(self):
+        # the sweep keeps masks and m_Q(w) per chain level; a cube id per
+        # lattice point for every (level, shift) would peak above 200 MB
+        w = weight_preset("const:1", Domain(2, 2, 6))
+        tracemalloc.start()
+        try:
+            q_w_estimate(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
 
-    def test_new_level_or_tolerance_is_searched_afresh(self, dom, layouts_built):
+    def test_second_call_builds_no_layout(self, dom, chains_built):
         w = weight_preset("absp:0.5", dom)
         first = q_w_estimate(w)
-        layouts_built.clear()
+        assert chains_built
+        chains_built.clear()
+        assert q_w_estimate(w) == first
+        assert chains_built == []
+
+    def test_new_level_or_tolerance_is_searched_afresh(self, dom, chains_built):
+        w = weight_preset("absp:0.5", dom)
+        first = q_w_estimate(w)
+        chains_built.clear()
         coarse = q_w_estimate(w, tol=1.0 / 8.0)
-        assert layouts_built and coarse == plain_q_w(w, tol=1.0 / 8.0)
-        layouts_built.clear()
+        assert chains_built and coarse == plain_q_w(w, tol=1.0 / 8.0)
+        chains_built.clear()
         assert q_w_estimate(w.at_level(dom.level)) == first
-        assert layouts_built
+        assert chains_built
 
 
 class TestTilde:
