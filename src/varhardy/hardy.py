@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 from scipy.ndimage import maximum_filter1d
@@ -64,14 +64,13 @@ class TestDictionary:
         return any(abs(m) > 1e-12 for m in self.masses)
 
     @cached_property
-    def spectra(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """(j, kernel spectrum of the member rescaled to t = 2^-j) for every
-        member and every dyadic scale from t = 1 down to t = 4h (so the
-        discrete convolutions stay faithful), members outer; built on first
-        use and kept."""
+    def spectra(self) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
+        """(j, kernel spectra of every member rescaled to t = 2^-j) for every
+        dyadic scale from t = 1 down to t = 4h (so the discrete convolutions
+        stay faithful), scales outer and members inner; built on first use
+        and kept."""
         return tuple(
-            (j, kernel_spectrum(rescale_mollifier(member, 2.0 ** (-j))))
-            for member in self.members
+            (j, tuple(kernel_spectrum(rescale_mollifier(member, 2.0 ** (-j))) for member in self.members))
             for j in range(self.domain.level - 1)
         )
 
@@ -207,8 +206,12 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
 
     mode "M0" and "Mbar0" take the sup of |phi_t * f(x)| over members and
     scales; "MN" additionally takes the sup over lattice offsets |z-x| < t.
-    The kernel spectra come from the dictionary's cache, so a call costs one
-    forward transform of f and one inverse transform per member and scale.
+    The offsets depend on t only, so each scale first takes the max over
+    members and then one offset sup (max is exact, so this equals the sup
+    per member bit for bit).  The kernel spectra come from the dictionary's
+    cache, so a call costs one forward transform of f, one inverse
+    transform per member and scale, and in mode "MN" one offset sup per
+    scale.
     """
     if mode not in ("M0", "Mbar0", "MN"):
         raise ValueError("mode must be M0, Mbar0 or MN")
@@ -216,12 +219,14 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
     if dic.domain != d:
         raise ValueError("dictionary and function domains differ")
     out = np.zeros(d.shape)
-    convs = convolve_bank(f, (ghat for _, ghat in dic.spectra))
-    for (j, _), conv in zip(dic.spectra, convs):
-        conv = np.abs(conv)
+    convs = convolve_bank(f, (ghat for _, bank in dic.spectra for ghat in bank))
+    for j, bank in dic.spectra:
+        at_scale = np.zeros(d.shape)
+        for conv in islice(convs, len(bank)):
+            np.maximum(at_scale, np.abs(conv, out=conv), out=at_scale)
         if mode == "MN":
-            conv = _offset_max(conv, 1 << (d.level - j), d.dim)  # t/h cells
-        np.maximum(out, conv, out=out)
+            at_scale = _offset_max(at_scale, 1 << (d.level - j), d.dim)  # t/h cells
+        np.maximum(out, at_scale, out=out)
     return GridFunction(d, out)
 
 

@@ -1,9 +1,12 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
+from varhardy import hardy
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Domain, GridFunction, convolve, rescale_mollifier
+from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier
 from varhardy.hardy import (
     _offset_max,
     build_dictionary,
@@ -144,6 +147,52 @@ class TestGrandMaximalBank:
             for mode in ("M0", "MN"):
                 want = plain_grand_maximal(f, large, mode)
                 assert np.array_equal(grand_maximal(f, large, mode).samples, want)
+
+
+class TestGrandMaximalOracle:
+    @pytest.mark.parametrize(
+        "domain, radius", [(Domain(1, 8, 9), LARGE_RADIUS), (Domain(2, 4, 5), 2.0)], ids=["n1", "n2"]
+    )
+    @pytest.mark.parametrize("mode", ["M0", "MN"])
+    def test_constant_is_its_largest_kernel_mass(self, domain, radius, mode):
+        # farther than t (r_D + 1) from the window edge, for every scale t <= 1,
+        # phi_t * c = c * (lattice mass of phi_t) at the point and at every
+        # offset |z - x| < t, so M0(c) = MN(c) = |c| max |mass| over members and scales
+        _, large = nested_dictionaries(2, 8, domain, radius=radius)
+        c = -1.7
+        f = GridFunction(domain, np.full(domain.shape, c))
+        masses = [
+            quadrature(rescale_mollifier(member, 2.0 ** (-j)))
+            for member in large.members
+            for j in range(domain.level - 1)
+        ]
+        want = abs(c) * max(abs(m) for m in masses)
+        inner = reduce(np.logical_and, (np.abs(x) < domain.half_width - (radius + 1) for x in domain.coords()))
+        got = grand_maximal(f, large, mode).samples[inner]
+        assert got.size > 0
+        # FFT round-off only: relative tolerance 1e-12
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+class TestOffsetSupCount:
+    @pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 2, 5)], ids=["n1", "n2"])
+    def test_one_offset_sup_per_scale(self, domain, monkeypatch):
+        _, large = nested_dictionaries(2, 8, domain)
+        f = function_preset("bump:0.3,0.6", domain)
+        widths = []
+        real = hardy._offset_max
+
+        def counted(vals, t_over_h, dim):
+            widths.append(t_over_h)
+            return real(vals, t_over_h, dim)
+
+        monkeypatch.setattr(hardy, "_offset_max", counted)
+        for mode in ("M0", "Mbar0"):
+            grand_maximal(f, large, mode)
+            assert widths == []
+        grand_maximal(f, large, "MN")
+        # one per scale t = 2^-j, j = 0 .. level - 2, not one per (member, scale)
+        assert sorted(widths) == [1 << k for k in range(2, domain.level + 1)]
 
 
 class TestOffsetMax:

@@ -1,10 +1,12 @@
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from varhardy.cli import _print_cases, main
-from varhardy.harness import Case, ExperimentConfig, SuiteReport, list_presets, run_suite
+from varhardy.harness import Case, ExperimentConfig, SuiteReport, list_presets, run_suite, suite_e6
 from varhardy.presets import PresetError
 
 
@@ -53,6 +55,16 @@ class TestRunSuite:
         assert env["seed"] == 3
         assert env["m"] == 9
         assert "dict" in env
+
+
+class TestSuitesIn2D:
+    def test_e6_passes(self):
+        cfg = ExperimentConfig(n=2, T=2, m=5)
+        cases = suite_e6(cfg, np.random.default_rng(cfg.seed))
+        assert {c.case for c in cases} >= {"grand_chain", "delta_slope", "dirac[const2/const]", "hardy_vs_l2"}
+        for c in cases:
+            assert math.isfinite(c.value_m), c
+            assert c.passed, c
 
 
 class TestListPresets:
