@@ -10,10 +10,10 @@ arithmetic is exact integer arithmetic; no floating-point membership tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -29,6 +29,7 @@ __all__ = [
     "enumerate_cubes",
     "convolve",
     "convolve_bank",
+    "KernelSpectrum",
     "kernel_spectrum",
     "rescale_mollifier",
     "cube_lattice_ranges",
@@ -139,10 +140,16 @@ class Domain:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Sampled real function on a Domain lattice; immutable."""
+    """Sampled real function on a Domain lattice; immutable.
+
+    `_memo` holds what callers derive from the samples and keep, such as a
+    kernel's spectra per scale; the samples never change, so it cannot go
+    stale.
+    """
 
     domain: Domain
     samples: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -468,32 +475,61 @@ def enumerate_cubes(
     return cubes
 
 
-def _padded_shape(domain: Domain) -> tuple[int, ...]:
-    """Per-axis transform length of a linear convolution of two window
-    arrays: the fast length at or above 2N - 1."""
-    return (sp_fft.next_fast_len(2 * domain.npts - 1, True),) * domain.dim
+class KernelSpectrum(NamedTuple):
+    """A kernel's real FFT and its reach r: the largest |i - m| over the
+    indices i of its nonzero samples on every axis, so it vanishes outside
+    the samples m - r .. m + r of each axis (m = N/2 is x = 0)."""
+
+    reach: int
+    values: np.ndarray
 
 
-def kernel_spectrum(g: GridFunction) -> np.ndarray:
-    """Zero-padded real FFT of a kernel, ready for `convolve_bank`."""
-    return sp_fft.rfftn(g.samples, _padded_shape(g.domain))
+def _padded_shape(domain: Domain, reach: int) -> tuple[int, ...]:
+    """Per-axis transform length of a window array convolved with a kernel
+    of reach r: the fast length at or above N + 2r.  A kernel with full
+    support has r = N/2, which gives the fast length at or above 2N."""
+    return (sp_fft.next_fast_len(domain.npts + 2 * reach, True),) * domain.dim
 
 
-def convolve_bank(f: GridFunction, spectra: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+def kernel_spectrum(g: GridFunction) -> KernelSpectrum:
+    """Real FFT of a kernel cropped to its support, ready for `convolve_bank`.
+
+    The kernel keeps the samples m - r .. m + r per axis, where the reach
+    r <= m is the largest |i - m| over its nonzero samples (0 for the zero
+    kernel), and is zero-padded to `_padded_shape(domain, r)`.  A kernel
+    at scale t costs transforms of about N + 2t/h points per axis, not 2N.
+    """
+    d = g.domain
+    m = d.half_npts
+    reach = max((int(np.abs(i - m).max(initial=0)) for i in np.nonzero(g.samples)), default=0)
+    crop = (slice(m - reach, m + reach + 1),) * d.dim
+    return KernelSpectrum(reach, sp_fft.rfftn(g.samples[crop], _padded_shape(d, reach)))
+
+
+def convolve_bank(f: GridFunction, spectra: Iterable[KernelSpectrum]) -> Iterator[np.ndarray]:
     """Samples of the convolutions of f with every kernel in a bank.
 
-    f is transformed once; each kernel spectrum from `kernel_spectrum`
-    costs one inverse transform.  Each output is h^n-scaled with zero
-    extension outside the window, exactly as `convolve`.
+    f is transformed once per distinct padded shape among the kernels'
+    reaches; each kernel spectrum from `kernel_spectrum` costs one inverse
+    transform, whose window is read from the samples r .. r + N - 1 per
+    axis.  Each output is h^n-scaled with zero extension outside the
+    window, exactly as `convolve`.
     """
     d = f.domain
-    shape = _padded_shape(d)
-    fhat = sp_fft.rfftn(f.samples, shape)
-    m = d.half_npts
-    window = (slice(m, 3 * m),) * d.dim
     hn = d.h ** d.dim
-    for ghat in spectra:
-        yield sp_fft.irfftn(fhat * ghat, shape)[window] * hn
+    fhats: dict[tuple[int, ...], np.ndarray] = {}
+    prod = None
+    for reach, ghat in spectra:
+        shape = _padded_shape(d, reach)
+        if shape not in fhats:
+            fhats[shape] = sp_fft.rfftn(f.samples, shape)
+        # one product buffer while the shape holds: a fresh one per kernel,
+        # its size changing with the reach, made 1-D m = 12 about 35% slower
+        # through the allocator
+        reuse = prod is not None and prod.shape == ghat.shape
+        prod = np.multiply(fhats[shape], ghat, out=prod if reuse else None)
+        window = (slice(reach, reach + d.npts),) * d.dim
+        yield sp_fft.irfftn(prod, shape, overwrite_x=True)[window] * hn
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

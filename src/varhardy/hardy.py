@@ -20,7 +20,16 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, bump_profile, convolve_bank, kernel_spectrum, quadrature, rescale_mollifier
+from .grid import (
+    Domain,
+    GridFunction,
+    KernelSpectrum,
+    bump_profile,
+    convolve_bank,
+    kernel_spectrum,
+    quadrature,
+    rescale_mollifier,
+)
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight, q_w_estimate, stability_ratio, STABILITY_FACTOR
@@ -64,11 +73,13 @@ class TestDictionary:
         return any(abs(m) > 1e-12 for m in self.masses)
 
     @cached_property
-    def spectra(self) -> tuple[tuple[int, tuple[np.ndarray, ...]], ...]:
+    def spectra(self) -> tuple[tuple[int, tuple[KernelSpectrum, ...]], ...]:
         """(j, kernel spectra of every member rescaled to t = 2^-j) for every
         dyadic scale from t = 1 down to t = 4h (so the discrete convolutions
         stay faithful), scales outer and members inner; built on first use
-        and kept."""
+        and kept.  Each spectrum is cropped to its member's reach at that
+        scale, about r_D t / h samples, so a fine scale costs little more
+        than the window."""
         return tuple(
             (j, tuple(kernel_spectrum(rescale_mollifier(member, 2.0 ** (-j))) for member in self.members))
             for j in range(self.domain.level - 1)
@@ -108,8 +119,11 @@ def _profiles(count: int, rng: np.random.Generator):
     while len(profiles) < count:
         coefs = rng.normal(scale=0.5, size=3)
 
+        # even in u = |x| / r, so smooth at the origin: an odd term leaves a
+        # kink there, and its finite differences shrink the normalised member
+        # a thousandfold or more
         def perturbed(u, c=coefs):
-            trig = 1.0 + c[0] * np.cos(np.pi * u) + c[1] * np.sin(2 * np.pi * u) + c[2] * np.cos(
+            trig = 1.0 + c[0] * np.cos(np.pi * u) + c[1] * np.cos(2 * np.pi * u) + c[2] * np.cos(
                 3 * np.pi * u
             )
             return bump_profile(u) * trig
@@ -209,9 +223,9 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
     The offsets depend on t only, so each scale first takes the max over
     members and then one offset sup (max is exact, so this equals the sup
     per member bit for bit).  The kernel spectra come from the dictionary's
-    cache, so a call costs one forward transform of f, one inverse
-    transform per member and scale, and in mode "MN" one offset sup per
-    scale.
+    cache, so a call costs one forward transform of f per distinct padded
+    shape, one inverse transform per member and scale, and in mode "MN" one
+    offset sup per scale.
     """
     if mode not in ("M0", "Mbar0", "MN"):
         raise ValueError("mode must be M0, Mbar0 or MN")

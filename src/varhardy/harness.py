@@ -25,6 +25,7 @@ from . import wavelets as wav_mod
 from .exponent import VariableExponent
 from .grid import Cube, Domain, GridFunction, all_shifts
 from .hardy import (
+    TestDictionary,
     build_dictionary,
     dirac_membership_check,
     grand_maximal,
@@ -134,7 +135,10 @@ def _two_res(case: str, quantity: str, fn, cfg: ExperimentConfig, threshold=None
     return Case(case, quantity, v0, v1, r, bool(r <= thr))
 
 
-def _bump_specs(rng, count, centers=(-3, 3), widths=(0.25, 1.5), amps=(0.5, 2.0)):
+def _bump_specs(rng, count, T, centers=None, widths=(0.25, 1.5), amps=(0.5, 2.0)):
+    """Seeded (centre, width, amplitude) triples; centres default to
+    +-3T/8, inside the window [-T, T) at every T."""
+    centers = centers or (-3 * T / 8, 3 * T / 8)
     return [
         (rng.uniform(*centers), rng.uniform(*widths), rng.uniform(*amps))
         for _ in range(count)
@@ -191,7 +195,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Case]:
     w = weight_preset(cfg.w, d)
     sandwich_fail = 0
     for _ in range(10):
-        c, s, a = _bump_specs(rng, 1)[0]
+        c, s, a = _bump_specs(rng, 1, cfg.T)[0]
         f = function_preset(f"bump:{c:.4f},{s:.4f},{a:.4f}", d)
         for target in (0.5, 1.0, 2.0):
             nrm = luxemburg_norm(f, p, w)
@@ -216,7 +220,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Case]:
     cases.append(
         Case("indicator_profile", "vs_p_minus", prof.q("vs_p_minus"), None, None, bool(prof.passed))
     )
-    loc = localization_norm(_bumps(d, _bump_specs(rng, 1))[0], exponent_preset("lhdecay:1", d), 0)
+    loc = localization_norm(_bumps(d, _bump_specs(rng, 1, cfg.T))[0], exponent_preset("lhdecay:1", d), 0)
     cases.append(Case("localization", "norm", loc, None, None, np.isfinite(loc)))
     return cases
 
@@ -226,7 +230,7 @@ def suite_e2(cfg: ExperimentConfig, rng) -> list[Case]:
     d = cfg.domain()
     cases = []
     viol = 0
-    for f in _bumps(d, _bump_specs(rng, 5)):
+    for f in _bumps(d, _bump_specs(rng, 5, cfg.T)):
         total = np.zeros(d.shape)
         for a in all_shifts(d.dim):
             total += max_mod.grid_maximal(f, a).samples
@@ -234,8 +238,8 @@ def suite_e2(cfg: ExperimentConfig, rng) -> list[Case]:
             viol += 1
     cases.append(Case("covering", "violations", float(viol), None, None, viol == 0))
 
-    f = _bumps(d, _bump_specs(rng, 1))[0]
-    g = _bumps(d, _bump_specs(rng, 1))[0]
+    f = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
+    g = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
     sub = np.max(
         max_mod.hl_maximal(f + g).samples
         - max_mod.hl_maximal(f).samples
@@ -257,7 +261,7 @@ def suite_e2(cfg: ExperimentConfig, rng) -> list[Case]:
     cases.append(Case("averaging_dominated", "max_excess", dom_err, None, None, dom_err <= 1e-12))
 
     w = weight_preset(cfg.w, d)
-    f2 = _bumps(d, _bump_specs(rng, 1))[0]
+    f2 = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
     mono = np.min(
         max_mod.powered_weighted_local_maximal(f2, w, 2.0).samples
         - max_mod.powered_weighted_local_maximal(f2, w, 0.5).samples
@@ -366,7 +370,7 @@ def _shift_exponent(p: VariableExponent, delta: float) -> VariableExponent:
 def suite_e5(cfg: ExperimentConfig, rng) -> list[Case]:
     """Operator boundedness probes at two resolutions."""
     cases = []
-    specs = _bump_specs(rng, 10)
+    specs = _bump_specs(rng, 10, cfg.T)
     spikes = [(0.7, 0.0, 0.5), (1.2, 0.0, 0.5)]
 
     def family(domain):
@@ -388,7 +392,7 @@ def suite_e5(cfg: ExperimentConfig, rng) -> list[Case]:
     growing.passed = growing.ratio >= 2.0  # failure detector must fire
     cases.append(growing)
 
-    fam_specs = [_bump_specs(rng, 8) for _ in range(5)]
+    fam_specs = [_bump_specs(rng, 8, cfg.T) for _ in range(5)]
 
     def vv_at(lvl):
         domain = cfg.domain(lvl)
@@ -408,7 +412,7 @@ def suite_e5(cfg: ExperimentConfig, rng) -> list[Case]:
     cases.append(Case("kb_kernel", "max_err", err, None, None, err <= 2 * d.h))
 
     dom_consts = []
-    for f in _bumps(d, _bump_specs(rng, 5)):
+    for f in _bumps(d, _bump_specs(rng, 5, cfg.T)):
         rep = max_mod.peak_majorant_domination(f, 3, 2.0, 8.0)
         dom_consts.append(rep.q("constant"))
         if not rep.passed:
@@ -419,12 +423,26 @@ def suite_e5(cfg: ExperimentConfig, rng) -> list[Case]:
     return cases
 
 
+# build_dictionary draws profiles 5, 6, ... from the seed, and a large
+# dictionary of count members uses profiles up to count - count // 2 - 1, so
+# the seed reaches both of its halves from 12 members on
+SEEDED_DICT_SIZE = 12
+
+
+def _seed_dictionaries(cfg: ExperimentConfig, d: Domain) -> tuple[TestDictionary, TestDictionary]:
+    """The large dictionaries of dict_seed and dict_seed + 1 that E6 compares,
+    at a size where seeded members enter."""
+    size = max(cfg.dict_size, SEEDED_DICT_SIZE)
+    ours, other = (build_dictionary(2, "large", size, d, s, cfg.dict_radius) for s in (cfg.dict_seed, cfg.dict_seed + 1))
+    return ours, other
+
+
 def suite_e6(cfg: ExperimentConfig, rng) -> list[Case]:
     """Grand maximal functions and the point-mass membership criterion."""
     d = cfg.domain()
     small, large = nested_dictionaries(2, cfg.dict_size, d, cfg.dict_seed, cfg.dict_radius)
     cases = []
-    f = _bumps(d, _bump_specs(rng, 1))[0]
+    f = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
     m0 = grand_maximal(f, small, "M0").samples
     mb = grand_maximal(f, large, "Mbar0").samples
     mn = grand_maximal(f, large, "MN").samples
@@ -458,14 +476,14 @@ def suite_e6(cfg: ExperimentConfig, rng) -> list[Case]:
     w2 = weight_preset("const:1", d)
     ratios = [
         hardy_norm(f, p2, w2, large) / lq_norm(f, 2.0)
-        for f in _bumps(d, _bump_specs(rng, 6))
+        for f in _bumps(d, _bump_specs(rng, 6, cfg.T))
     ]
     band = max(ratios) / min(ratios)
     cases.append(Case("hardy_vs_l2", "band_spread", band, None, None, band <= 4.0))
 
-    other = build_dictionary(2, "large", cfg.dict_size, d, cfg.dict_seed + 1, cfg.dict_radius)
-    g = _bumps(d, _bump_specs(rng, 1))[0]
-    r = hardy_norm(g, p2, w2, large) / hardy_norm(g, p2, w2, other)
+    ours, other = _seed_dictionaries(cfg, d)
+    g = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
+    r = hardy_norm(g, p2, w2, ours) / hardy_norm(g, p2, w2, other)
     cases.append(Case("dict_seed_stability", "norm_ratio", r, None, None, 0.5 <= r <= 2.0))
     return cases
 
@@ -481,7 +499,7 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Case]:
     worst_recon = 0.0
     worst_whitney = 0
     overlaps = []
-    for f in _bumps(d, _bump_specs(rng, 4, **atom_specs)):
+    for f in _bumps(d, _bump_specs(rng, 4, cfg.T, **atom_specs)):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
         good, bad = atoms_mod.cz_decompose(f, lam, large, 1)
@@ -502,7 +520,7 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Case]:
     ratios = []
     worst_err = 0.0
     invalid = 0
-    for f in _bumps(d, _bump_specs(rng, 3, **atom_specs)):
+    for f in _bumps(d, _bump_specs(rng, 3, cfg.T, **atom_specs)):
         dec = atoms_mod.atomic_decompose(f, p, w, large, L=1)
         out = atoms_mod.synthesize(dec)
         worst_err = max(worst_err, lq_norm(out - f, 2.0) / lq_norm(f, 2.0))
@@ -518,7 +536,7 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Case]:
     # radius-8 reach needs a window twice as wide before the level sets
     # regain an exterior
     d16 = Domain(d.dim, 2 * d.half_width, d.level)
-    f = _bumps(d16, _bump_specs(rng, 1, centers=(-1.0, 1.0), widths=(0.4, 0.9)))[0]
+    f = _bumps(d16, _bump_specs(rng, 1, cfg.T, centers=(-1.0, 1.0), widths=(0.4, 0.9)))[0]
     p16 = VariableExponent.constant(d16, 2.0)
     w16 = weight_preset("const:1", d16)
     _, four = nested_dictionaries(2, cfg.dict_size, d16, cfg.dict_seed, 4.0)
@@ -544,7 +562,7 @@ def suite_e8(cfg: ExperimentConfig, rng) -> list[Case]:
         worst_tel = max(worst_tel, rep.q("telescope_error"))
     cases.append(Case("telescoping", "max_err", worst_tel, None, None, worst_tel <= 1e-10))
 
-    f = _bumps(d, _bump_specs(rng, 1))[0]
+    f = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
     _, rep = lp_mod.telescoping_reconstruct(f, phi, J=d.level - 3)
     cases.append(
         Case("mollification", "rel_l2_err", rep.q("relative_l2_error"), None, None, rep.q("relative_l2_error") <= 0.01)
@@ -554,7 +572,7 @@ def suite_e8(cfg: ExperimentConfig, rng) -> list[Case]:
     p = VariableExponent.constant(d, 2.0)
     ratios = [
         lp_mod.lp_norm(g, p, None, phi, phi_star) / lq_norm(g, 2.0)
-        for g in _bumps(d, _bump_specs(rng, 6))
+        for g in _bumps(d, _bump_specs(rng, 6, cfg.T))
     ]
     cases.append(Case("lp_vs_l2", "band_spread", max(ratios) / min(ratios), None, None, max(ratios) / min(ratios) <= 4.0))
 
@@ -562,14 +580,14 @@ def suite_e8(cfg: ExperimentConfig, rng) -> list[Case]:
     wv = weight_preset("power:1", d)
     ratios2 = [
         lp_mod.lp_norm(g, pv, wv, phi, phi_star) / hardy_norm(g, pv, wv, large)
-        for g in _bumps(d, _bump_specs(rng, 6))
+        for g in _bumps(d, _bump_specs(rng, 6, cfg.T))
     ]
     cases.append(
         Case("lp_vs_hardy", "band_spread", max(ratios2) / min(ratios2), None, None, max(ratios2) / min(ratios2) <= 4.0)
     )
 
     # moment order sweep: equivalence quality for L in {0, 1, 2, 4}
-    g = _bumps(d, _bump_specs(rng, 1))[0]
+    g = _bumps(d, _bump_specs(rng, 1, cfg.T))[0]
     hn = hardy_norm(g, p, None, large, check_order=False)
     for L in (0, 1, 2, 4):
         phL, phsL = lp_mod.make_phi_pair(L, d)
@@ -601,7 +619,7 @@ def suite_e9(cfg: ExperimentConfig, rng) -> list[Case]:
     p = VariableExponent.constant(d, 2.0)
     ratios = [
         wav_mod.wavelet_norm(g, p, None, sys, check_moments=False) / lq_norm(g, 2.0)
-        for g in _bumps(d, _bump_specs(rng, 6))
+        for g in _bumps(d, _bump_specs(rng, 6, cfg.T))
     ]
     cases.append(Case("wavelet_vs_l2[J=0]", "band_spread", max(ratios) / min(ratios), None, None, max(ratios) / min(ratios) <= 4.0))
 
@@ -610,7 +628,7 @@ def suite_e9(cfg: ExperimentConfig, rng) -> list[Case]:
     wv = weight_preset("power:1", d)
     ratios2 = [
         wav_mod.wavelet_norm(g, pv, wv, sys) / hardy_norm(g, pv, wv, large)
-        for g in _bumps(d, _bump_specs(rng, 6))
+        for g in _bumps(d, _bump_specs(rng, 6, cfg.T))
     ]
     cases.append(
         Case("wavelet_vs_hardy[J=0]", "band_spread", max(ratios2) / min(ratios2), None, None, max(ratios2) / min(ratios2) <= 4.0)

@@ -7,6 +7,11 @@ order L, and the dyadic rescalings telescope exactly:
 phi_star_{2^-j} = phi_{2^-j} - phi_{2^-(j-1)}, so partial sums of the
 square-function levels reconstruct the running mollification of f with no
 error beyond round-off.
+
+Each kernel's spectrum at each scale is built on first use and kept on the
+kernel instance (`GridFunction._memo`), cropped to its support, so calls
+on one pair after the first transform only f: once per distinct padded
+shape, plus one inverse transform per kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +22,16 @@ from itertools import chain, islice
 import numpy as np
 
 from .exponent import VariableExponent
-from .grid import Domain, GridFunction, bump_profile, convolve_bank, kernel_spectrum, multi_indices, rescale_mollifier
+from .grid import (
+    Domain,
+    GridFunction,
+    KernelSpectrum,
+    bump_profile,
+    convolve_bank,
+    kernel_spectrum,
+    multi_indices,
+    rescale_mollifier,
+)
 from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight
@@ -86,9 +100,18 @@ def _check_depth(d: Domain, J: int) -> None:
         raise ValueError("J too deep for the grid resolution")
 
 
+def _spectrum(kernel: GridFunction, j: int) -> KernelSpectrum:
+    """Spectrum of the kernel rescaled to 2^-j, built on first use and kept
+    on the kernel instance."""
+    key = ("spectrum", j)
+    if key not in kernel._memo:
+        kernel._memo[key] = kernel_spectrum(rescale_mollifier(kernel, 2.0 ** (-j)))
+    return kernel._memo[key]
+
+
 def _level_spectra(kernel: GridFunction, J: int):
     """Spectra of the kernel rescaled to 2^-j for j = 1..J."""
-    return (kernel_spectrum(rescale_mollifier(kernel, 2.0 ** (-j))) for j in range(1, J + 1))
+    return (_spectrum(kernel, j) for j in range(1, J + 1))
 
 
 def _root_sum_squares(d: Domain, convs) -> GridFunction:
@@ -115,14 +138,14 @@ def lp_norm(
 ) -> float:
     """Two-term norm ||phi * f|| + ||square function|| in L^{p(.)}(w).
 
-    Both terms come from one transform of f.
+    Both terms come from one bank of convolutions.
     """
     d = f.domain
     if J is None:
         J = d.level - 3
     _check_domains(f, phi, phi_star)
     _check_depth(d, J)
-    convs = convolve_bank(f, chain([kernel_spectrum(phi)], _level_spectra(phi_star, J)))
+    convs = convolve_bank(f, chain([_spectrum(phi, 0)], _level_spectra(phi_star, J)))
     head = luxemburg_norm(GridFunction(d, next(convs)), p, w)
     tail = luxemburg_norm(_root_sum_squares(d, convs), p, w)
     return head + tail
@@ -134,24 +157,17 @@ def telescoping_reconstruct(
     """phi*f + sum_{j<=J} phi_star_{2^-j}*f, which telescopes to phi_{2^-J}*f.
 
     Returns the reconstruction together with a report of its relative L^2
-    distance from f (the mollification error at scale 2^-J).  All J + 2
-    convolutions come from one transform of f.
+    distance from f (the mollification error at scale 2^-J).  The partner
+    phi - 2^-n phi(./2) is built once and kept on phi, like the spectra.
     """
     d = f.domain
     if J is None:
         J = d.level - 3
     _check_domains(f, phi)
-    phi_star = GridFunction(
-        d, phi.samples - rescale_mollifier_half(phi).samples
-    )
-    convs = convolve_bank(
-        f,
-        chain(
-            [kernel_spectrum(phi)],
-            _level_spectra(phi_star, J),
-            [kernel_spectrum(rescale_mollifier(phi, 2.0 ** (-J)))],
-        ),
-    )
+    if "telescope_partner" not in phi._memo:
+        phi._memo["telescope_partner"] = GridFunction(d, phi.samples - rescale_mollifier_half(phi).samples)
+    phi_star = phi._memo["telescope_partner"]
+    convs = convolve_bank(f, chain([_spectrum(phi, 0)], _level_spectra(phi_star, J), [_spectrum(phi, J)]))
     acc = next(convs)
     for conv in islice(convs, J):
         acc += conv

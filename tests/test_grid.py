@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from scipy import fft as sp_fft
+
+from varhardy import grid
 from varhardy.atoms import _owner_atoms, whitney_decompose
 from varhardy.grid import (
     Box,
@@ -13,10 +16,12 @@ from varhardy.grid import (
     all_shifts,
     chain_sums,
     convolve,
+    convolve_bank,
     cube_centers,
     cube_index_map,
     cube_lattice_ranges,
     enumerate_cubes,
+    kernel_spectrum,
     level_range,
     quadrature,
     rescale_mollifier,
@@ -351,6 +356,87 @@ class TestConvolve:
         g = GridFunction(dom.refine(), np.zeros(dom.refine().shape))
         with pytest.raises(ValueError):
             convolve(f, g)
+
+
+def direct_convolution(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    """h^n sum_i f(i) g(p - i) over the window, by brute force: one shifted
+    copy of f per nonzero kernel sample, with x = 0 at index N/2."""
+    n = f.shape[0]
+    m = n // 2
+    out = np.zeros(f.shape)
+    for k in zip(*np.nonzero(g)):
+        shift = [ki - m for ki in k]  # out(p) += f(p - shift) g(k)
+        dst = tuple(slice(max(s, 0), n + min(s, 0)) for s in shift)
+        src = tuple(slice(max(-s, 0), n - max(s, 0)) for s in shift)
+        out[dst] += f[src] * g[k]
+    return out * h ** f.ndim
+
+
+def bank_kernels(d: Domain) -> dict[str, tuple[np.ndarray, int]]:
+    """(samples, reach) of kernels of every reach: a centre spike, one
+    sample at x = -T, full support, zero, and a random kernel of reach 3."""
+    m = d.half_npts
+    rng = np.random.default_rng(11)
+    spike = np.zeros(d.shape)
+    spike[(m,) * d.dim] = 1.0
+    edge = np.zeros(d.shape)
+    edge[(0,) * d.dim] = 1.0
+    edge[(m + 1,) * d.dim] = -2.0
+    near = np.zeros(d.shape)
+    near[(slice(m - 3, m + 4),) * d.dim] = rng.normal(size=(7,) * d.dim)
+    return {
+        "spike": (spike, 0),
+        "edge": (edge, m),
+        "full": (np.exp(-d.radius()), m),
+        "zero": (np.zeros(d.shape), 0),
+        "near": (near, 3),
+    }
+
+
+class TestConvolveBank:
+    DOMAINS = [Domain(1, 2, 6), Domain(2, 1, 4)]
+
+    @pytest.mark.parametrize("d", DOMAINS, ids=["n1", "n2"])
+    @pytest.mark.parametrize("name", ["spike", "edge", "full", "zero", "near"])
+    def test_matches_direct_sum(self, d, name):
+        g, reach = bank_kernels(d)[name]
+        f = np.random.default_rng(12).normal(size=d.shape)
+        spec = kernel_spectrum(GridFunction(d, g))
+        assert spec.reach == reach
+        got = next(convolve_bank(GridFunction(d, f), [spec]))
+        want = direct_convolution(f, g, d.h)
+        if d.dim == 1:
+            n, m = d.npts, d.half_npts
+            assert np.allclose(want, np.convolve(f, g)[m : m + n] * d.h, rtol=0, atol=1e-13 * np.abs(want).max())
+        assert np.allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("d", DOMAINS, ids=["n1", "n2"])
+    def test_full_support_keeps_the_window_length(self, d):
+        spec = kernel_spectrum(GridFunction(d, bank_kernels(d)["full"][0]))
+        n = sp_fft.next_fast_len(2 * d.npts - 1, True)
+        assert spec.values.shape == (n,) * (d.dim - 1) + (n // 2 + 1,)
+
+    @pytest.mark.parametrize("d", DOMAINS, ids=["n1", "n2"])
+    def test_one_forward_transform_per_padded_shape(self, d, monkeypatch):
+        kernels = bank_kernels(d)
+        order = ["spike", "full", "near", "edge", "spike", "zero", "near"]
+        specs = [kernel_spectrum(GridFunction(d, kernels[k][0])) for k in order]
+        shapes = {sp_fft.next_fast_len(d.npts + 2 * s.reach, True) for s in specs}
+        assert 1 < len(shapes) < len(specs)
+        calls = []
+        real_rfftn = sp_fft.rfftn
+
+        def counting(x, *args, **kwargs):
+            calls.append(x.shape)
+            return real_rfftn(x, *args, **kwargs)
+
+        monkeypatch.setattr(grid.sp_fft, "rfftn", counting)
+        f = np.random.default_rng(13).normal(size=d.shape)
+        got = list(convolve_bank(GridFunction(d, f), specs))
+        assert len(calls) == len(shapes)
+        for k, out in zip(order, got):
+            want = direct_convolution(f, kernels[k][0], d.h)
+            assert np.allclose(out, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
 class TestRescale:

@@ -195,6 +195,14 @@ class TestOffsetSupCount:
         assert sorted(widths) == [1 << k for k in range(2, domain.level + 1)]
 
 
+class TestSpectraSize:
+    def test_2d_large_dictionary_spectra_are_cropped(self):
+        # each member spectrum is cropped to its support at its scale;
+        # padded to the window's 2N per axis they took 84 MB here
+        _, large = nested_dictionaries(2, 8, Domain(2, 2, 6))
+        assert sum(s.values.nbytes for _, bank in large.spectra for s in bank) <= 50e6
+
+
 class TestOffsetMax:
     @pytest.mark.parametrize("t_over_h", [1, 2, 3, 6, 32])
     def test_2d_matches_disk_footprint_filter(self, t_over_h):

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from varhardy.cli import _print_cases, main
-from varhardy.harness import Case, ExperimentConfig, SuiteReport, list_presets, run_suite, suite_e6
+from varhardy.harness import (
+    Case,
+    ExperimentConfig,
+    SuiteReport,
+    _seed_dictionaries,
+    list_presets,
+    run_suite,
+    suite_e6,
+    suite_e8,
+    suite_e9,
+)
 from varhardy.presets import PresetError
 
 
@@ -65,6 +75,26 @@ class TestSuitesIn2D:
         for c in cases:
             assert math.isfinite(c.value_m), c
             assert c.passed, c
+
+    # known gap: E8 mollifies at scale 2^-(m-3) = 1/4 here, and the relative
+    # L2 error of its bump (0.020) exceeds the 0.01 calibrated in 1-D, where
+    # m = 5 gives 0.00995; at n = 2, m = 6 it is 0.0036
+    @pytest.mark.parametrize("suite, gaps", [(suite_e8, {"mollification"}), (suite_e9, set())], ids=["E8", "E9"])
+    def test_passes_but_known_gaps(self, suite, gaps):
+        cfg = ExperimentConfig(n=2, T=2, m=5)
+        for c in suite(cfg, np.random.default_rng(cfg.seed)):
+            assert math.isfinite(c.value_m), c
+            assert c.passed == (c.case not in gaps), c
+
+
+class TestDictSeed:
+    def test_seed_stability_compares_different_dictionaries(self):
+        cfg = ExperimentConfig()
+        ours, other = _seed_dictionaries(cfg, cfg.domain())
+        assert len(ours.members) == len(other.members)
+        # by a member of the others' size, not one shrunk by a kink at the origin
+        top = max(m.sup() for m in ours.members)
+        assert max((a - b).sup() for a, b in zip(ours.members, other.members)) >= 0.1 * top
 
 
 class TestListPresets:

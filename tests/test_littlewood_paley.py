@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from varhardy import littlewood_paley
 from varhardy.exponent import VariableExponent
 from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier
 from varhardy.littlewood_paley import (
@@ -175,3 +176,41 @@ class TestTelescoping:
             errs.append(rep.q("relative_l2_error"))
         slope = np.polyfit(list(js), np.log2(errs), 1)[0]
         assert slope == pytest.approx(-0.5, abs=0.2)
+
+
+class TestSpectraKept:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every kernel spectrum the module builds."""
+        built = []
+        real = littlewood_paley.kernel_spectrum
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(littlewood_paley, "kernel_spectrum", counting)
+        return built
+
+    def test_second_call_builds_no_kernel_spectrum(self, dom, built):
+        phi, phi_star = make_phi_pair(2, dom)
+        p = exponent_preset("lhdecay:1", dom)
+        w = weight_preset("power:1", dom)
+        f, g = function_preset("bump:0.5,1", dom), function_preset("bump:-1,0.7,2", dom)
+        first = lp_norm(f, p, w, phi, phi_star)
+        assert len(built) == dom.level - 2  # phi and J = level - 3 levels of phi_star
+        built.clear()
+        assert lp_norm(f, p, w, phi, phi_star) == first
+        lp_norm(g, p, w, phi, phi_star)
+        square_function(g, phi_star, 4)
+        assert built == []
+
+    def test_second_telescope_builds_no_kernel_spectrum(self, dom, built):
+        phi, _ = make_phi_pair(2, dom)
+        f = function_preset("bump:0.5,1", dom)
+        out, _ = telescoping_reconstruct(f, phi)
+        assert built
+        built.clear()
+        again, _ = telescoping_reconstruct(f, phi)
+        assert built == []
+        assert np.array_equal(again.samples, out.samples)
