@@ -5,8 +5,9 @@
              [--w PRESET] [--seed INT] [--out PATH] ...
 
 A JSON config file mirrors the flags; explicit flags win.  Exit code 0
-means every probe in the run passed, 1 means some failed, 2 is a usage
-error (unknown preset or malformed arguments).
+means every probe in the run passed or failed as a declared known gap
+(printed `[xfail]`), 1 means some failed or a known gap passed (printed
+`[XPASS]`), 2 is a usage error (unknown preset or malformed arguments).
 """
 
 from __future__ import annotations
@@ -95,14 +96,11 @@ def _build_config(args: argparse.Namespace, suite: str | None = None) -> Experim
 
 
 def _print_cases(report) -> None:
-    for c in report.cases:
-        mark = "pass" if c.passed else "FAIL"
-        extra = ""
-        if c.value_m1 is not None:
-            extra += f" value_m1={c.value_m1:.6g}"
-        if c.ratio is not None:
-            extra += f" ratio={c.ratio:.4g}"
-        print(f"[{mark}] {report.suite}/{c.case} {c.quantity}={c.value_m:.6g}{extra}")
+    for row in (c.row() for c in report.cases):
+        mark = {"fail": "FAIL", "xpass": "XPASS"}.get(row["status"], row["status"])
+        optional = (("value_m1", ".6g"), ("ratio", ".4g"))
+        extra = "".join(f" {k}={row[k]:{fmt}}" for k, fmt in optional if row[k] is not None)
+        print(f"[{mark}] {report.suite}/{row['case']} {row['quantity']}={row['value_m']:.6g}{extra}")
 
 
 def cmd_suite(args) -> int:

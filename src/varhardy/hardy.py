@@ -197,21 +197,23 @@ def _offset_max(vals: np.ndarray, t_over_h: int, dim: int) -> np.ndarray:
         return vals
     # the ball |z|^2 <= w^2, one offset z' in the leading axes at a time: a
     # window of half-width isqrt(w^2 - |z'|^2) along the last axis, shifted
-    # by z'; z' = 0 starts the result
+    # by z'; z' = 0 starts the result.  Offsets are grouped by half-width,
+    # so one row-filtered copy of vals serves every offset of its group
     last = dim - 1
     out = maximum_filter1d(vals, size=2 * w + 1, axis=last, mode="constant", cval=0.0)
     lead = vals.shape[:last]
-    rows = {}
+    groups: dict[int, list[tuple[int, ...]]] = {}
     for z in product(*(range(-min(w, n - 1), min(w, n - 1) + 1) for n in lead)):
         rest = w * w - sum(c * c for c in z)
-        if not any(z) or rest < 0:
-            continue
-        r = math.isqrt(rest)
-        if r not in rows:
-            rows[r] = maximum_filter1d(vals, size=2 * r + 1, axis=last, mode="constant", cval=0.0)
-        dst = tuple(slice(0, n - c) if c >= 0 else slice(-c, None) for c, n in zip(z, lead))
-        src = tuple(slice(c, None) if c >= 0 else slice(0, n + c) for c, n in zip(z, lead))
-        np.maximum(out[dst], rows[r][src], out=out[dst])
+        if any(z) and rest >= 0:
+            groups.setdefault(math.isqrt(rest), []).append(z)
+    row = np.empty_like(out)
+    for r, offsets in groups.items():
+        maximum_filter1d(vals, size=2 * r + 1, axis=last, output=row, mode="constant", cval=0.0)
+        for z in offsets:
+            dst = tuple(slice(0, n - c) if c >= 0 else slice(-c, None) for c, n in zip(z, lead))
+            src = tuple(slice(c, None) if c >= 0 else slice(0, n + c) for c, n in zip(z, lead))
+            np.maximum(out[dst], row[src], out=out[dst])
     return out
 
 

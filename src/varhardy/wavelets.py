@@ -47,10 +47,6 @@ class WaveletSystem:
     def vanishing_moments(self) -> int:
         return self.N
 
-    @property
-    def support_length(self) -> int:
-        return 2 * self.N - 1  # support of the scaling function is [0, 2N-1]
-
 
 def _polish_roots(roots: np.ndarray, poly: np.ndarray) -> np.ndarray:
     dpoly = np.polyder(poly)
