@@ -75,6 +75,13 @@ class TestRunSuite:
                 assert (float(row[key]) if row[key] else None) == case[key], (case, key)
             assert row["pass"] == str(case["passed"]) and row["status"] == case["status"]
 
+    def test_environment_metadata(self, tmp_path):
+        rep = run_suite(ExperimentConfig(suite="E1", seed=3))
+        env = rep.environment
+        assert env["seed"] == 3
+        assert env["m"] == 9
+        assert "dict" in env
+
 
 class TestStatus:
     @pytest.mark.parametrize(
@@ -97,13 +104,6 @@ class TestStatus:
             "case": "c", "quantity": "head", "value_m": 2.0, "value_m1": 4.0,
             "ratio": 2.0, "passed": True, "status": "pass",
         }
-
-    def test_environment_metadata(self, tmp_path):
-        rep = run_suite(ExperimentConfig(suite="E1", seed=3))
-        env = rep.environment
-        assert env["seed"] == 3
-        assert env["m"] == 9
-        assert "dict" in env
 
 
 class TestSuitesIn2D:
