@@ -96,11 +96,14 @@ def _build_config(args: argparse.Namespace, suite: str | None = None) -> Experim
 
 
 def _print_cases(report) -> None:
-    for row in (c.row() for c in report.cases):
+    for case in report.cases:
+        row = case.row()
         mark = {"fail": "FAIL", "xpass": "XPASS"}.get(row["status"], row["status"])
         optional = (("value_m1", ".6g"), ("ratio", ".4g"))
         extra = "".join(f" {k}={row[k]:{fmt}}" for k, fmt in optional if row[k] is not None)
         print(f"[{mark}] {report.suite}/{row['case']} {row['quantity']}={row['value_m']:.6g}{extra}")
+        if case.gap is not None:
+            print(f"    known gap: {case.gap}")
 
 
 def cmd_suite(args) -> int:

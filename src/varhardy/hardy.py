@@ -207,6 +207,8 @@ def _offset_max(vals: np.ndarray, t_over_h: int, dim: int) -> np.ndarray:
         rest = w * w - sum(c * c for c in z)
         if any(z) and rest >= 0:
             groups.setdefault(math.isqrt(rest), []).append(z)
+    if not groups:  # 1-D: the window along the last axis is the whole ball
+        return out
     row = np.empty_like(out)
     for r, offsets in groups.items():
         maximum_filter1d(vals, size=2 * r + 1, axis=last, output=row, mode="constant", cval=0.0)

@@ -174,6 +174,7 @@ class TestCLI:
         assert main(["suite", "--suite", "E5"]) == 0
         out = capsys.readouterr().out
         assert "[xfail] E5/mloc_ratio[absp:1.5] operator_norm=" in out
+        assert f"    known gap: {harness.MLOC_GROWTH_GAP}\n" in out
         assert "suite E5: all passed" in out
 
     def test_unexpected_pass_fails_the_run(self, capsys, monkeypatch):
@@ -183,7 +184,7 @@ class TestCLI:
         monkeypatch.setitem(harness.SUITES, "E1", gap_passes)
         assert main(["suite", "--suite", "E1"]) == 1
         out = capsys.readouterr().out
-        assert "[pass] E1/stable x=1\n[XPASS] E1/gap x=2\n" in out
+        assert "[pass] E1/stable x=1\n[XPASS] E1/gap x=2\n    known gap: known\n" in out
         assert "FAILURES" in out
 
     def test_maximal_command_writes_profile(self, tmp_path, capsys):
