@@ -7,6 +7,8 @@ counterparts, with probe suites that stress the norm equivalences on
 discretized data.
 """
 
+__version__ = "0.1.0"
+
 from .exponent import VariableExponent
 from .grid import Box, Cube, Domain, GridFunction, convolve, enumerate_cubes, quadrature
 from .norms import luxemburg_norm, modular

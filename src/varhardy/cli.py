@@ -28,7 +28,9 @@ from .presets import PresetError, exponent_preset, function_preset, weight_prese
 USAGE_ERROR = 2
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The flags every command but `list` takes, as an argparse parent."""
+    sp = argparse.ArgumentParser(add_help=False)
     sp.add_argument("--config", type=str, default=None, help="JSON file mirroring the flags")
     sp.add_argument("--n", type=int, default=None, help="dimension (1 or 2)")
     sp.add_argument("--T", type=float, default=None, help="window half width")
@@ -43,6 +45,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         default=None,
         help="dictionary settings as size=8,seed=42,rD=4",
     )
+    return sp
 
 
 def _parse_hardy_dict(spec: str) -> dict:
@@ -80,7 +83,7 @@ def _read_config(path: str) -> dict:
     return doc
 
 
-def _build_config(args: argparse.Namespace, suite: str | None = None) -> ExperimentConfig:
+def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     merged: dict = _read_config(args.config) if args.config else {}
     for key in ("n", "T", "m", "p", "w", "seed", "out"):
         val = getattr(args, key, None)
@@ -88,11 +91,16 @@ def _build_config(args: argparse.Namespace, suite: str | None = None) -> Experim
             merged[key] = val
     if getattr(args, "hardy_dict", None):
         merged.update(_parse_hardy_dict(args.hardy_dict))
-    if suite is not None:
-        merged["suite"] = suite
     if getattr(args, "suite", None):
         merged["suite"] = args.suite
     return ExperimentConfig(**merged)
+
+
+def _preset_inputs(args):
+    """The config, its domain and the preset f, p and w of a preset command."""
+    cfg = _build_config(args)
+    d = cfg.domain()
+    return cfg, d, function_preset(args.f, d), exponent_preset(cfg.p, d), weight_preset(cfg.w, d)
 
 
 def _print_cases(report) -> None:
@@ -116,11 +124,7 @@ def cmd_suite(args) -> int:
 
 
 def cmd_norm(args) -> int:
-    cfg = _build_config(args)
-    d = cfg.domain()
-    f = function_preset(args.f, d)
-    p = exponent_preset(cfg.p, d)
-    w = weight_preset(cfg.w, d)
+    cfg, _, f, p, w = _preset_inputs(args)
     print(f"luxemburg_norm[f={args.f}, p={cfg.p}, w={cfg.w}] = "
           f"{luxemburg_norm(f, p, w):.10g}")
     return 0
@@ -153,10 +157,7 @@ def _apply_operator(spec: str, f: GridFunction, w) -> GridFunction:
 
 
 def cmd_maximal(args) -> int:
-    cfg = _build_config(args)
-    d = cfg.domain()
-    f = function_preset(args.f, d)
-    w = weight_preset(cfg.w, d)
+    cfg, d, f, _, w = _preset_inputs(args)
     out = _apply_operator(args.operator, f, w)
     path = Path(cfg.out or "maximal_profile.csv")
     row = out.samples[(d.half_npts,) * (d.dim - 1)]  # the last axis through 0
@@ -198,11 +199,7 @@ def cmd_atoms(args) -> int:
     from .hardy import nested_dictionaries
     from .norms import lq_norm
 
-    cfg = _build_config(args)
-    d = cfg.domain()
-    f = function_preset(args.f, d)
-    p = exponent_preset(cfg.p, d)
-    w = weight_preset(cfg.w, d)
+    cfg, d, f, p, w = _preset_inputs(args)
     _, dic = nested_dictionaries(2, cfg.dict_size, d, cfg.dict_seed, cfg.dict_radius)
     dec = atomic_decompose(f, p, w, dic)
     err = lq_norm(synthesize(dec) - f, 2.0) / max(lq_norm(f, 2.0), 1e-300)
@@ -219,11 +216,7 @@ def cmd_atoms(args) -> int:
 def cmd_lp(args) -> int:
     from .littlewood_paley import lp_norm, make_phi_pair, telescoping_reconstruct
 
-    cfg = _build_config(args)
-    d = cfg.domain()
-    f = function_preset(args.f, d)
-    p = exponent_preset(cfg.p, d)
-    w = weight_preset(cfg.w, d)
+    _, d, f, p, w = _preset_inputs(args)
     phi, phi_star = make_phi_pair(args.L, d)
     _, rep = telescoping_reconstruct(f, phi)
     print(f"lp_norm = {lp_norm(f, p, w, phi, phi_star):.8g}")
@@ -235,11 +228,7 @@ def cmd_lp(args) -> int:
 def cmd_wavelet(args) -> int:
     from .wavelets import analyze, build_wavelet_system, wavelet_norm
 
-    cfg = _build_config(args)
-    d = cfg.domain()
-    f = function_preset(args.f, d)
-    p = exponent_preset(cfg.p, d)
-    w = weight_preset(cfg.w, d)
+    cfg, _, f, p, w = _preset_inputs(args)
     sys_ = build_wavelet_system(args.N)
     print(f"wavelet_norm[J={args.J}] = {wavelet_norm(f, p, w, sys_, J=args.J):.8g}")
     co = analyze(f, sys_, args.J)
@@ -278,20 +267,18 @@ def cmd_list(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="varhardy", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    common = _common_parser()
+    preset = argparse.ArgumentParser(add_help=False, parents=[common])
+    preset.add_argument("--f", type=str, default="bump:0,1")
 
-    sp = sub.add_parser("suite", help="run a probe suite (E1..E9)")
-    _add_common(sp)
+    sp = sub.add_parser("suite", help="run a probe suite (E1..E9)", parents=[common])
     sp.add_argument("--suite", type=str, default="E1", choices=sorted(SUITES))
     sp.set_defaults(fn=cmd_suite)
 
-    sp = sub.add_parser("norm", help="Luxemburg norm of a preset function")
-    _add_common(sp)
-    sp.add_argument("--f", type=str, default="bump:0,1")
+    sp = sub.add_parser("norm", help="Luxemburg norm of a preset function", parents=[preset])
     sp.set_defaults(fn=cmd_norm)
 
-    sp = sub.add_parser("maximal", help="apply a maximal-type operator")
-    _add_common(sp)
-    sp.add_argument("--f", type=str, default="bump:0,1")
+    sp = sub.add_parser("maximal", help="apply a maximal-type operator", parents=[preset])
     sp.add_argument(
         "--operator",
         type=str,
@@ -300,24 +287,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.set_defaults(fn=cmd_maximal)
 
-    sp = sub.add_parser("awconst", help="weight class constants")
-    _add_common(sp)
+    sp = sub.add_parser("awconst", help="weight class constants", parents=[common])
     sp.set_defaults(fn=cmd_awconst)
 
-    sp = sub.add_parser("atoms", help="atomic decomposition of a preset function")
-    _add_common(sp)
-    sp.add_argument("--f", type=str, default="bump:0,1")
+    sp = sub.add_parser("atoms", help="atomic decomposition of a preset function", parents=[preset])
     sp.set_defaults(fn=cmd_atoms)
 
-    sp = sub.add_parser("lp", help="scale-difference norm and telescoping check")
-    _add_common(sp)
-    sp.add_argument("--f", type=str, default="bump:0,1")
+    sp = sub.add_parser("lp", help="scale-difference norm and telescoping check", parents=[preset])
     sp.add_argument("--L", type=int, default=2, help="vanishing moment order")
     sp.set_defaults(fn=cmd_lp)
 
-    sp = sub.add_parser("wavelet", help="wavelet norm and coefficient export")
-    _add_common(sp)
-    sp.add_argument("--f", type=str, default="bump:0,1")
+    sp = sub.add_parser("wavelet", help="wavelet norm and coefficient export", parents=[preset])
     sp.add_argument("--N", type=int, default=2, help="filter order")
     sp.add_argument("--J", type=int, default=0, help="coarsest level")
     sp.set_defaults(fn=cmd_wavelet)

@@ -143,9 +143,7 @@ def dual_exponent(p: VariableExponent) -> VariableExponent:
     dual_inf = None
     if p.p_infty is not None and p.p_infty > 1:
         dual_inf = p.p_infty / (p.p_infty - 1.0)
-    gen = p.generator
-    dual_gen = (lambda *xs: np.asarray(gen(*xs)) / (np.asarray(gen(*xs)) - 1.0)) if gen else None
-    return VariableExponent(dual, dual_inf, generator=dual_gen)
+    return VariableExponent(dual, dual_inf)
 
 
 def mean_exponent(p: VariableExponent, cube: Cube) -> float:

@@ -31,6 +31,7 @@ __all__ = [
     "convolve_bank",
     "KernelSpectrum",
     "kernel_spectrum",
+    "scaled_spectrum",
     "rescale_mollifier",
     "cube_lattice_ranges",
     "cube_centers",
@@ -127,8 +128,8 @@ class Domain:
         """|x| at every lattice point."""
         return reduce(np.hypot, self.coords(), 0.0)
 
-    def refine(self, by: int = 1) -> "Domain":
-        return Domain(self.dim, self.half_width, self.level + by)
+    def refine(self) -> "Domain":
+        return Domain(self.dim, self.half_width, self.level + 1)
 
     def min_cube_level(self) -> int:
         """Coarsest useful cube level; side caps at 4T."""
@@ -504,6 +505,15 @@ def kernel_spectrum(g: GridFunction) -> KernelSpectrum:
     reach = max((int(np.abs(i - m).max(initial=0)) for i in np.nonzero(g.samples)), default=0)
     crop = (slice(m - reach, m + reach + 1),) * d.dim
     return KernelSpectrum(reach, sp_fft.rfftn(g.samples[crop], _padded_shape(d, reach)))
+
+
+def scaled_spectrum(kernel: GridFunction, j: int) -> KernelSpectrum:
+    """`kernel_spectrum` of the kernel rescaled to t = 2^-j, built on first
+    use and kept on the kernel instance."""
+    key = ("spectrum", j)
+    if key not in kernel._memo:
+        kernel._memo[key] = kernel_spectrum(rescale_mollifier(kernel, 2.0 ** (-j)))
+    return kernel._memo[key]
 
 
 def convolve_bank(f: GridFunction, spectra: Iterable[KernelSpectrum]) -> Iterator[np.ndarray]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import islice, product
 
 import numpy as np
@@ -23,12 +23,10 @@ from .exponent import VariableExponent
 from .grid import (
     Domain,
     GridFunction,
-    KernelSpectrum,
     bump_profile,
     convolve_bank,
-    kernel_spectrum,
     quadrature,
-    rescale_mollifier,
+    scaled_spectrum,
 )
 from .norms import luxemburg_norm
 from .report import Report
@@ -66,24 +64,10 @@ class TestDictionary:
     order: int
     members: tuple[GridFunction, ...]
     masses: tuple[float, ...]
-    seed: int
 
     @property
     def nondegenerate(self) -> bool:
         return any(abs(m) > 1e-12 for m in self.masses)
-
-    @cached_property
-    def spectra(self) -> tuple[tuple[int, tuple[KernelSpectrum, ...]], ...]:
-        """(j, kernel spectra of every member rescaled to t = 2^-j) for every
-        dyadic scale from t = 1 down to t = 4h (so the discrete convolutions
-        stay faithful), scales outer and members inner; built on first use
-        and kept.  Each spectrum is cropped to its member's reach at that
-        scale, about r_D t / h samples, so a fine scale costs little more
-        than the window."""
-        return tuple(
-            (j, tuple(kernel_spectrum(rescale_mollifier(member, 2.0 ** (-j))) for member in self.members))
-            for j in range(self.domain.level - 1)
-        )
 
 
 def _fd_derivative_sup(vals: np.ndarray, h: float, order: int, dim: int) -> float:
@@ -174,7 +158,7 @@ def build_dictionary(
         member = GridFunction(domain, vals)
         members.append(member)
         masses.append(quadrature(member))
-    return TestDictionary(domain, r_d, N, tuple(members), tuple(masses), seed)
+    return TestDictionary(domain, r_d, N, tuple(members), tuple(masses))
 
 
 def nested_dictionaries(
@@ -184,9 +168,13 @@ def nested_dictionaries(
     seed: int = 42,
     radius: float | None = None,
 ) -> tuple[TestDictionary, TestDictionary]:
-    """(small, large) pair with the small members a prefix of the large ones."""
+    """(small, large) pair whose small members are the large one's radius-1
+    members, the same instances, so the two share their kernel spectra."""
+    n = count // 2
+    if n < 4:  # the floor of build_dictionary, which the small half must meet too
+        raise ValueError("count must be at least 4")
     large = build_dictionary(N, "large", count, domain, seed, radius)
-    small = build_dictionary(N, "small", count // 2, domain, seed)
+    small = TestDictionary(large.domain, SMALL_RADIUS, N, large.members[:n], large.masses[:n])
     return small, large
 
 
@@ -226,10 +214,12 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
     scales; "MN" additionally takes the sup over lattice offsets |z-x| < t.
     The offsets depend on t only, so each scale first takes the max over
     members and then one offset sup (max is exact, so this equals the sup
-    per member bit for bit).  The kernel spectra come from the dictionary's
-    cache, so a call costs one forward transform of f per distinct padded
-    shape, one inverse transform per member and scale, and in mode "MN" one
-    offset sup per scale.
+    per member bit for bit).  The scales run from t = 1 down to t = 4h, so
+    the discrete convolutions stay faithful.  Each member keeps its
+    spectrum per scale (`scaled_spectrum`), cropped to its reach of about
+    r_D t / h samples, so a call costs one forward transform of f per
+    distinct padded shape, one inverse transform per member and scale, and
+    in mode "MN" one offset sup per scale.
     """
     if mode not in ("M0", "Mbar0", "MN"):
         raise ValueError("mode must be M0, Mbar0 or MN")
@@ -237,10 +227,11 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
     if dic.domain != d:
         raise ValueError("dictionary and function domains differ")
     out = np.zeros(d.shape)
-    convs = convolve_bank(f, (ghat for _, bank in dic.spectra for ghat in bank))
-    for j, bank in dic.spectra:
+    scales = range(d.level - 1)
+    convs = convolve_bank(f, (scaled_spectrum(member, j) for j in scales for member in dic.members))
+    for j in scales:
         at_scale = np.zeros(d.shape)
-        for conv in islice(convs, len(bank)):
+        for conv in islice(convs, len(dic.members)):
             np.maximum(at_scale, np.abs(conv, out=conv), out=at_scale)
         if mode == "MN":
             at_scale = _offset_max(at_scale, 1 << (d.level - j), d.dim)  # t/h cells
@@ -272,9 +263,7 @@ def hardy_norm(
     return luxemburg_norm(grand_maximal(f, dic, "MN"), p, w)
 
 
-def dirac_membership_check(
-    p: VariableExponent, w: Weight, threshold: float = STABILITY_FACTOR
-) -> Report:
+def dirac_membership_check(p: VariableExponent, w: Weight) -> Report:
     """Two-resolution integrability probe for the point-mass criterion.
 
     Evaluates the clamped-midpoint integral of |x|^{-n p(x)} w(x) over the
@@ -296,6 +285,6 @@ def dirac_membership_check(
     ratio = stability_ratio(i0, i1)
     return Report(
         "dirac_membership_check",
-        passed=ratio <= threshold,
+        passed=ratio <= STABILITY_FACTOR,
         quantities={"integral_m": i0, "integral_m1": i1, "ratio": ratio},
     )

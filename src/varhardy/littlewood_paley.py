@@ -9,7 +9,7 @@ square-function levels reconstruct the running mollification of f with no
 error beyond round-off.
 
 Each kernel's spectrum at each scale is built on first use and kept on the
-kernel instance (`GridFunction._memo`), cropped to its support, so calls
+kernel instance (`grid.scaled_spectrum`), cropped to its support, so calls
 on one pair after the first transform only f: once per distinct padded
 shape, plus one inverse transform per kernel.
 """
@@ -25,12 +25,10 @@ from .exponent import VariableExponent
 from .grid import (
     Domain,
     GridFunction,
-    KernelSpectrum,
     bump_profile,
     convolve_bank,
-    kernel_spectrum,
     multi_indices,
-    rescale_mollifier,
+    scaled_spectrum,
 )
 from .norms import luxemburg_norm
 from .report import Report
@@ -100,18 +98,9 @@ def _check_depth(d: Domain, J: int) -> None:
         raise ValueError("J too deep for the grid resolution")
 
 
-def _spectrum(kernel: GridFunction, j: int) -> KernelSpectrum:
-    """Spectrum of the kernel rescaled to 2^-j, built on first use and kept
-    on the kernel instance."""
-    key = ("spectrum", j)
-    if key not in kernel._memo:
-        kernel._memo[key] = kernel_spectrum(rescale_mollifier(kernel, 2.0 ** (-j)))
-    return kernel._memo[key]
-
-
 def _level_spectra(kernel: GridFunction, J: int):
     """Spectra of the kernel rescaled to 2^-j for j = 1..J."""
-    return (_spectrum(kernel, j) for j in range(1, J + 1))
+    return (scaled_spectrum(kernel, j) for j in range(1, J + 1))
 
 
 def _root_sum_squares(d: Domain, convs) -> GridFunction:
@@ -134,18 +123,16 @@ def lp_norm(
     w: Weight | None,
     phi: GridFunction,
     phi_star: GridFunction,
-    J: int | None = None,
 ) -> float:
-    """Two-term norm ||phi * f|| + ||square function|| in L^{p(.)}(w).
+    """Two-term norm ||phi * f|| + ||square function|| in L^{p(.)}(w), the
+    square function over the scales 2^-j, j = 1..m - 3.
 
     Both terms come from one bank of convolutions.
     """
     d = f.domain
-    if J is None:
-        J = d.level - 3
+    J = d.level - 3
     _check_domains(f, phi, phi_star)
-    _check_depth(d, J)
-    convs = convolve_bank(f, chain([_spectrum(phi, 0)], _level_spectra(phi_star, J)))
+    convs = convolve_bank(f, chain([scaled_spectrum(phi, 0)], _level_spectra(phi_star, J)))
     head = luxemburg_norm(GridFunction(d, next(convs)), p, w)
     tail = luxemburg_norm(_root_sum_squares(d, convs), p, w)
     return head + tail
@@ -167,7 +154,7 @@ def telescoping_reconstruct(
     if "telescope_partner" not in phi._memo:
         phi._memo["telescope_partner"] = GridFunction(d, phi.samples - rescale_mollifier_half(phi).samples)
     phi_star = phi._memo["telescope_partner"]
-    convs = convolve_bank(f, chain([_spectrum(phi, 0)], _level_spectra(phi_star, J), [_spectrum(phi, J)]))
+    convs = convolve_bank(f, chain([scaled_spectrum(phi, 0)], _level_spectra(phi_star, J), [scaled_spectrum(phi, J)]))
     acc = next(convs)
     for conv in islice(convs, J):
         acc += conv

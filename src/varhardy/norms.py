@@ -39,12 +39,11 @@ __all__ = [
 LAMBDA_CAP = 1e30
 REL_TOL = 1e-8
 _MAX_STEPS = 100
+PROFILE_BAND = 10.0
 
 
-def _weight_samples(w) -> np.ndarray:
-    if w is None:
-        return None
-    return w.values.samples if hasattr(w, "values") else np.asarray(w)
+def _weight_samples(w: "Weight | None") -> np.ndarray | None:
+    return None if w is None else w.values.samples
 
 
 def modular(f: GridFunction, p: VariableExponent, w: "Weight | None" = None) -> float:
@@ -63,16 +62,12 @@ def luxemburg_norm(f: GridFunction, p: VariableExponent, w: "Weight | None" = No
     return _luxemburg_solve(f.samples, p.values.samples, _cell_weights(f.domain, w)).item()
 
 
-def lq_norm(f: GridFunction, q: float, w: "Weight | None" = None) -> float:
-    """Constant-exponent L^q(w) norm; q = inf gives the sup norm."""
+def lq_norm(f: GridFunction, q: float) -> float:
+    """Constant-exponent L^q norm; q = inf gives the sup norm."""
     if math.isinf(q):
         return f.sup()
     d = f.domain
-    v = np.abs(f.samples) ** q
-    ws = _weight_samples(w)
-    if ws is not None:
-        v = v * ws
-    return (d.h ** d.dim * float(np.sum(v))) ** (1.0 / q)
+    return (d.h ** d.dim * float(np.sum(np.abs(f.samples) ** q))) ** (1.0 / q)
 
 
 def holder_check(f: GridFunction, g: GridFunction, p: VariableExponent) -> Report:
@@ -130,10 +125,10 @@ def unit_ball_modular_check(
     )
 
 
-def indicator_norm_profile(cube: Cube, p: VariableExponent, band: float = 10.0) -> Report:
+def indicator_norm_profile(cube: Cube, p: VariableExponent) -> Report:
     """Ratios of the indicator norm against |Q|^{1/p} at the three exponents.
 
-    Pass means every ratio lies in [1/band, band].
+    Pass means every ratio lies in [1/PROFILE_BAND, PROFILE_BAND].
     """
     d = p.domain
     sl = cube.lattice_slices(d)
@@ -153,7 +148,7 @@ def indicator_norm_profile(cube: Cube, p: VariableExponent, band: float = 10.0) 
     }
     if p.p_infty is not None:
         ratios["vs_p_infty"] = nrm / vol ** (1.0 / p.p_infty)
-    ok = all(1.0 / band <= r <= band for r in ratios.values())
+    ok = all(1.0 / PROFILE_BAND <= r <= PROFILE_BAND for r in ratios.values())
     return Report(
         "indicator_norm_profile",
         passed=ok,

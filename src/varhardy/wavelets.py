@@ -123,7 +123,6 @@ class WaveletCoefficients:
     domain: Domain
     system: WaveletSystem
     J: int
-    Jmax: int
     scaling: np.ndarray
     details: dict[int, dict[str, np.ndarray]]
 
@@ -162,27 +161,22 @@ def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray, 
     return np.moveaxis(out, 0, axis)
 
 
-def analyze(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None) -> WaveletCoefficients:
-    """Periodized fast transform: couplings with the basis at levels J..Jmax.
+def analyze(f: GridFunction, sys: WaveletSystem, J: int) -> WaveletCoefficients:
+    """Periodized fast transform: couplings with the basis at levels J..m-1.
 
     Fine-scale scaling coefficients are h^{n/2} f(x_k), the standard
     identification of samples with level-m couplings; the discrete
     transform then conserves both count and energy exactly.
     """
     d = f.domain
-    if Jmax is None:
-        Jmax = d.level - 1
-    if Jmax >= d.level or J > Jmax:
-        raise ValueError("level overflow: need J <= Jmax < grid level")
+    if J >= d.level:
+        raise ValueError("level overflow: need J < grid level")
     min_len = sys.scaling_filter.size
     if d.half_width * 2.0 ** (J + 1) < min_len:
         raise ValueError("level overflow: coarsest level shorter than the filter")
     h = sys.scaling_filter
     g = sys.wavelet_filter
     c = f.samples * d.h ** (d.dim / 2.0)
-    # the full cascade down to J is always kept, so the transform stays
-    # orthonormal (count and energy conserved); Jmax only marks how deep
-    # the square-function consumers look
     details: dict[int, dict[str, np.ndarray]] = {}
     for j in range(d.level - 1, J - 1, -1):
         bands = {"": c}
@@ -194,7 +188,7 @@ def analyze(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None
             }
         c = bands.pop("l" * d.dim)
         details[j] = bands
-    return WaveletCoefficients(d, sys, J, Jmax, c, details)
+    return WaveletCoefficients(d, sys, J, c, details)
 
 
 def synthesize_coefficients(coeffs: WaveletCoefficients) -> GridFunction:
@@ -232,8 +226,6 @@ def _w_samples(coeffs: WaveletCoefficients) -> GridFunction:
     d = coeffs.domain
     acc = np.zeros(d.shape)
     for j, det in coeffs.details.items():
-        if j > coeffs.Jmax:
-            continue
         amp2 = 2.0 ** (j * d.dim)
         for ch in det.values():
             acc += _upsample_to_grid(ch**2, d, j) * amp2
@@ -246,9 +238,9 @@ def v_function(f: GridFunction, sys: WaveletSystem, J: int) -> GridFunction:
     return _v_samples(analyze(f, sys, J))
 
 
-def w_function(f: GridFunction, sys: WaveletSystem, J: int, Jmax: int | None = None) -> GridFunction:
-    """Wavelet-channel square function over levels J..Jmax, all channels."""
-    return _w_samples(analyze(f, sys, J, Jmax))
+def w_function(f: GridFunction, sys: WaveletSystem, J: int) -> GridFunction:
+    """Wavelet-channel square function over levels J..m-1, all channels."""
+    return _w_samples(analyze(f, sys, J))
 
 
 def wavelet_norm(
@@ -257,7 +249,6 @@ def wavelet_norm(
     w: Weight | None,
     sys: WaveletSystem,
     J: int = 0,
-    Jmax: int | None = None,
     check_moments: bool = True,
 ) -> float:
     """Two-term norm ||Vf|| + ||Wf|| in L^{p(.)}(w).
@@ -273,15 +264,13 @@ def wavelet_norm(
             raise ValueError(
                 f"moment bound violated: system has {sys.vanishing_moments}, needs L >= {needed}"
             )
-    coeffs = analyze(f, sys, J, Jmax)  # the scaling channel does not depend on Jmax
+    coeffs = analyze(f, sys, J)
     return luxemburg_norm(_v_samples(coeffs), p, w) + luxemburg_norm(_w_samples(coeffs), p, w)
 
 
-def expanded_cube(j: int, k, sys: WaveletSystem, dim: int = 1) -> tuple[tuple[float, float], ...]:
-    """Support region of the basis member (j, k): per-axis intervals
-    [2^-j k_m, 2^-j (k_m + 2N - 1)]."""
+def expanded_cube(j: int, k, sys: WaveletSystem) -> tuple[tuple[float, float], ...]:
+    """Support region of the basis member (j, k), one interval
+    [2^-j k_m, 2^-j (k_m + 2N - 1)] per entry k_m of k."""
     ks = np.atleast_1d(np.asarray(k, dtype=float))
-    if ks.size != dim:
-        raise ValueError("index dimension mismatch")
     side = 2.0 ** (-j)
     return tuple((side * km, side * (km + 2 * sys.N - 1)) for km in ks)

@@ -41,6 +41,8 @@ STABILITY_FACTOR = 1.5  # constant(m+1)/constant(m) above this means "not in the
 # entirely.  1.05 locates the power-weight critical index within the 1/32
 # bisection tolerance.
 Q_W_STABILITY = 1.05
+Q_W_TOL = 1.0 / 32.0
+Q_W_CAP = 64.0
 CLAMP_FLOOR = 2.0 ** -52
 
 
@@ -51,9 +53,9 @@ class Weight:
     values: GridFunction
     generator: Callable | None = field(default=None, compare=False, repr=False)
     midpoint: bool = False  # generator sampled at cell centers (singular weights)
-    # q_w_estimate results by (tol, cap, threshold); safe because an instance
-    # never changes, and per instance because `generator` takes no part in ==
-    _q_w_memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # the q_w_estimate result; safe because an instance never changes, and
+    # per instance because `generator` takes no part in ==
+    _q_w: float | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         v = self.values.samples
@@ -197,20 +199,7 @@ def dual_weight(w: Weight, p: VariableExponent) -> Weight:
     """sigma = w^{-1/(p(.)-1)}; the conjugate density."""
     p.requires_class_p()
     sig = w.values.samples ** (-1.0 / (p.values.samples - 1.0))
-    gen = None
-    if w.generator is not None and p.generator is not None:
-        wg, pg, mp = w.generator, p.generator, w.midpoint
-        dom = w.domain
-
-        def gen(*xs):
-            wv = np.maximum(np.asarray(wg(*xs), dtype=float), CLAMP_FLOOR)
-            # exponent generators sample at lattice points even when the
-            # weight uses midpoints; shift back for consistency
-            off = dom.h / 2 if mp else 0.0
-            pv = np.asarray(pg(*[np.asarray(x) - off for x in xs]), dtype=float)
-            return wv ** (-1.0 / (pv - 1.0))
-
-    return Weight(GridFunction(w.domain, sig), generator=gen, midpoint=w.midpoint)
+    return Weight(GridFunction(w.domain, sig))
 
 
 def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
@@ -230,41 +219,35 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     return _largest(per_cube(k, a) for k in level_range(d, 1.0) for a in all_shifts(d.dim))
 
 
-def q_w_estimate(
-    w: Weight,
-    tol: float = 1.0 / 32.0,
-    cap: float = 64.0,
-    threshold: float = Q_W_STABILITY,
-) -> float:
+def q_w_estimate(w: Weight) -> float:
     """Critical index: smallest p with a resolution-stable A_p^loc constant.
 
-    Bisection over (1, cap]; requires a generator on the weight so the
-    constant can be recomputed one level finer.  The result is kept on the
-    instance: a repeated call with the same arguments returns it at once,
+    Bisection over (1, Q_W_CAP] to width Q_W_TOL; requires a generator on
+    the weight so the constant can be recomputed one level finer.  The
+    result is kept on the instance: a repeated call returns it at once,
     while `w.at_level(k)` is a new instance and is searched afresh.
     """
-    key = (tol, cap, threshold)
-    if key in w._q_w_memo:
-        return w._q_w_memo[key]
+    if w._q_w is not None:
+        return w._q_w
     coarse = _a_p_sweep(w)
     fine = _a_p_sweep(w.at_level(w.domain.level + 1))
 
     def stable(p: float) -> bool:
-        return fine(p).constant <= threshold * coarse(p).constant
+        return fine(p).constant <= Q_W_STABILITY * coarse(p).constant
 
-    if not stable(cap):
+    if not stable(Q_W_CAP):
         raise ValueError("not in A^loc_infty numerically: unstable at the search cap")
-    lo, hi = 1.0, cap
+    lo, hi = 1.0, Q_W_CAP
     # most weights are stable well below the cap; tighten before bisecting
     if stable(2.0):
         hi = 2.0
-    while hi - lo > tol:
+    while hi - lo > Q_W_TOL:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             hi = mid
         else:
             lo = mid
-    w._q_w_memo[key] = hi
+    object.__setattr__(w, "_q_w", hi)
     return hi
 
 

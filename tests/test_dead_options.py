@@ -1,0 +1,78 @@
+"""Every defaulted parameter of the library is set by some caller.
+
+A parameter with a default that no call in `src/varhardy` or `perfbench/`
+passes, by position or by keyword, is a setting with one value in use: it
+belongs in a module constant.  Calls are matched by the called name alone
+(`f(...)` or `obj.f(...)`), so a parameter counts as used when any callable
+of that name receives it; for a method the receiver takes no position.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = ROOT / "src" / "varhardy"
+CALLERS = [*sorted(LIBRARY.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
+
+# parameters that only tests or users set, each with its reason
+ALLOWED = {
+    "atoms.atomic_decompose(q)": "the paper's atom exponent q; tests check its lower bound",
+    "atoms.atomic_decompose(v)": "the paper's sequence exponent v; tests check its bound",
+    "weights.reverse_holder_check(q)": "an explicit exponent lets tests force the bound to fail",
+    "hardy.hardy_norm(check_order)": "acceptance criterion 10 sets it",
+    "wavelets.wavelet_norm(check_moments)": "acceptance criterion 11 sets it",
+    "grid.enumerate_cubes(shifts)": "enumerate_cubes is the tests' reference enumeration",
+    "grid.enumerate_cubes(min_side)": "enumerate_cubes is the tests' reference enumeration",
+    "cli.main(argv)": "the console entry point reads sys.argv; tests pass argv",
+}
+
+
+def _defaulted_parameters():
+    """(name, called name, parameter, its position or None) per defaulted
+    parameter of a module-level function or method."""
+    for path in sorted(LIBRARY.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                scoped = [(f"{path.stem}.{node.name}", node, False)]
+            elif isinstance(node, ast.ClassDef):
+                scoped = [
+                    (f"{path.stem}.{node.name}.{fn.name}", fn, True)
+                    for fn in node.body
+                    if isinstance(fn, ast.FunctionDef)
+                ]
+            else:
+                continue
+            for name, fn, bound in scoped:
+                args = fn.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                if bound and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+                    positional = positional[1:]  # self or cls
+                for a in positional[len(positional) - len(args.defaults):] if args.defaults else []:
+                    yield name, fn.name, a, positional.index(a)
+                for a, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield name, fn.name, a.arg, None
+
+
+def _calls():
+    """(called name, positional count, keyword names) of every call."""
+    for path in CALLERS:
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = getattr(func, "id", None) or getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                yield called, float("inf") if starred else len(node.args), {k.arg for k in node.keywords}
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = list(_calls())
+    dead = {
+        f"{name}({param})"
+        for name, called, param, pos in _defaulted_parameters()
+        if not any(c == called and (param in kw or (pos is not None and n > pos)) for c, n, kw in calls)
+    }
+    # an allow-list entry that has gained a caller, or names no parameter, is stale
+    assert sorted(dead) == sorted(ALLOWED)

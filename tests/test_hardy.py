@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from scipy.ndimage import maximum_filter
 
-from varhardy import hardy
+from varhardy import grid, hardy
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier
+from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier, scaled_spectrum
 from varhardy.hardy import (
     _offset_max,
     build_dictionary,
@@ -200,8 +200,30 @@ class TestSpectraSize:
     def test_2d_large_dictionary_spectra_are_cropped(self):
         # each member spectrum is cropped to its support at its scale;
         # padded to the window's 2N per axis they took 84 MB here
-        _, large = nested_dictionaries(2, 8, Domain(2, 2, 6))
-        assert sum(s.values.nbytes for _, bank in large.spectra for s in bank) <= 50e6
+        d = Domain(2, 2, 6)
+        _, large = nested_dictionaries(2, 8, d)
+        spectra = (scaled_spectrum(member, j) for j in range(d.level - 1) for member in large.members)
+        assert sum(s.values.nbytes for s in spectra) <= 50e6
+
+
+class TestNestedSpectra:
+    def test_small_dictionary_reuses_the_large_ones_spectra(self, monkeypatch):
+        d = Domain(1, 8, 9)
+        small, large = nested_dictionaries(2, 8, d)
+        built = []
+        real = grid.kernel_spectrum
+
+        def counting(g):
+            built.append(g)
+            return real(g)
+
+        monkeypatch.setattr(grid, "kernel_spectrum", counting)
+        f = function_preset("bump:0.3,0.6", d)
+        grand_maximal(f, large, "MN")
+        assert len(built) == len(large.members) * (d.level - 1)
+        built.clear()
+        grand_maximal(f, small, "M0")
+        assert built == []
 
 
 class TestOffsetMax:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import varhardy
 from varhardy import harness
 from varhardy.cli import _print_cases, main
 from varhardy.harness import (
@@ -81,6 +82,10 @@ class TestRunSuite:
         assert env["seed"] == 3
         assert env["m"] == 9
         assert "dict" in env
+
+    def test_version_is_the_package_version(self):
+        env = run_suite(ExperimentConfig(suite="E2")).environment
+        assert env["version"] == varhardy.__version__ != "unknown"
 
 
 class TestStatus:
@@ -266,3 +271,10 @@ class TestCLI:
         cfgfile.write_text(json.dumps({"bogus": 1}))
         assert main(["norm", "--config", str(cfgfile)]) == 2
         assert "'bogus'" in capsys.readouterr().err
+
+    def test_stability_factor_key_is_unknown(self, tmp_path, capsys):
+        # the two-resolution cut is the library's STABILITY_FACTOR, not a setting
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"stability_factor": 2.0}))
+        assert main(["norm", "--config", str(cfgfile)]) == 2
+        assert "'stability_factor'" in capsys.readouterr().err

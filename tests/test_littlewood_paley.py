@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from varhardy import littlewood_paley
+from varhardy import grid
 from varhardy.exponent import VariableExponent
 from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier
 from varhardy.littlewood_paley import (
@@ -183,13 +183,13 @@ class TestSpectraKept:
     def built(self, monkeypatch):
         """Every kernel spectrum the module builds."""
         built = []
-        real = littlewood_paley.kernel_spectrum
+        real = grid.kernel_spectrum
 
         def counting(g):
             built.append(g)
             return real(g)
 
-        monkeypatch.setattr(littlewood_paley, "kernel_spectrum", counting)
+        monkeypatch.setattr(grid, "kernel_spectrum", counting)
         return built
 
     def test_second_call_builds_no_kernel_spectrum(self, dom, built):

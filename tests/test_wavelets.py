@@ -112,7 +112,7 @@ class TestTransform:
     def test_level_overflow(self, dom, db2):
         f = GridFunction(dom, np.zeros(dom.shape))
         with pytest.raises(ValueError, match="overflow"):
-            analyze(f, db2, 2, Jmax=dom.level)
+            analyze(f, db2, dom.level)
 
 
 class TestTransform2D:
@@ -168,12 +168,6 @@ class TestSquareFunctions:
         wf = w_function(plat, db2, 2)
         interior = np.abs(dom.axis()) < 1.0
         assert np.max(wf.samples[interior]) <= 1e-10 * plat.sup()
-
-    def test_monotone_in_jmax(self, dom, db2):
-        f = function_preset("bump:0,1", dom)
-        a = w_function(f, db2, 0, Jmax=4)
-        b = w_function(f, db2, 0, Jmax=7)
-        assert np.all(b.samples >= a.samples - 1e-12)
 
 
 class TestWaveletNorm:

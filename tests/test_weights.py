@@ -214,18 +214,19 @@ def plain_a_p(w, p):
     return best, count
 
 
-def plain_q_w(w, tol=1.0 / 32.0, cap=64.0, threshold=1.05):
-    """The critical-index bisection, one fresh a_loc_p_constant pair per step."""
+def plain_q_w(w):
+    """The critical-index bisection over (1, 64] to width 1/32 with the 1.05
+    stability cut, one fresh a_loc_p_constant pair per step."""
     fine = w.at_level(w.domain.level + 1)
 
     def stable(p):
-        return a_loc_p_constant(fine, p).constant <= threshold * a_loc_p_constant(w, p).constant
+        return a_loc_p_constant(fine, p).constant <= 1.05 * a_loc_p_constant(w, p).constant
 
-    assert stable(cap)
-    lo, hi = 1.0, cap
+    assert stable(64.0)
+    lo, hi = 1.0, 64.0
     if stable(2.0):
         hi = 2.0
-    while hi - lo > tol:
+    while hi - lo > 1.0 / 32.0:
         mid = 0.5 * (lo + hi)
         if stable(mid):
             hi = mid
@@ -288,12 +289,9 @@ class TestQWReuse:
         assert q_w_estimate(w) == first
         assert chains_built == []
 
-    def test_new_level_or_tolerance_is_searched_afresh(self, dom, chains_built):
+    def test_new_level_is_searched_afresh(self, dom, chains_built):
         w = weight_preset("absp:0.5", dom)
         first = q_w_estimate(w)
-        chains_built.clear()
-        coarse = q_w_estimate(w, tol=1.0 / 8.0)
-        assert chains_built and coarse == plain_q_w(w, tol=1.0 / 8.0)
         chains_built.clear()
         assert q_w_estimate(w.at_level(dom.level)) == first
         assert chains_built
