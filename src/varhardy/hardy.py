@@ -34,7 +34,7 @@ from .weights import Weight, q_w_estimate, stability_ratio, STABILITY_FACTOR
 
 __all__ = [
     "TestDictionary",
-    "build_dictionary",
+    "nested_dictionaries",
     "grand_maximal",
     "hardy_norm",
     "capital_n",
@@ -46,6 +46,7 @@ __all__ = [
 SMALL_RADIUS = 1.0
 LARGE_RADIUS = 4.0  # stand-in for the astronomically large proof radius
 DERIVATIVE_MARGIN = 0.9
+MIN_DICT_COUNT = 8  # so that the small half keeps four members
 
 
 @dataclass(frozen=True)
@@ -116,36 +117,27 @@ def _profiles(count: int, rng: np.random.Generator):
     return profiles[:count]
 
 
-def build_dictionary(
+def nested_dictionaries(
     N: int,
-    variant: str = "small",
-    count: int = 8,
-    domain: Domain | None = None,
+    count: int,
+    domain: Domain,
     seed: int = 42,
     radius: float | None = None,
-) -> TestDictionary:
-    """Normalized bump dictionary of the requested derivative order.
+) -> tuple[TestDictionary, TestDictionary]:
+    """(small, large) pair of normalized bump dictionaries of derivative order N.
 
-    variant "small" supports members in the unit ball; "large" uses
-    `radius` (default 4) and includes the small members, so the small and
-    large dictionaries are nested.
+    The large dictionary has `count` members: the first count // 2 are
+    supported in the unit ball and form the small dictionary, the same
+    instances, so the two nest and share their kernel spectra; the rest
+    are supported in the ball of `radius` (default 4).
     """
-    if count < 4:
-        raise ValueError("count must be at least 4")
-    if domain is None:
-        domain = Domain(1, 8, 9)
-    if variant not in ("small", "large"):
-        raise ValueError("variant must be 'small' or 'large'")
-    r_d = SMALL_RADIUS if variant == "small" else (radius or LARGE_RADIUS)
-    rng = np.random.default_rng(seed)
-    profiles = _profiles(count, rng)
-    if variant == "small":
-        specs = [(i, SMALL_RADIUS) for i in range(count)]
-    else:
-        # first half identical to the small variant so the dictionaries nest
-        n_small = count // 2
-        specs = [(i, SMALL_RADIUS) for i in range(n_small)]
-        specs += [(i, r_d) for i in range(count - n_small)]
+    n_small = count // 2
+    if count < MIN_DICT_COUNT:
+        raise ValueError(f"count must be at least {MIN_DICT_COUNT}, got {count}")
+    r_d = radius or LARGE_RADIUS
+    profiles = _profiles(count, np.random.default_rng(seed))
+    specs = [(i, SMALL_RADIUS) for i in range(n_small)]
+    specs += [(i, r_d) for i in range(count - n_small)]
     members: list[GridFunction] = []
     masses: list[float] = []
     r = domain.radius()
@@ -158,23 +150,8 @@ def build_dictionary(
         member = GridFunction(domain, vals)
         members.append(member)
         masses.append(quadrature(member))
-    return TestDictionary(domain, r_d, N, tuple(members), tuple(masses))
-
-
-def nested_dictionaries(
-    N: int,
-    count: int = 8,
-    domain: Domain | None = None,
-    seed: int = 42,
-    radius: float | None = None,
-) -> tuple[TestDictionary, TestDictionary]:
-    """(small, large) pair whose small members are the large one's radius-1
-    members, the same instances, so the two share their kernel spectra."""
-    n = count // 2
-    if n < 4:  # the floor of build_dictionary, which the small half must meet too
-        raise ValueError("count must be at least 4")
-    large = build_dictionary(N, "large", count, domain, seed, radius)
-    small = TestDictionary(large.domain, SMALL_RADIUS, N, large.members[:n], large.masses[:n])
+    large = TestDictionary(domain, r_d, N, tuple(members), tuple(masses))
+    small = TestDictionary(domain, SMALL_RADIUS, N, large.members[:n_small], large.masses[:n_small])
     return small, large
 
 

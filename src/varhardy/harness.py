@@ -29,8 +29,8 @@ from . import wavelets as wav_mod
 from .exponent import VariableExponent
 from .grid import Cube, Domain, GridFunction, all_shifts
 from .hardy import (
+    MIN_DICT_COUNT,
     TestDictionary,
-    build_dictionary,
     dirac_membership_check,
     grand_maximal,
     hardy_norm,
@@ -78,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (5 <= self.m <= 12):
             raise PresetError(f"m must lie in [5, 12], got {self.m}")
+        if self.dict_size < MIN_DICT_COUNT:
+            raise PresetError(f"dictionary size must be at least {MIN_DICT_COUNT}, got {self.dict_size}")
         # the domain and presets must resolve; errors surface as usage errors
         try:
             d = self.domain()
@@ -160,7 +162,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Report]:
     worst = 0.0
     for _ in range(12):
         k = int(rng.integers(2, 5))
-        edges = np.sort(rng.uniform(-6, 6, size=k + 1))
+        edges = np.sort(rng.uniform(-0.75 * cfg.T, 0.75 * cfg.T, size=k + 1))
         heights = rng.uniform(0.2, 4.0, size=k)
         pvals = rng.uniform(0.6, 4.0, size=k)
         fv = np.zeros(d.shape)
@@ -170,7 +172,8 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Report]:
             sel = (x >= edges[i]) & (x < edges[i + 1])
             fv[sel] = heights[i]
             pv[sel] = pvals[i]
-            terms.append((float(np.sum(sel)) * d.h, heights[i], pvals[i]))
+            # each piece is a slab across the other axes
+            terms.append((float(np.sum(sel)) * d.h * (2 * d.half_width) ** (d.dim - 1), heights[i], pvals[i]))
         p = VariableExponent(GridFunction(d, pv))
         got = luxemburg_norm(GridFunction(d, fv), p)
 
@@ -202,7 +205,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Report]:
 
     p_h = exponent_preset("sin2", d)
     holder_fail = 0
-    sup = np.abs(x) < 4
+    sup = np.abs(x) < cfg.T / 2
     for _ in range(25):
         f = GridFunction(d, np.where(sup, rng.normal(size=d.shape), 0.0))
         g3 = GridFunction(d, np.where(sup, rng.normal(size=d.shape), 0.0))
@@ -210,7 +213,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Report]:
             holder_fail += 1
     cases.append(Report("holder", holder_fail == 0, {"violations": float(holder_fail)}))
 
-    prof = indicator_norm_profile(Cube(2, (0,), (3,)), exponent_preset("lhdecay:1", d))
+    prof = indicator_norm_profile(Cube(2, (0,) * d.dim, (3,) * d.dim), exponent_preset("lhdecay:1", d))
     cases.append(Report("indicator_profile", bool(prof.passed), {"vs_p_minus": prof.q("vs_p_minus")}))
     loc = localization_norm(_bumps(d, _bump_specs(rng, 1, cfg.T))[0], exponent_preset("lhdecay:1", d), 0)
     cases.append(Report("localization", np.isfinite(loc), {"norm": loc}))
@@ -284,13 +287,16 @@ def suite_e3(cfg: ExperimentConfig, rng) -> list[Report]:
             cfg,
         )
     )
+    # |x|^alpha lies in A_2 iff alpha < n; at alpha = 2n the blow-up
+    # detector must fire
+    steep = f"absp:{2 * cfg.n}"
     cases.append(
         _two_res(
-            "a_p[absp:2,p=2]",
+            f"a_p[{steep},p=2]",
             "constant",
-            lambda lvl: a_loc_p_constant(weight_preset("absp:2", cfg.domain(lvl)), 2.0).constant,
+            lambda lvl: a_loc_p_constant(weight_preset(steep, cfg.domain(lvl)), 2.0).constant,
             cfg,
-            check=lambda r: r >= 2.0 * (1 - 1e-3),  # the blow-up detector must fire
+            check=lambda r: r >= 2.0 * (1 - 1e-3),
         )
     )
     for spec in ("const:1", "power:-0.5", "power:-1"):
@@ -335,7 +341,8 @@ def suite_e4(cfg: ExperimentConfig, rng) -> list[Report]:
                 )
                 cases.append(shifted)
     d = cfg.domain()
-    for wspec, want, tol in (("const:1", 1.0, 1.1 / 32), ("absp:0.5", 1.5, 0.1), ("power:-0.5", 1.0, 1.1 / 32)):
+    # q_w of |x|^alpha is 1 + alpha / n
+    for wspec, want, tol in (("const:1", 1.0, 1.1 / 32), ("absp:0.5", 1 + 0.5 / d.dim, 0.1), ("power:-0.5", 1.0, 1.1 / 32)):
         q = q_w_estimate(weight_preset(wspec, d))
         cases.append(Report(f"q_w[{wspec}]", abs(q - want) <= tol, {"index": q}))
     p = exponent_preset("lhdecay:1", d)
@@ -375,10 +382,12 @@ def suite_e5(cfg: ExperimentConfig, rng) -> list[Report]:
         return rep.q("operator_norm")
 
     cases.append(_two_res("mloc_ratio[absp:0.5]", "operator_norm", lambda l: ratio_at(l, "absp:0.5"), cfg))
-    # the growth detector must fire: >= 2x is demanded, about 1.18 is measured
-    cases.append(_two_res("mloc_ratio[absp:1.5]", "operator_norm", lambda l: ratio_at(l, "absp:1.5"), cfg,
+    # |x|^{n + 1/2} lies outside A_2, so the growth detector must fire: >= 2x
+    # is demanded, about 1.18 is measured in 1-D and 1.24 in 2-D
+    steep = f"absp:{cfg.n + 0.5}"
+    cases.append(_two_res(f"mloc_ratio[{steep}]", "operator_norm", lambda l: ratio_at(l, steep), cfg,
                           check=lambda r: r >= 2.0,
-                          gap="the grid A_2 constant of the clamped |x|^{3/2} caps the growth at sqrt(2) per level"))
+                          gap=f"the grid A_2 constant of the clamped |x|^{{{2 * cfg.n + 1}/2}} caps the growth at sqrt(2) per level"))
 
     fam_specs = [_bump_specs(rng, 8, cfg.T) for _ in range(5)]
 
@@ -409,7 +418,7 @@ def suite_e5(cfg: ExperimentConfig, rng) -> list[Report]:
     return cases
 
 
-# build_dictionary draws profiles 5, 6, ... from the seed, and a large
+# nested_dictionaries draws profiles 5, 6, ... from the seed, and a large
 # dictionary of count members uses profiles up to count - count // 2 - 1, so
 # the seed reaches both of its halves from 12 members on
 SEEDED_DICT_SIZE = 12
@@ -419,8 +428,7 @@ def _seed_dictionaries(cfg: ExperimentConfig, d: Domain) -> tuple[TestDictionary
     """The large dictionaries of dict_seed and dict_seed + 1 that E6 compares,
     at a size where seeded members enter."""
     size = max(cfg.dict_size, SEEDED_DICT_SIZE)
-    ours, other = (build_dictionary(2, "large", size, d, s, cfg.dict_radius) for s in (cfg.dict_seed, cfg.dict_seed + 1))
-    return ours, other
+    return tuple(nested_dictionaries(2, size, d, s, cfg.dict_radius)[1] for s in (cfg.dict_seed, cfg.dict_seed + 1))
 
 
 def suite_e6(cfg: ExperimentConfig, rng) -> list[Report]:
@@ -632,10 +640,6 @@ def run_suite(cfg: ExperimentConfig) -> SuiteReport:
     """Execute one suite, write JSON and CSV reports, return the result."""
     if cfg.suite not in SUITES:
         raise PresetError(f"unknown suite {cfg.suite!r}; choose from {sorted(SUITES)}")
-    if cfg.n != 1:
-        raise PresetError(
-            "probe suites are one dimensional; the library operators support n=2 directly"
-        )
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     cases = SUITES[cfg.suite](cfg, rng)

@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 
-def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, GridFunction]:
+def make_phi_pair(L: int, domain: Domain) -> tuple[GridFunction, GridFunction]:
     """Mollifier with unit mass and L vanishing moments, plus its telescope.
 
     phi is a polynomial-corrected bump supported in [-1, 1]^n; the
@@ -53,8 +53,6 @@ def make_phi_pair(L: int, domain: Domain | None = None) -> tuple[GridFunction, G
     """
     if L < 0:
         raise ValueError("L must be nonnegative")
-    if domain is None:
-        domain = Domain(1, 8, 9)
     d = domain
     alphas = multi_indices(d.dim, L)
     # The bump and the monomials are separable, so the Gram system over

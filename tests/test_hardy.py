@@ -10,7 +10,6 @@ from varhardy.exponent import VariableExponent
 from varhardy.grid import Domain, GridFunction, convolve, quadrature, rescale_mollifier, scaled_spectrum
 from varhardy.hardy import (
     _offset_max,
-    build_dictionary,
     capital_n,
     dirac_membership_check,
     grand_maximal,
@@ -50,8 +49,8 @@ class TestDictionaryBuild:
         assert small.nondegenerate and large.nondegenerate
 
     def test_reproducible_from_seed(self, dom):
-        a = build_dictionary(2, "large", 12, dom, seed=42)
-        b = build_dictionary(2, "large", 12, dom, seed=42)
+        _, a = nested_dictionaries(2, 12, dom, seed=42)
+        _, b = nested_dictionaries(2, 12, dom, seed=42)
         assert len(a.members) == 12
         for ma, mb in zip(a.members, b.members):
             assert np.array_equal(ma.samples, mb.samples)
@@ -62,8 +61,8 @@ class TestDictionaryBuild:
             assert np.array_equal(ms.samples, ml.samples)
 
     def test_count_floor(self, dom):
-        with pytest.raises(ValueError):
-            build_dictionary(2, "small", 3, dom)
+        with pytest.raises(ValueError, match="count must be at least 8, got 7"):
+            nested_dictionaries(2, 7, dom)
 
 
 class TestGrandMaximal:
@@ -102,8 +101,8 @@ class TestGrandMaximal:
         assert np.all(mfg.samples <= mf.samples + mg.samples + 1e-12)
 
     def test_monotone_under_dictionary_enlargement(self, dom):
-        small = build_dictionary(2, "small", 4, dom)
-        bigger = build_dictionary(2, "small", 8, dom)
+        small, _ = nested_dictionaries(2, 8, dom)
+        bigger, _ = nested_dictionaries(2, 16, dom)
         f = function_preset("bump:2,0.7", dom)
         a = grand_maximal(f, small, "M0")
         b = grand_maximal(f, bigger, "M0")
