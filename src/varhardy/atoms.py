@@ -158,8 +158,8 @@ class Atom:
 
 @dataclass
 class AtomicDecomposition:
-    """Coefficient/atom pairs plus the single-atom part (None only when
-    there are no thresholds, as for f = 0)."""
+    """Coefficient/atom pairs plus the single-atom part (for f = 0, the
+    zero good part with the floor coefficient)."""
 
     domain: Domain
     lambdas: list[float]
@@ -167,7 +167,7 @@ class AtomicDecomposition:
     q: float
     L: int
     v: float
-    single_part: tuple[float, Atom] | None = None
+    single_part: tuple[float, Atom]
     level_tags: list[int] = field(default_factory=list)
 
     @property
@@ -675,8 +675,6 @@ def atomic_decompose(
 
     mn = grand_maximal(f, dic, "MN").samples
     levels = _level_thresholds(mn)
-    if not levels:
-        return AtomicDecomposition(d, [], [], q, L, v)
 
     def cover(mask: np.ndarray) -> _Cover:
         return _localise(f.samples, *_whitney_cover(mask, d), d, L)
@@ -688,7 +686,7 @@ def atomic_decompose(
     f_abs = np.abs(f.samples.ravel())
     dust = DUST_FLOOR * f.sup()
     masks = [mn > 2.0**j for j in levels]
-    cov_j = cover(masks[0])
+    cov_j = cover(masks[0]) if masks else None
     for j, mask_j, mask_n in zip(levels, masks, masks[1:]):
         if np.array_equal(mask_j, mask_n):
             continue  # identical level sets: the difference vanishes exactly
@@ -741,11 +739,8 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
     """sum of lambda_j a_j plus the single part, rendered on the lattice."""
     dense = np.zeros(dec.domain.shape)
-    for lam, atom in zip(dec.lambdas, dec.atoms):
+    for lam, atom in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
         atom.patch.add_into(dense, lam)
-    if dec.single_part is not None:
-        lam0, a0 = dec.single_part
-        a0.patch.add_into(dense, lam0)
     return GridFunction(dec.domain, dense)
 
 
@@ -839,10 +834,7 @@ def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
     entries = []
     offset = 0
     with open(sidecar, "wb") as fh:
-        items = list(zip(dec.lambdas, dec.atoms))
-        if dec.single_part is not None:
-            items.append(dec.single_part)
-        for lam, atom in items:
+        for lam, atom in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
             arr = np.ascontiguousarray(atom.patch.arr, dtype="<f8")
             fh.write(arr.tobytes())
             entries.append(
@@ -874,7 +866,6 @@ def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
         "L": dec.L,
         "v": dec.v,
         "level_tags": list(dec.level_tags),
-        "single": dec.single_part is not None,
         "sidecar": sidecar.name,
         "atoms": entries,
     }
@@ -887,10 +878,7 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
     dom = Domain(**doc["domain"])
     raw = (path.parent / doc["sidecar"]).read_bytes()
     lambdas, atoms = [], []
-    single = None
-    entries = doc["atoms"]
-    n_single = 1 if doc["single"] else 0
-    for i, e in enumerate(entries):
+    for e in doc["atoms"]:
         ref = e["values_ref"]
         count = int(np.prod(ref["shape"]))
         arr = np.frombuffer(
@@ -898,11 +886,9 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
         ).reshape(ref["shape"]).copy()
         cube = Cube(e["cube"]["k"], tuple(e["cube"]["a"]), tuple(e["cube"]["m"]))
         q = math.inf if e["q"] is None else e["q"]
-        atom = Atom(cube, dom, Patch(tuple(ref["lo"]), arr), q, e["L"], e["kind"])
-        if doc["single"] and i == len(entries) - n_single:
-            single = (e["lambda"], atom)
-        else:
-            lambdas.append(e["lambda"])
-            atoms.append(atom)
+        lambdas.append(e["lambda"])
+        atoms.append(Atom(cube, dom, Patch(tuple(ref["lo"]), arr), q, e["L"], e["kind"]))
+    # the single atom is written last
+    single = (lambdas.pop(), atoms.pop())
     q = math.inf if doc["q"] is None else doc["q"]
     return AtomicDecomposition(dom, lambdas, atoms, q, doc["L"], doc["v"], single, doc["level_tags"])

@@ -12,7 +12,6 @@ from .grid import Cube, Domain, GridFunction
 
 __all__ = [
     "VariableExponent",
-    "bounds",
     "lh0_constant",
     "lhinf_constant",
     "dual_exponent",
@@ -76,11 +75,6 @@ class VariableExponent:
     def requires_class_p(self):
         if self.p_minus <= 1:
             raise ValueError(f"exponent must have p_minus > 1, got {self.p_minus:g}")
-
-
-def bounds(p: VariableExponent) -> tuple[float, float]:
-    """(ess-inf, ess-sup) over the window samples."""
-    return p.p_minus, p.p_plus
 
 
 def _subgrid_points(p: VariableExponent, per_axis: int) -> tuple[np.ndarray, np.ndarray]:

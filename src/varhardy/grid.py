@@ -144,8 +144,8 @@ class GridFunction:
     """Sampled real function on a Domain lattice; immutable.
 
     `_memo` holds what callers derive from the samples and keep, such as a
-    kernel's spectra per scale; the samples never change, so it cannot go
-    stale.
+    kernel's spectra per scale, or the phi_star of a `make_phi_pair` phi;
+    the samples never change, so it cannot go stale.
     """
 
     domain: Domain

@@ -6,7 +6,9 @@ phi_star = phi - 2^-n phi(./2).  Then phi_star has vanishing moments up to
 order L, and the dyadic rescalings telescope exactly:
 phi_star_{2^-j} = phi_{2^-j} - phi_{2^-(j-1)}, so partial sums of the
 square-function levels reconstruct the running mollification of f with no
-error beyond round-off.
+error beyond round-off.  `make_phi_pair` keeps phi_star on phi, so the
+telescope runs on the same phi_star as the norms; a phi made any other way
+is refused.
 
 Each kernel's spectrum at each scale is built on first use and kept on the
 kernel instance (`grid.scaled_spectrum`), cropped to its support, so calls
@@ -81,6 +83,7 @@ def make_phi_pair(L: int, domain: Domain) -> tuple[GridFunction, GridFunction]:
 
     phi = GridFunction.from_callable(d, phi_fn)
     phi_star = GridFunction.from_callable(d, phi_star_fn)
+    phi._memo["phi_star"] = phi_star
     return phi, phi_star
 
 
@@ -142,16 +145,18 @@ def telescoping_reconstruct(
     """phi*f + sum_{j<=J} phi_star_{2^-j}*f, which telescopes to phi_{2^-J}*f.
 
     Returns the reconstruction together with a report of its relative L^2
-    distance from f (the mollification error at scale 2^-J).  The partner
-    phi - 2^-n phi(./2) is built once and kept on phi, like the spectra.
+    distance from f (the mollification error at scale 2^-J).  The levels
+    convolve with the phi_star that `make_phi_pair` built beside phi and
+    share its spectra with `lp_norm`; a phi made any other way raises
+    ValueError.
     """
     d = f.domain
     if J is None:
         J = d.level - 3
     _check_domains(f, phi)
-    if "telescope_partner" not in phi._memo:
-        phi._memo["telescope_partner"] = GridFunction(d, phi.samples - rescale_mollifier_half(phi).samples)
-    phi_star = phi._memo["telescope_partner"]
+    if "phi_star" not in phi._memo:
+        raise ValueError("phi must come from make_phi_pair")
+    phi_star = phi._memo["phi_star"]
     convs = convolve_bank(f, chain([scaled_spectrum(phi, 0)], _level_spectra(phi_star, J), [scaled_spectrum(phi, J)]))
     acc = next(convs)
     for conv in islice(convs, J):
@@ -171,18 +176,3 @@ def telescoping_reconstruct(
         quantities={"telescope_error": tele_err, "relative_l2_error": rel_l2, "J": float(J)},
     )
     return out, rep
-
-
-def rescale_mollifier_half(phi: GridFunction) -> GridFunction:
-    """2^-n phi(./2) sampled on the lattice via separable linear
-    interpolation at half-integer source points."""
-    d = phi.domain
-    x = d.axis()
-    idx = np.interp(x / 2.0, x, np.arange(d.npts))
-    lo = np.floor(idx).astype(int)
-    hi = np.minimum(lo + 1, d.npts - 1)
-    out = phi.samples
-    for ax, frac in enumerate(np.ix_(*[idx - lo] * d.dim)):
-        a, b = out.take(lo, axis=ax), out.take(hi, axis=ax)
-        out = a + (b - a) * frac
-    return GridFunction(d, 2.0 ** (-d.dim) * out)

@@ -99,21 +99,22 @@ def hl_maximal(f: GridFunction) -> GridFunction:
     A computable minorant of the supremum over arbitrary cubes; the two
     agree within the covering factor 6^n.
     """
-    d = f.domain
-    out = np.zeros(d.shape)
-    for a in all_shifts(d.dim):
-        np.maximum(out, grid_maximal(f, a).samples, out=out)
-    return GridFunction(d, out)
+    return _all_grids_maximal(f, None)
 
 
 def local_maximal(f: GridFunction, R: float = 1.0) -> GridFunction:
     """Maximal function restricted to cubes of volume at most R^n."""
-    d = f.domain
-    if R < d.h:
+    if R < f.domain.h:
         raise ValueError("R below grid resolution")
+    return _all_grids_maximal(f, R)
+
+
+def _all_grids_maximal(f: GridFunction, max_side: float | None) -> GridFunction:
+    """Pointwise max of `grid_maximal` over every shifted grid."""
+    d = f.domain
     out = np.zeros(d.shape)
     for a in all_shifts(d.dim):
-        np.maximum(out, grid_maximal(f, a, max_side=R).samples, out=out)
+        np.maximum(out, grid_maximal(f, a, max_side).samples, out=out)
     return GridFunction(d, out)
 
 

@@ -43,10 +43,6 @@ class WaveletSystem:
     scaling_filter: np.ndarray
     wavelet_filter: np.ndarray
 
-    @property
-    def vanishing_moments(self) -> int:
-        return self.N
-
 
 def _polish_roots(roots: np.ndarray, poly: np.ndarray) -> np.ndarray:
     dpoly = np.polyder(poly)
@@ -260,9 +256,9 @@ def wavelet_norm(
         n = f.domain.dim
         q_w = q_w_estimate(w)
         needed = max(-1, math.floor(n * (q_w / min(1.0, p.p_minus) - 1.0)))
-        if sys.vanishing_moments < needed:
+        if sys.N < needed:
             raise ValueError(
-                f"moment bound violated: system has {sys.vanishing_moments}, needs L >= {needed}"
+                f"moment bound violated: system has {sys.N}, needs L >= {needed}"
             )
     coeffs = analyze(f, sys, J)
     return luxemburg_norm(_v_samples(coeffs), p, w) + luxemburg_norm(_w_samples(coeffs), p, w)

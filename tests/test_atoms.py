@@ -662,5 +662,9 @@ class TestSerialization:
         path = tmp_path / "empty.json"
         save_decomposition(dec, path)
         back = load_decomposition(path)
-        assert back.atoms == [] and back.single_part is None
+        assert back.atoms == []
+        lam0, single = back.single_part
+        assert lam0 == atoms.LAMBDA_FLOOR and single.kind == "single"
+        assert not np.any(single.patch.arr)
+        assert synthesize(back).sup() == 0.0
         assert (back.q, back.L, back.v, back.level_tags) == (4.0, 2, dec.v, [])

@@ -3,7 +3,6 @@ import pytest
 
 from varhardy.exponent import (
     VariableExponent,
-    bounds,
     dual_exponent,
     lh0_constant,
     lhinf_constant,
@@ -23,11 +22,11 @@ def dom():
 class TestBounds:
     def test_constant(self, dom):
         p = VariableExponent.constant(dom, 2.0)
-        assert bounds(p) == (2.0, 2.0)
+        assert (p.p_minus, p.p_plus) == (2.0, 2.0)
 
     def test_half_one_clip(self, dom):
         p = exponent_preset("paper91", dom)
-        lo, hi = bounds(p)
+        lo, hi = p.p_minus, p.p_plus
         assert lo == pytest.approx(0.5)
         assert hi == pytest.approx(1.0)
 
@@ -36,7 +35,7 @@ class TestBounds:
         p = exponent_preset("sin2", dom)
         xs = np.linspace(-8, 8, 400001)
         vals = 2 + np.sin(xs) ** 2
-        lo, hi = bounds(p)
+        lo, hi = p.p_minus, p.p_plus
         assert lo == pytest.approx(vals.min(), abs=1e-4)
         assert hi == pytest.approx(vals.max(), abs=1e-4)
 

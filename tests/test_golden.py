@@ -7,7 +7,9 @@ exactly.  A change that moves a report rewrites the files with
 
     PYTHONPATH=src python tests/test_golden.py [n ...]
 
-(all dimensions by default) and lists each changed row in CHANGES.md.
+(all dimensions by default), which first prints every field that moved as
+`<n>d/suite/case field: old → new`; a change lists these rows in
+CHANGES.md.
 """
 
 import json
@@ -41,6 +43,39 @@ def _path(n: int, suite: str) -> Path:
     return GOLDEN / f"{n}d" / f"{suite}.json"
 
 
+def changed_rows(want: dict, got: dict) -> list[str]:
+    """`suite/case field: old → new` per field that differs between two
+    documents of one suite, and `suite/case: added` or `removed` per row
+    that only one of them has."""
+    old = {c["case"]: c for c in want["cases"]}
+    new = {c["case"]: c for c in got["cases"]}
+    lines = []
+    for case in dict.fromkeys([*old, *new]):
+        a, b = old.get(case), new.get(case)
+        if a is None or b is None:
+            lines.append(f"{got['suite']}/{case}: {'added' if a is None else 'removed'}")
+            continue
+        lines += [
+            f"{got['suite']}/{case} {k}: {a.get(k)!r} → {b.get(k)!r}"
+            for k in sorted(a.keys() | b.keys())
+            if a.get(k) != b.get(k)
+        ]
+    return lines
+
+
+def test_changed_rows_lists_each_moved_field():
+    row = {"case": "c", "passed": True, "value_m": 1.0, "value_m1": None}
+    want = {"suite": "E0", "cases": [row, {**row, "case": "gone"}]}
+    got = {"suite": "E0", "cases": [{**row, "value_m": 0.1 + 0.2, "value_m1": 2.0}, {**row, "case": "new"}]}
+    assert changed_rows(want, want) == []
+    assert changed_rows(want, got) == [
+        "E0/c value_m: 1.0 → 0.30000000000000004",
+        "E0/c value_m1: None → 2.0",
+        "E0/gone: removed",
+        "E0/new: added",
+    ]
+
+
 @pytest.mark.parametrize("suite", sorted(SUITES))
 @pytest.mark.parametrize("n", sorted(WINDOWS), ids=lambda n: f"{n}d")
 def test_report_matches_golden(n, suite):
@@ -57,5 +92,9 @@ if __name__ == "__main__":
     for n in map(int, sys.argv[1:]) if len(sys.argv) > 1 else sorted(WINDOWS):
         _path(n, "E1").parent.mkdir(parents=True, exist_ok=True)
         for suite in sorted(SUITES):
-            _path(n, suite).write_text(json.dumps(golden_document(n, suite), indent=1, sort_keys=True) + "\n")
-            print(f"wrote {_path(n, suite)}")
+            path, doc = _path(n, suite), golden_document(n, suite)
+            if path.exists():
+                for line in changed_rows(json.loads(path.read_text()), doc):
+                    print(f"{n}d/{line}")
+            path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            print(f"wrote {path}")

@@ -59,6 +59,15 @@ class TestPhiPair:
                 moment = quadrature(GridFunction(d2, phi_star.samples * x**a * y**b))
                 assert abs(moment) <= 1e-7, (a, b)
 
+    @pytest.mark.parametrize("L", [0, 2])
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 2, 6)], ids=["n1", "n2"])
+    def test_phi_star_telescopes_bitwise(self, d, L):
+        phi, phi_star = make_phi_pair(L, d)
+        for j in range(1, d.level - 1):
+            lhs = rescale_mollifier(phi_star, 2.0**-j).samples
+            rhs = rescale_mollifier(phi, 2.0**-j).samples - rescale_mollifier(phi, 2.0 ** (1 - j)).samples
+            assert np.array_equal(lhs, rhs), j
+
 
 class TestSquareFunction:
     def test_zero(self, dom, pair):
@@ -107,6 +116,12 @@ class TestSquareFunction:
         ):
             with pytest.raises(ValueError, match="domain mismatch"):
                 call()
+
+    def test_telescope_refuses_a_phi_without_its_pair(self, dom, pair):
+        phi, _ = pair
+        f = function_preset("bump:0,1", dom)
+        with pytest.raises(ValueError, match="make_phi_pair"):
+            telescoping_reconstruct(f, GridFunction(dom, phi.samples))
 
     def test_depth_guard(self, dom, pair):
         _, phi_star = pair
@@ -214,3 +229,11 @@ class TestSpectraKept:
         again, _ = telescoping_reconstruct(f, phi)
         assert built == []
         assert np.array_equal(again.samples, out.samples)
+
+    def test_telescope_after_lp_norm_builds_one_spectrum(self, dom, built):
+        phi, phi_star = make_phi_pair(2, dom)
+        f = function_preset("bump:0.5,1", dom)
+        lp_norm(f, VariableExponent.constant(dom, 2.0), None, phi, phi_star)
+        built.clear()
+        telescoping_reconstruct(f, phi)
+        assert len(built) == 1  # phi at 2^-J; the levels reuse phi_star's spectra

@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from varhardy.exponent import VariableExponent, dual_exponent
 from varhardy.grid import Box, Cube, Domain, GridFunction, quadrature, rescale_mollifier
-from varhardy.littlewood_paley import rescale_mollifier_half
 from varhardy.maximal import hl_maximal
 from varhardy.norms import luxemburg_norm, modular
 from varhardy.wavelets import analyze, build_wavelet_system
@@ -118,14 +117,6 @@ def test_rescale_mollifier_is_separable(a, b, j):
     t = 2.0**-j
     lhs = rescale_mollifier(tensor(a, b), t).samples
     rhs = np.outer(*(rescale_mollifier(GridFunction(DOM, v), t).samples for v in (a, b)))
-    assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-@settings(max_examples=10, deadline=None)
-@given(finite_arrays, finite_arrays)
-def test_rescale_mollifier_half_is_separable(a, b):
-    lhs = rescale_mollifier_half(tensor(a, b)).samples
-    rhs = np.outer(*(rescale_mollifier_half(GridFunction(DOM, v)).samples for v in (a, b)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
 
