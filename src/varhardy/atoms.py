@@ -53,7 +53,7 @@ from .hardy import TestDictionary, grand_maximal
 from .maximal import local_maximal
 from .norms import _luxemburg_solve, luxemburg_norm
 from .report import Report
-from .weights import Weight, q_w_estimate
+from .weights import Weight, moment_order, q_w_estimate
 
 __all__ = [
     "Atom",
@@ -378,26 +378,22 @@ class _Group:
 
 @dataclass
 class _Cover:
-    """Whitney cover of one set with its localisation, stored flat.
-
-    `owner`, `point`, `eta` and `bad` concatenate the cube windows in cube
-    order; `lo`/`shape` give each window's box for rendering patches.
-    """
+    """Whitney cover of one set with its localisation, kept as its groups;
+    `lo`/`shape` give each cube's window box for rendering patches."""
 
     groups: list[_Group]
     lo: np.ndarray  # (K, n)
     shape: np.ndarray  # (K, n)
-    owner: np.ndarray
-    point: np.ndarray
-    eta: np.ndarray
-    bad: np.ndarray
 
-    def patches(self, flat: np.ndarray) -> list[Patch]:
-        stops = np.cumsum(np.prod(self.shape, axis=1))
-        return [
-            Patch(tuple(int(v) for v in lo), flat[stop - math.prod(shp) : stop].reshape(tuple(shp)))
-            for lo, shp, stop in zip(self.lo, self.shape, stops)
-        ]
+    def patches(self, rows: str) -> list[Patch]:
+        """One patch per cube, in cube order, from the group rows `rows`
+        ("eta" or "bad")."""
+        out = [None] * len(self.lo)
+        for g in self.groups:
+            shp = tuple(int(v) for v in self.shape[g.cube[0]])
+            for c, row in zip(g.cube.tolist(), getattr(g, rows)):
+                out[c] = Patch(tuple(int(v) for v in self.lo[c]), row.reshape(shp))
+        return out
 
 
 def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.ndarray, domain: Domain, L: int) -> _Cover:
@@ -446,15 +442,7 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
         inv_gram = _inverse_grams(eta, mono)
         bad = (f_rows - _moment_fit(f_rows, eta, mono, inv_gram)) * eta
         groups.append(_Group(idx, point, eta, bad, mono, inv_gram))
-    # the same entries in cube order
-    size = np.prod(shape, axis=1)
-    offset = np.cumsum(size) - size
-    flat = [np.empty(int(size.sum()), dtype=t) for t in (np.int64, np.int64, float, float)]
-    for g in groups:
-        at = (offset[g.cube][:, None] + np.arange(g.point.shape[1])).ravel()
-        for dst, src in zip(flat, (np.repeat(g.cube, g.point.shape[1]), g.point, g.eta, g.bad)):
-            dst[at] = src.ravel()
-    return _Cover(groups, lo, shape, *flat)
+    return _Cover(groups, lo, shape)
 
 
 def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
@@ -467,8 +455,7 @@ def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
     level = np.array([c.level for c in cubes], dtype=np.int64)
     shift = np.array([c.shift for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
     index = np.array([c.index for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
-    cov = _localise(np.zeros(domain.shape), level, shift, index, domain, -1)
-    return cov.patches(cov.eta)
+    return _localise(np.zeros(domain.shape), level, shift, index, domain, -1).patches("eta")
 
 
 def moment_projection(f: GridFunction, eta: GridFunction, L: int) -> Patch:
@@ -514,9 +501,10 @@ def cz_decompose(
     cubes = _whitney_cover(mask, d)
     cov = _localise(f.samples, *cubes, d, L)
     dense = np.zeros(f.samples.size)
-    np.add.at(dense, cov.point, cov.bad)
+    for g in cov.groups:
+        np.add.at(dense, g.point.ravel(), g.bad.ravel())
     good = GridFunction(d, f.samples - dense.reshape(d.shape))
-    return good, list(zip(_cube_list(*cubes), cov.patches(cov.bad)))
+    return good, list(zip(_cube_list(*cubes), cov.patches("bad")))
 
 
 # ---------------------------------------------------------------------------
@@ -548,16 +536,22 @@ def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Atoms of one level pair as flat (owner, point, value) entries sorted
-    by owner, then point.
+    by owner, then point; `cov_j` holds at least one cube.
 
     Each owner's atom is its bad part b_{j,k} minus, for every next-level
     cube whose window meets the owner's, the owner's share of b_{j+1} re-
     projected against that cube's weight so the moments stay exact.
     """
-    by_point = np.argsort(cov_j.point, kind="stable")
-    sorted_points = cov_j.point[by_point]
+    # the owners' own entries, group after group: each (owner, point) key
+    # meets its own entry first, so the sums below do not depend on the order
+    gj = cov_j.groups
+    own_j = np.concatenate([np.repeat(g.cube, g.point.shape[1]) for g in gj])
+    point_j = np.concatenate([g.point.ravel() for g in gj])
+    eta_j = np.concatenate([g.eta.ravel() for g in gj])
+    by_point = np.argsort(point_j, kind="stable")
+    sorted_points = point_j[by_point]
     nj = len(cov_j.lo)
-    owner, point, value = [cov_j.owner], [cov_j.point], [cov_j.bad]
+    owner, point, value = [own_j], [point_j], [np.concatenate([g.bad.ravel() for g in gj])]
     for g in cov_n.groups:
         width = g.point.shape[1]
         query = g.point.ravel()
@@ -565,10 +559,10 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, 
         count = np.searchsorted(sorted_points, query, side="right") - start
         rec, pos = _expand(start, count)
         hit = by_point[pos]
-        pairs, pair_of = np.unique(rec // width * nj + cov_j.owner[hit], return_inverse=True)
+        pairs, pair_of = np.unique(rec // width * nj + own_j[hit], return_inverse=True)
         row, own = np.divmod(pairs, nj)
         cut = np.zeros((pairs.size, width))
-        cut[pair_of, rec % width] = cov_j.eta[hit]
+        cut[pair_of, rec % width] = eta_j[hit]
         f_minus_p = np.divide(g.bad, g.eta, out=np.zeros_like(g.bad), where=g.eta > 0)
         weighted = cut * f_minus_p[row]
         eta = g.eta[row]
@@ -657,7 +651,7 @@ def atomic_decompose(
         v = min(1.0, 0.9 * p.p_minus)
     if not (0.0 < v <= 1.0 and v < p.p_minus):
         raise ValueError(f"admissibility violated: need 0 < v <= 1 and v < p_minus, got v={v}")
-    moment_floor = math.floor(d.dim * (q_w / v - 1.0))
+    moment_floor = moment_order(d.dim, q_w, v)
     if L is None:
         L = max(moment_floor, 0)
     if L < moment_floor:
@@ -688,8 +682,10 @@ def atomic_decompose(
     masks = [mn > 2.0**j for j in levels]
     cov_j = cover(masks[0]) if masks else None
     for j, mask_j, mask_n in zip(levels, masks, masks[1:]):
-        if np.array_equal(mask_j, mask_n):
-            continue  # identical level sets: the difference vanishes exactly
+        # identical level sets, or a cover without cubes (its subsets have
+        # none either): the difference vanishes exactly
+        if np.array_equal(mask_j, mask_n) or not cov_j.groups:
+            continue
         cov_n = cover(mask_n)
         owner, point, value = _level_pieces(cov_j, cov_n, f.samples.size)
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
@@ -791,9 +787,7 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
     )
 
 
-def bad_part_majorant_check(
-    a: Atom, dic: TestDictionary, w: Weight | None, p: VariableExponent | None
-) -> Report:
+def bad_part_majorant_check(a: Atom, dic: TestDictionary) -> Report:
     """Pointwise decay of the grand maximal function of a local atom.
 
     Records the constant sup over x outside 2Q of

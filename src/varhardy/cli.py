@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import MAIN_GRID_SHIFT, GridFunction
 from .harness import ExperimentConfig, SUITES, list_presets, run_suite
 from .norms import luxemburg_norm
 from .presets import PresetError, exponent_preset, function_preset, weight_preset
@@ -56,8 +56,16 @@ def _parse_hardy_dict(spec: str) -> dict:
         if key not in mapping:
             raise PresetError(f"unknown hardy-dict key {key!r}")
         field, cast = mapping[key]
-        out[field] = cast(val)
+        out[field] = _cast(cast, val, spec)
     return out
+
+
+def _cast(cast, text: str, spec: str):
+    """`text`, an argument of `spec`, as `cast`; a malformed one is a usage error."""
+    try:
+        return cast(text)
+    except ValueError as exc:
+        raise PresetError(f"malformed argument {text!r} in {spec!r}") from exc
 
 
 # JSON value types accepted for each ExperimentConfig field annotation
@@ -139,20 +147,20 @@ def _apply_operator(spec: str, f: GridFunction, w) -> GridFunction:
     if name == "Mloc":
         return mx.local_maximal(f)
     if name == "MlocR":
-        return mx.local_maximal(f, R=float(arg))
+        return mx.local_maximal(f, R=_cast(float, arg, spec))
     if name == "Mgrid":
-        shift = tuple(int(c) for c in arg.split(";")) if arg else (1,) * f.domain.dim
+        shift = tuple(_cast(int, c, spec) for c in arg.split(";")) if arg else (MAIN_GRID_SHIFT,) * f.domain.dim
         return mx.grid_maximal(f, shift)
     if name == "Mwpow":
-        return mx.powered_weighted_local_maximal(f, w, float(arg))
+        return mx.powered_weighted_local_maximal(f, w, _cast(float, arg, spec))
     if name == "KB":
-        return mx.k_b_operator(f, float(arg) if arg else 16.0)
+        return mx.k_b_operator(f, _cast(float, arg, spec) if arg else 16.0)
     if name == "Ek":
-        return mx.averaging_e_k(f, int(arg))
+        return mx.averaging_e_k(f, _cast(int, arg, spec))
     if name == "Mdleq":
-        return mx.restricted_dyadic_maximal(f, float(arg), "below")
+        return mx.restricted_dyadic_maximal(f, _cast(float, arg, spec), "below")
     if name == "Mdgeq":
-        return mx.restricted_dyadic_maximal(f, float(arg), "above")
+        return mx.restricted_dyadic_maximal(f, _cast(float, arg, spec), "above")
     raise PresetError(f"unknown operator key {name!r} in {spec!r}")
 
 

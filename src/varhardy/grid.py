@@ -41,6 +41,8 @@ __all__ = [
     "multi_indices",
 ]
 
+MAIN_GRID_SHIFT = 1  # the distinguished dyadic grid uses shift (1,...,1)
+
 
 def _is_pow2(x: float) -> bool:
     m, e = math.frexp(x)

@@ -30,7 +30,7 @@ from .grid import (
 )
 from .norms import luxemburg_norm
 from .report import Report
-from .weights import Weight, q_w_estimate, stability_ratio, STABILITY_FACTOR
+from .weights import Weight, moment_order, q_w_estimate, stability_ratio, STABILITY_FACTOR
 
 __all__ = [
     "TestDictionary",
@@ -218,9 +218,7 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
 
 def capital_n(p: VariableExponent, w: Weight) -> int:
     """Order threshold 2 + floor(n (q_w / min(1, p_minus) - 1))."""
-    q_w = q_w_estimate(w)
-    n = p.domain.dim
-    return 2 + math.floor(n * (q_w / min(1.0, p.p_minus) - 1.0))
+    return 2 + moment_order(p.domain.dim, q_w_estimate(w), min(1.0, p.p_minus))
 
 
 def hardy_norm(
@@ -228,10 +226,10 @@ def hardy_norm(
     p: VariableExponent,
     w: Weight | None,
     dic: TestDictionary,
-    check_order: bool = True,
 ) -> float:
-    """Luxemburg norm of the offset grand maximal function."""
-    if check_order and w is not None:
+    """Luxemburg norm of the offset grand maximal function; with a weight,
+    the dictionary order must reach `capital_n`."""
+    if w is not None:
         needed = capital_n(p, w)
         if dic.order < needed:
             raise ValueError(

@@ -27,7 +27,7 @@ from . import littlewood_paley as lp_mod
 from . import maximal as max_mod
 from . import wavelets as wav_mod
 from .exponent import VariableExponent
-from .grid import Cube, Domain, GridFunction, all_shifts
+from .grid import MAIN_GRID_SHIFT, Cube, Domain, GridFunction, all_shifts
 from .hardy import (
     MIN_DICT_COUNT,
     TestDictionary,
@@ -247,7 +247,7 @@ def suite_e2(cfg: ExperimentConfig, rng) -> list[Report]:
     hgf = GridFunction(d, h_arr)
     below = max_mod.restricted_dyadic_maximal(hgf, 2 * d.half_width, "below")
     above = max_mod.restricted_dyadic_maximal(hgf, d.h, "above")
-    full = max_mod.grid_maximal(hgf, (1,) * d.dim)
+    full = max_mod.grid_maximal(hgf, (MAIN_GRID_SHIFT,) * d.dim)
     err = float(np.max(np.abs(np.maximum(below.samples, above.samples) - full.samples)))
     cases.append(Report("restricted_union", err <= 1e-12, {"max_err": err}))
 

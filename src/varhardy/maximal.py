@@ -19,6 +19,7 @@ import numpy as np
 
 from .exponent import VariableExponent
 from .grid import (
+    MAIN_GRID_SHIFT,
     CubeLayout,
     Domain,
     GridFunction,
@@ -44,8 +45,6 @@ __all__ = [
     "boundedness_probe",
     "vector_valued_maximal_ratio",
 ]
-
-MAIN_GRID_SHIFT = 1  # the distinguished dyadic grid uses shift (1,...,1)
 
 
 def _chain_sup(domain: Domain, shift: tuple[int, ...], levels, value, *arrays) -> np.ndarray:

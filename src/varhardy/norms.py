@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import Cube, CubeLayout, GridFunction
+from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, GridFunction
 from .report import Report
 
 if TYPE_CHECKING:
@@ -32,7 +32,6 @@ __all__ = [
     "indicator_norm_profile",
     "localization_norm",
     "lq_norm",
-    "batch_indicator_norms",
     "batch_restricted_norms",
 ]
 
@@ -161,7 +160,7 @@ def localization_norm(f: GridFunction, p: VariableExponent, k0: int) -> float:
     shift-(1,...,1) dyadic grid."""
     if p.p_infty is None:
         raise ValueError("p_infty not declared")
-    norms, _ = batch_restricted_norms(f.samples, p, None, k0, (1,) * f.domain.dim)
+    norms, _ = batch_restricted_norms(f.samples, p, None, k0, (MAIN_GRID_SHIFT,) * f.domain.dim)
     pinf = p.p_infty
     return float(np.sum(norms ** pinf) ** (1.0 / pinf))
 
@@ -243,14 +242,3 @@ def batch_restricted_norms(
     cubes = CubeLayout(p.domain, level, shift)
     g = np.broadcast_to(g, p.domain.shape)
     return _luxemburg_solve(g, p.values.samples, _cell_weights(p.domain, w), cubes), cubes.ids
-
-
-def batch_indicator_norms(
-    p: VariableExponent,
-    w: "Weight | None",
-    level: int,
-    shift: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cube ||chi_Q||_{L^{p(.)}(w)} for all cubes of one grid level."""
-    ones = np.ones(p.domain.shape)
-    return batch_restricted_norms(ones, p, w, level, shift)

@@ -98,8 +98,8 @@ def weight_preset(spec: str, domain: Domain) -> Weight:
 def function_preset(spec: str, domain: Domain) -> GridFunction:
     """Build a test function from its preset string."""
     name, args = _split(spec)
-    fargs = [float(a) for a in args]
     try:
+        fargs = [float(a) for a in args]
         if name == "bump":
             c = fargs[0] if fargs else 0.0
             s = fargs[1] if len(fargs) > 1 else 1.0

@@ -18,7 +18,7 @@ import numpy as np
 from .exponent import VariableExponent
 from .grid import Domain, GridFunction
 from .norms import luxemburg_norm
-from .weights import Weight, q_w_estimate
+from .weights import Weight, moment_order, q_w_estimate
 
 __all__ = [
     "WaveletSystem",
@@ -245,17 +245,14 @@ def wavelet_norm(
     w: Weight | None,
     sys: WaveletSystem,
     J: int = 0,
-    check_moments: bool = True,
 ) -> float:
     """Two-term norm ||Vf|| + ||Wf|| in L^{p(.)}(w).
 
-    Requires enough vanishing moments: N >= max(-1, floor(n (q_w /
-    min(1, p_minus) - 1))).
+    With a weight, requires enough vanishing moments: N >= max(-1,
+    floor(n (q_w / min(1, p_minus) - 1))).
     """
-    if check_moments and w is not None:
-        n = f.domain.dim
-        q_w = q_w_estimate(w)
-        needed = max(-1, math.floor(n * (q_w / min(1.0, p.p_minus) - 1.0)))
+    if w is not None:
+        needed = max(-1, moment_order(f.domain.dim, q_w_estimate(w), min(1.0, p.p_minus)))
         if sys.N < needed:
             raise ValueError(
                 f"moment bound violated: system has {sys.N}, needs L >= {needed}"

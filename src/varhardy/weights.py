@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import Cube, CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
+from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
 from .report import Report
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "a_loc_var_constant",
     "dual_weight",
     "q_w_estimate",
+    "moment_order",
     "tilde_a_constant",
     "stability_ratio",
     "STABILITY_FACTOR",
@@ -204,7 +205,7 @@ def dual_weight(w: Weight, p: VariableExponent) -> Weight:
 
 def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     """sup over cubes |Q| <= 1 of |Q|^{-1} ||chi_Q||_{p(.),w} ||chi_Q||_{p'(.),sigma}."""
-    from .norms import batch_indicator_norms
+    from .norms import batch_restricted_norms
 
     p.requires_class_p()
     d = w.domain
@@ -212,8 +213,8 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     sigma = dual_weight(w, p)
 
     def per_cube(level, shift):
-        n1, _ = batch_indicator_norms(p, w, level, shift)
-        n2, _ = batch_indicator_norms(pd, sigma, level, shift)
+        n1, _ = batch_restricted_norms(1.0, p, w, level, shift)
+        n2, _ = batch_restricted_norms(1.0, pd, sigma, level, shift)
         return n1 * n2 / (2.0 ** (-level)) ** d.dim
 
     return _largest(per_cube(k, a) for k in level_range(d, 1.0) for a in all_shifts(d.dim))
@@ -251,6 +252,12 @@ def q_w_estimate(w: Weight) -> float:
     return hi
 
 
+def moment_order(n: int, q_w: float, r: float) -> int:
+    """floor(n (q_w / r - 1)), the moment order that the theorems ask of
+    atoms (r = v) and of test functions and wavelets (r = min(1, p_minus))."""
+    return math.floor(n * (q_w / r - 1.0))
+
+
 def tilde_a_constant(
     w: Weight, p: VariableExponent, max_side: float | None = None
 ) -> MuckenhouptReport:
@@ -260,7 +267,7 @@ def tilde_a_constant(
 
     p.requires_class_p()
     d = w.domain
-    shift = (1,) * d.dim
+    shift = (MAIN_GRID_SHIFT,) * d.dim
     if max_side is None:
         max_side = 2.0 * d.half_width
     pv = p.values.samples

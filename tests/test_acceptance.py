@@ -375,7 +375,7 @@ def test_criterion_10_atomic_round_trip(dicts):
             a_norm = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
             ratios.append(
                 (dec.single_part[0] + a_norm)
-                / hardy_norm(f, p, w, large, check_order=False)
+                / hardy_norm(f, p, w, large)
             )
         spreads.append(max(ratios) / min(ratios))
     took = time.perf_counter() - t0
@@ -414,9 +414,9 @@ def test_criterion_11_lp_and_wavelet_equivalences(dicts, dicts_fine):
             fam = [function_preset(f"bump:{c:.6f},{s:.6f},{a:.6f}", domain) for c, s, a in specs]
             lp_r, wav_r = [], []
             for f in fam:
-                hn = hardy_norm(f, p, w, dic, check_order=False)
+                hn = hardy_norm(f, p, w, dic)
                 lp_r.append(lp_norm(f, p, w, phi, phi_star) / hn)
-                wav_r.append(wavelet_norm(f, p, w, sys2, check_moments=False) / hn)
+                wav_r.append(wavelet_norm(f, p, w, sys2) / hn)
             per_res[tag] = (lp_r, wav_r)
         key = f"{pspec}|{wspec}"
         spreads[key] = (
@@ -436,7 +436,7 @@ def test_criterion_11_lp_and_wavelet_equivalences(dicts, dicts_fine):
     fam = [function_preset(f"bump:{c:.6f},{s:.6f},{a:.6f}", DOM) for c, s, a in specs]
     lp_band = [lp_norm(f, p2, None, phi, phi_star) / lq_norm(f, 2.0) for f in fam]
     wav_band = [
-        wavelet_norm(f, p2, None, sys2, check_moments=False) / lq_norm(f, 2.0) for f in fam
+        wavelet_norm(f, p2, None, sys2) / lq_norm(f, 2.0) for f in fam
     ]
     band_ok = max(lp_band) / min(lp_band) <= 4.0 and max(wav_band) / min(wav_band) <= 4.0
     parseval_worst = 0.0

@@ -340,6 +340,19 @@ class TestCZ:
             checked += 1
         assert checked
 
+    def test_patches_follow_cube_order(self, dom, dicts):
+        # each patch lies on its own cube's window: the cube's lattice range
+        # grown by one point a side, clipped to the lattice
+        _, large = dicts
+        f = function_preset("bump:0.5,1.2", dom)
+        mn = grand_maximal(f, large, "MN").samples
+        _, bad = cz_decompose(f, float(np.median(mn[mn > 0])), large, 1)
+        cubes = [c for c, _ in bad][::-1]  # finest first, against the level order of the groups
+        windows = [tuple(max(a - 1, 0) for a, _ in c.lattice_ranges(dom)) for c in cubes]
+        assert len({c.level for c in cubes}) > 1
+        assert [b.lo for _, b in bad][::-1] == windows
+        assert [e.lo for e in partition_of_unity(cubes, dom)] == windows
+
     def test_2d_square_split(self, dom2, monkeypatch):
         monkeypatch.setattr(atoms, "grand_maximal", square_level_sets(dom2, [(1.6, 1.0)]))
         x, y = dom2.coords()
@@ -599,24 +612,20 @@ class TestUnitSplit:
 class TestMajorantCheck:
     def test_haar_atom_constant(self, dom, dicts):
         _, large = dicts
-        w = weight_preset("const:1", dom)
-        p = VariableExponent.constant(dom, 2.0)
         atom = haar_atom(dom, Cube(3, (0,), (2,)))
-        rep = bad_part_majorant_check(atom, large, w, p)
+        rep = bad_part_majorant_check(atom, large)
         assert rep.passed
         assert np.isfinite(rep.q("constant"))
 
     def test_moment_broken_control(self, dom, dicts):
         # breaking the cancellation inflates the decay constant
         _, large = dicts
-        w = weight_preset("const:1", dom)
-        p = VariableExponent.constant(dom, 2.0)
         cube = Cube(3, (0,), (2,))
         good = haar_atom(dom, cube)
         (a, b), = cube.lattice_ranges(dom)
         bad = Atom(cube, dom, Patch((a,), np.abs(good.patch.arr)), math.inf, 0, "local")
-        c_good = bad_part_majorant_check(good, large, w, p).q("constant")
-        c_bad = bad_part_majorant_check(bad, large, w, p).q("constant")
+        c_good = bad_part_majorant_check(good, large).q("constant")
+        c_bad = bad_part_majorant_check(bad, large).q("constant")
         assert c_bad > 2.0 * c_good
 
     @pytest.mark.parametrize("corner", [(2, 2), (-3, -3), (2, -3)])
@@ -629,7 +638,7 @@ class TestMajorantCheck:
         arr = np.outer([1.0, 1.0, -1.0, -1.0], np.ones(4))
         lo = tuple(s.start for s in cube.lattice_slices(d))
         atom = Atom(cube, d, Patch(lo, arr), math.inf, 0, "local")
-        rep = bad_part_majorant_check(atom, large, None, VariableExponent.constant(d, 2.0))
+        rep = bad_part_majorant_check(atom, large)
         assert rep.passed, rep.quantities
 
 

@@ -1,4 +1,5 @@
-"""Every defaulted parameter of the library is set by some caller.
+"""Every defaulted parameter of the library is set by some caller, and
+every parameter is read.
 
 A parameter with a default that no call in `src/varhardy` or `perfbench/`
 passes, by position or by keyword, is a setting with one value in use: it
@@ -19,17 +20,24 @@ ALLOWED = {
     "atoms.atomic_decompose(q)": "the paper's atom exponent q; tests check its lower bound",
     "atoms.atomic_decompose(v)": "the paper's sequence exponent v; tests check its bound",
     "weights.reverse_holder_check(q)": "an explicit exponent lets tests force the bound to fail",
-    "hardy.hardy_norm(check_order)": "acceptance criterion 10 sets it",
-    "wavelets.wavelet_norm(check_moments)": "acceptance criterion 11 sets it",
     "grid.enumerate_cubes(shifts)": "enumerate_cubes is the tests' reference enumeration",
     "grid.enumerate_cubes(min_side)": "enumerate_cubes is the tests' reference enumeration",
     "cli.main(argv)": "the console entry point reads sys.argv; tests pass argv",
 }
 
 
-def _defaulted_parameters():
-    """(name, called name, parameter, its position or None) per defaulted
-    parameter of a module-level function or method."""
+# parameters that a function never reads, each with its reason
+UNREAD = {
+    "harness.suite_e3(rng)": "every suite takes (cfg, rng); E3 draws nothing at random",
+    "harness.suite_e4(rng)": "every suite takes (cfg, rng); E4 draws nothing at random",
+    "cli.cmd_list(args)": "an argparse handler takes the parsed arguments",
+    "atoms.validate_atom(p)": "the benchmark's round trips pass it",
+}
+
+
+def _functions():
+    """(name, node, positional parameters without self or cls) of every
+    module-level function and method."""
     for path in sorted(LIBRARY.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.FunctionDef):
@@ -43,15 +51,22 @@ def _defaulted_parameters():
             else:
                 continue
             for name, fn, bound in scoped:
-                args = fn.args
-                positional = [a.arg for a in args.posonlyargs + args.args]
+                positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
                 if bound and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
                     positional = positional[1:]  # self or cls
-                for a in positional[len(positional) - len(args.defaults):] if args.defaults else []:
-                    yield name, fn.name, a, positional.index(a)
-                for a, default in zip(args.kwonlyargs, args.kw_defaults):
-                    if default is not None:
-                        yield name, fn.name, a.arg, None
+                yield name, fn, positional
+
+
+def _defaulted_parameters():
+    """(name, called name, parameter, its position or None) per defaulted
+    parameter of a module-level function or method."""
+    for name, fn, positional in _functions():
+        args = fn.args
+        for a in positional[len(positional) - len(args.defaults):] if args.defaults else []:
+            yield name, fn.name, a, positional.index(a)
+        for a, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield name, fn.name, a.arg, None
 
 
 def _calls():
@@ -76,3 +91,15 @@ def test_every_defaulted_parameter_has_a_caller():
     }
     # an allow-list entry that has gained a caller, or names no parameter, is stale
     assert sorted(dead) == sorted(ALLOWED)
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for name, fn, positional in _functions():
+        args = fn.args
+        params = positional + [a.arg for a in args.kwonlyargs + [args.vararg, args.kwarg] if a is not None]
+        names = (n for stmt in fn.body for n in ast.walk(stmt) if isinstance(n, ast.Name))
+        read = {n.id for n in names if isinstance(n.ctx, ast.Load)}
+        unread |= {f"{name}({a})" for a in params if a not in read}
+    # an allow-list entry whose parameter is now read, or gone, is stale
+    assert sorted(unread) == sorted(UNREAD)

@@ -262,7 +262,7 @@ class TestHardyNorm:
         _, large = dicts
         p = VariableExponent.constant(dom, 2.0)
         f = function_preset("bump:3,0.2,0.01", dom)
-        assert hardy_norm(f, p, None, large, check_order=False) > 0.0
+        assert hardy_norm(f, p, None, large) > 0.0
 
     def test_comparable_to_l2_over_bumps(self, dom, dicts):
         # h^p = L^p for p > 1: the ratio stays in a fixed band over bumps

@@ -175,6 +175,24 @@ class TestCLI:
             ["maximal", "--f", "bump:0,1", "--operator", op, "--out", str(tmp_path / "p.csv")]
         ) == 0
 
+    @pytest.mark.parametrize("op", ["MlocR:x", "Mgrid:1;x", "Ek:x", "KB:x", "Mwpow:x", "Mdleq:x"])
+    def test_malformed_operator_argument_is_usage_error(self, tmp_path, capsys, op):
+        assert main(["maximal", "--operator", op, "--out", str(tmp_path / "p.csv")]) == 2
+        assert repr(op) in capsys.readouterr().err
+
+    def test_operator_error_is_not_usage_error(self, tmp_path, capsys):
+        # a well-formed argument that the operator rejects fails the run
+        assert main(["maximal", "--operator", "Mdleq:100", "--out", str(tmp_path / "p.csv")]) == 1
+        assert "r0 out of range" in capsys.readouterr().err
+
+    def test_malformed_function_argument_is_usage_error(self, capsys):
+        assert main(["norm", "--f", "bump:x"]) == 2
+        assert "'bump:x'" in capsys.readouterr().err
+
+    def test_malformed_hardy_dict_is_usage_error(self, capsys):
+        assert main(["atoms", "--f", "bump:0,0.8", "--hardy-dict", "size=x"]) == 2
+        assert "'size=x'" in capsys.readouterr().err
+
     def test_awconst_command(self, capsys):
         assert main(["awconst", "--w", "power:-0.5", "--p", "lhdecay:1", "--m", "8"]) == 0
         out = capsys.readouterr().out

@@ -7,7 +7,6 @@ from varhardy.exponent import VariableExponent
 from varhardy.grid import Cube, Domain, GridFunction
 from varhardy.norms import (
     LAMBDA_CAP,
-    batch_indicator_norms,
     batch_restricted_norms,
     holder_check,
     indicator_norm_profile,
@@ -301,7 +300,7 @@ class TestBatchNorms:
     def test_matches_scalar(self, dom):
         p = exponent_preset("sin2", dom)
         w = weight_preset("power:1", dom)
-        norms, qidx = batch_indicator_norms(p, w, 1, (1,))
+        norms, qidx = batch_restricted_norms(1.0, p, w, 1, (1,))
         # check three cubes against the scalar path
         x = dom.axis()
         for target in (3, 10, 20):
@@ -316,7 +315,7 @@ class TestBatchNorms:
         # ||chi_Q||_{L^p(w)} = w(Q)^{1/p}, with w(Q) summed cube by cube
         p = VariableExponent.constant(domain, p0)
         w = weight_preset("power:1", domain)
-        norms, qidx = batch_indicator_norms(p, w, 2, (1,) * domain.dim)
+        norms, qidx = batch_restricted_norms(1.0, p, w, 2, (1,) * domain.dim)
         hn = domain.h**domain.dim
         want = [(hn * np.sum(w.values.samples[qidx == j])) ** (1 / p0) for j in range(norms.size)]
         np.testing.assert_allclose(norms, want, rtol=1e-12)
@@ -325,7 +324,7 @@ class TestBatchNorms:
         # p jumps inside cubes; each cube's norm against Brent's method
         edges = [(-8.0, -0.7, 3.5), (-0.7, 0.3, 1.2), (0.3, 1.9, 0.6), (1.9, 8.0, 2.0)]
         p = piecewise_exponent(dom, edges)
-        norms, qidx = batch_indicator_norms(p, None, 0, (1,))
+        norms, qidx = batch_restricted_norms(1.0, p, None, 0, (1,))
         x = dom.axis()
         for target in np.unique(qidx[np.abs(x) < 3]):
             sel = x[qidx == target]

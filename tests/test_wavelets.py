@@ -184,7 +184,7 @@ class TestWaveletNorm:
         for _ in range(10):
             c, s = rng.uniform(-2, 2), rng.uniform(0.3, 1.5)
             f = function_preset(f"bump:{c:.3f},{s:.3f}", dom)
-            ratios.append(wavelet_norm(f, p, None, db2, check_moments=False) / lq_norm(f, 2.0))
+            ratios.append(wavelet_norm(f, p, None, db2) / lq_norm(f, 2.0))
         assert max(ratios) / min(ratios) <= 4.0
 
     def test_moment_gate(self, dom, db2):
