@@ -384,13 +384,6 @@ def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
     return s
 
 
-def _children(r: np.ndarray, lead: list[int], shape: tuple[int, ...]) -> np.ndarray:
-    """The parent value at every child cube: the inverse of `_pair_sums`."""
-    for ax in reversed(range(r.ndim)):  # whole rows are copied last
-        r = np.repeat(r, 2, axis=ax)[_axis(ax, slice(lead[ax], lead[ax] + shape[ax]))]
-    return r
-
-
 def chain_sums(
     domain: Domain, shift: tuple[int, ...], arrays: Sequence[np.ndarray], coarsest: int
 ) -> Iterator[tuple[int, tuple[int, ...], list[int] | None, tuple[np.ndarray, ...]]]:

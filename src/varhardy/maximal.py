@@ -5,15 +5,19 @@ property of the three shifted grids brackets the supremum over arbitrary
 cubes within a factor 6^n, so the dyadic supremum is the canonical
 computable object here.  The cube sums of every level come from the chain
 pyramid of `grid.chain_sums`, the one multi-level sweep that the weight
-constants use too; the running supremum comes back down the pyramid by
-repeats.  One grid is the union of two chains on alternate levels, so
-each operator costs O(points * grids).
+constants use too.  The running supremum comes back down the pyramid in
+place: each level's means overwrite its sums, the parent's value raises
+them one parity class at a time, and the lattice level is the caller's
+array, so for a plain maximal function |f| itself (its lattice mean).  One
+grid is the union of two chains on alternate levels, so each operator
+costs O(points * grids).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from itertools import product
 
 import numpy as np
 
@@ -23,7 +27,6 @@ from .grid import (
     CubeLayout,
     Domain,
     GridFunction,
-    _children,
     all_shifts,
     chain_sums,
     convolve,
@@ -47,22 +50,41 @@ __all__ = [
 ]
 
 
-def _chain_sup(domain: Domain, shift: tuple[int, ...], levels, value, *arrays) -> np.ndarray:
-    """Lattice field of the max over `levels` of value(k, *cube sums) along
-    the chain whose shift on the lattice level is `shift`: the sums come up
-    from `chain_sums` and the running max goes back down by `_children`."""
-    levels = set(levels)
-    if not levels:
-        return np.zeros(domain.shape)
-    run = above = None
-    for k, _, lead, sums in reversed(list(chain_sums(domain, shift, arrays, min(levels)))):
-        if run is not None:
-            run = _children(run, above, sums[0].shape)
+def _raise(run: np.ndarray, parent: np.ndarray, lead: list[int], fill: bool = False) -> None:
+    """run[j] = max(run[j], parent[(j + lead) // 2]) in place, or the parent
+    value alone with `fill`: child j of a `chain_sums` level lies in parent
+    (j + lead) // 2 per axis, so one strided step per parity class."""
+    axes = [
+        [(slice(j, None, 2), slice((j + z) // 2, (j + z) // 2 + (n - j + 1) // 2)) for j in (0, 1)]
+        for n, z in zip(run.shape, lead)
+    ]
+    for cls in product(*axes):
+        child = run[tuple(c for c, _ in cls)]
+        up = parent[tuple(q for _, q in cls)]
+        if fill:
+            child[...] = up
+        else:
+            np.maximum(child, up, out=child)
+
+
+def _chain_sup(out: np.ndarray, sweep: list, levels, value) -> None:
+    """Raise the lattice array `out` in place to the max over the coarser
+    `levels` of value(k, *cube sums) along one chain, whose `chain_sums`
+    are listed in `sweep`.  `value` writes into the first sums of its level,
+    and a level outside `levels` takes its parent's value in its own sums,
+    so no level is allocated anew.  The lattice level is left to `out`."""
+    run = lead = None
+    for k, _, below, sums in reversed(sweep[1:]):  # the coarsest level is in `levels`
         if k in levels:
-            v = value(k, *sums)
-            run = v if run is None else np.maximum(run, v, out=run)
-        above = lead
-    return run
+            cur = value(k, *sums)
+            if run is not None:
+                _raise(cur, run, lead)
+        else:
+            cur = sums[0]
+            _raise(cur, run, lead, fill=True)
+        run, lead = cur, below
+    if run is not None:
+        _raise(out, run, lead)
 
 
 def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None = None,
@@ -79,17 +101,23 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
     if max_side is None:
         max_side = 4.0 * d.half_width
     levels = level_range(d, max_side, min_side)
-    absf = np.abs(f.samples)
+    absf = np.abs(f.samples)  # the lattice level's mean
+    out = absf if d.level in levels else np.zeros(d.shape)
 
     def mean(k, s):  # against the full cube volume (zero extension)
-        return s * (2.0 ** ((k - d.level) * d.dim))
+        return np.multiply(s, 2.0 ** ((k - d.level) * d.dim), out=s)
 
     if not any(shift):
-        return GridFunction(d, _chain_sup(d, shift, levels, mean, absf))
-    other = tuple(2 * a % 3 for a in shift)
-    out = _chain_sup(d, shift, [k for k in levels if (d.level - k) % 2 == 0], mean, absf)
-    odd = _chain_sup(d, other, [k for k in levels if (d.level - k) % 2], mean, absf)
-    return GridFunction(d, np.maximum(out, odd, out=out))
+        chains = [(shift, levels)]
+    else:
+        other = tuple(2 * a % 3 for a in shift)
+        chains = [(shift, [k for k in levels if (d.level - k) % 2 == 0]),
+                  (other, [k for k in levels if (d.level - k) % 2])]
+    # both chains sum |f|, so take their sums before `out` is raised
+    sweeps = [(list(chain_sums(d, a, (absf,), min(ks))), ks) for a, ks in chains if ks]
+    for sweep, ks in sweeps:
+        _chain_sup(out, sweep, ks, mean)
+    return GridFunction(d, out)
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
@@ -103,6 +131,8 @@ def hl_maximal(f: GridFunction) -> GridFunction:
 
 def local_maximal(f: GridFunction, R: float = 1.0) -> GridFunction:
     """Maximal function restricted to cubes of volume at most R^n."""
+    if not math.isfinite(R):
+        raise ValueError(f"R must be finite, got {R}")
     if R < f.domain.h:
         raise ValueError("R below grid resolution")
     return _all_grids_maximal(f, R)
@@ -123,8 +153,8 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
     u = 1 recovers the weighted local maximal operator.  Values are scaled
     by sup|f| internally so large u does not overflow.
     """
-    if u <= 0:
-        raise ValueError("u must be positive")
+    if not (0 < u < math.inf):
+        raise ValueError(f"u must be positive and finite, got {u}")
     d = f.domain
     if w.domain != d:
         raise ValueError("domain mismatch")
@@ -135,13 +165,14 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
     g = (np.abs(f.samples) / scale) ** u * ws
 
     def ratio(k, num, den):
-        return num / den
+        return np.divide(num, den, out=num)
 
-    # the chains from all 3^n lattice shifts cover every (level, shift) once
+    # the chains from all 3^n lattice shifts cover every (level, shift) once;
+    # the lattice level, one point per cube for every shift, seeds `out`
     levels = level_range(d, 1.0)
-    out = np.zeros(d.shape)
+    out = g / ws
     for a in all_shifts(d.dim):
-        np.maximum(out, _chain_sup(d, a, levels, ratio, g, ws), out=out)
+        _chain_sup(out, list(chain_sums(d, a, (g, ws), min(levels))), levels, ratio)
     return GridFunction(d, scale * out ** (1.0 / u))
 
 
@@ -250,8 +281,8 @@ def vector_valued_maximal_ratio(
     ||(sum (M^loc f_j)^q)^{1/q}|| / ||(sum |f_j|^q)^{1/q}||."""
     from .norms import luxemburg_norm
 
-    if q <= 1:
-        raise ValueError("q must exceed 1")
+    if not (1 < q < math.inf):
+        raise ValueError(f"q must exceed 1 and be finite, got {q}")
     family = list(family)
     if not family:
         raise ValueError("family is empty")
