@@ -116,7 +116,7 @@ class Patch:
     def materialize(self, domain: Domain) -> GridFunction:
         dense = np.zeros(domain.shape)
         self.add_into(dense)
-        return GridFunction(domain, dense)
+        return GridFunction._adopt(domain, dense)
 
     def norm_lq(self, domain: Domain, q: float, w: Weight | None) -> float:
         if math.isinf(q):
@@ -196,7 +196,7 @@ def sequence_norm(
         if lam < 0:
             raise ValueError("coefficients must be nonnegative")
         acc[cube.lattice_slices(d)] += abs(lam) ** v
-    return luxemburg_norm(GridFunction(d, acc ** (1.0 / v)), p, w)
+    return luxemburg_norm(GridFunction._adopt(d, acc ** (1.0 / v)), p, w)
 
 
 def sequence_norm_dagger(lambdas, cubes, p: VariableExponent, w: Weight | None) -> float:
@@ -503,7 +503,7 @@ def cz_decompose(
     dense = np.zeros(f.samples.size)
     for g in cov.groups:
         np.add.at(dense, g.point.ravel(), g.bad.ravel())
-    good = GridFunction(d, f.samples - dense.reshape(d.shape))
+    good = GridFunction._adopt(d, f.samples - dense.reshape(d.shape))
     return good, list(zip(_cube_list(*cubes), cov.patches("bad")))
 
 
@@ -737,7 +737,7 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
     dense = np.zeros(dec.domain.shape)
     for lam, atom in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
         atom.patch.add_into(dense, lam)
-    return GridFunction(dec.domain, dense)
+    return GridFunction._adopt(dec.domain, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -799,7 +799,7 @@ def bad_part_majorant_check(a: Atom, dic: TestDictionary) -> Report:
     m0 = grand_maximal(a.values, dic, "M0").samples
     chi = np.zeros(d.shape)
     chi[a.support.lattice_slices(d)] = 1.0
-    mloc = local_maximal(GridFunction(d, chi)).samples
+    mloc = local_maximal(GridFunction._adopt(d, chi)).samples
     exponent = (d.dim + a.L + 1) / d.dim
     outside = ~a.support.box().dilate(2.0).lattice_mask(d)
     mask = outside & (mloc > 0)

@@ -133,7 +133,7 @@ def dual_exponent(p: VariableExponent) -> VariableExponent:
     """Pointwise conjugate p' = p/(p-1); requires p_minus > 1."""
     p.requires_class_p()
     vals = p.values.samples
-    dual = GridFunction(p.domain, vals / (vals - 1.0))
+    dual = GridFunction._adopt(p.domain, vals / (vals - 1.0))
     dual_inf = None
     if p.p_infty is not None and p.p_infty > 1:
         dual_inf = p.p_infty / (p.p_infty - 1.0)
@@ -154,4 +154,4 @@ def s_exponent(p: VariableExponent) -> GridFunction:
         raise ValueError("p_infty not declared")
     inv = np.abs(1.0 / p.p_infty - 1.0 / p.values.samples)
     s = np.where(inv < 1.0 / S_SENTINEL, S_SENTINEL, 1.0 / np.maximum(inv, 1.0 / S_SENTINEL))
-    return GridFunction(p.domain, s)
+    return GridFunction._adopt(p.domain, s)

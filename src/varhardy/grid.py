@@ -141,9 +141,21 @@ class Domain:
         return f"Domain(n={self.dim}, T={self.half_width:g}, m={self.level})"
 
 
+def _check_real(samples) -> None:
+    # a cast to float would drop the imaginary part with only a warning
+    if np.iscomplexobj(samples):
+        raise ValueError(f"samples must be real, got dtype {np.asarray(samples).dtype}")
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Sampled real function on a Domain lattice; immutable.
+
+    The public constructor and `with_samples` copy their samples, since
+    the caller may still hold the array and write to it.  The library's
+    own operators, the arithmetic ones included, build their output
+    arrays afresh and hand them to `_adopt`, which freezes such an array
+    in place instead of copying it.
 
     `_memo` holds what callers derive from the samples and keep, such as a
     kernel's spectra per scale, or the phi_star of a `make_phi_pair` phi;
@@ -155,14 +167,27 @@ class GridFunction:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
+        _check_real(self.samples)
+        self._freeze(np.array(self.samples, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, domain: Domain, arr: np.ndarray) -> "GridFunction":
+        """GridFunction that keeps `arr` itself, made read-only: only for an
+        array its caller has just allocated and holds no other reference to."""
+        _check_real(arr)
+        gf = cls.__new__(cls)
+        object.__setattr__(gf, "domain", domain)
+        object.__setattr__(gf, "_memo", {})
+        gf._freeze(np.ascontiguousarray(arr, dtype=float))
+        return gf
+
+    def _freeze(self, arr: np.ndarray) -> None:
         if arr.shape != self.domain.shape:
             raise ValueError(
                 f"sample shape {arr.shape} does not match domain {self.domain.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise ValueError("samples must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -174,21 +199,21 @@ class GridFunction:
         return GridFunction(self.domain, arr)
 
     def __abs__(self):
-        return self.with_samples(np.abs(self.samples))
+        return self._adopt(self.domain, np.abs(self.samples))
 
     def __add__(self, other):
-        return self.with_samples(self.samples + self._vals(other))
+        return self._adopt(self.domain, self.samples + self._vals(other))
 
     def __sub__(self, other):
-        return self.with_samples(self.samples - self._vals(other))
+        return self._adopt(self.domain, self.samples - self._vals(other))
 
     def __mul__(self, other):
-        return self.with_samples(self.samples * self._vals(other))
+        return self._adopt(self.domain, self.samples * self._vals(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self.with_samples(self.samples / self._vals(other))
+        return self._adopt(self.domain, self.samples / self._vals(other))
 
     def _vals(self, other):
         if isinstance(other, GridFunction):
@@ -363,16 +388,37 @@ def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
     return (slice(None),) * ax + (sl,)
 
 
+PAIR_BLOCK = 1 << 14  # parent cubes per block of `_pair_sums`
+
+
 def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
     """Sums over the parent cubes of one coarser chain level.  Per axis a
     `lead` of 1 leaves the first child alone in its parent; the rest pair
-    up, and an odd one out at the end is alone in the last parent."""
+    up, and an odd one out at the end is alone in the last parent.
+
+    The parents go in blocks of rows along the first axis, at most
+    PAIR_BLOCK parents each, so in 2-D the first axis's pair sums are a
+    block-sized temporary instead of half a lattice array; every parent
+    sums its children in the same order."""
+    z = lead[0]
+    parents = [(n + y + 1) // 2 for n, y in zip(s.shape, lead)]
+    rows = max(1, PAIR_BLOCK // math.prod(parents[1:]))
+    out = np.empty(parents)
+    for p in range(0, parents[0], rows):
+        # parent p holds the child rows 2p - z and 2p - z + 1 that exist
+        block = s[max(0, 2 * p - z):2 * (p + rows) - z]
+        _pair_block(block, [z if p == 0 else 0, *lead[1:]], out[p:p + rows])
+    return out
+
+
+def _pair_block(s: np.ndarray, lead: list[int], dst: np.ndarray) -> None:
+    """`_pair_sums` of one block of rows, written into `dst`."""
     for ax, z in enumerate(lead):
         n = s.shape[ax]
         pairs = (n - z) // 2
         shape = list(s.shape)
         shape[ax] = (n + z + 1) // 2
-        out = np.empty(shape)
+        out = dst if ax == len(lead) - 1 else np.empty(shape)
         stop = z + 2 * pairs
         np.add(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
                out=out[_axis(ax, slice(z, z + pairs))])
@@ -381,7 +427,6 @@ def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
         if stop < n:
             out[_axis(ax, slice(-1, None))] = s[_axis(ax, slice(-1, None))]
         s = out
-    return s
 
 
 def chain_sums(
@@ -541,7 +586,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """h^n-scaled discrete convolution with zero extension outside the window."""
     if f.domain != g.domain:
         raise ValueError("domain mismatch")
-    return GridFunction(f.domain, next(convolve_bank(f, [kernel_spectrum(g)])))
+    return GridFunction._adopt(f.domain, next(convolve_bank(f, [kernel_spectrum(g)])))
 
 
 def rescale_mollifier(phi: GridFunction, t: float) -> GridFunction:
@@ -567,7 +612,7 @@ def rescale_mollifier(phi: GridFunction, t: float) -> GridFunction:
     scale = float(stride) ** d.dim  # t^-n
     out = np.zeros(d.shape)
     out[(dst,) * d.dim] = phi.samples[(src,) * d.dim] * scale
-    return GridFunction(d, out)
+    return GridFunction._adopt(d, out)
 
 
 def smallest_enclosing_cubes(

@@ -147,7 +147,7 @@ def nested_dictionaries(
         if not np.isfinite(sup_d) or sup_d == 0.0:
             continue  # normalization failure: drop the member
         vals = vals * (DERIVATIVE_MARGIN / sup_d)
-        member = GridFunction(domain, vals)
+        member = GridFunction._adopt(domain, vals)
         members.append(member)
         masses.append(quadrature(member))
     large = TestDictionary(domain, r_d, N, tuple(members), tuple(masses))
@@ -213,7 +213,7 @@ def grand_maximal(f: GridFunction, dic: TestDictionary, mode: str = "MN") -> Gri
         if mode == "MN":
             at_scale = _offset_max(at_scale, 1 << (d.level - j), d.dim)  # t/h cells
         np.maximum(out, at_scale, out=out)
-    return GridFunction(d, out)
+    return GridFunction._adopt(d, out)
 
 
 def capital_n(p: VariableExponent, w: Weight) -> int:

@@ -108,7 +108,7 @@ def _root_sum_squares(d: Domain, convs) -> GridFunction:
     acc = np.zeros(d.shape)
     for conv in convs:
         acc += conv**2
-    return GridFunction(d, np.sqrt(acc))
+    return GridFunction._adopt(d, np.sqrt(acc))
 
 
 def square_function(f: GridFunction, phi_star: GridFunction, J: int) -> GridFunction:
@@ -134,7 +134,7 @@ def lp_norm(
     J = d.level - 3
     _check_domains(f, phi, phi_star)
     convs = convolve_bank(f, chain([scaled_spectrum(phi, 0)], _level_spectra(phi_star, J)))
-    head = luxemburg_norm(GridFunction(d, next(convs)), p, w)
+    head = luxemburg_norm(GridFunction._adopt(d, next(convs)), p, w)
     tail = luxemburg_norm(_root_sum_squares(d, convs), p, w)
     return head + tail
 
@@ -161,7 +161,7 @@ def telescoping_reconstruct(
     acc = next(convs)
     for conv in islice(convs, J):
         acc += conv
-    out = GridFunction(d, acc)
+    out = GridFunction._adopt(d, acc)
     direct = next(convs)
     tele_err = float(np.max(np.abs(out.samples - direct)))
     denom = math.sqrt(d.h**d.dim * float(np.sum(f.samples**2)))

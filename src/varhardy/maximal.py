@@ -117,7 +117,7 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
     sweeps = [(list(chain_sums(d, a, (absf,), min(ks))), ks) for a, ks in chains if ks]
     for sweep, ks in sweeps:
         _chain_sup(out, sweep, ks, mean)
-    return GridFunction(d, out)
+    return GridFunction._adopt(d, out)
 
 
 def hl_maximal(f: GridFunction) -> GridFunction:
@@ -144,7 +144,7 @@ def _all_grids_maximal(f: GridFunction, max_side: float | None) -> GridFunction:
     out = np.zeros(d.shape)
     for a in all_shifts(d.dim):
         np.maximum(out, grid_maximal(f, a, max_side).samples, out=out)
-    return GridFunction(d, out)
+    return GridFunction._adopt(d, out)
 
 
 def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> GridFunction:
@@ -160,7 +160,7 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
         raise ValueError("domain mismatch")
     scale = f.sup()
     if scale == 0.0:
-        return GridFunction(d, np.zeros(d.shape))
+        return GridFunction._adopt(d, np.zeros(d.shape))
     ws = w.values.samples  # strictly positive, so every cube has w(Q) > 0
     g = (np.abs(f.samples) / scale) ** u * ws
 
@@ -173,7 +173,7 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
     out = g / ws
     for a in all_shifts(d.dim):
         _chain_sup(out, list(chain_sums(d, a, (g, ws), min(levels))), levels, ratio)
-    return GridFunction(d, scale * out ** (1.0 / u))
+    return GridFunction._adopt(d, scale * out ** (1.0 / u))
 
 
 def k_b_operator(f: GridFunction, B: float) -> GridFunction:
@@ -182,29 +182,30 @@ def k_b_operator(f: GridFunction, B: float) -> GridFunction:
     The kernel is truncated at the window edge; with the default B = 16
     the truncation error is below 1e-10.
     """
-    if B <= 0:
-        raise ValueError("B must be positive")
+    if not (0 < B < math.inf):
+        raise ValueError(f"B must be positive and finite, got {B}")
     d = f.domain
     r = d.radius()
-    kernel = GridFunction(d, np.exp(-B * r))
+    kernel = GridFunction._adopt(d, np.exp(-B * r))
     return convolve(f, kernel)
 
 
 def peak_majorant_kernel(domain: Domain, j: int, A: float, B: float) -> GridFunction:
     """Reciprocal peak majorant 1 / ((1 + 2^j |x|)^A e^{|x| B})."""
     r = domain.radius()
-    return GridFunction(domain, (1.0 + 2.0**j * r) ** (-A) * np.exp(-B * r))
+    return GridFunction._adopt(domain, (1.0 + 2.0**j * r) ** (-A) * np.exp(-B * r))
 
 
 def peak_majorant_convolution(f: GridFunction, j: int, A: float, B: float) -> GridFunction:
     """2^{jn} * convolution of f with the reciprocal peak majorant."""
-    if A <= 0 or B <= 0:
-        raise ValueError("A and B must be positive")
+    for name, v in (("A", A), ("B", B)):
+        if not (0 < v < math.inf):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     if j < 0:
         raise ValueError("j must be nonnegative")
     d = f.domain
     out = convolve(f, peak_majorant_kernel(d, j, A, B))
-    return GridFunction(d, (2.0 ** (j * d.dim)) * out.samples)
+    return GridFunction._adopt(d, (2.0 ** (j * d.dim)) * out.samples)
 
 
 def peak_majorant_domination(f: GridFunction, j: int, A: float, B: float) -> Report:
@@ -237,7 +238,7 @@ def averaging_e_k(f: GridFunction, k: int) -> GridFunction:
     volume; idempotence is exact on interior cubes only.
     """
     cubes = CubeLayout(f.domain, k, (MAIN_GRID_SHIFT,) * f.domain.dim)
-    return GridFunction(f.domain, cubes.field(cubes.means(f.samples)))
+    return GridFunction._adopt(f.domain, cubes.field(cubes.means(f.samples)))
 
 
 def restricted_dyadic_maximal(f: GridFunction, r0: float, mode: str) -> GridFunction:
@@ -292,7 +293,7 @@ def vector_valued_maximal_ratio(
     for f in family:
         num += local_maximal(f).samples ** q
         den += np.abs(f.samples) ** q
-    lhs = luxemburg_norm(GridFunction(d, num ** (1.0 / q)), p, w)
-    rhs = luxemburg_norm(GridFunction(d, den ** (1.0 / q)), p, w)
+    lhs = luxemburg_norm(GridFunction._adopt(d, num ** (1.0 / q)), p, w)
+    rhs = luxemburg_norm(GridFunction._adopt(d, den ** (1.0 / q)), p, w)
     ratio = math.inf if rhs == 0 else lhs / rhs
     return Report("vector_valued_maximal_ratio", quantities={"ratio": ratio, "lhs": lhs, "rhs": rhs})

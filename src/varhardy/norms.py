@@ -63,6 +63,8 @@ def luxemburg_norm(f: GridFunction, p: VariableExponent, w: "Weight | None" = No
 
 def lq_norm(f: GridFunction, q: float) -> float:
     """Constant-exponent L^q norm; q = inf gives the sup norm."""
+    if not q > 0:  # also nan
+        raise ValueError("q must be positive")
     if math.isinf(q):
         return f.sup()
     d = f.domain
@@ -136,7 +138,7 @@ def indicator_norm_profile(cube: Cube, p: VariableExponent) -> Report:
         raise ValueError("cube does not meet the window")
     mask = np.zeros(d.shape)
     mask[sl] = 1.0
-    chi = GridFunction(d, mask)
+    chi = GridFunction._adopt(d, mask)
     nrm = luxemburg_norm(chi, p)
     vol = cube.volume
     p_minus_q = float(np.min(pvals))

@@ -201,7 +201,7 @@ def synthesize_coefficients(coeffs: WaveletCoefficients) -> GridFunction:
                 for key in dict.fromkeys(k[:ax] for k in bands)
             }
         c = bands[""]
-    return GridFunction(d, c * d.h ** (-d.dim / 2.0))
+    return GridFunction._adopt(d, c * d.h ** (-d.dim / 2.0))
 
 
 def _upsample_to_grid(arr: np.ndarray, domain: Domain, j: int) -> np.ndarray:
@@ -215,7 +215,7 @@ def _upsample_to_grid(arr: np.ndarray, domain: Domain, j: int) -> np.ndarray:
 def _v_samples(coeffs: WaveletCoefficients) -> GridFunction:
     d, J = coeffs.domain, coeffs.J
     amp = 2.0 ** (J * d.dim / 2.0)
-    return GridFunction(d, _upsample_to_grid(np.abs(coeffs.scaling) * amp, d, J))
+    return GridFunction._adopt(d, _upsample_to_grid(np.abs(coeffs.scaling) * amp, d, J))
 
 
 def _w_samples(coeffs: WaveletCoefficients) -> GridFunction:
@@ -225,7 +225,7 @@ def _w_samples(coeffs: WaveletCoefficients) -> GridFunction:
         amp2 = 2.0 ** (j * d.dim)
         for ch in det.values():
             acc += _upsample_to_grid(ch**2, d, j) * amp2
-    return GridFunction(d, np.sqrt(acc))
+    return GridFunction._adopt(d, np.sqrt(acc))
 
 
 def v_function(f: GridFunction, sys: WaveletSystem, J: int) -> GridFunction:

@@ -66,7 +66,7 @@ class Weight:
     @classmethod
     def from_callable(cls, domain: Domain, fn: Callable, midpoint: bool = False) -> "Weight":
         vals = _sample(domain, fn, midpoint)
-        gf = GridFunction(domain, np.maximum(vals, CLAMP_FLOOR))
+        gf = GridFunction._adopt(domain, np.maximum(vals, CLAMP_FLOOR))
         return cls(gf, generator=fn, midpoint=midpoint)
 
     @classmethod
@@ -200,7 +200,7 @@ def dual_weight(w: Weight, p: VariableExponent) -> Weight:
     """sigma = w^{-1/(p(.)-1)}; the conjugate density."""
     p.requires_class_p()
     sig = w.values.samples ** (-1.0 / (p.values.samples - 1.0))
-    return Weight(GridFunction(w.domain, sig))
+    return Weight(GridFunction._adopt(w.domain, sig))
 
 
 def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
@@ -272,7 +272,7 @@ def tilde_a_constant(
         max_side = 2.0 * d.half_width
     pv = p.values.samples
     ratio_exp = VariableExponent(
-        GridFunction(d, pv / (pv - 1.0) / pv), p_infty=None
+        GridFunction._adopt(d, pv / (pv - 1.0) / pv), p_infty=None
     )  # p'(.)/p(.) = 1/(p(.)-1)
     winv = 1.0 / w.values.samples
     ws = w.values.samples

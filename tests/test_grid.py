@@ -58,6 +58,43 @@ class TestDomain:
         assert set(dom.axis()).issubset(set(fine.axis()))
 
 
+class TestGridFunctionSamples:
+    @pytest.mark.parametrize("build", ["constructor", "with_samples"])
+    def test_public_paths_copy(self, dom, build):
+        a = np.ones(dom.shape)
+        f = GridFunction(dom, a) if build == "constructor" else GridFunction(dom, 0 * a).with_samples(a)
+        a[0] = 5.0
+        assert f.samples[0] == 1.0 and a.flags.writeable
+        assert not f.samples.flags.writeable
+
+    def test_adopt_keeps_the_array(self, dom):
+        a = np.ones(dom.shape)
+        f = GridFunction._adopt(dom, a)
+        assert f.samples is a and not a.flags.writeable
+
+    @pytest.mark.parametrize("build", [GridFunction, GridFunction._adopt], ids=["copy", "adopt"])
+    def test_rejects_complex_samples(self, dom, build):
+        with pytest.raises(ValueError, match="complex128"):
+            build(dom, np.ones(dom.shape) * (1 + 2j))
+
+    def test_arithmetic_rejects_complex_result(self, dom):
+        with pytest.raises(ValueError, match="complex128"):
+            GridFunction(dom, np.ones(dom.shape)) * 1j
+
+    def test_library_outputs_are_read_only(self, dom):
+        from varhardy.hardy import grand_maximal, nested_dictionaries
+        from varhardy.maximal import grid_maximal, hl_maximal
+
+        f = indicator(dom, 0.0, 1.0)
+        g = indicator(dom, -1.0, 0.5)
+        small, _ = nested_dictionaries(1, 8, dom)
+        outs = [hl_maximal(f), grid_maximal(f, (1,)), f + g, convolve(f, g), grand_maximal(f, small, "M0")]
+        for out in outs:
+            assert not out.samples.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                out.samples[0] = 1.0
+
+
 class TestQuadrature:
     def test_constant_one(self, dom):
         f = GridFunction.from_callable(dom, lambda x: np.ones_like(x))
@@ -185,6 +222,19 @@ class TestChainSums:
                 assert np.array_equal(inside, cubes.occupancy() > 1.0 - 1e-9)
         assert len(seen) == len(set(seen))
         assert set(seen) == {(k, a) for k in levels for a in all_shifts(d.dim)}
+
+    @pytest.mark.parametrize("block", [1, 3, 40])
+    @pytest.mark.parametrize("d", [Domain(1, 1, 4), Domain(2, 1, 4)], ids=["1d", "2d"])
+    def test_blocks_leave_sums_bitwise_unchanged(self, d, block, monkeypatch):
+        f = np.random.default_rng(6).standard_normal(d.shape)
+
+        def pyramid():
+            return [s for a in all_shifts(d.dim) for *_, (s,) in chain_sums(d, a, (f,), d.min_cube_level())]
+
+        whole = pyramid()  # every level in one block
+        monkeypatch.setattr(grid, "PAIR_BLOCK", block)
+        blocked = pyramid()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocked, strict=True))
 
 
 class TestOneThirdTrick:

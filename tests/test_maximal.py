@@ -300,11 +300,16 @@ class TestInPlaceDescent:
         assert np.array_equal(powered_weighted_local_maximal(f, w, u).samples, repeat_powered(f, w, u))
 
     @pytest.mark.parametrize(
-        "op, bound", [(lambda f: grid_maximal(f, (1, 1)), 3.0), (hl_maximal, 4.0)], ids=["grid", "hl"]
+        "op, bound",
+        [(lambda f: grid_maximal(f, (1, 1)), 2.5), (hl_maximal, 3.5), (local_maximal, 3.5)],
+        ids=["grid", "hl", "local"],
     )
     def test_traced_peak_in_lattice_arrays(self, op, bound):
-        # the descent raises |f| in place inside the pyramid's own buffers;
-        # the repeat-based one peaked at 4.86 (grid) and 5.86 (hl)
+        # the descent raises |f| in place inside the pyramid's own buffers,
+        # each output array is adopted, not copied, and the pair sums run
+        # in blocks: 1.87 (grid) and 2.87 (hl, local); the repeat-based
+        # descent peaked at 4.86 and 5.86, the copying constructor at 2.68
+        # and 3.68
         d = Domain(2, 4, 6)
         f = GridFunction(d, np.random.default_rng(5).random(d.shape))
         op(f)
@@ -457,8 +462,20 @@ class TestKB:
         rhs = k_b_operator(f, 8.0) + 2.0 * k_b_operator(g, 8.0)
         assert np.max(np.abs(lhs.samples - rhs.samples)) <= 1e-10
 
+    @pytest.mark.parametrize("B", [math.nan, math.inf])
+    def test_rejects_non_finite_B(self, dom, B):
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            k_b_operator(function_preset("bump:0,1", dom), B)
+
 
 class TestPeakMajorant:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["A", "B"])
+    def test_rejects_non_finite_parameters(self, dom, name, bad):
+        args = {"A": 2.0, "B": 8.0, name: bad}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            peak_majorant_convolution(function_preset("bump:0,1", dom), 2, args["A"], args["B"])
+
     def test_zero(self, dom):
         f = GridFunction(dom, np.zeros(dom.shape))
         out = peak_majorant_convolution(f, 2, 2.0, 8.0)

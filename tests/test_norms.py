@@ -185,6 +185,14 @@ class TestLuxemburg:
         assert modular((1.0 / nrm) * f, p, w) == pytest.approx(1.0, abs=1e-6)
 
 
+class TestLqNorm:
+    @pytest.mark.parametrize("q", [0.0, -1.0, np.nan, -np.inf])
+    def test_rejects_non_positive_q(self, q):
+        f = GridFunction(Domain(1, 8, 4), np.ones((256,)))
+        with pytest.raises(ValueError, match="q must be positive"):
+            lq_norm(f, q)
+
+
 class TestHolder:
     def test_indicator_pair_sharp(self, dom):
         p = VariableExponent.constant(dom, 2.0)
