@@ -196,8 +196,11 @@ def cmd_awconst(args) -> int:
     for pp in (1.5, 2.0, 4.0):
         print(f"A_{pp}^loc   = {a_loc_p_constant(w, pp).constant:.8g}")
     if p.p_minus > 1:
-        print(f"A_p(.)^loc   = {a_loc_var_constant(w, p).constant:.8g}")
-        print(f"tilde A      = {tilde_a_constant(w, p, max_side=1.0).constant:.8g}")
+        for name, rep in (
+            ("A_p(.)^loc", a_loc_var_constant(w, p)),
+            ("tilde A", tilde_a_constant(w, p, max_side=1.0)),
+        ):
+            print(f"{name:<12} = {rep.constant:.8g}  (solved {rep.cubes_solved} of {rep.cube_count} cubes)")
     print(f"q_w estimate = {q_w_estimate(w):.5g}")
     return 0
 

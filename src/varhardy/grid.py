@@ -391,15 +391,16 @@ def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
 PAIR_BLOCK = 1 << 14  # parent cubes per block of `_pair_sums`
 
 
-def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
-    """Sums over the parent cubes of one coarser chain level.  Per axis a
-    `lead` of 1 leaves the first child alone in its parent; the rest pair
-    up, and an odd one out at the end is alone in the last parent.
+def _pair_sums(s: np.ndarray, lead: list[int], op: np.ufunc) -> np.ndarray:
+    """`op`-reductions (np.add for sums, np.minimum, np.maximum) over the
+    parent cubes of one coarser chain level.  Per axis a `lead` of 1 leaves
+    the first child alone in its parent; the rest pair up, and an odd one
+    out at the end is alone in the last parent.
 
     The parents go in blocks of rows along the first axis, at most
-    PAIR_BLOCK parents each, so in 2-D the first axis's pair sums are a
-    block-sized temporary instead of half a lattice array; every parent
-    sums its children in the same order."""
+    PAIR_BLOCK parents each, so in 2-D the first axis's pair reductions are
+    a block-sized temporary instead of half a lattice array; every parent
+    reduces its children in the same order."""
     z = lead[0]
     parents = [(n + y + 1) // 2 for n, y in zip(s.shape, lead)]
     rows = max(1, PAIR_BLOCK // math.prod(parents[1:]))
@@ -407,11 +408,11 @@ def _pair_sums(s: np.ndarray, lead: list[int]) -> np.ndarray:
     for p in range(0, parents[0], rows):
         # parent p holds the child rows 2p - z and 2p - z + 1 that exist
         block = s[max(0, 2 * p - z):2 * (p + rows) - z]
-        _pair_block(block, [z if p == 0 else 0, *lead[1:]], out[p:p + rows])
+        _pair_block(block, [z if p == 0 else 0, *lead[1:]], op, out[p:p + rows])
     return out
 
 
-def _pair_block(s: np.ndarray, lead: list[int], dst: np.ndarray) -> None:
+def _pair_block(s: np.ndarray, lead: list[int], op: np.ufunc, dst: np.ndarray) -> None:
     """`_pair_sums` of one block of rows, written into `dst`."""
     for ax, z in enumerate(lead):
         n = s.shape[ax]
@@ -420,8 +421,8 @@ def _pair_block(s: np.ndarray, lead: list[int], dst: np.ndarray) -> None:
         shape[ax] = (n + z + 1) // 2
         out = dst if ax == len(lead) - 1 else np.empty(shape)
         stop = z + 2 * pairs
-        np.add(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
-               out=out[_axis(ax, slice(z, z + pairs))])
+        op(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
+           out=out[_axis(ax, slice(z, z + pairs))])
         if z:
             out[_axis(ax, slice(0, 1))] = s[_axis(ax, slice(0, 1))]
         if stop < n:
@@ -430,7 +431,11 @@ def _pair_block(s: np.ndarray, lead: list[int], dst: np.ndarray) -> None:
 
 
 def chain_sums(
-    domain: Domain, shift: tuple[int, ...], arrays: Sequence[np.ndarray], coarsest: int
+    domain: Domain,
+    shift: tuple[int, ...],
+    arrays: Sequence[np.ndarray],
+    coarsest: int,
+    ops: Sequence[np.ufunc] | None = None,
 ) -> Iterator[tuple[int, tuple[int, ...], list[int] | None, tuple[np.ndarray, ...]]]:
     """Per-level cube sums of lattice arrays along one chain of grids.
 
@@ -444,8 +449,11 @@ def chain_sums(
     indexed like `CubeLayout.shape`; lead is the `_pair_sums` layout that
     made them (None on the lattice level, where the sums are the arrays).
     Signed terms may cancel; only the order of summation differs from
-    `CubeLayout.sums`.
+    `CubeLayout.sums`.  `ops` gives each array its own pairwise ufunc in
+    place of np.add: np.minimum and np.maximum give each cube's min and max,
+    exactly.
     """
+    ops = ops or (np.add,) * len(arrays)
     first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
     shift, sums = tuple(shift), tuple(arrays)
     yield domain.level, shift, None, sums
@@ -454,7 +462,7 @@ def chain_sums(
         lead = [(q - c) % 2 for q, c in zip(first, carry)]
         first = [(q - c) // 2 for q, c in zip(first, carry)]
         shift = tuple(2 * a % 3 for a in shift)
-        sums = tuple(_pair_sums(s, lead) for s in sums)
+        sums = tuple(_pair_sums(s, lead, op) for s, op in zip(sums, ops))
         yield k, shift, lead, sums
 
 

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import norms
 from .exponent import VariableExponent, dual_exponent
 from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
 from .report import Report
@@ -45,6 +46,9 @@ Q_W_STABILITY = 1.05
 Q_W_TOL = 1.0 / 32.0
 Q_W_CAP = 64.0
 CLAMP_FLOOR = 2.0 ** -52
+# relative widening of every cube bracket before a layout is pruned; far
+# above the per-cube solver's relative error (norms.REL_TOL = 1e-8 per norm)
+SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,8 @@ def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:
 @dataclass
 class MuckenhouptReport:
     constant: float
-    cube_count: int
+    cube_count: int  # cubes swept
+    cubes_solved: int  # cubes whose value was computed; the rest were ruled out by a bound
 
 
 def _largest(per_layout) -> MuckenhouptReport:
@@ -112,7 +117,71 @@ def _largest(per_layout) -> MuckenhouptReport:
     for vals in per_layout:
         count += vals.size
         best = max(best, float(np.max(vals)))
-    return MuckenhouptReport(best, count)
+    return MuckenhouptReport(best, count, count)
+
+
+def _bracket(log_m, p_mean, p_lo, p_hi) -> tuple[np.ndarray, np.ndarray]:
+    """Per cube, a lower and an upper bound of log lambda, lambda the
+    Luxemburg norm on the cube of a g whose modular is
+    sum_Q c |g|^{p(x)} lambda^{-p(x)}.
+
+    With lambda = e^s, phi(s) = log of that modular is convex and
+    decreasing, phi(0) = log M for the mass M = sum_Q c |g|^p, and
+    -phi'(0) is p_mean, the mean of p under the weights c |g|^p; the root s
+    of phi lies above the root of its tangent at 0, log M / p_mean.  phi''
+    is a variance of p, at most (p_hi - p_lo)^2 / 4 for p in [p_lo, p_hi],
+    so phi lies below log M - p_mean s + kappa s^2, kappa = (p_hi - p_lo)^2
+    / 8, and s lies below that parabola's root nearest 0 when it has one.
+    s also lies between log M / p_hi and log M / p_lo, the bounds of a
+    constant exponent.  A log M that is not finite (an overflowed or
+    underflowed mass) brackets nothing.
+    """
+    disc = p_mean * p_mean - 0.5 * (p_hi - p_lo) ** 2 * log_m  # p_mean^2 - 4 kappa log M
+    with np.errstate(invalid="ignore"):
+        parabola = 2.0 * log_m / (p_mean + np.sqrt(disc))  # the stable form of the root nearest 0
+    hi = np.maximum(log_m / p_lo, log_m / p_hi)
+    hi = np.where(disc >= 0.0, np.minimum(parabola, hi), hi)
+    finite = np.isfinite(log_m)
+    return np.where(finite, log_m / p_mean, -np.inf), np.where(finite, hi, np.inf)
+
+
+def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> MuckenhouptReport:
+    """Largest per-cube value over the layouts (level, shift) with side at
+    most max_side and shift in `shifts`, solving only the layouts that can
+    hold it.
+
+    One pass along the chain pyramids reduces `arrays` per cube with `ops`;
+    `bracket(level, reductions)` turns them into the log lower and log upper
+    bound of every cube's value, and each layout keeps only the largest of
+    each.  Layouts are solved whole by `solve(level, shift)`, in descending
+    order of their upper bound, until one's upper bound times 1 + SLACK falls
+    below the best value found or the largest lower bound: no layout after it
+    holds a larger value.  A cube's solved value depends on its batch
+    (through the solver's global stop test and p bracket), so no layout is
+    split: the constant is bitwise the one a sweep of every layout returns.
+    """
+    levels = level_range(d, max_side)
+    if not levels:
+        raise ValueError(f"no cube of side at most max_side = {max_side:g} on the lattice of step h = {d.h:g}")
+    table = []
+    for a in all_shifts(d.dim):
+        if a not in shifts and tuple(2 * x % 3 for x in a) not in shifts:
+            continue  # the chain from lattice shift a holds the shifts a and 2a mod 3 only
+        for k, shift, _, red in chain_sums(d, a, arrays, levels[-1], ops):
+            if shift in shifts:
+                lo, hi = bracket(k, red)
+                with np.errstate(over="ignore"):
+                    table.append((float(np.exp(np.max(lo))), float(np.exp(np.max(hi))), k, shift, red[0].size))
+    table.sort(key=lambda t: -t[1])  # stable: ties keep the sweep order
+    bar = max(t[0] for t in table)  # every layout's largest value is at least its lower bound
+    best, solved = -np.inf, 0
+    for _, upper, k, shift, count in table:
+        if upper * (1.0 + SLACK) < bar:
+            break
+        best = max(best, float(np.max(solve(k, shift))))
+        bar = max(bar, best)
+        solved += count
+    return MuckenhouptReport(best, sum(t[4] for t in table), solved)
 
 
 def _cube_means(domain: Domain, *arrays):
@@ -167,7 +236,7 @@ def a1_loc_constant(w: Weight) -> MuckenhouptReport:
 
     mloc = local_maximal(w.values)
     ratio = mloc.samples / w.values.samples
-    return MuckenhouptReport(float(np.max(ratio)), ratio.size)
+    return MuckenhouptReport(float(np.max(ratio)), ratio.size, ratio.size)
 
 
 def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
@@ -204,20 +273,37 @@ def dual_weight(w: Weight, p: VariableExponent) -> Weight:
 
 
 def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
-    """sup over cubes |Q| <= 1 of |Q|^{-1} ||chi_Q||_{p(.),w} ||chi_Q||_{p'(.),sigma}."""
-    from .norms import batch_restricted_norms
+    """sup over cubes |Q| <= 1 of |Q|^{-1} ||chi_Q||_{p(.),w} ||chi_Q||_{p'(.),sigma}.
 
+    Both norms are bracketed per cube (`_bracket`) from w(Q) and sigma(Q),
+    the means of p under w and of p' under sigma, and p_-(Q), p_+(Q); the
+    bracket lies inside the one between M^{1/p_-(Q)} and M^{1/p_+(Q)}.
+    Only the layouts whose upper bound can reach the sup are solved.
+    """
     p.requires_class_p()
     d = w.domain
     pd = dual_exponent(p)
     sigma = dual_weight(w, p)
+    pv = p.values.samples
+    hn = d.h ** d.dim
+
+    def bracket(level, red):
+        mw, ms, mwp, msp, p_lo, p_hi = red
+        w_lo, w_hi = _bracket(np.log(mw * hn), mwp / mw, p_lo, p_hi)
+        s_lo, s_hi = _bracket(np.log(ms * hn), msp / ms, p_hi / (p_hi - 1.0), p_lo / (p_lo - 1.0))
+        inv_vol = level * d.dim * math.log(2.0)
+        return inv_vol + w_lo + s_lo, inv_vol + w_hi + s_hi
 
     def per_cube(level, shift):
-        n1, _ = batch_restricted_norms(1.0, p, w, level, shift)
-        n2, _ = batch_restricted_norms(1.0, pd, sigma, level, shift)
+        n1, _ = norms.batch_restricted_norms(1.0, p, w, level, shift)
+        n2, _ = norms.batch_restricted_norms(1.0, pd, sigma, level, shift)
         return n1 * n2 / (2.0 ** (-level)) ** d.dim
 
-    return _largest(per_cube(k, a) for k in level_range(d, 1.0) for a in all_shifts(d.dim))
+    ws, ss = w.values.samples, sigma.values.samples
+    return _branch_and_bound(
+        d, 1.0, all_shifts(d.dim), (ws, ss, ws * pv, ss * pd.values.samples, pv, pv),
+        (np.add, np.add, np.add, np.add, np.minimum, np.maximum), bracket, per_cube,
+    )
 
 
 def q_w_estimate(w: Weight) -> float:
@@ -262,9 +348,14 @@ def tilde_a_constant(
     w: Weight, p: VariableExponent, max_side: float | None = None
 ) -> MuckenhouptReport:
     """Dyadic-grid variant: sup over cubes of one grid of
-    |Q|^{-p_Q} ||w||_{L^1(Q)} ||w^{-1}||_{L^{p'(.)/p(.)}(Q)}."""
-    from .norms import batch_restricted_norms
+    |Q|^{-p_Q} ||w||_{L^1(Q)} ||w^{-1}||_{L^{p'(.)/p(.)}(Q)}.
 
+    With r = p'/p = 1/(p - 1), the last factor is bracketed per cube
+    (`_bracket`) from M, the integral of w^{-r} over Q, the mean of r under
+    w^{-r}, and r's range; the bracket lies inside the one between
+    M^{p_- - 1} and M^{p_+ - 1}.  Only the levels whose upper bound can
+    reach the sup are solved.
+    """
     p.requires_class_p()
     d = w.domain
     shift = (MAIN_GRID_SHIFT,) * d.dim
@@ -278,15 +369,28 @@ def tilde_a_constant(
     ws = w.values.samples
     hn = d.h ** d.dim
 
-    def per_cube(level):
+    def bracket(level, red):
+        count, mw, m, mr, inv_p, p_lo, p_hi = red
+        lo, hi = _bracket(np.log(m * hn), mr / m, 1.0 / (p_hi - 1.0), 1.0 / (p_lo - 1.0))
+        # |Q|^{-p_Q} with p_Q the harmonic mean of p over the cube
+        base = count / inv_p * (level * d.dim * math.log(2.0)) + np.log(mw * hn)
+        inside = count == 2.0 ** ((d.level - level) * d.dim)
+        return np.where(inside, base + lo, -np.inf), np.where(inside, base + hi, -np.inf)
+
+    def per_cube(level, shift):
         cubes = CubeLayout(d, level, shift)
-        norms, _ = batch_restricted_norms(winv, ratio_exp, None, level, shift)
+        norms_q, _ = norms.batch_restricted_norms(winv, ratio_exp, None, level, shift)
         vol = (2.0 ** (-level)) ** d.dim
         occupancy = cubes.occupancy()
         p_q = occupancy / cubes.means(1.0 / pv)  # harmonic mean of p over each cube
-        return np.where(occupancy > 1.0 - 1e-9, vol ** (-p_q) * (cubes.sums(ws) * hn) * norms, -np.inf)
+        return np.where(occupancy > 1.0 - 1e-9, vol ** (-p_q) * (cubes.sums(ws) * hn) * norms_q, -np.inf)
 
-    return _largest(per_cube(k) for k in level_range(d, max_side))
+    r = ratio_exp.values.samples
+    mass = winv ** r  # the modular's weights c |g|^r, up to h^n
+    return _branch_and_bound(
+        d, max_side, [shift], (np.ones(d.shape), ws, mass, mass * r, 1.0 / pv, pv, pv),
+        (np.add, np.add, np.add, np.add, np.add, np.minimum, np.maximum), bracket, per_cube,
+    )
 
 
 def stability_ratio(coarse: float, fine: float) -> float:

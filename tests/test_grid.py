@@ -236,6 +236,19 @@ class TestChainSums:
         blocked = pyramid()
         assert all(np.array_equal(a, b) for a, b in zip(whole, blocked, strict=True))
 
+    @pytest.mark.parametrize("block", [3, grid.PAIR_BLOCK])
+    @pytest.mark.parametrize("d", [Domain(1, 1, 4), Domain(2, 1, 4)], ids=["1d", "2d"])
+    def test_min_max_pyramids_match_cube_layout(self, d, block, monkeypatch):
+        monkeypatch.setattr(grid, "PAIR_BLOCK", block)
+        f = np.random.default_rng(7).standard_normal(d.shape)
+        for a in all_shifts(d.dim):
+            for k, shift, _, (lo, hi) in chain_sums(d, a, (f, f), d.min_cube_level(), (np.minimum, np.maximum)):
+                ids = CubeLayout(d, k, shift).ids.ravel()
+                ref_lo, ref_hi = np.full(lo.size, np.inf), np.full(hi.size, -np.inf)
+                np.minimum.at(ref_lo, ids, f.ravel())
+                np.maximum.at(ref_hi, ids, f.ravel())
+                assert np.array_equal(lo.ravel(), ref_lo) and np.array_equal(hi.ravel(), ref_hi)
+
 
 class TestOneThirdTrick:
     def test_random_intervals_are_covered(self, dom):

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import time
 
 import pytest
@@ -197,6 +198,8 @@ class TestCLI:
         assert main(["awconst", "--w", "power:-0.5", "--p", "lhdecay:1", "--m", "8"]) == 0
         out = capsys.readouterr().out
         assert "q_w estimate" in out
+        for name in ("A_p(.)^loc", "tilde A"):
+            assert re.search(rf"^{re.escape(name)} += \S+  \(solved \d+ of \d+ cubes\)$", out, re.M), name
 
     def test_atoms_command_serializes(self, tmp_path, capsys):
         code = main(

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from varhardy import norms
 from varhardy import weights as weights_mod
-from varhardy.exponent import VariableExponent
+from varhardy.exponent import VariableExponent, dual_exponent
 from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
 from varhardy.presets import exponent_preset, weight_preset
 from varhardy.weights import (
@@ -324,3 +325,126 @@ class TestTilde:
         c1 = tilde_a_constant(weight_preset("const:1", dom), p, max_side=1.0).constant
         c2 = tilde_a_constant(weight_preset("const:9", dom), p, max_side=1.0).constant
         assert c2 == pytest.approx(c1, rel=1e-5)
+
+
+def plain_a_var(w, p):
+    """(sup of |Q|^{-1} ||chi_Q||_{p,w} ||chi_Q||_{p',sigma}, cube count):
+    every layout through `batch_restricted_norms`, then the max."""
+    d = w.domain
+    pd, sigma = dual_exponent(p), dual_weight(w, p)
+    best, count = -np.inf, 0
+    for k in level_range(d, 1.0):
+        for a in all_shifts(d.dim):
+            n1, _ = norms.batch_restricted_norms(1.0, p, w, k, a)
+            n2, _ = norms.batch_restricted_norms(1.0, pd, sigma, k, a)
+            best = max(best, float(np.max(n1 * n2 / (2.0 ** (-k)) ** d.dim)))
+            count += n1.size
+    return best, count
+
+
+def plain_tilde(w, p, max_side):
+    """(sup of |Q|^{-p_Q} ||w||_{L^1(Q)} ||w^{-1}||_{L^{1/(p-1)}(Q)} over the
+    inside cubes of the main grid, cube count): every level solved."""
+    d = w.domain
+    shift = (1,) * d.dim
+    pv, ws = p.values.samples, w.values.samples
+    r = VariableExponent(GridFunction(d, pv / (pv - 1.0) / pv), p_infty=None)
+    best, count = -np.inf, 0
+    for k in level_range(d, 2.0 * d.half_width if max_side is None else max_side):
+        cubes = CubeLayout(d, k, shift)
+        nq, _ = norms.batch_restricted_norms(1.0 / ws, r, None, k, shift)
+        occupancy = cubes.occupancy()
+        p_q = occupancy / cubes.means(1.0 / pv)
+        vals = ((2.0 ** (-k)) ** d.dim) ** (-p_q) * (cubes.sums(ws) * d.h**d.dim) * nq
+        best = max(best, float(np.max(np.where(occupancy > 1.0 - 1e-9, vals, -np.inf))))
+        count += cubes.count
+    return best, count
+
+
+E4_WEIGHTS = ("const:1", "power:1", "power:-0.5", "absp:0.5")
+E4_EXPONENTS = ("const:2", "const:3", "sin2", "lhdecay:1")
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every call of `norms.batch_restricted_norms`: (level, shift, cubes)."""
+    seen = []
+    real = norms.batch_restricted_norms
+
+    def counting(g, p, w, level, shift):
+        vals, qidx = real(g, p, w, level, shift)
+        seen.append((level, shift, vals.size))
+        return vals, qidx
+
+    monkeypatch.setattr(norms, "batch_restricted_norms", counting)
+    return seen
+
+
+class TestBranchAndBound:
+    """The constants solve only the layouts whose bracket can reach the sup,
+    and return bitwise the sup of a sweep that solves every layout."""
+
+    @DOMAINS_1D_2D
+    @pytest.mark.parametrize("wspec", E4_WEIGHTS)
+    @pytest.mark.parametrize("pspec", E4_EXPONENTS)
+    def test_a_var_equals_full_sweep(self, domain, wspec, pspec):
+        w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
+        rep = a_loc_var_constant(w, p)
+        assert (rep.constant, rep.cube_count) == plain_a_var(w, p)
+        assert 0 < rep.cubes_solved <= rep.cube_count
+
+    @DOMAINS_1D_2D
+    @pytest.mark.parametrize("wspec", ["exp:1", "power:-0.5", "absp:0.5"])
+    @pytest.mark.parametrize("pspec", ["const:2", "lhdecay:1"])
+    @pytest.mark.parametrize("max_side", [1.0, None])
+    def test_tilde_equals_full_sweep(self, domain, wspec, pspec, max_side):
+        w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
+        rep = tilde_a_constant(w, p, max_side=max_side)
+        assert (rep.constant, rep.cube_count) == plain_tilde(w, p, max_side)
+        assert 0 < rep.cubes_solved <= rep.cube_count
+
+    @DOMAINS_1D_2D
+    @pytest.mark.parametrize(
+        "wspec, pspec", [("absp:0.5", "lhdecay:1"), ("exp:1", "sin2"), ("power:-0.5", "const:2")]
+    )
+    def test_every_solved_cube_lies_in_its_bracket(self, domain, wspec, pspec, monkeypatch):
+        runs = []
+        real = weights_mod._branch_and_bound
+
+        def capture(*args):
+            runs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(weights_mod, "_branch_and_bound", capture)
+        w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
+        a_loc_var_constant(w, p)
+        tilde_a_constant(w, p, max_side=None)
+        checked = 0
+        for d, max_side, shifts, arrays, ops, bracket, solve in runs:
+            for a in all_shifts(d.dim):
+                for k, shift, _, red in chain_sums(d, a, arrays, level_range(d, max_side)[-1], ops):
+                    if shift not in shifts:
+                        continue
+                    lo, hi = (np.exp(b).ravel() for b in bracket(k, red))
+                    vals = solve(k, shift)
+                    inside = np.isfinite(vals)
+                    assert np.array_equal(inside, hi > 0)
+                    assert np.all(vals[inside] >= lo[inside] * (1 - weights_mod.SLACK))
+                    assert np.all(vals[inside] <= hi[inside] * (1 + weights_mod.SLACK))
+                    checked += inside.sum()
+        assert checked > 0
+
+    @pytest.mark.parametrize(
+        "wspec, layouts", [("power:-0.5", 1), ("const:1", 30)], ids=["pruned", "ties"]
+    )
+    def test_layouts_solved(self, dom, wspec, layouts, solves):
+        # a constant weight and exponent make every cube 1: ties are never pruned
+        rep = a_loc_var_constant(weight_preset(wspec, dom), exponent_preset("const:2", dom))
+        assert len(level_range(dom, 1.0)) * len(all_shifts(1)) == 30
+        assert len(solves) == 2 * layouts
+        assert rep.cubes_solved == sum(n for *_, n in solves) // 2
+
+    def test_no_cube_fits_max_side(self, dom):
+        w, p = weight_preset("const:1", dom), VariableExponent.constant(dom, 2.0)
+        with pytest.raises(ValueError, match="max_side = 0.0001 .* h = 0.00195312"):
+            tilde_a_constant(w, p, max_side=1e-4)
