@@ -50,8 +50,7 @@ from .grid import (
     smallest_enclosing_cubes,
 )
 from .hardy import TestDictionary, grand_maximal
-from .maximal import local_maximal
-from .norms import _luxemburg_solve, luxemburg_norm
+from .norms import luxemburg_norm
 from .report import Report
 from .weights import Weight, moment_order, q_w_estimate
 
@@ -61,14 +60,10 @@ __all__ = [
     "Patch",
     "validate_atom",
     "sequence_norm",
-    "sequence_norm_dagger",
     "whitney_decompose",
-    "partition_of_unity",
-    "moment_projection",
     "cz_decompose",
     "atomic_decompose",
     "synthesize",
-    "bad_part_majorant_check",
     "save_decomposition",
     "load_decomposition",
 ]
@@ -197,30 +192,6 @@ def sequence_norm(
             raise ValueError("coefficients must be nonnegative")
         acc[cube.lattice_slices(d)] += abs(lam) ** v
     return luxemburg_norm(GridFunction._adopt(d, acc ** (1.0 / v)), p, w)
-
-
-def sequence_norm_dagger(lambdas, cubes, p: VariableExponent, w: Weight | None) -> float:
-    """inf of lam > 0 with sum_j int_{Q_j} ((|lambda_j|/lam) chi)^{p} w <= 1.
-
-    Overlapping cubes contribute separately, so this is not the modular of
-    any single function; their points form one group of the Luxemburg solve.
-    """
-    d = p.domain
-    hn = d.h ** d.dim
-    lam_pts, p_pts, w_pts = [], [], []
-    ws = None if w is None else w.values.samples
-    for lam, cube in zip(lambdas, cubes):
-        if lam == 0:
-            continue
-        sl = cube.lattice_slices(d)
-        p_pts.append(p.values.samples[sl].ravel())
-        w_pts.append((np.ones(p_pts[-1].size) if ws is None else ws[sl].ravel()))
-        lam_pts.append(np.full(p_pts[-1].size, abs(lam)))
-    if not lam_pts:
-        return 0.0
-    return _luxemburg_solve(
-        np.concatenate(lam_pts), np.concatenate(p_pts), hn * np.concatenate(w_pts)
-    ).item()
 
 
 # ---------------------------------------------------------------------------
@@ -443,42 +414,6 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
         bad = (f_rows - _moment_fit(f_rows, eta, mono, inv_gram)) * eta
         groups.append(_Group(idx, point, eta, bad, mono, inv_gram))
     return _Cover(groups, lo, shape)
-
-
-def partition_of_unity(cubes: list[Cube], domain: Domain) -> list[Patch]:
-    """Near-partition subordinate to the dilated Whitney cubes.
-
-    Returns one windowed weight per cube; they sum to exactly 1 on the
-    covered region (shared corner points are split evenly between
-    neighbors).
-    """
-    level = np.array([c.level for c in cubes], dtype=np.int64)
-    shift = np.array([c.shift for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
-    index = np.array([c.index for c in cubes], dtype=np.int64).reshape(-1, domain.dim)
-    return _localise(np.zeros(domain.shape), level, shift, index, domain, -1).patches("eta")
-
-
-def moment_projection(f: GridFunction, eta: GridFunction, L: int) -> Patch:
-    """Public projection: P in P_L with int (f - P) x^b eta dx = 0, |b| <= L,
-    rendered on the bounding window of the weight's support.
-
-    Monomials are centered at the weight's support center and scaled by
-    half its support width, which keeps the Gram system well conditioned.
-    """
-    d = f.domain
-    nz = np.nonzero(eta.samples)
-    if nz[0].size == 0:
-        raise ValueError("weight has empty support")
-    lo = tuple(int(np.min(ix)) for ix in nz)
-    hi = tuple(int(np.max(ix)) + 1 for ix in nz)
-    sl = tuple(slice(a, b) for a, b in zip(lo, hi))
-    x = d.axis()
-    center = [(x[a] + x[b - 1]) / 2.0 for a, b in zip(lo, hi)]
-    scale = max(max((x[b - 1] - x[a]) / 2.0 for a, b in zip(lo, hi)), d.h)
-    mono = _monomials([(x[a:b] - c) / scale for a, b, c in zip(lo, hi, center)], L)
-    w_row = eta.samples[sl].reshape(1, -1)
-    pvals = _moment_fit(f.samples[sl].reshape(1, -1), w_row, mono, _inverse_grams(w_row, mono))
-    return Patch(lo, pvals.reshape(eta.samples[sl].shape))
 
 
 # ---------------------------------------------------------------------------
@@ -784,36 +719,6 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
             "size_budget": budget,
             "moment_worst_rel": moment_worst,
         },
-    )
-
-
-def bad_part_majorant_check(a: Atom, dic: TestDictionary) -> Report:
-    """Pointwise decay of the grand maximal function of a local atom.
-
-    Records the constant sup over x outside 2Q of
-    M0 a / (M^loc chi_Q)^{(n+L+1)/n}.
-    """
-    d = a.domain
-    if a.support.volume >= 1.0:
-        raise ValueError("majorant check applies to local atoms with |Q| < 1")
-    m0 = grand_maximal(a.values, dic, "M0").samples
-    chi = np.zeros(d.shape)
-    chi[a.support.lattice_slices(d)] = 1.0
-    mloc = local_maximal(GridFunction._adopt(d, chi)).samples
-    exponent = (d.dim + a.L + 1) / d.dim
-    outside = ~a.support.box().dilate(2.0).lattice_mask(d)
-    mask = outside & (mloc > 0)
-    const = float(np.max(m0[mask] / mloc[mask] ** exponent)) if np.any(mask) else 0.0
-    reach = a.support.box().dilate(1.0)
-    far = reduce(np.logical_or, (
-        (x < lo - dic.radius - 1.0) | (x > hi + dic.radius + 1.0)
-        for x, lo, hi in zip(d.coords(), reach.lo, reach.hi)
-    ))
-    leak = float(np.max(m0[far])) if np.any(far) else 0.0
-    return Report(
-        "bad_part_majorant_check",
-        passed=leak <= 1e-12 * max(1.0, float(np.max(np.abs(a.patch.arr)))),
-        quantities={"constant": const, "outside_reach_leak": leak},
     )
 
 

@@ -483,7 +483,7 @@ def all_shifts(dim: int) -> list[tuple[int, ...]]:
 def level_range(domain: Domain, max_side: float, min_side: float | None = None) -> list[int]:
     """Cube levels k with min_side <= 2^-k <= max_side, finest first."""
     lo = max(min_side if min_side is not None else domain.h, domain.h)
-    if max_side < lo:
+    if not max_side >= lo:  # a nan max_side holds no level either
         return []
     k_hi = min(int(math.floor(-math.log2(lo) + 1e-12)), domain.level)
     k_lo = max(int(math.ceil(-math.log2(max_side) - 1e-12)), domain.min_cube_level())

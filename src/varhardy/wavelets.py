@@ -28,7 +28,6 @@ __all__ = [
     "v_function",
     "w_function",
     "wavelet_norm",
-    "expanded_cube",
     "WaveletCoefficients",
 ]
 
@@ -259,11 +258,3 @@ def wavelet_norm(
             )
     coeffs = analyze(f, sys, J)
     return luxemburg_norm(_v_samples(coeffs), p, w) + luxemburg_norm(_w_samples(coeffs), p, w)
-
-
-def expanded_cube(j: int, k, sys: WaveletSystem) -> tuple[tuple[float, float], ...]:
-    """Support region of the basis member (j, k), one interval
-    [2^-j k_m, 2^-j (k_m + 2N - 1)] per entry k_m of k."""
-    ks = np.atleast_1d(np.asarray(k, dtype=float))
-    side = 2.0 ** (-j)
-    return tuple((side * km, side * (km + 2 * sys.N - 1)) for km in ks)

@@ -75,6 +75,8 @@ class Weight:
 
     @classmethod
     def constant(cls, domain: Domain, c: float) -> "Weight":
+        if c <= 0:
+            raise ValueError(f"constant weight must be positive, got {c:g}")
         return cls.from_callable(
             domain, lambda *xs: np.full(np.broadcast(*xs).shape, float(c))
         )
@@ -225,8 +227,8 @@ def _a_p_sweep(w: Weight) -> Callable[[float], MuckenhouptReport]:
 
 def a_loc_p_constant(w: Weight, p: float) -> MuckenhouptReport:
     """sup over cubes |Q| <= 1 of m_Q(w) m_Q(w^{-1/(p-1)})^{p-1}."""
-    if p <= 1:
-        raise ValueError("p must exceed 1")
+    if not (p > 1 and np.isfinite(p)):
+        raise ValueError("p must exceed 1 and be finite")
     return _a_p_sweep(w)(p)
 
 
@@ -252,6 +254,8 @@ def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
         if not np.isfinite(a1):
             raise ValueError("A1 constant not finite")
         q = 1.0 + 1.0 / (4.0 ** (d.dim + 6) * a1)
+    elif not (q > 1 and np.isfinite(q)):
+        raise ValueError(f"q must exceed 1 and be finite, got {q:g}")
     ws = w.values.samples
     with np.errstate(divide="ignore", invalid="ignore"):
         worst = _largest(

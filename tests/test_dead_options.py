@@ -1,14 +1,18 @@
-"""Every defaulted parameter of the library is set by some caller, and
-every parameter is read.
+"""Every public function of the library has a caller, every defaulted
+parameter is set by some caller, every parameter is read, and every
+exported name exists.
 
 A parameter with a default that no call in `src/varhardy` or `perfbench/`
 passes, by position or by keyword, is a setting with one value in use: it
 belongs in a module constant.  Calls are matched by the called name alone
 (`f(...)` or `obj.f(...)`), so a parameter counts as used when any callable
 of that name receives it; for a method the receiver takes no position.
+A public function that no code there names is reached only by tests: it
+belongs in the tests, or nowhere.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +27,15 @@ ALLOWED = {
     "grid.enumerate_cubes(shifts)": "enumerate_cubes is the tests' reference enumeration",
     "grid.enumerate_cubes(min_side)": "enumerate_cubes is the tests' reference enumeration",
     "cli.main(argv)": "the console entry point reads sys.argv; tests pass argv",
+}
+
+
+# public functions that no library or benchmark code names, each with its reason
+UNREFERENCED = {
+    "atoms.load_decomposition": "reads the files that `varhardy atoms --out` writes",
+    "grid.enumerate_cubes": "the tests' reference enumeration, exported by the package",
+    "atoms.whitney_decompose": "the benchmark traces it by the string name in its TRACED table",
+    "littlewood_paley.square_function": "the benchmark traces it by the string name in its TRACED table",
 }
 
 
@@ -69,12 +82,15 @@ def _defaulted_parameters():
                 yield name, fn.name, a.arg, None
 
 
+def _callers():
+    """Parsed trees of the library and benchmark modules, tests excluded."""
+    return [ast.parse(path.read_text()) for path in CALLERS if not path.name.startswith("test_")]
+
+
 def _calls():
     """(called name, positional count, keyword names) of every call."""
-    for path in CALLERS:
-        if path.name.startswith("test_"):
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in _callers():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = getattr(func, "id", None) or getattr(func, "attr", None)
@@ -103,3 +119,30 @@ def test_every_parameter_is_read():
         unread |= {f"{name}({a})" for a in params if a not in read}
     # an allow-list entry whose parameter is now read, or gone, is stale
     assert sorted(unread) == sorted(UNREAD)
+
+
+def test_every_public_function_is_referenced():
+    # a name read as a value counts: a call, or an entry of a table such as
+    # SUITES; imports and the strings of __all__ are not reads
+    referenced = {
+        getattr(node, "id", None) or node.attr
+        for tree in _callers()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unreferenced = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in referenced
+    }
+    # an allow-list entry that has gained a reference, or is gone, is stale
+    assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+def test_every_export_resolves():
+    stale = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        module = importlib.import_module("varhardy" if path.stem == "__init__" else f"varhardy.{path.stem}")
+        stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []

@@ -159,6 +159,11 @@ class TestEnumerate:
         levels = [c.level for c in a]
         assert levels == sorted(levels, reverse=True)
 
+    def test_level_range_of_nan_is_empty(self, dom):
+        # nan compares false both ways: no level, rather than a failed int()
+        assert level_range(dom, np.nan) == []
+        assert level_range(dom, 1.0) == list(range(dom.level, -1, -1))
+
 
 class TestTiling:
     @pytest.mark.parametrize("shift", [(0,), (1,), (2,)])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from varhardy.atoms import sequence_norm_dagger
 from varhardy.exponent import VariableExponent
 from varhardy.grid import Cube, Domain, GridFunction
 from varhardy.norms import (
@@ -147,20 +146,6 @@ class TestLuxemburg:
             want = luxemburg_oracle(dom, pieces, pvals)
             assert got == pytest.approx(want, rel=1e-6)
 
-    def test_sequence_dagger_root_oracle(self, dom):
-        # overlapping cubes count separately: one oracle piece per (cube, p-piece)
-        edges = [(-8.0, 0.3, 2.5), (0.3, 1.1, 0.7), (1.1, 8.0, 1.6)]
-        p = piecewise_exponent(dom, edges)
-        cubes = [Cube(0, (0,), (0,)), Cube(1, (0,), (1,)), Cube(2, (0,), (1,)), Cube(1, (1,), (-1,))]
-        lams = [0.4, 2.0, 7.5, 1.3]
-        pieces, pvals = [], []
-        for lam, cube in zip(lams, cubes):
-            more, more_p = oracle_pieces(edges, cube.corner[0], cube.corner[0] + cube.side, lam)
-            pieces += more
-            pvals += more_p
-        want = luxemburg_oracle(dom, pieces, pvals)
-        assert sequence_norm_dagger(lams, cubes, p, None) == pytest.approx(want, rel=1e-11)
-
     def test_triangle_inequality(self, dom):
         rng = np.random.default_rng(11)
         p = exponent_preset("lhdecay:1", dom)
@@ -268,17 +253,16 @@ class TestIndicatorProfile:
         assert rep.passed
 
     def test_small_cube_sweep_spread(self, dom):
-        from varhardy.exponent import lh0_constant
-
         p = exponent_preset("lhdecay:1", dom)
-        cstar = lh0_constant(p)
         ratios = []
         for k in (2, 3, 4, 5):
             idx = int(np.floor(5.0 * 2**k))
             rep = indicator_norm_profile(Cube(k, (0,), (idx,)), p)
             ratios.append(rep.q("vs_p_minus"))
         spread = max(ratios) / min(ratios)
-        assert spread <= np.e ** max(cstar, 1.0)
+        # the bound was e^max(C, 1) with C the empirical local log-Holder
+        # constant of lhdecay:1, which reads 0.114 on this window: so e
+        assert spread <= np.e
 
 
 class TestLocalization:

@@ -10,7 +10,6 @@ from varhardy.presets import function_preset, weight_preset
 from varhardy.wavelets import (
     analyze,
     build_wavelet_system,
-    expanded_cube,
     synthesize_coefficients,
     v_function,
     w_function,
@@ -196,25 +195,3 @@ class TestWaveletNorm:
             wavelet_norm(f, p, w, db2)
         # and a system with enough moments passes the gate
         assert wavelet_norm(f, p, w, build_wavelet_system(6)) > 0.0
-
-
-class TestExpandedCube:
-    def test_arithmetic(self, db2):
-        (iv,) = expanded_cube(0, 0, db2)
-        assert iv == (0.0, 3.0)
-
-    def test_contains_basis_cube(self, db2):
-        (iv,) = expanded_cube(3, 5, db2)
-        side = 2.0**-3
-        assert iv[0] <= 5 * side and 6 * side <= iv[1]
-
-    def test_coefficient_support_consistency(self, dom, db2):
-        # one-sided bump: coefficients vanish unless the expanded support
-        # region meets the support of f
-        f = function_preset("bump:3,0.5", dom)
-        co = analyze(f, db2, 0)
-        off = co.k_offset(0)
-        for k_pos, val in enumerate(co.details[0]["h"]):
-            if abs(val) > 1e-12:
-                (iv,) = expanded_cube(0, k_pos + off, db2)
-                assert iv[1] > 2.5 and iv[0] < 3.5

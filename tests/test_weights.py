@@ -37,6 +37,19 @@ def two_res(spec, fn, m=9):
 DOMAINS_1D_2D = pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
 
 
+class TestWeight:
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_constant_rejects_nonpositive(self, dom, c):
+        # the clamp would otherwise make a weight of CLAMP_FLOOR everywhere
+        with pytest.raises(ValueError, match="constant weight must be positive"):
+            Weight.constant(dom, c)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_constant_rejects_nonfinite(self, dom, c):
+        with pytest.raises(ValueError, match="finite"):
+            Weight.constant(dom, c)
+
+
 class TestAInfty:
     @DOMAINS_1D_2D
     def test_constant_weight(self, domain):
@@ -73,6 +86,12 @@ class TestAP:
     def test_rejects_p_at_most_one(self, dom):
         with pytest.raises(ValueError):
             a_loc_p_constant(weight_preset("const:1", dom), 1.0)
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf])
+    def test_rejects_p_not_finite(self, p):
+        # nan read as a constant of -inf and inf as 3.0
+        with pytest.raises(ValueError, match="p must exceed 1 and be finite"):
+            a_loc_p_constant(weight_preset("power:0.5", Domain(1, 8, 6)), p)
 
 
 class TestA1:
@@ -114,6 +133,12 @@ class TestReverseHolder:
         rep = reverse_holder_check(weight_preset("absp:-0.9", dom), q=3.0)
         assert not rep.passed
         assert rep.q("worst_ratio") > 2.0
+
+    @pytest.mark.parametrize("q", [0.0, -1.0, 1.0, np.nan, np.inf])
+    def test_rejects_exponent_outside_range(self, q):
+        # q = 0 divided by zero; the others passed, inf with a worst ratio of 1
+        with pytest.raises(ValueError, match="q must exceed 1 and be finite"):
+            reverse_holder_check(weight_preset("power:0.5", Domain(1, 8, 6)), q)
 
 
 class TestDualWeight:
@@ -448,3 +473,8 @@ class TestBranchAndBound:
         w, p = weight_preset("const:1", dom), VariableExponent.constant(dom, 2.0)
         with pytest.raises(ValueError, match="max_side = 0.0001 .* h = 0.00195312"):
             tilde_a_constant(w, p, max_side=1e-4)
+
+    def test_nan_max_side_fits_no_cube(self, dom):
+        w, p = weight_preset("const:1", dom), VariableExponent.constant(dom, 2.0)
+        with pytest.raises(ValueError, match="no cube of side at most max_side = nan"):
+            tilde_a_constant(w, p, max_side=np.nan)
