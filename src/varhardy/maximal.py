@@ -9,8 +9,9 @@ constants use too.  The running supremum comes back down the pyramid in
 place: each level's means overwrite its sums, the parent's value raises
 them one parity class at a time, and the lattice level is the caller's
 array, so for a plain maximal function |f| itself (its lattice mean).  One
-grid is the union of two chains on alternate levels, so each operator
-costs O(points * grids).
+grid is the union of two chains on alternate levels, so `grid_maximal`
+costs O(points) per grid; the all-grid operators sweep each of the 3^n
+chains once, O(points * 3^n) in all.
 """
 
 from __future__ import annotations
@@ -87,6 +88,21 @@ def _chain_sup(out: np.ndarray, sweep: list, levels, value) -> None:
         _raise(out, run, lead)
 
 
+def _sweep_chains(out: np.ndarray, d: Domain, shifts, arrays, levels, value) -> None:
+    """`_chain_sup` along the chain of each lattice shift in `shifts` over
+    all `levels`, each pyramid built just before its descent, so only one
+    is alive at a time."""
+    for a in shifts:
+        _chain_sup(out, list(chain_sums(d, a, arrays, min(levels))), levels, value)
+
+
+def _cube_means(d: Domain):
+    """The `_chain_sup` value of a plain maximal function: a level's sums
+    of |f| become means against the full cube volume (zero extension), in
+    place."""
+    return lambda k, s: np.multiply(s, 2.0 ** ((k - d.level) * d.dim), out=s)
+
+
 def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None = None,
                  min_side: float | None = None) -> GridFunction:
     """Maximal operator generated by the single shifted grid `shift`.
@@ -100,13 +116,11 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
         raise ValueError(f"invalid shift {shift}")
     if max_side is None:
         max_side = 4.0 * d.half_width
+    if math.isnan(max_side) or (min_side is not None and math.isnan(min_side)):
+        raise ValueError(f"max_side and min_side must not be nan, got {max_side} and {min_side}")
     levels = level_range(d, max_side, min_side)
     absf = np.abs(f.samples)  # the lattice level's mean
     out = absf if d.level in levels else np.zeros(d.shape)
-
-    def mean(k, s):  # against the full cube volume (zero extension)
-        return np.multiply(s, 2.0 ** ((k - d.level) * d.dim), out=s)
-
     if not any(shift):
         chains = [(shift, levels)]
     else:
@@ -115,6 +129,7 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
                   (other, [k for k in levels if (d.level - k) % 2])]
     # both chains sum |f|, so take their sums before `out` is raised
     sweeps = [(list(chain_sums(d, a, (absf,), min(ks))), ks) for a, ks in chains if ks]
+    mean = _cube_means(d)
     for sweep, ks in sweeps:
         _chain_sup(out, sweep, ks, mean)
     return GridFunction._adopt(d, out)
@@ -126,7 +141,7 @@ def hl_maximal(f: GridFunction) -> GridFunction:
     A computable minorant of the supremum over arbitrary cubes; the two
     agree within the covering factor 6^n.
     """
-    return _all_grids_maximal(f, None)
+    return _all_grids_maximal(f, 4.0 * f.domain.half_width)
 
 
 def local_maximal(f: GridFunction, R: float = 1.0) -> GridFunction:
@@ -138,12 +153,21 @@ def local_maximal(f: GridFunction, R: float = 1.0) -> GridFunction:
     return _all_grids_maximal(f, R)
 
 
-def _all_grids_maximal(f: GridFunction, max_side: float | None) -> GridFunction:
-    """Pointwise max of `grid_maximal` over every shifted grid."""
+def _all_grids_maximal(f: GridFunction, max_side: float) -> GridFunction:
+    """Pointwise max of `grid_maximal` over every shifted grid, one sweep
+    per chain.
+
+    The grids of a and 2a mod 3 are the chains from a and 2a on alternate
+    levels, so together they are both chains on every level, and the zero
+    shift's grid is its own chain.  So the zero shift's grid comes from
+    `grid_maximal` (looked up by module attribute), and the chain of each
+    nonzero shift raises it over all levels: 3^n pyramids in place of
+    2 * 3^n - 1, and the same max, bit for bit.
+    """
     d = f.domain
-    out = np.zeros(d.shape)
-    for a in all_shifts(d.dim):
-        np.maximum(out, grid_maximal(f, a, max_side).samples, out=out)
+    out = np.array(grid_maximal(f, (0,) * d.dim, max_side).samples)
+    nonzero = all_shifts(d.dim)[1:]  # all_shifts puts the zero shift first
+    _sweep_chains(out, d, nonzero, (np.abs(f.samples),), level_range(d, max_side), _cube_means(d))
     return GridFunction._adopt(d, out)
 
 
@@ -169,10 +193,8 @@ def powered_weighted_local_maximal(f: GridFunction, w: Weight, u: float) -> Grid
 
     # the chains from all 3^n lattice shifts cover every (level, shift) once;
     # the lattice level, one point per cube for every shift, seeds `out`
-    levels = level_range(d, 1.0)
     out = g / ws
-    for a in all_shifts(d.dim):
-        _chain_sup(out, list(chain_sums(d, a, (g, ws), min(levels))), levels, ratio)
+    _sweep_chains(out, d, all_shifts(d.dim), (g, ws), level_range(d, 1.0), ratio)
     return GridFunction._adopt(d, scale * out ** (1.0 / u))
 
 

@@ -293,6 +293,25 @@ class TestInPlaceDescent:
                                   repeat_grid_maximal(f, main, 4.0 * d.half_width, r0))
 
     @pytest.mark.parametrize("d", WINDOWS, ids=["n1", "n2"])
+    def test_operators_sweep_each_chain_once(self, d, monkeypatch):
+        # the grids of a and 2a mod 3 together are both chains on every
+        # level, so the 3^n chains suffice: 3 pyramids in 1-D and 9 in 2-D,
+        # not one per chain of every grid (5 and 17)
+        swept = []
+        real = maximal.chain_sums
+
+        def counted(domain, shift, *rest):
+            swept.append(shift)
+            return real(domain, shift, *rest)
+
+        monkeypatch.setattr(maximal, "chain_sums", counted)
+        f = sparse_signed(d)
+        for op in (hl_maximal, local_maximal, lambda f: local_maximal(f, 0.25)):
+            swept.clear()
+            op(f)
+            assert sorted(swept) == all_shifts(d.dim)
+
+    @pytest.mark.parametrize("d", WINDOWS, ids=["n1", "n2"])
     @pytest.mark.parametrize("u", [1.0, 2.0])
     def test_powered(self, d, u):
         f = sparse_signed(d)
@@ -372,6 +391,14 @@ class TestGridMaximal:
             for a in all_shifts(2):
                 total += grid_maximal(f, a).samples
             assert np.all(hl_maximal(f).samples <= 36.0 * total + 1e-12)
+
+    @pytest.mark.parametrize("sides", [(math.nan, None), (None, math.nan), (1.0, math.nan)],
+                             ids=["max", "min", "band"])
+    def test_rejects_nan_sides(self, dom, sides):
+        # a nan side would select no level and read as M f = 0 for every f
+        f = function_preset("bump:0,1", dom)
+        with pytest.raises(ValueError, match="must not be nan"):
+            grid_maximal(f, (1,), *sides)
 
     def test_delta_hand_enumeration(self, dom):
         # hand enumeration for the standard grid: the point 0 sits on every
