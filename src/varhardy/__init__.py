@@ -10,13 +10,12 @@ discretized data.
 __version__ = "0.1.0"
 
 from .exponent import VariableExponent
-from .grid import Box, Cube, Domain, GridFunction, convolve, enumerate_cubes, quadrature
+from .grid import Cube, Domain, GridFunction, convolve, enumerate_cubes, quadrature
 from .norms import luxemburg_norm, modular
 from .report import Report
 from .weights import Weight
 
 __all__ = [
-    "Box",
     "Cube",
     "Domain",
     "GridFunction",

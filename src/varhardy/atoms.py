@@ -108,11 +108,6 @@ class Patch:
             out[dst] = self.arr[tuple(slice(a - lo, b - lo) for (a, b), lo in zip(ov, self.lo))]
         return out
 
-    def materialize(self, domain: Domain) -> GridFunction:
-        dense = np.zeros(domain.shape)
-        self.add_into(dense)
-        return GridFunction._adopt(domain, dense)
-
     def norm_lq(self, domain: Domain, q: float, w: Weight | None) -> float:
         if math.isinf(q):
             return float(np.max(np.abs(self.arr))) if self.arr.size else 0.0
@@ -142,10 +137,6 @@ class Atom:
     q: float
     L: int
     kind: str
-
-    @property
-    def values(self) -> GridFunction:
-        return self.patch.materialize(self.domain)
 
     def lq_norm(self, w: Weight | None) -> float:
         return self.patch.norm_lq(self.domain, self.q, w)
@@ -258,6 +249,19 @@ def whitney_decompose(omega: GridFunction) -> list[Cube]:
     return _cube_list(*_whitney_cover(omega.samples > 0.5, omega.domain))
 
 
+def _dilated_ranges(d: Domain, level, shift, index):
+    """`grid.cube_lattice_ranges` of the cube (level k, shift a, index q)
+    dilated about its center by 1 + 2^{-n-10}: with R = 2^{m-k} and D =
+    2^{n+11}, its ends in units of h are R((3q + a)D - 3) / (3D) and
+    R((3q + a + 3)D + 3) / (3D), whose ceilings are clipped to [0, N]."""
+    r = 1 << (d.level - level)
+    D = 1 << (d.dim + 11)
+    num = 3 * index + shift
+    start = -((-r * (num * D - 3)) // (3 * D)) + d.half_npts
+    stop = -((-r * ((num + 3) * D + 3)) // (3 * D)) + d.half_npts
+    return np.clip(start, 0, d.npts), np.clip(stop, 0, d.npts)
+
+
 def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
     """Two-sided bound check and dilated-cube overlap count for a cover."""
     d = omega.domain
@@ -266,22 +270,12 @@ def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
     dist = _edt_cells(omega.samples > 0.5) * d.h
     violations = 0
     overlap = np.zeros(d.shape, dtype=np.int32)
-    h = d.h
-    m0 = d.half_npts
     for c in cubes:
         dmin = float(np.min(dist[c.lattice_slices(d)]))
         diam = c.side * math.sqrt(n)
         if not (diam <= gap * dmin <= 4.0 * diam + 1e-12):
             violations += 1
-        box = c.box().dilate(1.0 + 2.0 ** (-n - 10))
-        idx = tuple(
-            slice(
-                max(int(math.ceil(lo / h)) + m0, 0),
-                min(int(math.ceil(hi / h)) + m0, d.npts),
-            )
-            for lo, hi in zip(box.lo, box.hi)
-        )
-        overlap[idx] += 1
+        overlap[tuple(slice(*_dilated_ranges(d, c.level, a, q)) for a, q in zip(c.shift, c.index))] += 1
     max_overlap = int(overlap.max()) if cubes else 0
     return Report(
         "whitney_geometry",
@@ -429,6 +423,8 @@ def cz_decompose(
     vanishing moments, against its own localization weight, up to order L.
     """
     d = f.domain
+    if math.isnan(lam):
+        raise ValueError("threshold must not be nan")
     mn = grand_maximal(f, dic, "MN")
     mask = mn.samples > lam
     if np.all(mask):
@@ -648,9 +644,9 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
     """Cut an oversized atom into unit-cube pieces, renormalized; each
     piece is read from the atom's patch window."""
     d = atom.domain
-    x = d.axis()
+    # the unit cubes holding the support's first and last samples, per axis
     spans = [
-        range(int(math.floor(x[a])), int(math.ceil(x[min(b, d.npts) - 1])) + 1)
+        range((a - d.half_npts) >> d.level, ((b - 1 - d.half_npts) >> d.level) + 1)
         for a, b in atom.support.lattice_ranges(d)
     ]
     out = []

@@ -3,8 +3,11 @@
 Functions live on a uniform lattice over the window [-T, T)^n with dyadic
 step h = 2^-m.  Cubes come from the three shifted dyadic grids per axis
 (shifts a/3, a in {0,1,2}), so every axis-parallel cube is contained in an
-enumerated cube of at most 6^n times its volume.  All cube/lattice index
-arithmetic is exact integer arithmetic; no floating-point membership tests.
+enumerated cube of at most 6^n times its volume.  Which samples a cube
+holds, and which cube holds a sample, is exact integer arithmetic (3 *
+corner / h is an integer).  Floats decide membership only in
+`enumerate_cubes`, the tests' independent reference, and in
+`smallest_enclosing_cubes`, whose boxes are arbitrary coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "Domain",
     "GridFunction",
     "Cube",
-    "Box",
     "CubeLayout",
     "chain_sums",
     "quadrature",
@@ -130,9 +132,6 @@ class Domain:
         """|x| at every lattice point."""
         return reduce(np.hypot, self.coords(), 0.0)
 
-    def refine(self) -> "Domain":
-        return Domain(self.dim, self.half_width, self.level + 1)
-
     def min_cube_level(self) -> int:
         """Coarsest useful cube level; side caps at 4T."""
         return -int(round(math.log2(self.half_width))) - 2
@@ -151,11 +150,11 @@ def _check_real(samples) -> None:
 class GridFunction:
     """Sampled real function on a Domain lattice; immutable.
 
-    The public constructor and `with_samples` copy their samples, since
-    the caller may still hold the array and write to it.  The library's
-    own operators, the arithmetic ones included, build their output
-    arrays afresh and hand them to `_adopt`, which freezes such an array
-    in place instead of copying it.
+    The public constructor copies its samples, since the caller may still
+    hold the array and write to it.  The library's own operators, the
+    arithmetic ones included, build their output arrays afresh and hand
+    them to `_adopt`, which freezes such an array in place instead of
+    copying it.
 
     `_memo` holds what callers derive from the samples and keep, such as a
     kernel's spectra per scale, or the phi_star of a `make_phi_pair` phi;
@@ -195,9 +194,6 @@ class GridFunction:
     def from_callable(cls, domain: Domain, fn: Callable) -> "GridFunction":
         return cls(domain, np.broadcast_to(fn(*domain.coords()), domain.shape))
 
-    def with_samples(self, arr: np.ndarray) -> "GridFunction":
-        return GridFunction(self.domain, arr)
-
     def __abs__(self):
         return self._adopt(self.domain, np.abs(self.samples))
 
@@ -227,25 +223,6 @@ class GridFunction:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Axis-parallel box [lo, hi), used for dilations and support tracking."""
-
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-
-    def dilate(self, factor: float) -> "Box":
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        c = (lo + hi) / 2
-        r = (hi - lo) / 2 * factor
-        return Box(tuple(c - r), tuple(c + r))
-
-    def lattice_mask(self, domain: Domain) -> np.ndarray:
-        masks = ((x >= lo) & (x < hi) for x, lo, hi in zip(domain.coords(), self.lo, self.hi))
-        return reduce(np.logical_and, masks)
-
-
-@dataclass(frozen=True)
 class Cube:
     """Shifted dyadic cube 2^-level * [m + a/3, m + a/3 + 1) per axis."""
 
@@ -272,16 +249,8 @@ class Cube:
         return self.side ** self.dim
 
     @property
-    def corner(self) -> tuple[float, ...]:
-        return tuple(self.side * (m + a / 3.0) for m, a in zip(self.index, self.shift))
-
-    @property
     def center(self) -> tuple[float, ...]:
         return tuple(cube_centers(self.level, a, m) for m, a in zip(self.index, self.shift))
-
-    def box(self) -> Box:
-        c = self.corner
-        return Box(c, tuple(v + self.side for v in c))
 
     def lattice_ranges(self, domain: Domain) -> tuple[tuple[int, int], ...]:
         """Half-open [start, stop) sample-index ranges per axis, clipped."""
@@ -293,16 +262,6 @@ class Cube:
         """Index window of the cube on the lattice; empty on every axis
         where the cube misses the window."""
         return tuple(slice(a, max(a, b)) for a, b in self.lattice_ranges(domain))
-
-    def lattice_count(self, domain: Domain) -> int:
-        cnt = 1
-        for a, b in self.lattice_ranges(domain):
-            cnt *= max(b - a, 0)
-        return cnt
-
-    def contains_point(self, x: Sequence[float]) -> bool:
-        c = self.corner
-        return all(ci <= xi < ci + self.side for ci, xi in zip(c, np.atleast_1d(x)))
 
 
 def cube_lattice_ranges(domain: Domain, level, shift, index):
@@ -378,10 +337,6 @@ class CubeLayout:
         """Share of each cube's lattice points that lie inside the window."""
         counts = np.bincount(self.ids.ravel(), minlength=self.count)
         return counts / (2.0 ** (self.domain.level - self.level)) ** self.domain.dim
-
-    def cube(self, j: int) -> Cube:
-        index = np.unravel_index(j, self.shape)
-        return Cube(self.level, self.shift, tuple(int(i) + q0 for i, q0 in zip(index, self.first)))
 
 
 def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
@@ -481,12 +436,17 @@ def all_shifts(dim: int) -> list[tuple[int, ...]]:
 
 
 def level_range(domain: Domain, max_side: float, min_side: float | None = None) -> list[int]:
-    """Cube levels k with min_side <= 2^-k <= max_side, finest first."""
+    """Cube levels k with min_side <= 2^-k <= max_side, finest first; an
+    infinite max_side runs to `Domain.min_cube_level`, and an infinite
+    min_side is an error."""
     lo = max(min_side if min_side is not None else domain.h, domain.h)
+    if math.isinf(lo):
+        raise ValueError("min_side must be finite")
     if not max_side >= lo:  # a nan max_side holds no level either
         return []
     k_hi = min(int(math.floor(-math.log2(lo) + 1e-12)), domain.level)
-    k_lo = max(int(math.ceil(-math.log2(max_side) - 1e-12)), domain.min_cube_level())
+    # no cube is wider than 4T, the side at the coarsest level
+    k_lo = math.ceil(-math.log2(min(max_side, 4.0 * domain.half_width)) - 1e-12)
     return list(range(k_hi, k_lo - 1, -1))
 
 

@@ -55,9 +55,9 @@ class TestDictionary:
 
     Every member is compactly supported in the ball of radius `radius`,
     with all finite-difference derivatives up to order `order` + 1 bounded
-    by 1 there.  `nondegenerate` records that at least one member has
-    nonvanishing integral, which makes the grand maximal function vanish
-    only on the zero function.
+    by 1 there.  `masses` holds each member's integral; a member with a
+    nonzero integral makes the grand maximal function vanish only on the
+    zero function.
     """
 
     domain: Domain
@@ -65,10 +65,6 @@ class TestDictionary:
     order: int
     members: tuple[GridFunction, ...]
     masses: tuple[float, ...]
-
-    @property
-    def nondegenerate(self) -> bool:
-        return any(abs(m) > 1e-12 for m in self.masses)
 
 
 def _fd_derivative_sup(vals: np.ndarray, h: float, order: int, dim: int) -> float:

@@ -121,9 +121,6 @@ class WaveletCoefficients:
     scaling: np.ndarray
     details: dict[int, dict[str, np.ndarray]]
 
-    def coefficient_count(self) -> int:
-        return self.scaling.size + sum(a.size for v in self.details.values() for a in v.values())
-
     def energy(self) -> float:
         total = float(np.sum(self.scaling**2))
         for v in self.details.values():

@@ -21,7 +21,7 @@ from varhardy.atoms import (
     _split_unit_pieces,
 )
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Cube, Domain, GridFunction, quadrature
+from varhardy.grid import Cube, Domain, GridFunction, cube_lattice_ranges, quadrature
 from varhardy.hardy import grand_maximal, nested_dictionaries
 from varhardy.norms import lq_norm, luxemburg_norm
 from varhardy.presets import exponent_preset, function_preset, weight_preset
@@ -73,6 +73,13 @@ def haar_atom(dom, cube):
     arr[mid - a :] = -1.0
     arr -= arr.mean()  # exact zero mean on the lattice
     return Atom(cube, dom, Patch((a,), arr), math.inf, 0, "local")
+
+
+def dense(patch, d):
+    """A patch's values on the whole lattice, zero outside its window."""
+    out = np.zeros(d.shape)
+    patch.add_into(out)
+    return out
 
 
 def partition_of_unity(cubes, dom):
@@ -212,6 +219,35 @@ class TestWhitney:
             counts.append(whitney_geometry_report(om, cubes).q("max_dilated_overlap"))
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize(
+        "d, wide",
+        [(Domain(1, 8, 9), False), (Domain(1, 4096, 12), True), (Domain(2, 2, 8), False), (Domain(2, 64, 12), True)],
+        ids=["n1", "n1-wide", "n2", "n2-wide"],
+    )
+    def test_dilated_windows_match_float_dilation(self, d, wide):
+        # the float reference is a box [corner, corner + side) dilated about
+        # its center by 1 + 2^{-n-10}, each end rounded up to the lattice;
+        # the wide windows hold sides of 2^{n+11} h and more inside the
+        # window, where the dilation grows a window by whole lattice steps
+        rng = np.random.default_rng(d.dim * d.level)
+        h, m0, n = d.h, d.half_npts, d.dim
+        grown = 0
+        for _ in range(1000):
+            k = int(rng.integers(d.min_cube_level(), d.level + 1))
+            side = 2.0**-k
+            a = rng.integers(0, 3, size=n).tolist()
+            reach = math.ceil(d.half_width / side) + 1
+            q = rng.integers(-reach - 1, reach + 1, size=n).tolist()
+            corner = np.array([side * (m + s / 3.0) for m, s in zip(q, a)])
+            c = (corner + (corner + side)) / 2
+            r = side / 2 * (1.0 + 2.0 ** (-n - 10))
+            for lo, hi, s, m in zip(c - r, c + r, a, q):
+                want = [min(max(int(math.ceil(v / h)) + m0, 0), d.npts) for v in (lo, hi)]
+                assert [int(v) for v in atoms._dilated_ranges(d, k, s, m)] == want
+                start, stop = cube_lattice_ranges(d, k, s, m)
+                grown += 0 < want[0] < start - 1 and stop + 1 < want[1] < d.npts
+        assert bool(grown) == wide
+
     def test_2d_geometry(self):
         # the gap constant needs dist >= 2^{n+6} sqrt(n) h before any cube
         # qualifies, so the two dimensional check runs on a finer grid
@@ -242,13 +278,11 @@ class TestPartition:
         cubes = whitney_decompose(om)
         etas = partition_of_unity(cubes, dom)
         for c, e in zip(cubes[:50], etas[:50]):
-            box = c.box().dilate(1.0 + 2.0 ** (-1 - 10))
-            outside = ~box.lattice_mask(dom)
             # one lattice cell slack: the dilation is sub-lattice
             (a, b), = c.lattice_ranges(dom)
             mask = np.ones(dom.shape, bool)
             mask[max(a - 1, 0) : b + 1] = False
-            assert np.all(e.materialize(dom).samples[mask] == 0.0)
+            assert np.all(dense(e, dom)[mask] == 0.0)
 
 
 class TestMomentProjection:
@@ -258,7 +292,7 @@ class TestMomentProjection:
         )
         f = GridFunction.from_callable(dom, lambda x: 2.0 + 3.0 * (x - 1.0))
         proj = moment_projection(f, eta, 1)
-        vals = proj.materialize(dom).samples
+        vals = dense(proj, dom)
         sup_region = eta.samples > 0
         assert np.max(np.abs(vals[sup_region] - f.samples[sup_region])) <= 1e-8
 
@@ -277,7 +311,7 @@ class TestMomentProjection:
         rng = np.random.default_rng(4)
         f = GridFunction(dom, rng.normal(size=dom.shape))
         proj = moment_projection(f, eta, 2)
-        pv = proj.materialize(dom).samples
+        pv = dense(proj, dom)
         x = dom.axis()
         for beta in range(3):
             resid = quadrature(GridFunction(dom, (f.samples - pv) * x**beta * eta.samples))
@@ -285,6 +319,15 @@ class TestMomentProjection:
 
 
 class TestCZ:
+    def test_nan_threshold_rejected(self, dom, dicts):
+        _, large = dicts
+        f = function_preset("bump:0,1", dom)
+        with pytest.raises(ValueError, match="nan"):
+            cz_decompose(f, math.nan, large, 1)
+        # an infinite threshold is legal: its level set is empty
+        good, bad = cz_decompose(f, math.inf, large, 1)
+        assert bad == [] and np.array_equal(good.samples, f.samples)
+
     def test_threshold_above_max(self, dom, dicts):
         _, large = dicts
         f = function_preset("bump:0,1", dom)
@@ -328,7 +371,7 @@ class TestCZ:
         x = dom.axis()
         checked = 0
         for cube, b in bad[:40]:
-            b = b.materialize(dom).samples
+            b = dense(b, dom)
             for beta in range(2):
                 mono = (x - cube.center[0]) ** beta
                 resid = quadrature(GridFunction(dom, b * mono))
@@ -435,7 +478,7 @@ class TestAtomicDecompose:
         p = VariableExponent.constant(dom, 2.0)
         w = weight_preset("const:1", dom)
         atom = haar_atom(dom, Cube(3, (0,), (2,)))
-        f = atom.values
+        f = GridFunction(dom, dense(atom.patch, dom))
         dec = atomic_decompose(f, p, w, large, L=0)
         out = synthesize(dec)
         assert lq_norm(out - f, 2.0) <= 1e-10 * lq_norm(f, 2.0)
@@ -582,6 +625,20 @@ class TestUnitSplit:
         for lam, piece in pieces:
             piece.patch.add_into(total, lam)
         assert np.max(np.abs(total[a:b] - 1.0)) <= 1e-12
+
+    def test_shifted_atom_splits_where_its_values_are(self, dom):
+        cube = Cube(-2, (1,), (0,))  # side 4 from 4/3: meets the unit cubes 1 .. 5
+        (a, b), = cube.lattice_ranges(dom)
+        arr = np.linspace(1.0, 2.0, b - a)
+        atom = Atom(cube, dom, Patch((a,), arr / 2.0), math.inf, -1, "unit")
+        w = weight_preset("const:1", dom)
+        pieces = _split_unit_pieces(atom, 2.0, w)
+        assert [piece.support.index for _, piece in pieces] == [(i,) for i in range(1, 6)]
+        total = np.zeros(dom.shape)
+        for lam, piece in pieces:
+            assert validate_atom(piece, w).passed
+            piece.patch.add_into(total, lam)
+        assert np.max(np.abs(total[a:b] - arr)) <= 1e-12 and not np.any(total[:a]) and not np.any(total[b:])
 
     def test_2d_atom_splits_into_four(self):
         d = Domain(2, 4, 4)

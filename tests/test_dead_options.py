@@ -1,14 +1,20 @@
-"""Every public function of the library has a caller, every defaulted
-parameter is set by some caller, every parameter is read, and every
-exported name exists.
+"""Every public function and method of the library has a caller, every
+defaulted parameter is set by some caller, every parameter is read, and
+every exported name exists.
 
 A parameter with a default that no call in `src/varhardy` or `perfbench/`
 passes, by position or by keyword, is a setting with one value in use: it
 belongs in a module constant.  Calls are matched by the called name alone
 (`f(...)` or `obj.f(...)`), so a parameter counts as used when any callable
 of that name receives it; for a method the receiver takes no position.
-A public function that no code there names is reached only by tests: it
-belongs in the tests, or nowhere.
+A public function or method that no code there names is reached only by
+tests: it belongs in the tests, or nowhere.
+
+Methods are matched by attribute name alone, so a method whose name some
+other attribute shares (an array field `values`, a field `cube`) counts as
+read although nothing calls it.  `CubeLayout.cube`, `Atom.values` and
+`Patch.materialize` hid that way, and were deleted on a line trace of the
+tests, the CLI commands and the benchmark workloads, none of which ran them.
 """
 
 import ast
@@ -37,6 +43,11 @@ UNREFERENCED = {
     "atoms.whitney_decompose": "the benchmark traces it by the string name in its TRACED table",
     "littlewood_paley.square_function": "the benchmark traces it by the string name in its TRACED table",
 }
+
+
+# public methods and properties that no library or benchmark code reads,
+# each with its reason
+UNREFERENCED_METHODS: dict[str, str] = {}
 
 
 # parameters that a function never reads, each with its reason
@@ -121,15 +132,20 @@ def test_every_parameter_is_read():
     assert sorted(unread) == sorted(UNREAD)
 
 
-def test_every_public_function_is_referenced():
-    # a name read as a value counts: a call, or an entry of a table such as
-    # SUITES; imports and the strings of __all__ are not reads
-    referenced = {
+def _referenced():
+    """Every name or attribute that library or benchmark code reads as a
+    value: a call, or an entry of a table such as SUITES; imports and the
+    strings of __all__ are not reads."""
+    return {
         getattr(node, "id", None) or node.attr
         for tree in _callers()
         for node in ast.walk(tree)
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     }
+
+
+def test_every_public_function_is_referenced():
+    referenced = _referenced()
     unreferenced = {
         f"{path.stem}.{node.name}"
         for path in sorted(LIBRARY.glob("*.py"))
@@ -138,6 +154,20 @@ def test_every_public_function_is_referenced():
     }
     # an allow-list entry that has gained a reference, or is gone, is stale
     assert sorted(unreferenced) == sorted(UNREFERENCED)
+
+
+def test_every_public_method_is_referenced():
+    referenced = _referenced()
+    unreferenced = {
+        f"{path.stem}.{node.name}.{fn.name}"
+        for path in sorted(LIBRARY.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.ClassDef)
+        for fn in node.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_") and fn.name not in referenced
+    }
+    # an allow-list entry that has gained a reference, or is gone, is stale
+    assert sorted(unreferenced) == sorted(UNREFERENCED_METHODS)
 
 
 def test_every_export_resolves():

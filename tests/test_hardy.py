@@ -46,7 +46,8 @@ class TestDictionaryBuild:
 
     def test_nondegenerate(self, dicts):
         small, large = dicts
-        assert small.nondegenerate and large.nondegenerate
+        # a member with nonzero integral: the grand maximal function vanishes only on 0
+        assert all(any(abs(m) > 1e-12 for m in dic.masses) for dic in (small, large))
 
     def test_reproducible_from_seed(self, dom):
         _, a = nested_dictionaries(2, 12, dom, seed=42)

@@ -52,7 +52,8 @@ def enumeration_oracle(f, x_point, max_side=32.0):
     """Direct enumeration: max cube average over cubes containing x_point."""
     best = 0.0
     for c in enumerate_cubes(f.domain, max_side):
-        if c.contains_point([x_point]):
+        corner = c.side * (c.index[0] + c.shift[0] / 3.0)
+        if corner <= x_point < corner + c.side:
             best = max(best, quadrature(abs(f), c) / c.volume)
     return best
 
@@ -400,6 +401,18 @@ class TestGridMaximal:
         with pytest.raises(ValueError, match="must not be nan"):
             grid_maximal(f, (1,), *sides)
 
+    @pytest.mark.parametrize("shift", [(0,), (1,), (2,)])
+    def test_infinite_max_side_is_no_bound(self, dom, shift):
+        # the default 4T is already the coarsest enumerable side
+        f = function_preset("bump:0,1", dom)
+        assert np.array_equal(grid_maximal(f, shift, math.inf).samples, grid_maximal(f, shift).samples)
+
+    def test_rejects_infinite_min_side(self, dom):
+        # it would select no level and read as M f = 0 for every f
+        f = function_preset("bump:0,1", dom)
+        with pytest.raises(ValueError, match="min_side must be finite"):
+            grid_maximal(f, (1,), min_side=math.inf)
+
     def test_delta_hand_enumeration(self, dom):
         # hand enumeration for the standard grid: the point 0 sits on every
         # dyadic boundary, so M is 1/(side of the smallest cube [0, 2^j h)
@@ -590,7 +603,7 @@ class TestBoundednessProbe:
         p = VariableExponent.constant(dom, 2.0)
         fam = bump_family(dom, rng, 10)
         d0 = boundedness_probe(local_maximal, p, None, fam).q("operator_norm")
-        fine = dom.refine()
+        fine = Domain(dom.dim, dom.half_width, dom.level + 1)
         p1 = VariableExponent.constant(fine, 2.0)
         fam1 = [
             GridFunction.from_callable(fine, lambda x, f=f: np.interp(x, dom.axis(), f.samples))

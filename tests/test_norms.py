@@ -365,7 +365,7 @@ class TestBatchNorms:
 class TestResolutionConvergence:
     def test_doubling_resolution_moves_norm_under_two_percent(self, dom):
         # smooth test functions: the Luxemburg norm is quadrature-converged
-        fine = dom.refine()
+        fine = Domain(dom.dim, dom.half_width, dom.level + 1)
         for spec in ("bump:0,1", "bump:-1.5,0.6,1.7", "plateau:0,3"):
             for pspec, wspec in (("sin2", "power:1"), ("lhdecay:1", "const:1")):
                 n0 = luxemburg_norm(

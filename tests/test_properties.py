@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from varhardy.exponent import VariableExponent, dual_exponent
-from varhardy.grid import Box, Cube, Domain, GridFunction, quadrature, rescale_mollifier
+from varhardy.grid import Cube, Domain, GridFunction, quadrature, rescale_mollifier
 from varhardy.maximal import hl_maximal
 from varhardy.norms import luxemburg_norm, modular
 from varhardy.wavelets import analyze, build_wavelet_system
@@ -118,17 +118,6 @@ def test_rescale_mollifier_is_separable(a, b, j):
     lhs = rescale_mollifier(tensor(a, b), t).samples
     rhs = np.outer(*(rescale_mollifier(GridFunction(DOM, v), t).samples for v in (a, b)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-edges = st.floats(min_value=-2.5, max_value=2.5, allow_nan=False)
-
-
-@settings(max_examples=25, deadline=None)
-@given(edges, edges, edges, edges)
-def test_lattice_mask_is_separable(x0, x1, y0, y1):
-    lhs = Box((x0, y0), (x1, y1)).lattice_mask(SQUARE)
-    rhs = np.outer(Box((x0,), (x1,)).lattice_mask(DOM), Box((y0,), (y1,)).lattice_mask(DOM))
-    assert np.array_equal(lhs, rhs)
 
 
 cube_axes = st.tuples(st.integers(0, 2), st.integers(-6, 5))

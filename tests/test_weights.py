@@ -345,6 +345,13 @@ class TestTilde:
         assert np.isfinite(small)
         assert full / small > 10  # large cubes blow the constant up
 
+    def test_infinite_max_side_is_no_bound(self, dom):
+        p = exponent_preset("sin2", dom)
+        w = weight_preset("power:1", dom)
+        whole = tilde_a_constant(w, p, max_side=4.0 * dom.half_width)
+        rep = tilde_a_constant(w, p, max_side=float("inf"))
+        assert (rep.constant, rep.cube_count) == (whole.constant, whole.cube_count)
+
     def test_scale_invariance(self, dom):
         p = exponent_preset("sin2", dom)
         c1 = tilde_a_constant(weight_preset("const:1", dom), p, max_side=1.0).constant
