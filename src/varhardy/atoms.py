@@ -14,26 +14,29 @@ DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
 One localisation path serves n = 1 and n = 2.  A Whitney cover stays
 integer arrays, one level, shift and index row per cube, from the builder
 through localisation; `whitney_decompose` is the list-of-cubes view of the
-same builder.  Cubes are grouped by (level, window shape, clip offset,
-shift); a group shares its scaled monomial matrix, so its bumps, partition
-weights, Gram systems, projections and bad parts are batched contractions
-over windows gathered by flat lattice index.  The level-pair assembly
-finds each next-level window's owners by joining on that index and
-re-projects every (window, owner) pair of a group in one contraction.  The
-supports of a level pair's kept atoms come from one batched search
-(`grid.smallest_enclosing_cubes`), and `Cube` objects are built only for
-them.  Results become windowed patches only at the end, never full-lattice
-arrays; a decomposition at default resolution holds thousands of atoms.
+same builder.  Cubes are grouped by one integer key per cube that encodes
+(level, window shape, clip offset, shift); a group shares its scaled
+monomial matrix, so its bumps, partition weights, Gram systems,
+projections and bad parts are batched contractions over windows gathered
+by flat lattice index.  The level-pair assembly finds each next-level
+window's owners in a map from lattice points to the owners' cubes,
+re-projects every (window, owner) pair of a group in one contraction, and
+sums each owner's atom in its own box of one ragged buffer.  The supports
+of a level pair's kept atoms come from one batched search
+(`grid.smallest_enclosing_cubes`).  A decomposition keeps its atoms in
+that ragged form, one value buffer with offsets plus per-atom arrays;
+`Atom`, `Patch` and `Cube` objects are built only for the list views.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import product as iproduct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import distance_transform_edt
@@ -59,6 +62,7 @@ __all__ = [
     "AtomicDecomposition",
     "Patch",
     "validate_atom",
+    "validate_atoms",
     "sequence_norm",
     "whitney_decompose",
     "cz_decompose",
@@ -80,6 +84,8 @@ KEEP_FLOOR = 4.0 * np.finfo(float).eps / MOMENT_TOL
 DUST_FLOOR = 1e-13
 LAMBDA_FLOOR = 1e-300
 MAX_LEVELS = 16  # thresholds 2^j below the top one
+CORRECTION_BLOCK = 1 << 16  # (window, owner) pairs re-projected at a time
+ATOM_BLOCK = 1 << 16  # atoms rendered or validated at a time
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +121,29 @@ class Patch:
         hn = domain.h ** domain.dim
         return (hn * float(np.sum(np.abs(self.arr) ** q * ws))) ** (1.0 / q)
 
-    def l1(self, domain: Domain) -> float:
-        return domain.h ** domain.dim * float(np.sum(np.abs(self.arr)))
+
+def _box_points(d: Domain, lo: np.ndarray, shape: np.ndarray) -> np.ndarray:
+    """Flat lattice indices of every point of the boxes (lo, shape), box
+    after box and row-major within a box."""
+    size = np.prod(shape, axis=1)
+    row, t = _expand(np.zeros_like(size), size)
+    out = lo[row, 0]
+    for i in range(1, lo.shape[1]):
+        out = out * d.npts + lo[row, i]
+    stride = 1
+    for i in range(lo.shape[1] - 1, 0, -1):
+        t, r = np.divmod(t, shape[row, i])
+        out += r * stride
+        stride *= d.npts
+    return out + t * stride
+
+
+def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, position) for every position in [start[row], start[row] + count[row])."""
+    row = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    return row, start[row] + np.arange(row.size) - first[row]
+
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +165,113 @@ class Atom:
     L: int
     kind: str
 
-    def lq_norm(self, w: Weight | None) -> float:
-        return self.patch.norm_lq(self.domain, self.q, w)
+
+KINDS = ("local", "unit")
 
 
-@dataclass
+class _Rows(NamedTuple):
+    """Atoms in ragged form: the values of atom i, row-major on its window
+    box (lo[i], shape[i]), are the next size[i] entries of `values`."""
+
+    values: np.ndarray  # (V,)
+    size: np.ndarray  # (K,)
+    lo: np.ndarray  # (K, n)
+    shape: np.ndarray  # (K, n)
+    level: np.ndarray  # (K,) support cube
+    shift: np.ndarray  # (K, n)
+    index: np.ndarray  # (K, n)
+    kind: np.ndarray  # (K,) index into KINDS
+    lam: np.ndarray  # (K,)
+
+    @classmethod
+    def empty(cls, n: int) -> _Rows:
+        ints, boxes = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+        return cls(np.zeros(0), ints, boxes, boxes, ints, boxes, boxes, ints, np.zeros(0))
+
+    @classmethod
+    def join(cls, parts: list[_Rows], n: int) -> _Rows:
+        return cls(*(np.concatenate(cols) for cols in zip(cls.empty(n), *parts)))
+
+    @classmethod
+    def of_atoms(cls, pairs: list[tuple[float, Atom]], n: int) -> _Rows:
+        """The (coefficient, atom) pairs of a list, in order."""
+        if not pairs:
+            return cls.empty(n)
+        lam, atoms = zip(*pairs)
+        patches = [a.patch for a in atoms]
+        return cls(
+            np.concatenate([p.arr.ravel() for p in patches]),
+            np.array([p.arr.size for p in patches], dtype=np.int64),
+            np.array([p.lo for p in patches], dtype=np.int64).reshape(-1, n),
+            np.array([p.arr.shape for p in patches], dtype=np.int64).reshape(-1, n),
+            np.array([a.support.level for a in atoms], dtype=np.int64),
+            np.array([a.support.shift for a in atoms], dtype=np.int64).reshape(-1, n),
+            np.array([a.support.index for a in atoms], dtype=np.int64).reshape(-1, n),
+            np.array([KINDS.index(a.kind) for a in atoms], dtype=np.int64),
+            np.array(lam, dtype=float),
+        )
+
+    def cubes(self) -> list[Cube]:
+        return _cube_list(self.level, self.shift, self.index)
+
+    def blocks(self):
+        """The store in consecutive blocks of at most ATOM_BLOCK atoms,
+        which bound the memory of work over all values."""
+        ends = np.concatenate([[0], np.cumsum(self.size)]).tolist()
+        for a in range(0, len(self.size), ATOM_BLOCK):
+            b = min(a + ATOM_BLOCK, len(self.size))
+            yield _Rows(self.values[ends[a]:ends[b]], *(col[a:b] for col in self[1:]))
+
+    def atoms(self, d: Domain, q: float, L: int, cubes: list[Cube]) -> list[Atom]:
+        """One `Atom` per row on its support in `cubes`, its patch a view
+        into `values`."""
+        bounds = np.concatenate([[0], np.cumsum(self.size)]).tolist()
+        return [
+            Atom(cube, d, Patch(tuple(lo), self.values[a:b].reshape(shp)), q, L, KINDS[kind])
+            for cube, lo, shp, kind, a, b in zip(
+                cubes, self.lo.tolist(), self.shape.tolist(), self.kind.tolist(), bounds, bounds[1:]
+            )
+        ]
+
+
+@dataclass(eq=False)
 class AtomicDecomposition:
     """Coefficient/atom pairs plus the single-atom part (for f = 0, the
-    zero good part with the floor coefficient)."""
+    zero good part with the floor coefficient).
+
+    The atoms are stored in ragged form (`rows`): one read-only buffer of
+    their normalised values with per-atom window boxes, support cubes,
+    kinds and coefficients; `tag` holds each atom's threshold exponent j.
+    `lambdas`, `level_tags`, `atoms` and `cubes` are list views, built on
+    first access; every atom's patch is a view into the buffer.
+    """
 
     domain: Domain
-    lambdas: list[float]
-    atoms: list[Atom]
+    rows: _Rows
+    tag: np.ndarray
     q: float
     L: int
     v: float
     single_part: tuple[float, Atom]
-    level_tags: list[int] = field(default_factory=list)
 
-    @property
+    def __post_init__(self):
+        self.rows.values.flags.writeable = False
+
+    @cached_property
+    def lambdas(self) -> list[float]:
+        return self.rows.lam.tolist()
+
+    @cached_property
+    def level_tags(self) -> list[int]:
+        return self.tag.tolist()
+
+    @cached_property
     def cubes(self) -> list[Cube]:
-        return [a.support for a in self.atoms]
+        return self.rows.cubes()
+
+    @cached_property
+    def atoms(self) -> list[Atom]:
+        return self.rows.atoms(self.domain, self.q, self.L, self.cubes)
 
 
 # ---------------------------------------------------------------------------
@@ -177,11 +290,23 @@ def sequence_norm(
     if not (0.0 < v <= 1.0) or v > p.p_minus:
         raise ValueError(f"v must lie in (0, p_minus] and (0, 1], got {v}")
     d = p.domain
+    pairs = list(zip(lambdas, cubes))
+    if any(lam < 0 for lam, _ in pairs):
+        raise ValueError("coefficients must be nonnegative")
+    level = np.array([c.level for _, c in pairs], dtype=np.int64)
+    if np.any(level > d.level):
+        raise ValueError("cube below grid resolution")
+    start, stop = cube_lattice_ranges(
+        d,
+        level[:, None],
+        np.array([c.shift for _, c in pairs], dtype=np.int64).reshape(-1, d.dim),
+        np.array([c.index for _, c in pairs], dtype=np.int64).reshape(-1, d.dim),
+    )
+    shape = np.maximum(stop - start, 0)
+    # np.add.at adds in index order: each point sums its cubes' terms in list order
     acc = np.zeros(d.shape)
-    for lam, cube in zip(lambdas, cubes):
-        if lam < 0:
-            raise ValueError("coefficients must be nonnegative")
-        acc[cube.lattice_slices(d)] += abs(lam) ** v
+    terms = np.repeat([abs(lam) ** v for lam, _ in pairs], np.prod(shape, axis=1))
+    np.add.at(acc.reshape(-1), _box_points(d, start, shape), terms)
     return luxemburg_norm(GridFunction._adopt(d, acc ** (1.0 / v)), p, w)
 
 
@@ -207,29 +332,31 @@ def _whitney_cover(mask: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray,
     if np.all(mask):
         raise ValueError("no exterior: the set must be a strict subset of the window")
     gap = 2.0 ** (-n - WHITNEY_GAP_EXP)
-    dist = _edt_cells(mask) * d.h
-    taken = np.zeros(d.shape, dtype=bool)
     # coarsest conceivable side: diam <= gap * dist <= gap * window dimeter
     k_lo = max(
         int(math.ceil(-math.log2(max(gap * 4 * d.half_width * math.sqrt(n), d.h)))),
         d.min_cube_level(),
     )
-    inner = tuple(range(1, 2 * n, 2))
+    # each cube's least distance to the complement, finest level first, by
+    # pairwise minima along each axis; only a cube inside the set has a
+    # positive one, so the size test below also keeps cubes inside the set
+    dmin = [_edt_cells(mask) * d.h]
+    for _ in range(d.level - k_lo):
+        a = dmin[-1]
+        for i in range(n):
+            a = np.minimum(a[(slice(None),) * i + (slice(0, None, 2),)], a[(slice(None),) * i + (slice(1, None, 2),)])
+        dmin.append(a)
+    # one flag per cube of the level: inside a cube already taken
+    taken = np.zeros((d.npts >> (d.level - k_lo),) * n, dtype=bool)
     level, index = [], []
     for k in range(k_lo, d.level + 1):
-        side = 2.0 ** (-k)
-        run = 1 << (d.level - k)
-        ncubes = d.npts // run
-        blocks = (ncubes, run) * n  # axis i splits into (cube index, offset)
-        diam = side * math.sqrt(n)
-        inside = mask.reshape(blocks).all(axis=inner)
-        dmin = dist.reshape(blocks).min(axis=inner)
-        free = ~taken.reshape(blocks).any(axis=inner)
-        ok = inside & free & (diam <= gap * dmin)
-        found = np.stack(np.nonzero(ok), axis=1) - ncubes // 2
+        for i in range(n if k > k_lo else 0):
+            taken = taken.repeat(2, axis=i)
+        ok = ~taken & (2.0 ** (-k) * math.sqrt(n) <= gap * dmin[d.level - k])
+        found = np.stack(np.nonzero(ok), axis=1) - len(ok) // 2
         level.append(np.full(len(found), k, dtype=np.int64))
         index.append(found)
-        taken.reshape(blocks)[...] |= ok.reshape((ncubes, 1) * n)
+        taken |= ok
     index = np.concatenate(index)
     return np.concatenate(level), np.zeros_like(index), index
 
@@ -315,6 +442,10 @@ class DegenerateBumpError(ValueError):
 def _inverse_grams(eta: np.ndarray, mono: np.ndarray) -> np.ndarray:
     """Inverse moment Gram matrices, one per weight row of eta."""
     G = np.einsum("wa,kw,wb->kab", mono, eta, mono)
+    if G.shape[1:] == (1, 1):  # order 0: no singular value decomposition
+        if np.any(G <= 0.0):
+            raise DegenerateBumpError("degenerate bump: nonpositive Gram block")
+        return 1.0 / G
     if G.size and np.any(np.linalg.cond(G) > 1e10):
         raise DegenerateBumpError("degenerate bump: ill conditioned Gram block")
     return np.linalg.inv(G)
@@ -344,11 +475,14 @@ class _Group:
 @dataclass
 class _Cover:
     """Whitney cover of one set with its localisation, kept as its groups;
-    `lo`/`shape` give each cube's window box for rendering patches."""
+    `lo`/`shape` give each cube's window box, `start`/`stop` its lattice
+    range."""
 
     groups: list[_Group]
     lo: np.ndarray  # (K, n)
     shape: np.ndarray  # (K, n)
+    start: np.ndarray  # (K, n)
+    stop: np.ndarray  # (K, n)
 
     def patches(self, rows: str) -> list[Patch]:
         """One patch per cube, in cube order, from the group rows `rows`
@@ -378,9 +512,14 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
     lo = np.maximum(start - 1, 0)
     shape = np.minimum(stop + 1, d.npts) - lo
     centers = cube_centers(level[:, None], shift, index)
-    keys = np.concatenate([level[:, None], shape, lo - start, shift], axis=1)
-    uniq, gid = np.unique(keys, axis=0, return_inverse=True)
-    members = [np.flatnonzero(gid == g) for g in range(len(uniq))]
+    # one integer key per cube, mixed radix over the columns, so that keys
+    # order as the rows do; a stable sort lists each group's cubes in order
+    key = np.zeros(len(level), dtype=np.int64)
+    for col in np.concatenate([level[:, None], shape, lo - start, shift], axis=1).T:
+        col = col - col.min(initial=0)
+        key = key * (int(col.max(initial=0)) + 1) + col
+    order = np.argsort(key, kind="stable")
+    members = np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if order.size else []
     strides = d.npts ** np.arange(n - 1, -1, -1)
     total = np.zeros(d.npts**n)
     staged = []
@@ -407,7 +546,7 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
         inv_gram = _inverse_grams(eta, mono)
         bad = (f_rows - _moment_fit(f_rows, eta, mono, inv_gram)) * eta
         groups.append(_Group(idx, point, eta, bad, mono, inv_gram))
-    return _Cover(groups, lo, shape)
+    return _Cover(groups, lo, shape, start, stop)
 
 
 # ---------------------------------------------------------------------------
@@ -458,55 +597,97 @@ def _level_thresholds(mn: np.ndarray) -> list[int]:
     return list(range(j_lo, j_hi + 1))
 
 
-def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, position) for every position in [start[row], start[row] + count[row])."""
-    row = np.repeat(np.arange(count.size), count)
-    first = np.cumsum(count) - count
-    return row, start[row] + np.arange(row.size) - first[row]
-
-
-def _level_pieces(cov_j: _Cover, cov_n: _Cover, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Atoms of one level pair as flat (owner, point, value) entries sorted
-    by owner, then point; `cov_j` holds at least one cube.
+def _level_pieces(cov_j: _Cover, cov_n: _Cover, d: Domain):
+    """Atoms of one level pair, each summed in its own box of one ragged
+    buffer; `cov_j` holds at least one cube.
 
     Each owner's atom is its bad part b_{j,k} minus, for every next-level
     cube whose window meets the owner's, the owner's share of b_{j+1} re-
-    projected against that cube's weight so the moments stay exact.
+    projected against that cube's weight so the moments stay exact.  Its
+    box bounds its own window and those cubes' windows.  Returns the boxes
+    (lo, shape) in owner order, the buffer of summed values, box after box
+    and row-major within a box, and the mask of buffer points that carry an
+    entry (in 2-D the windows need not fill their box).
     """
-    # the owners' own entries, group after group: each (owner, point) key
-    # meets its own entry first, so the sums below do not depend on the order
-    gj = cov_j.groups
-    own_j = np.concatenate([np.repeat(g.cube, g.point.shape[1]) for g in gj])
-    point_j = np.concatenate([g.point.ravel() for g in gj])
-    eta_j = np.concatenate([g.eta.ravel() for g in gj])
-    by_point = np.argsort(point_j, kind="stable")
-    sorted_points = point_j[by_point]
+    gj, gn = cov_j.groups, cov_n.groups
     nj = len(cov_j.lo)
-    owner, point, value = [own_j], [point_j], [np.concatenate([g.bad.ravel() for g in gj])]
-    for g in cov_n.groups:
-        width = g.point.shape[1]
-        query = g.point.ravel()
-        start = np.searchsorted(sorted_points, query, side="left")
-        count = np.searchsorted(sorted_points, query, side="right") - start
-        rec, pos = _expand(start, count)
-        hit = by_point[pos]
-        pairs, pair_of = np.unique(rec // width * nj + own_j[hit], return_inverse=True)
-        row, own = np.divmod(pairs, nj)
-        cut = np.zeros((pairs.size, width))
-        cut[pair_of, rec % width] = eta_j[hit]
+    # the owner cube of every lattice point: a cover's cubes are disjoint
+    owner_at = np.full(d.npts**d.dim, -1)
+    cells = cov_j.stop - cov_j.start
+    owner_at[_box_points(d, cov_j.start, cells)] = np.repeat(np.arange(nj), np.prod(cells, axis=1))
+    # windows are cubes grown by one point a side, so an owner's window meets
+    # a next-level window (a row; rows count on across the groups) exactly
+    # when its cube meets that window grown by one more point
+    first_row = np.cumsum([0] + [len(g.cube) for g in gn])
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [g.cube for g in gn])
+    glo = np.maximum(cov_n.lo[rows] - 1, 0)
+    gshape = np.minimum(cov_n.lo[rows] + cov_n.shape[rows] + 1, d.npts) - glo
+    owner = owner_at[_box_points(d, glo, gshape)]
+    # the distinct (row, owner) keys in order (np.sort then a mask is many
+    # times faster than np.unique here)
+    key = np.sort((np.repeat(np.arange(rows.size), np.prod(gshape, axis=1)) * nj + owner)[owner >= 0])
+    row, own = np.divmod(key[np.concatenate([[True], key[1:] != key[:-1]])[: key.size]], nj)
+    pair_cut = np.searchsorted(row, first_row)  # each group's pairs are contiguous
+    # every owner's weights, row after row of its group
+    eta_j = np.concatenate([g.eta.ravel() for g in gj])
+    eta_at = np.zeros(nj, dtype=np.int64)
+    for g, at in zip(gj, np.cumsum([0] + [g.eta.size for g in gj])):
+        eta_at[g.cube] = at + np.arange(0, g.eta.size, g.eta.shape[1])
+    lo, hi = cov_j.lo.copy(), cov_j.lo + cov_j.shape
+    np.minimum.at(lo, own, cov_n.lo[rows[row]])
+    np.maximum.at(hi, own, cov_n.lo[rows[row]] + cov_n.shape[rows[row]])
+    shape = hi - lo
+    size = np.prod(shape, axis=1)
+    first = np.cumsum(size) - size
+    stride = np.ones_like(shape)  # row-major within each box
+    for i in range(shape.shape[1] - 2, -1, -1):
+        stride[:, i] = stride[:, i + 1] * shape[:, i + 1]
+    summed = np.zeros(int(size.sum()))
+    covered = np.zeros(summed.size, dtype=bool)
+
+    def add(own_b, wlo, wshape, live, vals):
+        """Mark the windows (owner per row, window lo per row, one shape)
+        in their owners' boxes and add the values of the `live` rows; the
+        other rows are exact zeros, which leave every sum as it is."""
+        at = first[own_b]
+        for i in range(len(wshape)):
+            at = at + (wlo[:, i] - lo[own_b, i]) * stride[own_b, i]
+        at = at[:, None]
+        for i, o in enumerate(np.unravel_index(np.arange(math.prod(wshape)), tuple(wshape))):
+            at = at + o * stride[own_b, i, None]
+        covered[at.ravel()] = True
+        np.add.at(summed, at[live].ravel(), vals.ravel())
+
+    # np.add.at adds in index order: at every point of its box, an owner's
+    # atom takes its own entry first, then the corrections group by group
+    for g in gj:
+        live = g.bad.any(axis=1)
+        add(g.cube, cov_j.lo[g.cube], cov_j.shape[g.cube[0]], live, g.bad[live])
+    for i, g in enumerate(gn):
         f_minus_p = np.divide(g.bad, g.eta, out=np.zeros_like(g.bad), where=g.eta > 0)
-        weighted = cut * f_minus_p[row]
-        eta = g.eta[row]
-        corr = (weighted - _moment_fit(weighted, eta, g.mono, g.inv_gram[row])) * eta
-        owner.append(np.repeat(own, width))
-        point.append(g.point[row].ravel())
-        value.append(-corr.ravel())
-    owner, point, value = (np.concatenate(a) for a in (owner, point, value))
-    keys, at = np.unique(owner * size + point, return_inverse=True)
-    summed = np.zeros(keys.size)
-    np.add.at(summed, at, value)
-    owner, point = np.divmod(keys, size)
-    return owner, point, summed
+        wshape = cov_n.shape[g.cube[0]]
+        # f - P vanishes on a row whose bad part does, and so do its
+        # corrections
+        live_rows = g.bad.any(axis=1)
+        # blocks of pairs bound the memory of the corrections
+        for p0 in range(pair_cut[i], pair_cut[i + 1], CORRECTION_BLOCK):
+            P = slice(p0, min(p0 + CORRECTION_BLOCK, pair_cut[i + 1]))
+            r = row[P] - first_row[i]
+            live = live_rows[r]
+            r_live, o_live = r[live], own[P][live]
+            # the owner's weight at each point of the window, 0 off its window
+            wlo, olo, oshape = cov_n.lo[g.cube[r_live]], cov_j.lo[o_live], cov_j.shape[o_live]
+            inside, flat = True, 0
+            for ax, offs in enumerate(np.unravel_index(np.arange(g.eta.shape[1]), tuple(wshape))):
+                at = (wlo[:, ax] - olo[:, ax])[:, None] + offs
+                inside = inside & (at >= 0) & (at < oshape[:, ax, None])
+                flat = flat * oshape[:, ax, None] + at
+            cut = np.where(inside, eta_j[np.where(inside, eta_at[o_live, None] + flat, 0)], 0.0)
+            weighted = cut * f_minus_p[r_live]
+            eta = g.eta[r_live]
+            corr = (weighted - _moment_fit(weighted, eta, g.mono, g.inv_gram[r_live])) * eta
+            add(own[P], cov_n.lo[g.cube[r]], wshape, live, -corr)
+    return lo, shape, summed, covered
 
 
 def _coefficient(patch: Patch, region: Cube | None, domain: Domain, q: float, w: Weight | None) -> float:
@@ -515,46 +696,38 @@ def _coefficient(patch: Patch, region: Cube | None, domain: Domain, q: float, w:
     return max(patch.norm_lq(domain, q, w) / max(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
 
 
-def _owner_atoms(point, value, starts, kept, domain: Domain, q: float, L: int, w: Weight | None):
-    """Normalized atoms from the flat entries of the kept owner segments
-    (segment s spans [starts[s], starts[s + 1])), each on the bounding
-    window of its segment; the support is the smallest cube around the
-    nonzero values, and an oversized atom is cut into unit pieces."""
+def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, L: int, w: Weight | None) -> _Rows:
+    """Normalized atoms of the kept boxes of `_level_pieces` (`point` holds
+    each buffer entry's flat lattice index), each on its whole box; the
+    support is the smallest cube around the nonzero values, and an
+    oversized atom is cut into unit pieces."""
     d = domain
     x = d.axis()
-    coords = np.stack(np.unravel_index(point, d.shape), axis=1)
-    # reduce over every segment, then select: each box spans its own segment
-    nz = (value != 0)[:, None]
-    lo = np.minimum.reduceat(coords, starts)[kept]
-    hi = np.maximum.reduceat(coords, starts)[kept]
-    sup_lo = np.minimum.reduceat(np.where(nz, coords, d.npts), starts)[kept]
-    sup_hi = np.maximum.reduceat(np.where(nz, coords, -1), starts)[kept]
-    level, shift, index = smallest_enclosing_cubes(d, x[sup_lo], x[sup_hi])
-    # scatter the kept entries into one row-major buffer of all windows
-    seg = np.repeat(np.arange(starts.size), np.diff(starts, append=point.size))
-    sel = kept[seg]
-    row = (np.cumsum(kept) - 1)[seg[sel]]
-    shape = hi - lo + 1
     size = np.prod(shape, axis=1)
-    at = np.zeros(row.size, dtype=np.int64)
-    for i in range(d.dim):
-        at = at * shape[row, i] + coords[sel, i] - lo[row, i]
-    buf = np.zeros(int(size.sum()))
-    buf[at + (np.cumsum(size) - size)[row]] = value[sel]
-    arrs = np.split(buf, np.cumsum(size)[:-1])
-    out = []
-    boxes = zip(level.tolist(), shift.tolist(), index.tolist(), lo.tolist(), shape.tolist(), arrs)
-    for k, a, m, l, shp, arr in boxes:
-        support = Cube(k, tuple(a), tuple(m))
-        patch = Patch(tuple(l), arr.reshape(shp))
-        lam = _coefficient(patch, support, d, q, w)
-        patch.arr = patch.arr / lam
-        if support.volume < 1.0 + 1e-12:
-            kind = "local" if support.volume < 1.0 else "unit"
-            out.append((lam, Atom(support, d, patch, q, L, kind)))
-        else:
-            out.extend(_split_unit_pieces(Atom(support, d, patch, q, L, "unit"), lam, w))
-    return out
+    start = np.cumsum(size) - size
+    # reduce over every box, then select
+    nz = (summed != 0)[:, None]
+    coords = np.stack(np.unravel_index(point, d.shape), axis=1)
+    sup_lo = np.minimum.reduceat(np.where(nz, coords, d.npts), start)[kept]
+    sup_hi = np.maximum.reduceat(np.where(nz, coords, -1), start)[kept]
+    level, shift, index = smallest_enclosing_cubes(d, x[sup_lo], x[sup_hi])
+    values, lo, shape, size = summed[np.repeat(kept, size)], lo[kept], shape[kept], size[kept]
+    if math.isinf(q):  # the sup norm over a mass of 1
+        norm, mass = np.maximum.reduceat(np.abs(values), np.cumsum(size) - size), 1.0
+    else:
+        bounds = np.concatenate([[0], np.cumsum(size)]).tolist()
+        patches = [Patch(tuple(l), values[a:b].reshape(s)) for l, s, a, b in zip(lo.tolist(), shape.tolist(), bounds, bounds[1:])]
+        norm = np.array([p.norm_lq(d, q, w) for p in patches])
+        mass = np.array([w.mass(c) ** (1.0 / q) for c in _cube_list(level, shift, index)])
+    lam = np.maximum(norm / np.maximum(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
+    # |Q| < 1 is a local atom, |Q| = 1 a unit one
+    rows = _Rows(values / np.repeat(lam, size), size, lo, shape, level, shift, index, (level <= 0).astype(np.int64), lam)
+    if np.all(level >= 0):
+        return rows
+    pairs = []
+    for lam_k, atom in zip(rows.lam.tolist(), rows.atoms(d, q, L, rows.cubes())):
+        pairs += [(lam_k, atom)] if atom.support.level >= 0 else _split_unit_pieces(atom, lam_k, w)
+    return _Rows.of_atoms(pairs, d.dim)
 
 
 def atomic_decompose(
@@ -604,9 +777,7 @@ def atomic_decompose(
     def cover(mask: np.ndarray) -> _Cover:
         return _localise(f.samples, *_whitney_cover(mask, d), d, L)
 
-    lambdas: list[float] = []
-    atoms: list[Atom] = []
-    tags: list[int] = []
+    parts, tags = [], []
     kept_sum = np.zeros(f.samples.size)
     f_abs = np.abs(f.samples.ravel())
     dust = DUST_FLOOR * f.sup()
@@ -618,16 +789,19 @@ def atomic_decompose(
         if np.array_equal(mask_j, mask_n) or not cov_j.groups:
             continue
         cov_n = cover(mask_n)
-        owner, point, value = _level_pieces(cov_j, cov_n, f.samples.size)
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        peak = np.maximum.reduceat(np.abs(value), starts)
-        kept = peak > np.maximum(KEEP_FLOOR * np.maximum.reduceat(f_abs[point], starts), dust)
-        keep = np.repeat(kept, np.diff(starts, append=owner.size))
-        np.add.at(kept_sum, point[keep], value[keep])
-        for lam, atom in _owner_atoms(point, value, starts, kept, d, q, L, w):
-            lambdas.append(lam)
-            atoms.append(atom)
-            tags.append(j)
+        lo, shape, summed, covered = _level_pieces(cov_j, cov_n, d)
+        size = np.prod(shape, axis=1)
+        start = np.cumsum(size) - size
+        point = _box_points(d, lo, shape)
+        peak = np.maximum.reduceat(np.abs(summed), start)
+        # the largest |f| over the points that carry an entry
+        f_max = np.maximum.reduceat(np.where(covered, f_abs[point], 0.0), start)
+        kept = peak > np.maximum(KEEP_FLOOR * f_max, dust)
+        keep = np.repeat(kept, size) & covered
+        np.add.at(kept_sum, point[keep], summed[keep])
+        if np.any(kept):
+            parts.append(_owner_atoms(summed, point, lo, shape, kept, d, q, L, w))
+            tags.append(np.full(len(parts[-1].lam), j, dtype=np.int64))
         cov_j = cov_n
 
     # the top threshold's level set is empty, so the level differences
@@ -637,7 +811,8 @@ def atomic_decompose(
     gpatch.arr = gpatch.arr / lam0
     window_cube = smallest_enclosing_cube(d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim)
     single = (lam0, Atom(window_cube, d, gpatch, q, L, "single"))
-    return AtomicDecomposition(d, lambdas, atoms, q, L, v, single, tags)
+    tag = np.concatenate([np.zeros(0, dtype=np.int64), *tags])
+    return AtomicDecomposition(d, _Rows.join(parts, d.dim), tag, q, L, v, single)
 
 
 def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
@@ -665,10 +840,14 @@ def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
     """sum of lambda_j a_j plus the single part, rendered on the lattice."""
-    dense = np.zeros(dec.domain.shape)
-    for lam, atom in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
-        atom.patch.add_into(dense, lam)
-    return GridFunction._adopt(dec.domain, dense)
+    d = dec.domain
+    dense = np.zeros(d.shape)
+    # np.add.at adds in index order: every point sums its atoms in atom order
+    for b in dec.rows.blocks():
+        np.add.at(dense.reshape(-1), _box_points(d, b.lo, b.shape), np.repeat(b.lam, b.size) * b.values)
+    lam0, single = dec.single_part
+    single.patch.add_into(dense, lam0)
+    return GridFunction._adopt(d, dense)
 
 
 # ---------------------------------------------------------------------------
@@ -678,31 +857,37 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
 def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) -> Report:
     """Support, size and moment margins of one atom."""
     d = a.domain
-    support_leak = 0.0
-    if a.kind != "single":
-        leak = np.abs(a.patch.arr)  # the lattice outside the patch is zero
-        leak[tuple(
-            slice(max(s.start - lo, 0), max(s.stop - lo, 0))
-            for s, lo in zip(a.support.lattice_slices(d), a.patch.lo)
-        )] = 0.0
-        support_leak = float(leak.max(initial=0.0))
-    size = a.lq_norm(w)
+    hn = d.h ** d.dim
+    mag = np.abs(a.patch.arr)
     if math.isinf(a.q):
+        size = float(mag.max()) if mag.size else 0.0
         budget = 1.0
     else:
+        size = a.patch.norm_lq(d, a.q, w)
         region = None if a.kind == "single" else a.support
         budget = (w.mass(region) if w is not None else (
             a.support.volume if region is not None else (2 * d.half_width) ** d.dim
         )) ** (1.0 / a.q)
     size_ok = size <= budget * (1.0 + 1e-6)
+    moments = a.kind == "local" and a.L >= 0
+    l1 = hn * float(mag.sum()) if moments else 0.0
+    support_leak = 0.0
+    if a.kind != "single":
+        # the lattice outside the patch is zero
+        mag[tuple(
+            slice(max(start - lo, 0), max(stop - lo, start - lo, 0))
+            for (start, stop), lo in zip(a.support.lattice_ranges(d), a.patch.lo)
+        )] = 0.0
+        support_leak = float(mag.max(initial=0.0))
     moment_worst = 0.0
-    if a.kind == "local" and a.L >= 0:
-        l1 = a.patch.l1(d)
-        x = d.axis()
-        axes = [x[s] - c for s, c in zip(a.patch.slices(), a.support.center)]
+    if moments:
+        axes = [d.axis()[s] - c for s, c in zip(a.patch.slices(), a.support.center)] if a.L > 0 else []
         for alpha in multi_indices(d.dim, a.L):
-            mono = reduce(np.multiply, np.ix_(*[ax**k for ax, k in zip(axes, alpha)]))
-            mom = d.h ** d.dim * float(np.sum(a.patch.arr * mono))
+            if any(alpha):
+                mono = reduce(np.multiply, np.ix_(*[ax**k for ax, k in zip(axes, alpha)]))
+                mom = hn * float((a.patch.arr * mono).sum())
+            else:  # the order-0 monomial is 1
+                mom = hn * float(a.patch.arr.sum())
             tol = MOMENT_TOL * max(l1, 1e-300) * a.support.side ** sum(alpha)
             moment_worst = max(moment_worst, abs(mom) / tol if tol > 0 else math.inf)
     passed = support_leak == 0.0 and size_ok and moment_worst <= 1.0
@@ -718,39 +903,93 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
     )
 
 
+def _segment_reduce(ufunc, values: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """`ufunc` reduced over each atom's run of `values`; 0 for an atom
+    without values."""
+    out = np.zeros(size.size)
+    some = size > 0
+    if values.size:
+        out[some] = ufunc.reduceat(values, (np.cumsum(size) - size)[some])
+    return out
+
+
+def validate_atoms(dec: AtomicDecomposition, w: Weight | None) -> np.ndarray:
+    """Verdict per atom of `dec.atoms`, from the ragged store: no nonzero
+    value outside the support cube's lattice box, the L^q_w size within
+    w(Q)^{1/q} (1 at q = inf), and for a local atom every moment up to order
+    L within MOMENT_TOL * side^{|alpha|} of its L^1 norm, about its centre.
+    It passes exactly the atoms that `validate_atom` passes."""
+    d = dec.domain
+    hn = d.h ** d.dim
+    ws = None if w is None else w.values.samples.ravel()
+    verdicts = []
+    for r in dec.rows.blocks():
+        atom = np.repeat(np.arange(r.size.size), r.size)
+        point = _box_points(d, r.lo, r.shape)
+        coords = np.stack(np.unravel_index(point, d.shape), axis=1)
+        start, stop = cube_lattice_ranges(d, r.level[:, None], r.shift, r.index)
+        stop = np.maximum(start, stop)
+        outside = np.any((coords < start[atom]) | (coords >= stop[atom]), axis=1)
+        leak = np.bincount(atom[outside & (r.values != 0)], minlength=r.size.size) > 0
+        mag = np.abs(r.values)
+        if math.isinf(dec.q):
+            size, budget = _segment_reduce(np.maximum, mag, r.size), 1.0
+        elif ws is None:
+            size = (hn * _segment_reduce(np.add, mag**dec.q, r.size)) ** (1.0 / dec.q)
+            budget = 2.0 ** (-d.dim * r.level / dec.q)  # |Q|^{1/q}
+        else:
+            size = (hn * _segment_reduce(np.add, mag**dec.q * ws[point], r.size)) ** (1.0 / dec.q)
+            # w(Q) over the support's lattice box
+            cells = stop - start
+            mass = hn * _segment_reduce(np.add, ws[_box_points(d, start, cells)], np.prod(cells, axis=1))
+            budget = mass ** (1.0 / dec.q)
+        ok = ~leak & (size <= budget * (1.0 + 1e-6))
+        local = r.kind == KINDS.index("local")
+        if dec.L >= 0 and np.any(local):
+            l1 = np.maximum(hn * _segment_reduce(np.add, mag, r.size), 1e-300)
+            # the monomials about each support's centre; order 0 is 1
+            u = d.axis()[coords] - cube_centers(r.level[:, None], r.shift, r.index)[atom] if dec.L > 0 else None
+            worst = np.zeros(r.size.size)
+            for alpha in multi_indices(d.dim, dec.L):
+                terms = r.values * np.prod(u**alpha, axis=1) if any(alpha) else r.values
+                mom = hn * _segment_reduce(np.add, terms, r.size)
+                worst = np.maximum(worst, np.abs(mom) / (MOMENT_TOL * l1 * 2.0 ** (-r.level * sum(alpha))))
+            ok &= ~local | (worst <= 1.0)
+        verdicts.append(ok)
+    return np.concatenate([np.zeros(0, dtype=bool), *verdicts])
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
-    """JSON index with a little-endian float64 binary sidecar for values."""
+    """JSON index with a little-endian float64 binary sidecar for values:
+    the atom buffer, then the single part."""
     path = Path(path)
     sidecar = path.with_suffix(".bin")
-    entries = []
-    offset = 0
-    with open(sidecar, "wb") as fh:
-        for lam, atom in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
-            arr = np.ascontiguousarray(atom.patch.arr, dtype="<f8")
-            fh.write(arr.tobytes())
-            entries.append(
-                {
-                    "lambda": lam,
-                    "cube": {
-                        "k": atom.support.level,
-                        "a": list(atom.support.shift),
-                        "m": list(atom.support.index),
-                    },
-                    "q": None if math.isinf(atom.q) else atom.q,
-                    "L": atom.L,
-                    "kind": atom.kind,
-                    "values_ref": {
-                        "offset": offset,
-                        "shape": list(arr.shape),
-                        "lo": list(atom.patch.lo),
-                    },
-                }
-            )
-            offset += arr.nbytes
+    r = dec.rows
+    lam0, single = dec.single_part
+    sidecar.write_bytes(np.concatenate([r.values, single.patch.arr.ravel()]).astype("<f8").tobytes())
+
+    def entry(lam, k, a, m, kind, offset, shape, lo):
+        return {
+            "lambda": lam,
+            "cube": {"k": k, "a": a, "m": m},
+            "q": None if math.isinf(dec.q) else dec.q,
+            "L": dec.L,
+            "kind": kind,
+            "values_ref": {"offset": offset, "shape": shape, "lo": lo},
+        }
+
+    offsets = (8 * (np.cumsum(r.size) - r.size)).tolist()
+    rows = zip(r.lam.tolist(), r.level.tolist(), r.shift.tolist(), r.index.tolist(),
+               [KINDS[k] for k in r.kind.tolist()], offsets, r.shape.tolist(), r.lo.tolist())
+    s = single.support
+    entries = [entry(*row) for row in rows] + [entry(
+        lam0, s.level, list(s.shift), list(s.index), single.kind, 8 * r.values.size,
+        list(single.patch.arr.shape), list(single.patch.lo),
+    )]
     doc = {
         "domain": {
             "dim": dec.domain.dim,
@@ -760,7 +999,7 @@ def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
         "q": None if math.isinf(dec.q) else dec.q,
         "L": dec.L,
         "v": dec.v,
-        "level_tags": list(dec.level_tags),
+        "level_tags": dec.level_tags,
         "sidecar": sidecar.name,
         "atoms": entries,
     }
@@ -771,19 +1010,29 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
     path = Path(path)
     doc = json.loads(path.read_text())
     dom = Domain(**doc["domain"])
-    raw = (path.parent / doc["sidecar"]).read_bytes()
-    lambdas, atoms = [], []
-    for e in doc["atoms"]:
-        ref = e["values_ref"]
-        count = int(np.prod(ref["shape"]))
-        arr = np.frombuffer(
-            raw, dtype="<f8", count=count, offset=ref["offset"]
-        ).reshape(ref["shape"]).copy()
-        cube = Cube(e["cube"]["k"], tuple(e["cube"]["a"]), tuple(e["cube"]["m"]))
-        q = math.inf if e["q"] is None else e["q"]
-        lambdas.append(e["lambda"])
-        atoms.append(Atom(cube, dom, Patch(tuple(ref["lo"]), arr), q, e["L"], e["kind"]))
-    # the single atom is written last
-    single = (lambdas.pop(), atoms.pop())
+    raw = np.frombuffer((path.parent / doc["sidecar"]).read_bytes(), dtype="<f8").astype(float)
+    n = dom.dim
+    *entries, last = doc["atoms"]  # the single atom is written last
+    refs = [e["values_ref"] for e in entries]
+    shape = np.array([ref["shape"] for ref in refs], dtype=np.int64).reshape(-1, n)
+    size = np.prod(shape, axis=1)
+    _, at = _expand(np.array([ref["offset"] // 8 for ref in refs], dtype=np.int64), size)
+    rows = _Rows(
+        raw[at],
+        size,
+        np.array([ref["lo"] for ref in refs], dtype=np.int64).reshape(-1, n),
+        shape,
+        np.array([e["cube"]["k"] for e in entries], dtype=np.int64),
+        np.array([e["cube"]["a"] for e in entries], dtype=np.int64).reshape(-1, n),
+        np.array([e["cube"]["m"] for e in entries], dtype=np.int64).reshape(-1, n),
+        np.array([KINDS.index(e["kind"]) for e in entries], dtype=np.int64),
+        np.array([e["lambda"] for e in entries], dtype=float),
+    )
+    ref = last["values_ref"]
+    first = ref["offset"] // 8
+    arr = raw[first : first + int(np.prod(ref["shape"]))].reshape(ref["shape"]).copy()
+    cube = Cube(last["cube"]["k"], tuple(last["cube"]["a"]), tuple(last["cube"]["m"]))
     q = math.inf if doc["q"] is None else doc["q"]
-    return AtomicDecomposition(dom, lambdas, atoms, q, doc["L"], doc["v"], single, doc["level_tags"])
+    single = (last["lambda"], Atom(cube, dom, Patch(tuple(ref["lo"]), arr), q, doc["L"], last["kind"]))
+    tag = np.array(doc["level_tags"], dtype=np.int64)
+    return AtomicDecomposition(dom, rows, tag, q, doc["L"], doc["v"], single)

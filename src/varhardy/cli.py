@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -206,20 +207,28 @@ def cmd_awconst(args) -> int:
 
 
 def cmd_atoms(args) -> int:
-    from .atoms import atomic_decompose, save_decomposition, sequence_norm, synthesize
+    from .atoms import atomic_decompose, save_decomposition, sequence_norm, synthesize, validate_atoms
     from .hardy import nested_dictionaries
     from .norms import lq_norm
 
     cfg, d, f, p, w = _preset_inputs(args)
     _, dic = nested_dictionaries(2, cfg.dict_size, d, cfg.dict_seed, cfg.dict_radius)
+    t0 = time.perf_counter()
     dec = atomic_decompose(f, p, w, dic)
-    err = lq_norm(synthesize(dec) - f, 2.0) / max(lq_norm(f, 2.0), 1e-300)
+    t1 = time.perf_counter()
+    out = synthesize(dec)
+    t2 = time.perf_counter()
+    invalid = int(np.count_nonzero(~validate_atoms(dec, w)))
+    t3 = time.perf_counter()
+    err = lq_norm(out - f, 2.0) / max(lq_norm(f, 2.0), 1e-300)
     a_norm = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
     path = Path(cfg.out or "decomposition.json")
     save_decomposition(dec, path)
-    print(f"atoms={len(dec.atoms)} q={dec.q} L={dec.L} v={dec.v}")
+    print(f"atoms={len(dec.lambdas)} q={dec.q} L={dec.L} v={dec.v}")
+    print(f"invalid_atoms={invalid}")
     print(f"sequence_norm={a_norm:.8g} single={dec.single_part[0]:.8g}")
     print(f"round_trip_rel_l2={err:.3e}")
+    print(f"wall_s decompose={t1 - t0:.3f} synthesize={t2 - t1:.3f} validate={t3 - t2:.3f}")
     print(f"written -> {path} (+ .bin sidecar)")
     return 0
 

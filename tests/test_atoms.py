@@ -1,3 +1,4 @@
+import hashlib
 import math
 import types
 from collections import Counter
@@ -8,6 +9,7 @@ import pytest
 from varhardy import atoms
 from varhardy.atoms import (
     Atom,
+    AtomicDecomposition,
     Patch,
     atomic_decompose,
     cz_decompose,
@@ -16,6 +18,7 @@ from varhardy.atoms import (
     sequence_norm,
     synthesize,
     validate_atom,
+    validate_atoms,
     whitney_decompose,
     whitney_geometry_report,
     _split_unit_pieces,
@@ -82,6 +85,38 @@ def dense(patch, d):
     return out
 
 
+def one_atom(atom):
+    """A decomposition that holds the one atom, for `validate_atoms`."""
+    d = atom.domain
+    rows = atoms._Rows.of_atoms([(1.0, atom)], d.dim)
+    return AtomicDecomposition(d, rows, np.zeros(1, dtype=np.int64), atom.q, atom.L, 1.0, (1.0, atom))
+
+
+def round_trip_digest(h, dec, p, w):
+    """Feed `h` every bit of a round trip: per atom lambda, support, kind,
+    patch lo, shape and values, then the level tags, the single part (last
+    of the atoms), the synthesis and the sequence norm."""
+    for lam, a in [*zip(dec.lambdas, dec.atoms), dec.single_part]:
+        h.update(np.float64(lam).tobytes())
+        h.update(np.array([a.support.level, *a.support.shift, *a.support.index], dtype=np.int64).tobytes())
+        h.update(a.kind.encode())
+        h.update(np.array([*a.patch.lo, *a.patch.arr.shape], dtype=np.int64).tobytes())
+        h.update(np.ascontiguousarray(a.patch.arr, dtype=np.float64).tobytes())
+    h.update(np.array(dec.level_tags, dtype=np.int64).tobytes())
+    h.update(synthesize(dec).samples.tobytes())
+    h.update(np.float64(sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)).tobytes())
+
+
+def report_digest(dec, w, p):
+    """SHA-256 of every `validate_atom` report of a decomposition, single
+    part included."""
+    h = hashlib.sha256()
+    for a in [*dec.atoms, dec.single_part[1]]:
+        r = validate_atom(a, w, p)
+        h.update(np.array([r.passed, *r.quantities.values()], dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
 def partition_of_unity(cubes, dom):
     """Partition weights of a cube list, one windowed patch per cube, as the
     localisation builds them (order -1: no moment projection)."""
@@ -146,6 +181,31 @@ class TestValidateAtom:
         atom = Atom(cube, dom, Patch((a,), np.ones(b - a)), math.inf, 0, "local")
         rep = validate_atom(atom, weight_preset("const:1", dom))
         assert rep.q("moment_worst_rel") > 1.0
+
+    def test_batched_verdicts_match(self, dom):
+        # the planted atoms above, each in a store of its own
+        planted = []
+        for k, shift, index, scale, L in ((2, 0, 1, 1.0, -1), (2, 0, 0, 3.0, -1), (3, 0, 2, 1.0, 0)):
+            cube = Cube(k, (shift,), (index,))
+            (a, b), = cube.lattice_ranges(dom)
+            planted.append(Atom(cube, dom, Patch((a,), scale * np.ones(b - a)), math.inf, L, "local"))
+        planted.append(haar_atom(dom, Cube(3, (0,), (2,))))
+        cube = Cube(3, (0,), (2,))  # a value one point outside the support
+        (a, b), = cube.lattice_ranges(dom)
+        arr = np.zeros(b - a + 2)
+        arr[[0, -1]] = 0.5, -0.5
+        planted.append(Atom(cube, dom, Patch((a - 1,), arr), math.inf, 0, "local"))
+        w = weight_preset("power:1", dom)
+        want = [validate_atom(atom, w).passed for atom in planted]
+        assert want == [True, False, False, True, False]
+        assert [bool(validate_atoms(one_atom(atom), w)[0]) for atom in planted] == want
+        verdicts = []
+        for q, scale in ((2.5, 1.0), (2.5, 1e3), (4.0, 1.0), (4.0, 1e3)):  # the size bound at a finite q
+            atom = haar_atom(dom, Cube(3, (0,), (2,)))
+            atom.q, atom.patch.arr = q, scale * atom.patch.arr / atom.patch.arr.max()
+            verdicts.append(validate_atom(atom, w).passed)
+            assert validate_atoms(one_atom(atom), w)[0] == verdicts[-1]
+        assert verdicts == [True, False, True, False]
 
 
 class TestSequenceNorms:
@@ -609,6 +669,88 @@ class TestAtomicDecompose:
             assert validate_atom(atom, w, p).passed
 
 
+def criterion_10_family(domain):
+    """The 20 bumps of acceptance criterion 10 (seed 110)."""
+    rng = np.random.default_rng(110)
+    out = []
+    for _ in range(20):
+        c, s, a = rng.uniform(-1.5, 1.5), rng.uniform(0.25, 1.2), rng.uniform(0.5, 2.0)
+        out.append(function_preset(f"bump:{c:.6f},{s:.6f},{a:.6f}", domain))
+    return out
+
+
+class TestBitwisePins:
+    """SHA-256 of every bit of the round trips, recorded before atoms were
+    stored as one ragged buffer (`round_trip_digest`; criterion 10 feeds
+    its 20 decompositions per pair into one digest), and of every
+    `validate_atom` report.  The batched `validate_atoms` must give each
+    atom `validate_atom`'s verdict."""
+
+    ROUND_TRIPS = {
+        "m9-0": "c266f1c8b26229385307a4293d309d48ebe0e48235c6cb9f4cca8a798d0eec3d",
+        "m9-1": "d337f77df03d158a1e7752499ccdadb491c50b013f7142c3cb9ecf8256199b58",
+        "criterion-10-0": "e79c791ce001e76456396a3764b419520c8863e62fd9c0e0556ef9ad18f2534d",
+        "criterion-10-1": "305b58083d7f9092b69a088a051ce5ce8a0fbfd5b9fc64cec1da1f563cce44a6",
+        "2d": "234202db19182c09577fdf028738ef616d2e2dccadfa719b1fa3c466078e98c7",
+    }
+    REPORTS = {
+        "m9-0": "0c7cf048cf9e0dca63d144ec0d61316e32c70028eedefe2da627fb4ea4eac04f",
+        "m9-1": "81fe082b31f7c73bef867e28ebf84557c06a8659eef423ef2dd2eda9213c18ff",
+        "2d": "0309254d3b83ae3e6c24d22c2de2a100cb3b23950d9db004d77756b1600e6c19",
+    }
+
+    @staticmethod
+    def pair(dom, i):
+        return [
+            (VariableExponent.constant(dom, 2.0), weight_preset("const:1", dom)),
+            (exponent_preset("lhdecay:1", dom), weight_preset("power:1", dom)),
+        ][i]
+
+    @staticmethod
+    def check_verdicts(dec, w, p):
+        assert validate_atoms(dec, w).tolist() == [validate_atom(a, w, p).passed for a in dec.atoms]
+
+    @pytest.mark.parametrize("spec,i", [("bump:0.3,0.5,1.4", 0), ("bump:-0.8,0.9,0.7", 1)])
+    def test_m9(self, dom, dicts, spec, i, monkeypatch):
+        # a few thousand pairs per level pair and atoms per decomposition:
+        # small blocks of pairs and of atoms give the same bits as one block
+        monkeypatch.setattr(atoms, "CORRECTION_BLOCK", 97)
+        monkeypatch.setattr(atoms, "ATOM_BLOCK", 5)
+        p, w = self.pair(dom, i)
+        dec = atomic_decompose(function_preset(spec, dom), p, w, dicts[1])
+        h = hashlib.sha256()
+        round_trip_digest(h, dec, p, w)
+        assert h.hexdigest() == self.ROUND_TRIPS[f"m9-{i}"]
+        assert report_digest(dec, w, p) == self.REPORTS[f"m9-{i}"]
+        self.check_verdicts(dec, w, p)
+
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_criterion_10(self, dom, dicts, i):
+        p, w = self.pair(dom, i)
+        h = hashlib.sha256()
+        for f in criterion_10_family(dom):
+            dec = atomic_decompose(f, p, w, dicts[1])
+            round_trip_digest(h, dec, p, w)
+            self.check_verdicts(dec, w, p)
+        assert h.hexdigest() == self.ROUND_TRIPS[f"criterion-10-{i}"]
+
+    def test_2d(self, dom2, monkeypatch):
+        monkeypatch.setattr(
+            atoms, "grand_maximal", square_level_sets(dom2, [(1.45, 4.0), (1.44, 2.0), (1.43, 1.0)])
+        )
+        monkeypatch.setattr(atoms, "q_w_estimate", lambda w: 1.0)  # exact for const:1
+        x, y = dom2.coords()
+        f = GridFunction(dom2, np.exp(-(x**2 + y**2)) * (1.0 + x * y))
+        p = VariableExponent.constant(dom2, 2.0)
+        w = weight_preset("const:1", dom2)
+        dec = atomic_decompose(f, p, w, types.SimpleNamespace(order=2), L=1)
+        h = hashlib.sha256()
+        round_trip_digest(h, dec, p, w)
+        assert h.hexdigest() == self.ROUND_TRIPS["2d"]
+        assert report_digest(dec, w, p) == self.REPORTS["2d"]
+        self.check_verdicts(dec, w, p)
+
+
 class TestUnitSplit:
     def test_oversized_atom_splits_into_unit_pieces(self, dom):
         cube = Cube(-2, (0,), (0,))  # side 4
@@ -639,6 +781,24 @@ class TestUnitSplit:
             assert validate_atom(piece, w).passed
             piece.patch.add_into(total, lam)
         assert np.max(np.abs(total[a:b] - arr)) <= 1e-12 and not np.any(total[:a]) and not np.any(total[b:])
+
+    def test_oversized_owner_box_is_cut_into_unit_pieces(self):
+        # a kept box of the level-pair buffer whose support is wider than a
+        # unit cube becomes unit pieces, in place, between the other atoms
+        d = Domain(1, 8, 6)
+        lo = np.array([[40], [200], [400]])
+        shape = np.array([[10], [150], [12]])
+        summed = np.random.default_rng(7).normal(size=int(shape.sum()))
+        point = atoms._box_points(d, lo, shape)
+        rows = atoms._owner_atoms(summed, point, lo, shape, np.ones(3, dtype=bool), d, math.inf, 0, None)
+        pieces = rows.atoms(d, math.inf, 0, rows.cubes())
+        # the middle box spans 150 h = 2.3 units: three unit cubes
+        assert [a.kind for a in pieces] == ["local"] + ["unit"] * 3 + ["local"]
+        assert all(a.support.volume == 1.0 for a in pieces[1:-1])
+        total = np.zeros(d.shape)
+        for lam, a in zip(rows.lam, pieces):
+            a.patch.add_into(total, lam)
+        np.testing.assert_allclose(total[point], summed, rtol=1e-15, atol=0)
 
     def test_2d_atom_splits_into_four(self):
         d = Domain(2, 4, 4)
@@ -681,6 +841,14 @@ class TestSerialization:
         a = synthesize(dec)
         b = synthesize(back)
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
+        # both files byte for byte as written before the ragged store
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6b59aa442fecd546c160581f3a0e21ad7d9aa6e2f8e8b6bcbfb450f5dabd1c13"
+        )
+        assert hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest() == (
+            "bb78c0b3dcd484b230e0ef4a64ddc04b1737e3f24d7ab2f0a91d8dc2f25fb660"
+        )
+        assert np.array_equal(b.samples, a.samples) and back.lambdas == dec.lambdas
 
     def test_empty_round_trip(self, tmp_path, dom, dicts):
         _, large = dicts

@@ -5,7 +5,7 @@ import pytest
 
 from scipy import fft as sp_fft
 
-from varhardy import grid
+from varhardy import atoms, grid
 from varhardy.atoms import _owner_atoms, whitney_decompose
 from varhardy.grid import (
     Cube,
@@ -316,38 +316,38 @@ class TestEnclosingCubes:
 
     @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 2, 6)], ids=["n1", "n2"])
     def test_kept_owner_segments_keep_their_own_boxes(self, d):
-        # owner segments as atomic_decompose hands them over: the dropped
-        # ones, far out near the window edge, lie between kept segments
+        # owner segments of the ragged buffer, one box each, as
+        # atomic_decompose hands them over: the dropped ones, far out near
+        # the window edge, lie between kept segments
         rng = np.random.default_rng(5)
         x = d.axis()
         kept = np.array([True, False, False, True, False, True, True, False, True, False] * 3)
         reach = 24 if d.dim == 1 else 12  # keeps every support below unit volume
-        points, values = [], []
-        for keep in kept:
-            corner = rng.integers(d.npts // 4, d.npts // 2, size=d.dim) if keep else rng.choice([1, d.npts - reach - 1], size=d.dim)
-            offs = rng.integers(0, reach, size=(rng.integers(4, 16), d.dim))
-            pts = np.unique(np.ravel_multi_index(tuple((corner + offs).T), d.shape))
-            vals = rng.normal(size=pts.size) * (rng.random(pts.size) < 0.7)
-            vals[rng.integers(pts.size)] = 1.0
-            points.append(pts)
-            values.append(vals)
-        stops = np.cumsum([p.size for p in points])
-        starts = stops - [p.size for p in points]
-        point, value = np.concatenate(points), np.concatenate(values)
-        got = _owner_atoms(point, value, starts, kept, d, math.inf, 0, None)
-        assert len(got) == kept.sum()
-        for (lam, atom), s in zip(got, np.flatnonzero(kept)):
-            seg = slice(starts[s], stops[s])
-            c = np.stack(np.unravel_index(point[seg], d.shape), axis=1)
-            nz = value[seg] != 0
+        lo = np.array([
+            rng.integers(d.npts // 4, d.npts // 2, size=d.dim) if keep else rng.choice([1, d.npts - reach - 1], size=d.dim)
+            for keep in kept
+        ])
+        shape = rng.integers(4, reach, size=lo.shape)
+        size = np.prod(shape, axis=1)
+        first = np.cumsum(size) - size
+        summed = rng.normal(size=size.sum()) * (rng.random(size.sum()) < 0.7)
+        summed[first + rng.integers(size)] = 1.0
+        point = atoms._box_points(d, lo, shape)
+        coords = np.stack(np.unravel_index(point, d.shape), axis=1)
+        rows = _owner_atoms(summed, point, lo, shape, kept, d, math.inf, 0, None)
+        assert len(rows.lam) == kept.sum()
+        for lam, atom, s in zip(rows.lam, rows.atoms(d, math.inf, 0, rows.cubes()), np.flatnonzero(kept)):
+            seg = slice(first[s], first[s] + size[s])
+            c = coords[seg]
+            assert np.all((c >= lo[s]) & (c < lo[s] + shape[s])) and len({tuple(p) for p in c.tolist()}) == size[s]
+            nz = summed[seg] != 0
             assert atom.support == reference_enclosing_cube(d, x[c[nz].min(0)].tolist(), x[c[nz].max(0)].tolist())
-            assert atom.patch.lo == tuple(c.min(0).tolist())
-            assert atom.patch.arr.shape == tuple((c.max(0) - c.min(0) + 1).tolist())
+            assert atom.patch.lo == tuple(lo[s].tolist())
+            assert atom.patch.arr.shape == tuple(shape[s].tolist())
             dense = np.zeros(d.shape)
             atom.patch.add_into(dense)
-            dense = dense.ravel()
-            assert np.count_nonzero(dense) == np.count_nonzero(value[seg])
-            np.testing.assert_allclose(lam * dense[point[seg]], value[seg], rtol=1e-15, atol=0)
+            assert np.count_nonzero(dense) == np.count_nonzero(summed[seg])
+            np.testing.assert_allclose(lam * dense[tuple(c.T)], summed[seg], rtol=1e-15, atol=0)
 
     def test_empty_batch_and_errors(self, dom):
         level, shift, index = smallest_enclosing_cubes(dom, np.zeros((0, 1)), np.zeros((0, 1)))

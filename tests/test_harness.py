@@ -136,7 +136,8 @@ class TestCLI:
         assert "luxemburg_norm" in out
 
     def test_print_cases_without_ratio(self, capsys):
-        # E4's tilde_cofinite cases carry both values but no ratio
+        # a row with a level-(m + 1) value but no ratio prints the value and
+        # skips the ratio
         rep = SuiteReport("E4", [Report("tilde_cofinite[mu=1]", True, {"tilde": 2.0}, 3.0)], {}, 0.0)
         _print_cases(rep)
         out = capsys.readouterr().out
@@ -207,6 +208,9 @@ class TestCLI:
              "--hardy-dict", "size=8,seed=42,rD=4"]
         )
         assert code == 0
+        out = capsys.readouterr().out
+        assert "invalid_atoms=0\n" in out
+        assert re.search(r"^wall_s decompose=\S+ synthesize=\S+ validate=\S+$", out, re.M)
         doc = json.loads((tmp_path / "dec.json").read_text())
         assert doc["atoms"]
         first = doc["atoms"][0]
