@@ -167,14 +167,16 @@ def _apply_operator(spec: str, f: GridFunction, w) -> GridFunction:
 
 def cmd_maximal(args) -> int:
     cfg, d, f, _, w = _preset_inputs(args)
+    t0 = time.perf_counter()
     out = _apply_operator(args.operator, f, w)
+    wall = time.perf_counter() - t0
     path = Path(cfg.out or "maximal_profile.csv")
     row = out.samples[(d.half_npts,) * (d.dim - 1)]  # the last axis through 0
     with open(path, "w") as fh:
         fh.write("x,value\n")
         for x, v in zip(d.axis(), row):
             fh.write(f"{x!r},{v!r}\n")
-    print(f"operator {args.operator}: sup = {out.sup():.8g}, profile -> {path}")
+    print(f"operator {args.operator}: sup = {out.sup():.8g}, wall {wall * 1e3:.2f} ms, profile -> {path}")
     return 0
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import product
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -27,6 +27,8 @@ __all__ = [
     "Cube",
     "CubeLayout",
     "chain_sums",
+    "chain_steps",
+    "climb_chain",
     "quadrature",
     "enumerate_cubes",
     "convolve",
@@ -104,16 +106,19 @@ class Domain:
     def h(self) -> float:
         return 2.0 ** (-self.level)
 
-    @property
+    # the sample counts are read on every lattice operation, so each is
+    # computed once per instance; they are not fields, so equality, hash
+    # and repr do not see them
+    @cached_property
     def npts(self) -> int:
         # 2T / h, an exact power of two
         return int(round(self.half_width * 2.0 ** (self.level + 1)))
 
-    @property
+    @cached_property
     def half_npts(self) -> int:
         return self.npts // 2
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.npts,) * self.dim
 
@@ -385,6 +390,36 @@ def _pair_block(s: np.ndarray, lead: list[int], op: np.ufunc, dst: np.ndarray) -
         s = out
 
 
+def chain_steps(
+    domain: Domain, shift: tuple[int, ...], coarsest: int
+) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
+    """The layout of one chain of grids above the lattice: (k, shift at k,
+    lead) for k from domain.level - 1 down to `coarsest`, where lead is the
+    `_pair_sums` layout that makes level k from level k + 1."""
+    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
+    for k in range(domain.level - 1, coarsest - 1, -1):
+        carry = [int(a == 1) for a in shift]  # cube q of shift a lies in the parent (q - [a == 1]) // 2
+        lead = [(q - c) % 2 for q, c in zip(first, carry)]
+        first = [(q - c) // 2 for q, c in zip(first, carry)]
+        shift = tuple(2 * a % 3 for a in shift)
+        yield k, shift, lead
+
+
+def climb_chain(
+    steps: Iterable[tuple[int, tuple[int, ...], list[int]]],
+    sums: Sequence[np.ndarray],
+    ops: Sequence[np.ufunc] | None = None,
+) -> Iterator[tuple[int, tuple[int, ...], list[int], tuple[np.ndarray, ...]]]:
+    """(k, shift, lead, sums) along `steps` of `chain_steps`, each level's
+    sums the `_pair_sums` of the level below, starting from `sums`, the
+    sums of the level below the first step.  A chain may so resume from
+    any level whose sums are at hand."""
+    ops = ops or (np.add,) * len(sums)
+    for k, shift, lead in steps:
+        sums = tuple(_pair_sums(s, lead, op) for s, op in zip(sums, ops))
+        yield k, shift, lead, sums
+
+
 def chain_sums(
     domain: Domain,
     shift: tuple[int, ...],
@@ -408,17 +443,8 @@ def chain_sums(
     place of np.add: np.minimum and np.maximum give each cube's min and max,
     exactly.
     """
-    ops = ops or (np.add,) * len(arrays)
-    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
-    shift, sums = tuple(shift), tuple(arrays)
-    yield domain.level, shift, None, sums
-    for k in range(domain.level - 1, coarsest - 1, -1):
-        carry = [int(a == 1) for a in shift]  # cube q of shift a lies in the parent (q - [a == 1]) // 2
-        lead = [(q - c) % 2 for q, c in zip(first, carry)]
-        first = [(q - c) // 2 for q, c in zip(first, carry)]
-        shift = tuple(2 * a % 3 for a in shift)
-        sums = tuple(_pair_sums(s, lead, op) for s, op in zip(sums, ops))
-        yield k, shift, lead, sums
+    yield domain.level, tuple(shift), None, tuple(arrays)
+    yield from climb_chain(chain_steps(domain, shift, coarsest), arrays, ops)
 
 
 def quadrature(f: GridFunction, cube: Cube | None = None) -> float:

@@ -6,19 +6,25 @@ cubes within a factor 6^n, so the dyadic supremum is the canonical
 computable object here.  The cube sums of every level come from the chain
 pyramid of `grid.chain_sums`, the one multi-level sweep that the weight
 constants use too.  The running supremum comes back down the pyramid in
-place: each level's means overwrite its sums, the parent's value raises
-them one parity class at a time, and the lattice level is the caller's
-array, so for a plain maximal function |f| itself (its lattice mean).  One
-grid is the union of two chains on alternate levels, so `grid_maximal`
-costs O(points) per grid; the all-grid operators sweep each of the 3^n
-chains once, O(points * 3^n) in all.
+place: each level's means overwrite its sums, and the parent's value
+raises them by row pairs: along each leading axis two child rows share a
+parent row, which broadcasts over them, and the last axis takes one
+strided step per parity class.  The lattice level is the caller's array,
+so for a plain maximal function |f| itself (its lattice mean).  One grid
+is the union of two chains on alternate levels, so `grid_maximal` costs
+O(points) per grid.  The all-grid operators sweep each of the 3^n chains
+once, and the chains that pair the same lattice points at level m - 1
+(their shifts differ only between 0 and 1 on some axes) share that
+level: the lattice is pair-summed and raised once per lead class, 2^n + 1
+times in all with the zero shift's own grid, and the levels above cost
+O(points * (3/2)^n).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 
@@ -29,7 +35,9 @@ from .grid import (
     Domain,
     GridFunction,
     all_shifts,
+    chain_steps,
     chain_sums,
+    climb_chain,
     convolve,
     level_range,
 )
@@ -51,31 +59,45 @@ __all__ = [
 ]
 
 
+def _row_pieces(n: int, z: int):
+    """(child rows, parent rows, children per parent) of the pieces of one
+    leading axis of `_raise`: a lone first child when the lead is 1, the
+    pairs, and a lone last child when one is left over."""
+    pairs = (n - z) // 2
+    pieces = [(slice(0, z), slice(0, z), 1), (slice(z, z + 2 * pairs), slice(z, z + pairs), 2),
+              (slice(z + 2 * pairs, n), slice(z + pairs, z + pairs + (n - z) % 2), 1)]
+    return [p for p in pieces if p[0].stop > p[0].start]
+
+
 def _raise(run: np.ndarray, parent: np.ndarray, lead: list[int], fill: bool = False) -> None:
     """run[j] = max(run[j], parent[(j + lead) // 2]) in place, or the parent
     value alone with `fill`: child j of a `chain_sums` level lies in parent
-    (j + lead) // 2 per axis, so one strided step per parity class."""
-    axes = [
-        [(slice(j, None, 2), slice((j + z) // 2, (j + z) // 2 + (n - j + 1) // 2)) for j in (0, 1)]
-        for n, z in zip(run.shape, lead)
-    ]
-    for cls in product(*axes):
-        child = run[tuple(c for c, _ in cls)]
-        up = parent[tuple(q for _, q in cls)]
-        if fill:
-            child[...] = up
-        else:
-            np.maximum(child, up, out=child)
+    (j + lead) // 2 per axis.  Along each leading axis the rows go in pairs
+    that share one parent row, which broadcasts over the pair; the last axis
+    takes one strided step per parity class."""
+    *rows, (n, z) = zip(run.shape, lead)
+    for cut in product(*(_row_pieces(*r) for r in rows)):
+        # split each leading axis into (parents, children per parent), a view
+        child = run[tuple(c for c, _, _ in cut)].reshape(
+            [x for c, _, per in cut for x in ((c.stop - c.start) // per, per)] + [n], copy=False)
+        up = tuple(x for _, q, _ in cut for x in (q, None))
+        for j in (0, 1):
+            q = (j + z) // 2
+            c, u = child[..., j::2], parent[up + (slice(q, q + (n - j + 1) // 2),)]
+            if fill:
+                c[...] = u
+            else:
+                np.maximum(c, u, out=c)
 
 
 def _chain_sup(out: np.ndarray, sweep: list, levels, value) -> None:
-    """Raise the lattice array `out` in place to the max over the coarser
-    `levels` of value(k, *cube sums) along one chain, whose `chain_sums`
-    are listed in `sweep`.  `value` writes into the first sums of its level,
-    and a level outside `levels` takes its parent's value in its own sums,
-    so no level is allocated anew.  The lattice level is left to `out`."""
+    """Raise `out` in place to the max over the coarser `levels` of
+    value(k, *cube sums) along one chain, whose `chain_sums` levels above
+    that of `out` are listed in `sweep`, finest first.  `value` writes into
+    the first sums of its level, and a level outside `levels` takes its
+    parent's value in its own sums, so no level is allocated anew."""
     run = lead = None
-    for k, _, below, sums in reversed(sweep[1:]):  # the coarsest level is in `levels`
+    for k, _, below, sums in reversed(sweep):  # the coarsest level is in `levels`
         if k in levels:
             cur = value(k, *sums)
             if run is not None:
@@ -88,12 +110,38 @@ def _chain_sup(out: np.ndarray, sweep: list, levels, value) -> None:
         _raise(out, run, lead)
 
 
+def _class_sup(members: list, arrays, levels, value):
+    """The level-(m - 1) running max of one lead class and the class's
+    lead: the level's sums of `arrays` are taken once, every member (a
+    `chain_steps` list) climbs one level from them, and then the level's
+    value takes the place of its sums; each member climbs the rest of its
+    pyramid and raises it with `_chain_sup`."""
+    (k, _, lead, sums), = climb_chain(members[0][:1], arrays)
+    climbs = [climb_chain(steps[1:], sums) for steps in members]
+    firsts = [list(islice(c, 1)) for c in climbs]
+    acc = value(k, *sums)
+    for first, climb in zip(firsts, climbs):
+        _chain_sup(acc, first + list(climb), levels, value)
+    return acc, lead
+
+
 def _sweep_chains(out: np.ndarray, d: Domain, shifts, arrays, levels, value) -> None:
-    """`_chain_sup` along the chain of each lattice shift in `shifts` over
-    all `levels`, each pyramid built just before its descent, so only one
-    is alive at a time."""
+    """Raise the lattice array `out` in place to the max over `levels`, every
+    level from the lattice down to min(levels), of value(k, *cube sums)
+    along the chain of each lattice shift in `shifts`.
+
+    At level m - 1 the lead of a chain depends only on which axes have
+    shift 2, so the chains fall into at most 2^n lead classes that share
+    that level's cubes.  Each class takes the level's sums once and raises
+    `out` once (`_class_sup`); only one class's arrays are alive at a
+    time."""
+    classes: dict[tuple[int, ...], list] = {}
     for a in shifts:
-        _chain_sup(out, list(chain_sums(d, a, arrays, min(levels))), levels, value)
+        steps = list(chain_steps(d, a, min(levels)))
+        if steps:  # none when the lattice is the only level
+            classes.setdefault(tuple(steps[0][2]), []).append(steps)
+    for members in classes.values():
+        _raise(out, *_class_sup(members, arrays, levels, value))
 
 
 def _cube_means(d: Domain):
@@ -131,7 +179,7 @@ def grid_maximal(f: GridFunction, shift: tuple[int, ...], max_side: float | None
     sweeps = [(list(chain_sums(d, a, (absf,), min(ks))), ks) for a, ks in chains if ks]
     mean = _cube_means(d)
     for sweep, ks in sweeps:
-        _chain_sup(out, sweep, ks, mean)
+        _chain_sup(out, sweep[1:], ks, mean)
     return GridFunction._adopt(d, out)
 
 
@@ -161,8 +209,9 @@ def _all_grids_maximal(f: GridFunction, max_side: float) -> GridFunction:
     levels, so together they are both chains on every level, and the zero
     shift's grid is its own chain.  So the zero shift's grid comes from
     `grid_maximal` (looked up by module attribute), and the chain of each
-    nonzero shift raises it over all levels: 3^n pyramids in place of
-    2 * 3^n - 1, and the same max, bit for bit.
+    nonzero shift raises it over all levels, by lead class
+    (`_sweep_chains`): 3^n pyramids in place of 2 * 3^n - 1, 2^n + 1
+    lattice passes in place of 3^n, and the same max, bit for bit.
     """
     d = f.domain
     out = np.array(grid_maximal(f, (0,) * d.dim, max_side).samples)

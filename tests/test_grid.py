@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -48,6 +49,15 @@ class TestDomain:
         assert dom.h == 2.0 ** -9
         assert dom.npts == 8192
         assert dom.axis()[dom.half_npts] == 0.0
+
+    def test_cached_counts_stay_out_of_identity(self):
+        # npts, half_npts and shape are computed once per instance; equality,
+        # hash, repr and pickling see the three fields only
+        a, b = Domain(2, 4, 5), Domain(2, 4, 5)
+        assert (a.npts, a.half_npts, a.shape) == (256, 128, (256, 256))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b) == "Domain(n=2, T=4, m=5)"
+        assert pickle.loads(pickle.dumps(a)) == b
+        assert Domain(2, 4, 6) != a and Domain(1, 4, 5) != a
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):

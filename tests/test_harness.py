@@ -167,6 +167,8 @@ class TestCLI:
              "--out", str(tmp_path / "prof.csv")]
         )
         assert code == 0
+        # the operator's own wall time, without the preset inputs or the file
+        assert re.search(r"^operator Mloc: sup = \S+, wall \d+\.\d\d ms, profile -> ", capsys.readouterr().out)
         lines = (tmp_path / "prof.csv").read_text().splitlines()
         assert lines[0] == "x,value"
         assert len(lines) > 100

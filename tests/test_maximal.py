@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from varhardy.exponent import VariableExponent
-from varhardy import maximal
+from varhardy import grid, maximal
 from varhardy.grid import (
     CubeLayout,
     Domain,
@@ -285,7 +287,8 @@ class TestInPlaceDescent:
         f = sparse_signed(d)
         main = (1,) * d.dim
         assert np.array_equal(hl_maximal(f).samples, repeat_all_grids(f, None))
-        for R in (1.0, 0.25):
+        # at R = h no chain climbs, and for 2h <= R < 4h level m - 1 is the coarsest
+        for R in (d.h, 2 * d.h, 3 * d.h, 0.25, 1.0):
             assert np.array_equal(local_maximal(f, R).samples, repeat_all_grids(f, R))
         for r0 in (d.h, 0.25, 1.0):  # "above" at 0.25 and 1.0 leaves out the lattice level
             assert np.array_equal(restricted_dyadic_maximal(f, r0, "below").samples,
@@ -295,22 +298,58 @@ class TestInPlaceDescent:
 
     @pytest.mark.parametrize("d", WINDOWS, ids=["n1", "n2"])
     def test_operators_sweep_each_chain_once(self, d, monkeypatch):
-        # the grids of a and 2a mod 3 together are both chains on every
-        # level, so the 3^n chains suffice: 3 pyramids in 1-D and 9 in 2-D,
-        # not one per chain of every grid (5 and 17)
-        swept = []
-        real = maximal.chain_sums
+        # each of the 3^n chains descends once.  At level m - 1 the chains
+        # whose lattice shifts differ only between 0 and 1 on some axes pair
+        # the same lattice points, so the lattice is pair-summed once per
+        # lead class (2^n) and once more for the zero shift's own grid:
+        # 3 in 1-D and 5 in 2-D, not one per chain (3 and 9).  The powered
+        # operator sweeps all 3^n chains by class, two arrays each.
+        descents, lattice = {}, []
+        real_sup, real_pairs = maximal._chain_sup, grid._pair_sums
 
-        def counted(domain, shift, *rest):
-            swept.append(shift)
-            return real(domain, shift, *rest)
+        def sup(out, sweep, *rest):
+            if sweep:
+                k, shift = sweep[0][:2]
+                a = tuple(pow(2, d.level - k, 3) * b % 3 for b in shift)  # the chain's lattice shift
+                assert a not in descents
+                descents[a] = d.level - k
+            return real_sup(out, sweep, *rest)
 
-        monkeypatch.setattr(maximal, "chain_sums", counted)
+        def pairs(s, *rest):
+            lattice.append(s.shape == d.shape)
+            return real_pairs(s, *rest)
+
+        monkeypatch.setattr(maximal, "_chain_sup", sup)
+        monkeypatch.setattr(grid, "_pair_sums", pairs)
         f = sparse_signed(d)
+        w = weight_preset("power:0.5", d)
+        zero = (0,) * d.dim
         for op in (hl_maximal, local_maximal, lambda f: local_maximal(f, 0.25)):
-            swept.clear()
+            descents.clear()
+            lattice.clear()
             op(f)
-            assert sorted(swept) == all_shifts(d.dim)
+            # the zero shift's grid descends from level m - 1, every other chain from m - 2
+            assert descents == {a: 1 if a == zero else 2 for a in all_shifts(d.dim)}
+            assert sum(lattice) == 2 ** d.dim + 1
+        descents.clear()
+        lattice.clear()
+        powered_weighted_local_maximal(f, w, 2.0)
+        assert descents == {a: 2 for a in all_shifts(d.dim)}
+        assert sum(lattice) == 2 * 2 ** d.dim
+
+    @pytest.mark.parametrize("lead", list(itertools.product((0, 1), repeat=3)))
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_raise_in_three_dimensions(self, lead, fill):
+        # the row-pair raise is written over n axes: in 3-D, odd and even
+        # sizes, both leads on every axis, against the repeat-based expansion
+        rng = np.random.default_rng(3)
+        shape = (5, 6, 7)
+        run = rng.random(shape)
+        parent = rng.random([(n + z + 1) // 2 for n, z in zip(shape, lead)])
+        up = repeat_children(parent, lead, shape)
+        want = up if fill else np.maximum(run, up)
+        maximal._raise(run, parent, list(lead), fill)
+        assert np.array_equal(run, want)
 
     @pytest.mark.parametrize("d", WINDOWS, ids=["n1", "n2"])
     @pytest.mark.parametrize("u", [1.0, 2.0])
@@ -327,9 +366,11 @@ class TestInPlaceDescent:
     def test_traced_peak_in_lattice_arrays(self, op, bound):
         # the descent raises |f| in place inside the pyramid's own buffers,
         # each output array is adopted, not copied, and the pair sums run
-        # in blocks: 1.87 (grid) and 2.87 (hl, local); the repeat-based
-        # descent peaked at 4.86 and 5.86, the copying constructor at 2.68
-        # and 3.68
+        # in blocks: 1.87 (grid) and 2.67 (hl, local, whose lead classes
+        # keep each member's level m - 2 while the class's value takes the
+        # place of its level-(m - 1) sums; 2.55 one chain at a time); the
+        # repeat-based descent peaked at 4.86 and 5.86, the copying
+        # constructor at 2.68 and 3.68
         d = Domain(2, 4, 6)
         f = GridFunction(d, np.random.default_rng(5).random(d.shape))
         op(f)
@@ -341,6 +382,25 @@ class TestInPlaceDescent:
         finally:
             tracemalloc.stop()
         assert (peak - base) / f.samples.nbytes <= bound
+
+
+# sparse signed inputs on these windows; their outputs are pinned by one
+# SHA-256, recorded before the all-grid operators shared their finest level
+PINNED_WINDOWS = [Domain(2, 8, 6), Domain(2, 4, 5), Domain(2, 1, 4), Domain(1, 8, 12), Domain(1, 2, 5)]
+PINNED_DIGEST = "5833b870a7fbb616e233c21ea476b894895d1f370ec0bd741bc8e6d0795abcb5"
+
+
+def test_operator_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for d in PINNED_WINDOWS:
+        f = sparse_signed(d)
+        w = weight_preset("power:0.5", d)
+        digest.update(hl_maximal(f).samples.tobytes())
+        for R in (d.h, 2 * d.h, 3 * d.h, 0.25, 1.0):
+            digest.update(local_maximal(f, R).samples.tobytes())
+        for u in (1.0, 2.0):
+            digest.update(powered_weighted_local_maximal(f, w, u).samples.tobytes())
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 class TestLocalMaximal:
