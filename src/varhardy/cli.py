@@ -203,6 +203,8 @@ def cmd_awconst(args) -> int:
             ("A_p(.)^loc", a_loc_var_constant(w, p)),
             ("tilde A", tilde_a_constant(w, p, max_side=1.0)),
         ):
+            # of the cubes of every (level, shift), those whose norms were
+            # computed: repeated layouts and pruned ones are not
             print(f"{name:<12} = {rep.constant:.8g}  (solved {rep.cubes_solved} of {rep.cube_count} cubes)")
     print(f"q_w estimate = {q_w_estimate(w):.5g}")
     return 0

@@ -29,6 +29,8 @@ __all__ = [
     "chain_sums",
     "chain_steps",
     "climb_chain",
+    "layout_sums",
+    "lead_classes",
     "quadrature",
     "enumerate_cubes",
     "convolve",
@@ -351,72 +353,128 @@ def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
 PAIR_BLOCK = 1 << 14  # parent cubes per block of `_pair_sums`
 
 
-def _pair_sums(s: np.ndarray, lead: list[int], op: np.ufunc) -> np.ndarray:
-    """`op`-reductions (np.add for sums, np.minimum, np.maximum) over the
-    parent cubes of one coarser chain level.  Per axis a `lead` of 1 leaves
-    the first child alone in its parent; the rest pair up, and an odd one
-    out at the end is alone in the last parent.
+class PairPlan(NamedTuple):
+    """The index work of one `_pair_sums` level, worked out once.  `blocks`
+    holds, per block of parent rows, (child rows, parent rows, passes), and
+    a pass per axis is (shape of its output, None when that is the block's
+    rows of the result; first children; second children; where the pairs'
+    reductions go; the lone children, copied as they are)."""
 
-    The parents go in blocks of rows along the first axis, at most
-    PAIR_BLOCK parents each, so in 2-D the first axis's pair reductions are
-    a block-sized temporary instead of half a lattice array; every parent
+    parents: tuple[int, ...]
+    blocks: tuple
+
+
+def _plan_pairs(shape: tuple[int, ...], lead: tuple[int, ...], block: int) -> PairPlan:
+    """The `PairPlan` of a level of shape `shape` for `lead`.  Per axis a
+    lead of 1 leaves the first child alone in its parent; the rest pair
+    up, and an odd one out at the end is alone in the last parent.
+
+    The parents go in blocks of rows along the first axis, at most `block`
+    parents each, so in 2-D the first axis's pair reductions are a
+    block-sized temporary instead of half a lattice array; every parent
     reduces its children in the same order."""
     z = lead[0]
-    parents = [(n + y + 1) // 2 for n, y in zip(s.shape, lead)]
-    rows = max(1, PAIR_BLOCK // math.prod(parents[1:]))
-    out = np.empty(parents)
+    parents = tuple((n + y + 1) // 2 for n, y in zip(shape, lead))
+    rows = max(1, block // math.prod(parents[1:]))
+    blocks = []
     for p in range(0, parents[0], rows):
         # parent p holds the child rows 2p - z and 2p - z + 1 that exist
-        block = s[max(0, 2 * p - z):2 * (p + rows) - z]
-        _pair_block(block, [z if p == 0 else 0, *lead[1:]], op, out[p:p + rows])
+        lo, hi = max(0, 2 * p - z), min(shape[0], 2 * (p + rows) - z)
+        passes = []
+        size = [hi - lo, *shape[1:]]
+        for ax, y in enumerate([z if p == 0 else 0, *lead[1:]]):
+            n = size[ax]
+            pairs = (n - y) // 2
+            stop = y + 2 * pairs
+            size[ax] = (n + y + 1) // 2
+            lone = ([_axis(ax, slice(0, 1))] if y else []) + ([_axis(ax, slice(-1, None))] if stop < n else [])
+            passes.append((
+                tuple(size) if ax < len(lead) - 1 else None,
+                _axis(ax, slice(y, stop, 2)), _axis(ax, slice(y + 1, stop, 2)),
+                _axis(ax, slice(y, y + pairs)), tuple(lone),
+            ))
+        blocks.append((slice(lo, hi), slice(p, p + rows), tuple(passes)))
+    return PairPlan(parents, tuple(blocks))
+
+
+def _pair_sums(s: np.ndarray, plan: PairPlan, op: np.ufunc) -> np.ndarray:
+    """`op`-reductions (np.add for sums, np.minimum, np.maximum) over the
+    parent cubes of one coarser chain level, by the index work of `plan`."""
+    out = np.empty(plan.parents)
+    for children, rows, passes in plan.blocks:
+        x, dst = s[children], out[rows]
+        for shape, first, second, to, lone in passes:
+            y = dst if shape is None else np.empty(shape)
+            op(x[first], x[second], out=y[to])
+            for sl in lone:
+                y[sl] = x[sl]
+            x = y
     return out
 
 
-def _pair_block(s: np.ndarray, lead: list[int], op: np.ufunc, dst: np.ndarray) -> None:
-    """`_pair_sums` of one block of rows, written into `dst`."""
-    for ax, z in enumerate(lead):
-        n = s.shape[ax]
-        pairs = (n - z) // 2
-        shape = list(s.shape)
-        shape[ax] = (n + z + 1) // 2
-        out = dst if ax == len(lead) - 1 else np.empty(shape)
-        stop = z + 2 * pairs
-        op(s[_axis(ax, slice(z, stop, 2))], s[_axis(ax, slice(z + 1, stop, 2))],
-           out=out[_axis(ax, slice(z, z + pairs))])
-        if z:
-            out[_axis(ax, slice(0, 1))] = s[_axis(ax, slice(0, 1))]
-        if stop < n:
-            out[_axis(ax, slice(-1, None))] = s[_axis(ax, slice(-1, None))]
-        s = out
+class ChainStep(NamedTuple):
+    """One level k of a chain above the lattice: its shift, the lead of the
+    pair sums that make it from level k + 1, and their `PairPlan`."""
+
+    level: int
+    shift: tuple[int, ...]
+    lead: tuple[int, ...]
+    pairs: PairPlan
 
 
-def chain_steps(
-    domain: Domain, shift: tuple[int, ...], coarsest: int
-) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
-    """The layout of one chain of grids above the lattice: (k, shift at k,
-    lead) for k from domain.level - 1 down to `coarsest`, where lead is the
-    `_pair_sums` layout that makes level k from level k + 1."""
+@lru_cache(maxsize=128)
+def _chain_plan(domain: Domain, shift: tuple[int, ...], coarsest: int, block: int) -> tuple[ChainStep, ...]:
+    """`chain_steps` with `PAIR_BLOCK` as an argument, so that the cache
+    sees its value."""
+    steps = []
+    shape = domain.shape
     first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
     for k in range(domain.level - 1, coarsest - 1, -1):
         carry = [int(a == 1) for a in shift]  # cube q of shift a lies in the parent (q - [a == 1]) // 2
-        lead = [(q - c) % 2 for q, c in zip(first, carry)]
+        lead = tuple((q - c) % 2 for q, c in zip(first, carry))
         first = [(q - c) // 2 for q, c in zip(first, carry)]
         shift = tuple(2 * a % 3 for a in shift)
-        yield k, shift, lead
+        pairs = _plan_pairs(shape, lead, block)
+        steps.append(ChainStep(k, shift, lead, pairs))
+        shape = pairs.parents
+    return tuple(steps)
+
+
+def chain_steps(domain: Domain, shift: tuple[int, ...], coarsest: int) -> tuple[ChainStep, ...]:
+    """The layout of one chain of grids above the lattice: a `ChainStep`
+    for each level k from domain.level - 1 down to `coarsest`.  The index
+    work of every level is planned once per chain and kept (a bounded
+    cache), so a climb runs only the ufunc calls."""
+    return _chain_plan(domain, tuple(shift), coarsest, PAIR_BLOCK)
+
+
+def lead_classes(domain: Domain, shifts: Iterable[tuple[int, ...]], coarsest: int) -> list[list[tuple[ChainStep, ...]]]:
+    """The `chain_steps` of the chains from the lattice shifts `shifts`,
+    grouped by their lead at level m - 1.  That lead depends only on which
+    axes have lattice shift 2, so the chains fall into at most 2^n classes,
+    and the chains of one class pair the same lattice points there: one
+    cube layout, and bitwise the same level-(m - 1) sums.  A chain with no
+    level above the lattice is in no class."""
+    classes: dict[tuple[int, ...], list] = {}
+    for a in shifts:
+        steps = chain_steps(domain, a, coarsest)
+        if steps:
+            classes.setdefault(steps[0].lead, []).append(steps)
+    return list(classes.values())
 
 
 def climb_chain(
-    steps: Iterable[tuple[int, tuple[int, ...], list[int]]],
+    steps: Iterable[ChainStep],
     sums: Sequence[np.ndarray],
     ops: Sequence[np.ufunc] | None = None,
-) -> Iterator[tuple[int, tuple[int, ...], list[int], tuple[np.ndarray, ...]]]:
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...], tuple[np.ndarray, ...]]]:
     """(k, shift, lead, sums) along `steps` of `chain_steps`, each level's
     sums the `_pair_sums` of the level below, starting from `sums`, the
     sums of the level below the first step.  A chain may so resume from
     any level whose sums are at hand."""
     ops = ops or (np.add,) * len(sums)
-    for k, shift, lead in steps:
-        sums = tuple(_pair_sums(s, lead, op) for s, op in zip(sums, ops))
+    for k, shift, lead, pairs in steps:
+        sums = tuple(_pair_sums(s, pairs, op) for s, op in zip(sums, ops))
         yield k, shift, lead, sums
 
 
@@ -425,8 +483,7 @@ def chain_sums(
     shift: tuple[int, ...],
     arrays: Sequence[np.ndarray],
     coarsest: int,
-    ops: Sequence[np.ufunc] | None = None,
-) -> Iterator[tuple[int, tuple[int, ...], list[int] | None, tuple[np.ndarray, ...]]]:
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...] | None, tuple[np.ndarray, ...]]]:
     """Per-level cube sums of lattice arrays along one chain of grids.
 
     A level-k cube of shift a is exactly the union of 2^n level-(k+1) cubes
@@ -439,12 +496,39 @@ def chain_sums(
     indexed like `CubeLayout.shape`; lead is the `_pair_sums` layout that
     made them (None on the lattice level, where the sums are the arrays).
     Signed terms may cancel; only the order of summation differs from
-    `CubeLayout.sums`.  `ops` gives each array its own pairwise ufunc in
-    place of np.add: np.minimum and np.maximum give each cube's min and max,
-    exactly.
+    `CubeLayout.sums`.
     """
     yield domain.level, tuple(shift), None, tuple(arrays)
-    yield from climb_chain(chain_steps(domain, shift, coarsest), arrays, ops)
+    yield from climb_chain(chain_steps(domain, shift, coarsest), arrays)
+
+
+def layout_sums(
+    domain: Domain,
+    shifts: Sequence[tuple[int, ...]],
+    arrays: Sequence[np.ndarray],
+    coarsest: int,
+    ops: Sequence[np.ufunc] | None = None,
+) -> Iterator[tuple[int, list[tuple[int, ...]], tuple[np.ndarray, ...]]]:
+    """The `chain_sums` of the chains from the lattice shifts `shifts`,
+    each cube layout once: yields (k, the shifts at level k whose cubes
+    these are, sums).
+
+    On the lattice level every shift has one point per cube, so the level
+    is one layout, the arrays themselves.  At level m - 1 the chains of one
+    lead class (`lead_classes`) pair the same lattice points, so the class
+    takes the level's sums once and each member climbs on from them.  Every
+    coarser layout belongs to one shift.  The sums are bitwise those of
+    `chain_sums`.  `ops` gives each array its own pairwise ufunc in place
+    of np.add: np.minimum and np.maximum give each cube's min and max,
+    exactly.
+    """
+    yield domain.level, list(shifts), tuple(arrays)
+    for members in lead_classes(domain, shifts, coarsest):
+        (k, _, _, sums), = climb_chain(members[0][:1], arrays, ops)
+        yield k, [steps[0].shift for steps in members], sums
+        for steps in members:
+            for k, shift, _, above in climb_chain(steps[1:], sums, ops):
+                yield k, [shift], above
 
 
 def quadrature(f: GridFunction, cube: Cube | None = None) -> float:

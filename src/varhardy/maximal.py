@@ -4,10 +4,10 @@ Every cube supremum runs over the shifted dyadic enumeration: the covering
 property of the three shifted grids brackets the supremum over arbitrary
 cubes within a factor 6^n, so the dyadic supremum is the canonical
 computable object here.  The cube sums of every level come from the chain
-pyramid of `grid.chain_sums`, the one multi-level sweep that the weight
-constants use too.  The running supremum comes back down the pyramid in
-place: each level's means overwrite its sums, and the parent's value
-raises them by row pairs: along each leading axis two child rows share a
+pyramids of `grid`, the one multi-level sweep that the weight constants
+use too, grouped in the same lead classes (`grid.lead_classes`).  The
+running supremum comes back down the pyramid in place: each level's means
+overwrite its sums, and the parent's value raises them by row pairs: along each leading axis two child rows share a
 parent row, which broadcasts over them, and the last axis takes one
 strided step per parity class.  The lattice level is the caller's array,
 so for a plain maximal function |f| itself (its lattice mean).  One grid
@@ -35,10 +35,10 @@ from .grid import (
     Domain,
     GridFunction,
     all_shifts,
-    chain_steps,
     chain_sums,
     climb_chain,
     convolve,
+    lead_classes,
     level_range,
 )
 from .report import Report
@@ -112,8 +112,8 @@ def _chain_sup(out: np.ndarray, sweep: list, levels, value) -> None:
 
 def _class_sup(members: list, arrays, levels, value):
     """The level-(m - 1) running max of one lead class and the class's
-    lead: the level's sums of `arrays` are taken once, every member (a
-    `chain_steps` list) climbs one level from them, and then the level's
+    lead: the level's sums of `arrays` are taken once, every member (its
+    `chain_steps`) climbs one level from them, and then the level's
     value takes the place of its sums; each member climbs the rest of its
     pyramid and raises it with `_chain_sup`."""
     (k, _, lead, sums), = climb_chain(members[0][:1], arrays)
@@ -130,17 +130,11 @@ def _sweep_chains(out: np.ndarray, d: Domain, shifts, arrays, levels, value) -> 
     level from the lattice down to min(levels), of value(k, *cube sums)
     along the chain of each lattice shift in `shifts`.
 
-    At level m - 1 the lead of a chain depends only on which axes have
-    shift 2, so the chains fall into at most 2^n lead classes that share
-    that level's cubes.  Each class takes the level's sums once and raises
-    `out` once (`_class_sup`); only one class's arrays are alive at a
-    time."""
-    classes: dict[tuple[int, ...], list] = {}
-    for a in shifts:
-        steps = list(chain_steps(d, a, min(levels)))
-        if steps:  # none when the lattice is the only level
-            classes.setdefault(tuple(steps[0][2]), []).append(steps)
-    for members in classes.values():
+    The chains go by lead class (`grid.lead_classes`), whose members share
+    their level-(m - 1) cubes: each class takes that level's sums once and
+    raises `out` once (`_class_sup`); only one class's arrays are alive at
+    a time."""
+    for members in lead_classes(d, shifts, min(levels)):
         _raise(out, *_class_sup(members, arrays, levels, value))
 
 

@@ -179,7 +179,8 @@ def _luxemburg_solve(
 ) -> np.ndarray:
     """Per group G, the lambda = e^s with sum_{x in G} c(x) (|g(x)| / lambda)^{p(x)} = 1.
 
-    c is the quadrature weight of each point; the groups are the cubes of
+    c is the quadrature weight of each point, and g holds the value of each
+    point, or one value (a 0-d array) for all; the groups are the cubes of
     `cubes`, or one group holding every point.  A group on which g vanishes
     gets 0.  Newton's method on the convex decreasing phi(s) = log rho(e^s)
     needs a few steps; a step that leaves the bracket known so far, or meets
@@ -193,37 +194,43 @@ def _luxemburg_solve(
         logg = np.log(np.abs(g))
     top = float(np.max(logg))
     if top == -np.inf:  # g vanishes everywhere
-        return sums(np.zeros(logg.shape))
+        return sums(np.zeros(pvals.shape))
     if top == np.inf:
         raise OverflowError("norm overflow")
     # s is measured from log max|g|: at s = 0 no term exceeds its c(x)
     b = logg - top
     pmin, pmax = float(np.min(pvals)), float(np.max(pvals))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        terms = c * np.exp(pvals * b)
+        # one value of g makes every exp(p * b) exactly 1, so the terms are c
+        terms = c * np.exp(pvals * b) if b.ndim else np.broadcast_to(c, pvals.shape)
         rho = sums(terms)
         live = rho > 0
         # for s >= 0 the modular lies between rho e^{-p_+ s} and rho e^{-p_- s}
         # (the other way round for s <= 0), so the root lies between
         # log rho / p_+ and log rho / p_-
         log_rho = np.log(np.where(live, rho, 1.0))
-        lo = np.minimum(log_rho / pmin, log_rho / pmax)
-        hi = np.maximum(log_rho / pmin, log_rho / pmax)
-        s = np.zeros(rho.shape)
-        for _ in range(_MAX_STEPS):
-            # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
-            nxt = s + np.log(rho) * rho / sums(pvals * terms)
-            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            done = np.all(np.abs(nxt - s) <= REL_TOL)
-            s = nxt
-            if done:
-                break
-            terms = c * np.exp(pvals * (b - field(s)))
-            rho = sums(terms)
-            lo = np.where(rho > 1.0, s, lo)
-            hi = np.where(rho < 1.0, s, hi)
+        if pmin == pmax and np.all(np.isfinite(rho)):
+            # the bracket is one point per group: the first Newton step is
+            # clipped to it and the second stays, so that point is the result
+            s = log_rho / pmin
         else:
-            raise ArithmeticError("Luxemburg solve did not converge")
+            lo = np.minimum(log_rho / pmin, log_rho / pmax)
+            hi = np.maximum(log_rho / pmin, log_rho / pmax)
+            s = np.zeros(rho.shape)
+            for _ in range(_MAX_STEPS):
+                # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
+                nxt = s + np.log(rho) * rho / sums(pvals * terms)
+                nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+                done = np.all(np.abs(nxt - s) <= REL_TOL)
+                s = nxt
+                if done:
+                    break
+                terms = c * np.exp(pvals * (b - field(s)))
+                rho = sums(terms)
+                lo = np.where(rho > 1.0, s, lo)
+                hi = np.where(rho < 1.0, s, hi)
+            else:
+                raise ArithmeticError("Luxemburg solve did not converge")
     lam = np.where(live, np.exp(top + s), 0.0)
     if np.any(lam > LAMBDA_CAP):
         raise OverflowError("norm overflow")
@@ -242,5 +249,7 @@ def batch_restricted_norms(
     Returns (norms_flat, qidx) where qidx maps lattice points to cube ids.
     """
     cubes = CubeLayout(p.domain, level, shift)
-    g = np.broadcast_to(g, p.domain.shape)
+    g = np.asarray(g)
+    if g.ndim:
+        g = np.broadcast_to(g, p.domain.shape)
     return _luxemburg_solve(g, p.values.samples, _cell_weights(p.domain, w), cubes), cubes.ids

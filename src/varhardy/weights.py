@@ -17,7 +17,7 @@ import numpy as np
 
 from . import norms
 from .exponent import VariableExponent, dual_exponent
-from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
+from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, Domain, GridFunction, all_shifts, layout_sums, level_range
 from .report import Report
 
 __all__ = [
@@ -108,17 +108,19 @@ def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:
 @dataclass
 class MuckenhouptReport:
     constant: float
-    cube_count: int  # cubes swept
-    cubes_solved: int  # cubes whose value was computed; the rest were ruled out by a bound
+    cube_count: int  # cubes swept, counted once for every (level, shift)
+    # cubes whose value was computed: a layout that repeats another's cubes
+    # takes its values, and the rest were ruled out by a bound
+    cubes_solved: int
 
 
-def _largest(per_layout) -> MuckenhouptReport:
-    """Largest value over flat per-cube value arrays, one per (level, shift)."""
+def _largest(vals: np.ndarray, starts: np.ndarray, count: int) -> MuckenhouptReport:
+    """Largest of the flat per-cube values of `_cube_means`' layouts: each
+    layout's max, folded in layout order, as a sweep of one layout at a
+    time takes them (a layout whose max is nan counts only if it is first)."""
     best = -np.inf
-    count = 0
-    for vals in per_layout:
-        count += vals.size
-        best = max(best, float(np.max(vals)))
+    for v in np.maximum.reduceat(vals, starts).tolist():
+        best = max(best, v)
     return MuckenhouptReport(best, count, count)
 
 
@@ -152,49 +154,70 @@ def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> Mucke
     most max_side and shift in `shifts`, solving only the layouts that can
     hold it.
 
-    One pass along the chain pyramids reduces `arrays` per cube with `ops`;
-    `bracket(level, reductions)` turns them into the log lower and log upper
-    bound of every cube's value, and each layout keeps only the largest of
-    each.  Layouts are solved whole by `solve(level, shift)`, in descending
-    order of their upper bound, until one's upper bound times 1 + SLACK falls
-    below the best value found or the largest lower bound: no layout after it
-    holds a larger value.  A cube's solved value depends on its batch
-    (through the solver's global stop test and p bracket), so no layout is
-    split: the constant is bitwise the one a sweep of every layout returns.
+    One pass along the chain pyramids (`layout_sums`, each distinct cube
+    layout once) reduces `arrays` per cube with `ops`; `bracket(level,
+    reductions)` turns them into the log lower and log upper bound of every
+    cube's value, and each layout keeps only the largest of each.  Layouts
+    are solved whole by `solve(level, shift)`, in descending order of their
+    upper bound, until one's upper bound times 1 + SLACK falls below the
+    best value found or the largest lower bound: no layout after it holds a
+    larger value.  A cube's solved value depends on its batch (through the
+    solver's global stop test and p bracket), so no layout is split, and
+    the shifts that share a layout share its solve, whose inputs are the
+    same: the constant is bitwise the one a sweep of every layout returns.
     """
     levels = level_range(d, max_side)
     if not levels:
         raise ValueError(f"no cube of side at most max_side = {max_side:g} on the lattice of step h = {d.h:g}")
+    # the chain from lattice shift a holds the shifts a and 2a mod 3 only
+    chains = [a for a in all_shifts(d.dim) if a in shifts or tuple(2 * x % 3 for x in a) in shifts]
     table = []
-    for a in all_shifts(d.dim):
-        if a not in shifts and tuple(2 * x % 3 for x in a) not in shifts:
-            continue  # the chain from lattice shift a holds the shifts a and 2a mod 3 only
-        for k, shift, _, red in chain_sums(d, a, arrays, levels[-1], ops):
-            if shift in shifts:
-                lo, hi = bracket(k, red)
-                with np.errstate(over="ignore"):
-                    table.append((float(np.exp(np.max(lo))), float(np.exp(np.max(hi))), k, shift, red[0].size))
+    for k, held, red in layout_sums(d, chains, arrays, levels[-1], ops):
+        held = [a for a in held if a in shifts]
+        if held:
+            lo, hi = bracket(k, red)
+            with np.errstate(over="ignore"):
+                table.append((float(np.exp(np.max(lo))), float(np.exp(np.max(hi))), k, held, red[0].size))
     table.sort(key=lambda t: -t[1])  # stable: ties keep the sweep order
     bar = max(t[0] for t in table)  # every layout's largest value is at least its lower bound
     best, solved = -np.inf, 0
-    for _, upper, k, shift, count in table:
+    for _, upper, k, held, count in table:
         if upper * (1.0 + SLACK) < bar:
             break
-        best = max(best, float(np.max(solve(k, shift))))
+        best = max(best, float(np.max(solve(k, held[0]))))
         bar = max(bar, best)
         solved += count
-    return MuckenhouptReport(best, sum(t[4] for t in table), solved)
+    return MuckenhouptReport(best, sum(len(t[3]) * t[4] for t in table), solved)
 
 
-def _cube_means(domain: Domain, *arrays):
-    """Zero-extension means of the arrays over the cubes of each (level,
-    shift) with side at most 1, in one fixed order, from the chain pyramid.
-    The mean of ones is exactly 1 on the cubes wholly inside the window."""
+def _cube_means(
+    domain: Domain, *arrays, out: list[np.ndarray] | None = None
+) -> tuple[np.ndarray, int, list[np.ndarray]]:
+    """Zero-extension means of the arrays over the cubes with side at most
+    1, from the chain pyramids, each distinct cube layout once
+    (`layout_sums`): (starts, cube count, means), where each array's means
+    run over the layouts end to end in one fixed order, layout i from
+    starts[i], and the cube count counts every (level, shift).  Laid out
+    flat, every value the constants take of the means is one array
+    expression, whatever the number of levels.  `out`, a flat buffer per
+    array from an earlier call on the domain, takes the means level by
+    level in place of new arrays.  The mean of ones is exactly 1 on the
+    cubes wholly inside the window."""
     coarsest = level_range(domain, 1.0)[-1]
-    for a in all_shifts(domain.dim):
-        for k, _, _, sums in chain_sums(domain, a, arrays, coarsest):
-            full = 2.0 ** ((domain.level - k) * domain.dim)  # lattice points per cube
-            yield [s / full for s in sums] if full > 1 else sums  # one-point cubes need no copy
+    layouts = layout_sums(domain, all_shifts(domain.dim), arrays, coarsest)
+    if out is None:  # the size is known once every layout is summed
+        layouts = list(layouts)
+        out = [np.empty(sum(sums[0].size for _, _, sums in layouts)) for _ in arrays]
+    starts, count, at = [], 0, 0
+    for k, shifts, sums in layouts:
+        full = 2.0 ** ((domain.level - k) * domain.dim)  # lattice points per cube
+        n = sums[0].size
+        for s, m in zip(sums, out):
+            np.divide(s, full, out=m[at:at + n].reshape(s.shape))
+        starts.append(at)
+        count += len(shifts) * n
+        at += n
+    return np.array(starts), count, out
 
 
 def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
@@ -204,23 +227,30 @@ def a_loc_infty_constant(w: Weight) -> MuckenhouptReport:
     logarithmic mean is undefined on partially covered cubes.
     """
     ws = w.values.samples
-    means = _cube_means(w.domain, np.ones(ws.shape), ws, np.log(ws))
-    return _largest(np.where(one == 1.0, mw * np.exp(-mlog), -np.inf) for one, mw, mlog in means)
+    starts, count, (one, mw, mlog) = _cube_means(w.domain, np.ones(ws.shape), ws, np.log(ws))
+    return _largest(np.where(one == 1.0, mw * np.exp(-mlog), -np.inf), starts, count)
 
 
 def _a_p_sweep(w: Weight) -> Callable[[float], MuckenhouptReport]:
     """p -> the A_p^loc sweep of w.  The inside masks and m_Q(w) are built
-    once; only m_Q(w^{-1/(p-1)}) depends on p."""
+    once; only m_Q(w^{-1/(p-1)}) depends on p, and it takes the same flat
+    buffer for every p: a fresh one per p cost more in page faults than
+    the arithmetic from 1-D m = 10 on."""
     d = w.domain
     ws = w.values.samples
-    table = [(one == 1.0, mw) for one, mw in _cube_means(d, np.ones(ws.shape), ws)]
+    starts, count, (one,) = _cube_means(d, np.ones(ws.shape))
+    outside = one != 1.0
+    _, _, (mw,) = _cube_means(d, ws, out=[one])  # the means of ones are spent
+    ms = np.empty(mw.shape)
 
     def sweep(p: float) -> MuckenhouptReport:
-        sig = ws ** (-1.0 / (p - 1.0))
-        return _largest(
-            np.where(inside, mw * ms ** (p - 1.0), -np.inf)
-            for (inside, mw), (ms,) in zip(table, _cube_means(d, sig))
-        )
+        _, _, (vals,) = _cube_means(d, ws ** (-1.0 / (p - 1.0)), out=[ms])
+        # in place, bitwise m_Q(w) m_Q(sigma)^{p-1}: `**=` takes the fast
+        # paths of `**`, and a product does not depend on its order
+        vals **= p - 1.0
+        vals *= mw
+        np.copyto(vals, -np.inf, where=outside)
+        return _largest(vals, starts, count)
 
     return sweep
 
@@ -258,10 +288,8 @@ def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
         raise ValueError(f"q must exceed 1 and be finite, got {q:g}")
     ws = w.values.samples
     with np.errstate(divide="ignore", invalid="ignore"):
-        worst = _largest(
-            np.where(one == 1.0, mq ** (1.0 / q) / mw, -np.inf)
-            for one, mq, mw in _cube_means(d, np.ones(ws.shape), ws ** q, ws)
-        )
+        starts, count, (one, mq, mw) = _cube_means(d, np.ones(ws.shape), ws ** q, ws)
+        worst = _largest(np.where(one == 1.0, mq ** (1.0 / q) / mw, -np.inf), starts, count)
     return Report(
         "reverse_holder_check",
         passed=worst.constant <= 2.0,

@@ -22,6 +22,7 @@ from varhardy.grid import (
     cube_lattice_ranges,
     enumerate_cubes,
     kernel_spectrum,
+    layout_sums,
     level_range,
     quadrature,
     rescale_mollifier,
@@ -243,6 +244,29 @@ class TestChainSums:
         assert len(seen) == len(set(seen))
         assert set(seen) == {(k, a) for k in levels for a in all_shifts(d.dim)}
 
+    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
+    def test_layouts_repeat_only_where_the_cubes_do(self, d):
+        # one layout per (level, shift) with distinct cubes: the lattice
+        # level is one for every shift, and at level m - 1 shifts 0 and 2
+        # pair the same lattice points on each axis
+        f = np.random.default_rng(8).standard_normal(d.shape)
+        levels = level_range(d, 1.0)
+        want = {(k, shift): s for a in all_shifts(d.dim) for k, shift, _, (s,) in chain_sums(d, a, (f,), levels[-1])}
+        seen = []
+        layouts = list(layout_sums(d, all_shifts(d.dim), (f,), levels[-1]))
+        for k, shifts, (s,) in layouts:
+            cubes = CubeLayout(d, k, shifts[0])
+            for shift in shifts:
+                seen.append((k, shift))
+                other = CubeLayout(d, k, shift)
+                assert np.array_equal(other.ids, cubes.ids)  # the same cubes, up to the index offset
+                assert np.array_equal(want[k, shift], s)
+            assert len(shifts) == {d.level: 3 ** d.dim, d.level - 1: 2 ** sum(a != 1 for a in shifts[0])}.get(k, 1)
+        assert sorted(seen) == sorted(want)
+        assert len(seen) - len(layouts) == (3 ** d.dim - 1) + (3 ** d.dim - 2 ** d.dim)
+        if d.dim == 1:
+            assert (len(layouts), len(seen)) == (27, 30)
+
     @pytest.mark.parametrize("block", [1, 3, 40])
     @pytest.mark.parametrize("d", [Domain(1, 1, 4), Domain(2, 1, 4)], ids=["1d", "2d"])
     def test_blocks_leave_sums_bitwise_unchanged(self, d, block, monkeypatch):
@@ -261,8 +285,9 @@ class TestChainSums:
     def test_min_max_pyramids_match_cube_layout(self, d, block, monkeypatch):
         monkeypatch.setattr(grid, "PAIR_BLOCK", block)
         f = np.random.default_rng(7).standard_normal(d.shape)
-        for a in all_shifts(d.dim):
-            for k, shift, _, (lo, hi) in chain_sums(d, a, (f, f), d.min_cube_level(), (np.minimum, np.maximum)):
+        layouts = layout_sums(d, all_shifts(d.dim), (f, f), d.min_cube_level(), (np.minimum, np.maximum))
+        for k, shifts, (lo, hi) in layouts:
+            for shift in shifts:
                 ids = CubeLayout(d, k, shift).ids.ravel()
                 ref_lo, ref_hi = np.full(lo.size, np.inf), np.full(hi.size, -np.inf)
                 np.minimum.at(ref_lo, ids, f.ravel())

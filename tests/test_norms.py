@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from varhardy import norms as norms_mod
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Cube, Domain, GridFunction
+from varhardy.grid import Cube, CubeLayout, Domain, GridFunction
 from varhardy.norms import (
     LAMBDA_CAP,
     batch_restricted_norms,
@@ -16,6 +17,7 @@ from varhardy.norms import (
     unit_ball_modular_check,
 )
 from varhardy.presets import exponent_preset, function_preset, weight_preset
+from varhardy.weights import Weight
 
 
 @pytest.fixture
@@ -379,3 +381,93 @@ class TestResolutionConvergence:
                     weight_preset(wspec, fine),
                 )
                 assert abs(n1 - n0) <= 0.02 * n0
+
+
+def newton_reference(g, pvals, c, cubes=None):
+    """The per-group Luxemburg solve as one Newton loop for every exponent,
+    kept as the reference of the solver's constant-exponent shortcuts."""
+    if cubes is None:
+        sums, field = (lambda v: np.sum(v, keepdims=True)), (lambda s: s)
+    else:
+        sums, field = cubes.sums, cubes.field
+    with np.errstate(divide="ignore"):
+        logg = np.log(np.abs(g))
+    top = float(np.max(logg))
+    if top == -np.inf:
+        return sums(np.zeros(logg.shape))
+    if top == np.inf:
+        raise OverflowError("norm overflow")
+    b = logg - top
+    pmin, pmax = float(np.min(pvals)), float(np.max(pvals))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        terms = c * np.exp(pvals * b)
+        rho = sums(terms)
+        live = rho > 0
+        log_rho = np.log(np.where(live, rho, 1.0))
+        lo = np.minimum(log_rho / pmin, log_rho / pmax)
+        hi = np.maximum(log_rho / pmin, log_rho / pmax)
+        s = np.zeros(rho.shape)
+        for _ in range(norms_mod._MAX_STEPS):
+            nxt = s + np.log(rho) * rho / sums(pvals * terms)
+            nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+            done = np.all(np.abs(nxt - s) <= norms_mod.REL_TOL)
+            s = nxt
+            if done:
+                break
+            terms = c * np.exp(pvals * (b - field(s)))
+            rho = sums(terms)
+            lo = np.where(rho > 1.0, s, lo)
+            hi = np.where(rho < 1.0, s, hi)
+        else:
+            raise ArithmeticError("Luxemburg solve did not converge")
+    lam = np.where(live, np.exp(top + s), 0.0)
+    if np.any(lam > LAMBDA_CAP):
+        raise OverflowError("norm overflow")
+    return lam
+
+
+class TestConstantExponentShortcut:
+    """A constant exponent solves in closed form, and one value of g skips
+    the per-point log and exp; both bitwise the Newton loop's result."""
+
+    @pytest.mark.parametrize("domain", [Domain(1, 8, 9), Domain(2, 1, 5)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("p0", [0.5, 2.0, 3.5])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["w=1", "w"])
+    @pytest.mark.parametrize("level", [None, 3, 0, -1], ids=["scalar", "k3", "k0", "k-1"])
+    def test_bitwise_the_newton_loop(self, domain, p0, weighted, level):
+        p = VariableExponent.constant(domain, p0)
+        w = weight_preset("power:1", domain) if weighted else None
+        c = norms_mod._cell_weights(domain, w)
+        cubes = None if level is None else CubeLayout(domain, level, (1,) * domain.dim)
+        x = np.abs(domain.axis())
+        r = x if domain.dim == 1 else np.hypot(x[:, None], x[None, :])
+        bump = np.where(r < 0.3, np.cos(r), 0.0)  # zero on most cubes: empty groups
+        for g in (np.array(2.5), np.broadcast_to(2.5, domain.shape), bump, 1e-3 * bump):
+            want = newton_reference(np.broadcast_to(g, domain.shape), p.values.samples, c, cubes)
+            got = norms_mod._luxemburg_solve(g, p.values.samples, c, cubes)
+            assert np.array_equal(got, want)
+        if cubes is not None:
+            assert np.any(want == 0.0) and np.any(want > 0.0)
+
+    @pytest.mark.parametrize("spec", ["sin2", "lhdecay:1"])
+    def test_broadcast_value_under_variable_exponent(self, spec):
+        d = Domain(1, 8, 9)
+        p = exponent_preset(spec, d)
+        w = weight_preset("absp:0.5", d)
+        for level in (5, 0):
+            got, _ = batch_restricted_norms(1.0, p, w, level, (0,))
+            want = newton_reference(np.ones(d.shape), p.values.samples, norms_mod._cell_weights(d, w),
+                                    CubeLayout(d, level, (0,)))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("level", [0, -4])
+    def test_nonfinite_modular_raises_as_the_loop(self, level):
+        # a weight of 1e308 overflows the modular of the coarse cubes
+        d = Domain(1, 8, 9)
+        p = VariableExponent.constant(d, 2.0)
+        c = norms_mod._cell_weights(d, Weight.constant(d, 1e308))
+        cubes = CubeLayout(d, level, (1,))
+        with pytest.raises(Exception) as want:
+            newton_reference(np.ones(d.shape), p.values.samples, c, cubes)
+        with pytest.raises(want.type, match=str(want.value)):
+            norms_mod._luxemburg_solve(np.array(1.0), p.values.samples, c, cubes)

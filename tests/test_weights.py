@@ -6,7 +6,7 @@ import pytest
 from varhardy import norms
 from varhardy import weights as weights_mod
 from varhardy.exponent import VariableExponent, dual_exponent
-from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, chain_sums, level_range
+from varhardy.grid import CubeLayout, Domain, GridFunction, all_shifts, layout_sums, level_range
 from varhardy.presets import exponent_preset, weight_preset
 from varhardy.weights import (
     Weight,
@@ -285,14 +285,14 @@ class TestQWReuse:
 
     @pytest.fixture
     def chains_built(self, monkeypatch):
-        """Every chain pyramid the weight constants start."""
+        """Every sweep of the chain pyramids the weight constants start."""
         built = []
 
-        def counting(domain, shift, *args):
-            built.append((domain, shift))
-            return chain_sums(domain, shift, *args)
+        def counting(domain, shifts, *args):
+            built.append((domain, tuple(shifts)))
+            return layout_sums(domain, shifts, *args)
 
-        monkeypatch.setattr(weights_mod, "chain_sums", counting)
+        monkeypatch.setattr(weights_mod, "layout_sums", counting)
         return built
 
     def test_2d_peak_memory(self):
@@ -453,10 +453,8 @@ class TestBranchAndBound:
         tilde_a_constant(w, p, max_side=None)
         checked = 0
         for d, max_side, shifts, arrays, ops, bracket, solve in runs:
-            for a in all_shifts(d.dim):
-                for k, shift, _, red in chain_sums(d, a, arrays, level_range(d, max_side)[-1], ops):
-                    if shift not in shifts:
-                        continue
+            for k, held, red in layout_sums(d, all_shifts(d.dim), arrays, level_range(d, max_side)[-1], ops):
+                for shift in set(held) & set(shifts):
                     lo, hi = (np.exp(b).ravel() for b in bracket(k, red))
                     vals = solve(k, shift)
                     inside = np.isfinite(vals)
@@ -467,14 +465,33 @@ class TestBranchAndBound:
         assert checked > 0
 
     @pytest.mark.parametrize(
-        "wspec, layouts", [("power:-0.5", 1), ("const:1", 30)], ids=["pruned", "ties"]
+        "wspec, layouts", [("power:-0.5", 1), ("const:1", 27)], ids=["pruned", "ties"]
     )
     def test_layouts_solved(self, dom, wspec, layouts, solves):
-        # a constant weight and exponent make every cube 1: ties are never pruned
+        # a constant weight and exponent make every cube 1: ties are never
+        # pruned, but of the 30 layouts the three lattice ones are one, and
+        # shifts 0 and 2 share their cubes at level m - 1: 27 are solved
         rep = a_loc_var_constant(weight_preset(wspec, dom), exponent_preset("const:2", dom))
         assert len(level_range(dom, 1.0)) * len(all_shifts(1)) == 30
+        assert rep.cube_count == sum(CubeLayout(dom, k, a).count for k in level_range(dom, 1.0) for a in all_shifts(1))
         assert len(solves) == 2 * layouts
         assert rep.cubes_solved == sum(n for *_, n in solves) // 2
+
+    @DOMAINS_1D_2D
+    def test_unsolved_ties_repeat_a_solved_layout(self, domain, solves):
+        # where every cube is 1 nothing is pruned: each layout left unsolved
+        # has the cubes of a solved layout of its level, whose values it takes
+        rep = a_loc_var_constant(weight_preset("const:1", domain), exponent_preset("const:2", domain))
+        solved = {(k, a) for k, a, _ in solves}
+        assert len(solves) == 2 * len(solved)
+        n = domain.dim
+        levels = level_range(domain, 1.0)
+        skipped = [(k, a) for k in levels for a in all_shifts(n) if (k, a) not in solved]
+        assert len(skipped) == (3**n - 1) + (3**n - 2**n)
+        for k, a in skipped:
+            ids = CubeLayout(domain, k, a).ids
+            assert any(np.array_equal(ids, CubeLayout(domain, k, b).ids) for j, b in solved if j == k)
+        assert rep.cubes_solved == sum(c for *_, c in solves) // 2
 
     def test_no_cube_fits_max_side(self, dom):
         w, p = weight_preset("const:1", dom), VariableExponent.constant(dom, 2.0)
