@@ -11,21 +11,21 @@ the kept atoms, so reconstruction is exact by construction; a piece whose
 peak is below KEEP_FLOOR times the largest |f| on its window, or below
 DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
 
-One localisation path serves n = 1 and n = 2.  A Whitney cover stays
-integer arrays, one level, shift and index row per cube, from the builder
-through localisation; `whitney_decompose` is the list-of-cubes view of the
-same builder.  Cubes are grouped by one integer key per cube that encodes
-(level, window shape, clip offset, shift); a group shares its scaled
-monomial matrix, so its bumps, partition weights, Gram systems,
+One localisation path serves n = 1 and n = 2, and every step works on
+arrays: a cube is a (level, shift, index) row, and values on lattice boxes
+form a ragged buffer, box after box and row-major within a box, beside the
+boxes' (lo, shape) rows.  Cubes are grouped by one integer key per cube
+that encodes (level, window shape, clip offset, shift); a group shares its
+scaled monomial matrix, so its bumps, partition weights, Gram systems,
 projections and bad parts are batched contractions over windows gathered
 by flat lattice index.  The level-pair assembly finds each next-level
 window's owners in a map from lattice points to the owners' cubes,
 re-projects every (window, owner) pair of a group in one contraction, and
-sums each owner's atom in its own box of one ragged buffer.  The supports
-of a level pair's kept atoms come from one batched search
-(`grid.smallest_enclosing_cubes`).  A decomposition keeps its atoms in
-that ragged form, one value buffer with offsets plus per-atom arrays;
-`Atom`, `Patch` and `Cube` objects are built only for the list views.
+sums each owner's atom in its own box of one buffer; one batched search
+(`grid.smallest_enclosing_cubes`) finds the supports, and an atom whose
+support exceeds a unit cube is cut into unit pieces.  `Atom`, `Patch` and
+`Cube` objects are built only for the `atoms` view, its per-atom reference
+`validate_atom`, the single part and `whitney_decompose`'s list.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import product as iproduct
 from pathlib import Path
 from typing import NamedTuple
 
@@ -89,37 +88,7 @@ ATOM_BLOCK = 1 << 16  # atoms rendered or validated at a time
 
 
 # ---------------------------------------------------------------------------
-# windowed patches
-
-
-@dataclass
-class Patch:
-    """Dense values on a small index window of the lattice."""
-
-    lo: tuple[int, ...]
-    arr: np.ndarray
-
-    def slices(self) -> tuple[slice, ...]:
-        return tuple(slice(l, l + s) for l, s in zip(self.lo, self.arr.shape))
-
-    def add_into(self, dense: np.ndarray, scale: float = 1.0) -> None:
-        dense[self.slices()] += scale * self.arr
-
-    def window(self, box: tuple[slice, ...]) -> np.ndarray:
-        """Values on the lattice box `box`, zero outside the patch."""
-        out = np.zeros(tuple(s.stop - s.start for s in box))
-        ov = [(max(s.start, lo), min(s.stop, lo + n)) for s, lo, n in zip(box, self.lo, self.arr.shape)]
-        if all(a < b for a, b in ov):
-            dst = tuple(slice(a - s.start, b - s.start) for (a, b), s in zip(ov, box))
-            out[dst] = self.arr[tuple(slice(a - lo, b - lo) for (a, b), lo in zip(ov, self.lo))]
-        return out
-
-    def norm_lq(self, domain: Domain, q: float, w: Weight | None) -> float:
-        if math.isinf(q):
-            return float(np.max(np.abs(self.arr))) if self.arr.size else 0.0
-        ws = 1.0 if w is None else w.values.samples[self.slices()]
-        hn = domain.h ** domain.dim
-        return (hn * float(np.sum(np.abs(self.arr) ** q * ws))) ** (1.0 / q)
+# ragged boxes, atom and decomposition containers
 
 
 def _box_points(d: Domain, lo: np.ndarray, shape: np.ndarray) -> np.ndarray:
@@ -145,9 +114,12 @@ def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return row, start[row] + np.arange(row.size) - first[row]
 
 
+@dataclass
+class Patch:
+    """Dense values on the lattice box at `lo` of the shape of `arr`."""
 
-# ---------------------------------------------------------------------------
-# atom and decomposition containers
+    lo: tuple[int, ...]
+    arr: np.ndarray
 
 
 @dataclass
@@ -184,35 +156,16 @@ class _Rows(NamedTuple):
     lam: np.ndarray  # (K,)
 
     @classmethod
-    def empty(cls, n: int) -> _Rows:
-        ints, boxes = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
-        return cls(np.zeros(0), ints, boxes, boxes, ints, boxes, boxes, ints, np.zeros(0))
-
-    @classmethod
     def join(cls, parts: list[_Rows], n: int) -> _Rows:
-        return cls(*(np.concatenate(cols) for cols in zip(cls.empty(n), *parts)))
+        """The rows of `parts` in order, typed as rows of dimension n."""
+        ints, boxes = np.zeros(0, dtype=np.int64), np.zeros((0, n), dtype=np.int64)
+        empty = (np.zeros(0), ints, boxes, boxes, ints, boxes, boxes, ints, np.zeros(0))
+        return cls(*(np.concatenate(cols) for cols in zip(empty, *parts)))
 
-    @classmethod
-    def of_atoms(cls, pairs: list[tuple[float, Atom]], n: int) -> _Rows:
-        """The (coefficient, atom) pairs of a list, in order."""
-        if not pairs:
-            return cls.empty(n)
-        lam, atoms = zip(*pairs)
-        patches = [a.patch for a in atoms]
-        return cls(
-            np.concatenate([p.arr.ravel() for p in patches]),
-            np.array([p.arr.size for p in patches], dtype=np.int64),
-            np.array([p.lo for p in patches], dtype=np.int64).reshape(-1, n),
-            np.array([p.arr.shape for p in patches], dtype=np.int64).reshape(-1, n),
-            np.array([a.support.level for a in atoms], dtype=np.int64),
-            np.array([a.support.shift for a in atoms], dtype=np.int64).reshape(-1, n),
-            np.array([a.support.index for a in atoms], dtype=np.int64).reshape(-1, n),
-            np.array([KINDS.index(a.kind) for a in atoms], dtype=np.int64),
-            np.array(lam, dtype=float),
-        )
-
-    def cubes(self) -> list[Cube]:
-        return _cube_list(self.level, self.shift, self.index)
+    def take(self, sel: np.ndarray) -> _Rows:
+        """The rows `sel`, in that order."""
+        _, at = _expand((np.cumsum(self.size) - self.size)[sel], self.size[sel])
+        return _Rows(self.values[at], *(col[sel] for col in self[1:]))
 
     def blocks(self):
         """The store in consecutive blocks of at most ATOM_BLOCK atoms,
@@ -222,28 +175,28 @@ class _Rows(NamedTuple):
             b = min(a + ATOM_BLOCK, len(self.size))
             yield _Rows(self.values[ends[a]:ends[b]], *(col[a:b] for col in self[1:]))
 
-    def atoms(self, d: Domain, q: float, L: int, cubes: list[Cube]) -> list[Atom]:
-        """One `Atom` per row on its support in `cubes`, its patch a view
-        into `values`."""
+    def atoms(self, d: Domain, q: float, L: int) -> list[Atom]:
+        """One `Atom` per row, its patch a view into `values`."""
         bounds = np.concatenate([[0], np.cumsum(self.size)]).tolist()
         return [
             Atom(cube, d, Patch(tuple(lo), self.values[a:b].reshape(shp)), q, L, KINDS[kind])
             for cube, lo, shp, kind, a, b in zip(
-                cubes, self.lo.tolist(), self.shape.tolist(), self.kind.tolist(), bounds, bounds[1:]
+                _cube_list(self.level, self.shift, self.index),
+                self.lo.tolist(), self.shape.tolist(), self.kind.tolist(), bounds, bounds[1:],
             )
         ]
 
 
 @dataclass(eq=False)
 class AtomicDecomposition:
-    """Coefficient/atom pairs plus the single-atom part (for f = 0, the
-    zero good part with the floor coefficient).
+    """Atoms in ragged form plus the single-atom part (for f = 0, the zero
+    good part with the floor coefficient).
 
-    The atoms are stored in ragged form (`rows`): one read-only buffer of
-    their normalised values with per-atom window boxes, support cubes,
-    kinds and coefficients; `tag` holds each atom's threshold exponent j.
-    `lambdas`, `level_tags`, `atoms` and `cubes` are list views, built on
-    first access; every atom's patch is a view into the buffer.
+    `rows` holds the atoms' normalised values with per-atom window boxes,
+    support cubes, kinds and coefficients, `tag` each atom's threshold
+    exponent j, all read-only.  `lambdas` and `cubes` (level, shift, index)
+    are the columns that `sequence_norm` takes; `atoms` lists `Atom` views,
+    built on first access, each patch a view into the buffer.
     """
 
     domain: Domain
@@ -255,23 +208,20 @@ class AtomicDecomposition:
     single_part: tuple[float, Atom]
 
     def __post_init__(self):
-        self.rows.values.flags.writeable = False
+        for col in (*self.rows, self.tag):
+            col.flags.writeable = False
 
-    @cached_property
-    def lambdas(self) -> list[float]:
-        return self.rows.lam.tolist()
+    @property
+    def lambdas(self) -> np.ndarray:
+        return self.rows.lam
 
-    @cached_property
-    def level_tags(self) -> list[int]:
-        return self.tag.tolist()
-
-    @cached_property
-    def cubes(self) -> list[Cube]:
-        return self.rows.cubes()
+    @property
+    def cubes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.rows.level, self.rows.shift, self.rows.index
 
     @cached_property
     def atoms(self) -> list[Atom]:
-        return self.rows.atoms(self.domain, self.q, self.L, self.cubes)
+        return self.rows.atoms(self.domain, self.q, self.L)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +231,9 @@ class AtomicDecomposition:
 def sequence_norm(
     lambdas, cubes, p: VariableExponent, w: Weight | None, v: float
 ) -> float:
-    """Luxemburg norm of (sum |lambda_j|^v chi_{Q_j})^{1/v}.
+    """Luxemburg norm of (sum |lambda_j|^v chi_{Q_j})^{1/v}, for the
+    coefficients `lambdas` and the support cubes `cubes`, given as
+    (level, shift, index) arrays with one row per coefficient.
 
     The strict v < p_minus hypothesis belongs to the decomposition theorems
     and is enforced there; the functional itself is well defined up to
@@ -290,22 +242,22 @@ def sequence_norm(
     if not (0.0 < v <= 1.0) or v > p.p_minus:
         raise ValueError(f"v must lie in (0, p_minus] and (0, 1], got {v}")
     d = p.domain
-    pairs = list(zip(lambdas, cubes))
-    if any(lam < 0 for lam, _ in pairs):
+    lam = np.asarray(lambdas, dtype=float).reshape(-1)
+    level, shift, index = (np.asarray(c, dtype=np.int64) for c in cubes)
+    shift, index = shift.reshape(-1, d.dim), index.reshape(-1, d.dim)
+    if not lam.size == level.size == len(shift) == len(index):
+        raise ValueError(f"{lam.size} coefficients for {level.size} support cubes")
+    if not np.all(lam >= 0):  # nan fails too
         raise ValueError("coefficients must be nonnegative")
-    level = np.array([c.level for _, c in pairs], dtype=np.int64)
     if np.any(level > d.level):
         raise ValueError("cube below grid resolution")
-    start, stop = cube_lattice_ranges(
-        d,
-        level[:, None],
-        np.array([c.shift for _, c in pairs], dtype=np.int64).reshape(-1, d.dim),
-        np.array([c.index for _, c in pairs], dtype=np.int64).reshape(-1, d.dim),
-    )
+    start, stop = cube_lattice_ranges(d, level.reshape(-1, 1), shift, index)
     shape = np.maximum(stop - start, 0)
-    # np.add.at adds in index order: each point sums its cubes' terms in list order
+    # np.add.at adds in index order: each point sums its cubes' terms in
+    # their order; Python's ** on each coefficient, as numpy's power may
+    # round differently
     acc = np.zeros(d.shape)
-    terms = np.repeat([abs(lam) ** v for lam, _ in pairs], np.prod(shape, axis=1))
+    terms = np.repeat([abs(x) ** v for x in lam.tolist()], np.prod(shape, axis=1))
     np.add.at(acc.reshape(-1), _box_points(d, start, shape), terms)
     return luxemburg_norm(GridFunction._adopt(d, acc ** (1.0 / v)), p, w)
 
@@ -389,28 +341,27 @@ def _dilated_ranges(d: Domain, level, shift, index):
     return np.clip(start, 0, d.npts), np.clip(stop, 0, d.npts)
 
 
-def whitney_geometry_report(omega: GridFunction, cubes: list[Cube]) -> Report:
-    """Two-sided bound check and dilated-cube overlap count for a cover."""
+def whitney_geometry_report(omega: GridFunction, cubes: tuple[np.ndarray, np.ndarray, np.ndarray]) -> Report:
+    """Two-sided bound check and dilated-cube overlap count for a cover
+    given as (level, shift, index) arrays."""
     d = omega.domain
-    n = d.dim
-    gap = 2.0 ** (-n - WHITNEY_GAP_EXP)
-    dist = _edt_cells(omega.samples > 0.5) * d.h
-    violations = 0
-    overlap = np.zeros(d.shape, dtype=np.int32)
-    for c in cubes:
-        dmin = float(np.min(dist[c.lattice_slices(d)]))
-        diam = c.side * math.sqrt(n)
-        if not (diam <= gap * dmin <= 4.0 * diam + 1e-12):
-            violations += 1
-        overlap[tuple(slice(*_dilated_ranges(d, c.level, a, q)) for a, q in zip(c.shift, c.index))] += 1
-    max_overlap = int(overlap.max()) if cubes else 0
+    level, shift, index = cubes
+    gap = 2.0 ** (-d.dim - WHITNEY_GAP_EXP)
+    dist = _edt_cells(omega.samples > 0.5).ravel() * d.h
+    start, stop = cube_lattice_ranges(d, level[:, None], shift, index)
+    cells = np.maximum(stop - start, 0)
+    dmin = _segment_reduce(np.minimum, dist[_box_points(d, start, cells)], np.prod(cells, axis=1))
+    diam = np.ldexp(math.sqrt(d.dim), -level)  # side * sqrt(n)
+    violations = int(np.count_nonzero(~((diam <= gap * dmin) & (gap * dmin <= 4.0 * diam + 1e-12))))
+    start, stop = _dilated_ranges(d, level[:, None], shift, index)
+    overlap = np.bincount(_box_points(d, start, np.maximum(stop - start, 0)), minlength=d.npts**d.dim)
     return Report(
         "whitney_geometry",
         passed=violations == 0,
         quantities={
             "violations": float(violations),
-            "cube_count": float(len(cubes)),
-            "max_dilated_overlap": float(max_overlap),
+            "cube_count": float(len(level)),
+            "max_dilated_overlap": float(overlap.max()),
         },
     )
 
@@ -484,14 +435,13 @@ class _Cover:
     start: np.ndarray  # (K, n)
     stop: np.ndarray  # (K, n)
 
-    def patches(self, rows: str) -> list[Patch]:
-        """One patch per cube, in cube order, from the group rows `rows`
-        ("eta" or "bad")."""
-        out = [None] * len(self.lo)
+    def buffer(self, rows: str) -> np.ndarray:
+        """The group rows `rows` ("eta" or "bad") of every cube, window
+        after window in cube order and row-major on each window box."""
+        size = np.prod(self.shape, axis=1)
+        out = np.empty(int(size.sum()))
         for g in self.groups:
-            shp = tuple(int(v) for v in self.shape[g.cube[0]])
-            for c, row in zip(g.cube.tolist(), getattr(g, rows)):
-                out[c] = Patch(tuple(int(v) for v in self.lo[c]), row.reshape(shp))
+            out[_expand((np.cumsum(size) - size)[g.cube], size[g.cube])[1]] = getattr(g, rows).ravel()
         return out
 
 
@@ -553,12 +503,13 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
 # good/bad split at a single threshold
 
 
-def cz_decompose(
-    f: GridFunction, lam: float, dic: TestDictionary, L: int
-) -> tuple[GridFunction, list[tuple[Cube, Patch]]]:
+def cz_decompose(f: GridFunction, lam: float, dic: TestDictionary, L: int) -> tuple[GridFunction, tuple, tuple]:
     """Good/bad split at one threshold of the grand maximal function.
 
-    f = good + sum of the windowed bad parts exactly; each bad part carries
+    Returns the good part, the Whitney cubes as (level, shift, index)
+    arrays, and (lo, shape, bad): each cube's window box and its bad part
+    on that box, window after window in cube order and row-major on each
+    box.  f = good + sum of the bad parts exactly; each bad part carries
     vanishing moments, against its own localization weight, up to order L.
     """
     d = f.domain
@@ -574,7 +525,7 @@ def cz_decompose(
     for g in cov.groups:
         np.add.at(dense, g.point.ravel(), g.bad.ravel())
     good = GridFunction._adopt(d, f.samples - dense.reshape(d.shape))
-    return good, list(zip(_cube_list(*cubes), cov.patches("bad")))
+    return good, cubes, (cov.lo, cov.shape, cov.buffer("bad"))
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +579,10 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, d: Domain):
     key = np.sort((np.repeat(np.arange(rows.size), np.prod(gshape, axis=1)) * nj + owner)[owner >= 0])
     row, own = np.divmod(key[np.concatenate([[True], key[1:] != key[:-1]])[: key.size]], nj)
     pair_cut = np.searchsorted(row, first_row)  # each group's pairs are contiguous
-    # every owner's weights, row after row of its group
-    eta_j = np.concatenate([g.eta.ravel() for g in gj])
-    eta_at = np.zeros(nj, dtype=np.int64)
-    for g, at in zip(gj, np.cumsum([0] + [g.eta.size for g in gj])):
-        eta_at[g.cube] = at + np.arange(0, g.eta.size, g.eta.shape[1])
+    # every owner's weights, window after window
+    eta_j = cov_j.buffer("eta")
+    eta_size = np.prod(cov_j.shape, axis=1)
+    eta_at = np.cumsum(eta_size) - eta_size
     lo, hi = cov_j.lo.copy(), cov_j.lo + cov_j.shape
     np.minimum.at(lo, own, cov_n.lo[rows[row]])
     np.maximum.at(hi, own, cov_n.lo[rows[row]] + cov_n.shape[rows[row]])
@@ -690,13 +640,25 @@ def _level_pieces(cov_j: _Cover, cov_n: _Cover, d: Domain):
     return lo, shape, summed, covered
 
 
-def _coefficient(patch: Patch, region: Cube | None, domain: Domain, q: float, w: Weight | None) -> float:
-    """Tight coefficient: the patch's L^q_w norm over w(region)^{1/q}."""
-    mass = 1.0 if math.isinf(q) else w.mass(region) ** (1.0 / q)
-    return max(patch.norm_lq(domain, q, w) / max(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
+def _coefficients(values, size, lo, shape, start, stop, d: Domain, q: float, w: Weight) -> np.ndarray:
+    """Tight coefficient of each row of values on its box (lo, shape): its
+    L^q_w norm over w(R)^{1/q} for the lattice range R = [start, stop), or
+    at q = inf its sup, floored at LAMBDA_FLOOR."""
+    if math.isinf(q):
+        return np.maximum(np.maximum.reduceat(np.abs(values), np.cumsum(size) - size), LAMBDA_FLOOR)
+    hn = d.h**d.dim
+    ws = w.values.samples
+    bounds = np.concatenate([[0], np.cumsum(size)]).tolist()
+    lam = []
+    for a, b, l, s, r0, r1 in zip(bounds, bounds[1:], lo.tolist(), shape.tolist(), start.tolist(), stop.tolist()):
+        box = ws[tuple(slice(i, i + k) for i, k in zip(l, s))]
+        norm = (hn * float(np.sum(np.abs(values[a:b].reshape(s)) ** q * box))) ** (1.0 / q)
+        mass = (hn * float(np.sum(ws[tuple(slice(i, max(i, j)) for i, j in zip(r0, r1))]))) ** (1.0 / q)
+        lam.append(max(norm / max(mass, LAMBDA_FLOOR), LAMBDA_FLOOR))
+    return np.array(lam)
 
 
-def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, L: int, w: Weight | None) -> _Rows:
+def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, w: Weight) -> _Rows:
     """Normalized atoms of the kept boxes of `_level_pieces` (`point` holds
     each buffer entry's flat lattice index), each on its whole box; the
     support is the smallest cube around the nonzero values, and an
@@ -712,22 +674,11 @@ def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, L: in
     sup_hi = np.maximum.reduceat(np.where(nz, coords, -1), start)[kept]
     level, shift, index = smallest_enclosing_cubes(d, x[sup_lo], x[sup_hi])
     values, lo, shape, size = summed[np.repeat(kept, size)], lo[kept], shape[kept], size[kept]
-    if math.isinf(q):  # the sup norm over a mass of 1
-        norm, mass = np.maximum.reduceat(np.abs(values), np.cumsum(size) - size), 1.0
-    else:
-        bounds = np.concatenate([[0], np.cumsum(size)]).tolist()
-        patches = [Patch(tuple(l), values[a:b].reshape(s)) for l, s, a, b in zip(lo.tolist(), shape.tolist(), bounds, bounds[1:])]
-        norm = np.array([p.norm_lq(d, q, w) for p in patches])
-        mass = np.array([w.mass(c) ** (1.0 / q) for c in _cube_list(level, shift, index)])
-    lam = np.maximum(norm / np.maximum(mass, LAMBDA_FLOOR), LAMBDA_FLOOR)
+    region = cube_lattice_ranges(d, level[:, None], shift, index)
+    lam = _coefficients(values, size, lo, shape, *region, d, q, w)
     # |Q| < 1 is a local atom, |Q| = 1 a unit one
     rows = _Rows(values / np.repeat(lam, size), size, lo, shape, level, shift, index, (level <= 0).astype(np.int64), lam)
-    if np.all(level >= 0):
-        return rows
-    pairs = []
-    for lam_k, atom in zip(rows.lam.tolist(), rows.atoms(d, q, L, rows.cubes())):
-        pairs += [(lam_k, atom)] if atom.support.level >= 0 else _split_unit_pieces(atom, lam_k, w)
-    return _Rows.of_atoms(pairs, d.dim)
+    return rows if np.all(level >= 0) else _split_unit_pieces(rows, d, q, w)
 
 
 def atomic_decompose(
@@ -800,42 +751,59 @@ def atomic_decompose(
         keep = np.repeat(kept, size) & covered
         np.add.at(kept_sum, point[keep], summed[keep])
         if np.any(kept):
-            parts.append(_owner_atoms(summed, point, lo, shape, kept, d, q, L, w))
+            parts.append(_owner_atoms(summed, point, lo, shape, kept, d, q, w))
             tags.append(np.full(len(parts[-1].lam), j, dtype=np.int64))
         cov_j = cov_n
 
     # the top threshold's level set is empty, so the level differences
     # telescope to the first threshold's bad part: f - kept is its good part
-    gpatch = Patch((0,) * d.dim, f.samples - kept_sum.reshape(d.shape))
-    lam0 = _coefficient(gpatch, None, d, q, w)
-    gpatch.arr = gpatch.arr / lam0
+    good = f.samples - kept_sum.reshape(d.shape)
+    # one row whose box and mass region are the whole window
+    whole = np.zeros((1, d.dim), dtype=np.int64), np.full((1, d.dim), d.npts)
+    lam0 = float(_coefficients(good.ravel(), np.array([good.size]), *whole, *whole, d, q, w)[0])
     window_cube = smallest_enclosing_cube(d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim)
-    single = (lam0, Atom(window_cube, d, gpatch, q, L, "single"))
+    single = (lam0, Atom(window_cube, d, Patch((0,) * d.dim, good / lam0), q, L, "single"))
     tag = np.concatenate([np.zeros(0, dtype=np.int64), *tags])
     return AtomicDecomposition(d, _Rows.join(parts, d.dim), tag, q, L, v, single)
 
 
-def _split_unit_pieces(atom: Atom, lam: float, w: Weight | None):
-    """Cut an oversized atom into unit-cube pieces, renormalized; each
-    piece is read from the atom's patch window."""
-    d = atom.domain
-    # the unit cubes holding the support's first and last samples, per axis
-    spans = [
-        range((a - d.half_npts) >> d.level, ((b - 1 - d.half_npts) >> d.level) + 1)
-        for a, b in atom.support.lattice_ranges(d)
-    ]
-    out = []
-    for index in iproduct(*spans):
-        cube = Cube(0, (0,) * d.dim, index)
-        sl = cube.lattice_slices(d)
-        win = lam * atom.patch.window(sl)
-        if not np.any(win):
-            continue
-        patch = Patch(tuple(s.start for s in sl), win)
-        piece_lam = _coefficient(patch, cube, d, atom.q, w)
-        patch.arr = patch.arr / piece_lam
-        out.append((piece_lam, Atom(cube, d, patch, atom.q, atom.L, "unit")))
-    return out
+def _split_unit_pieces(rows: _Rows, d: Domain, q: float, w: Weight) -> _Rows:
+    """`rows` with every atom whose support exceeds a unit cube replaced, in
+    its place, by its nonzero pieces on the level-0, shift-0 cubes that meet
+    the support, row-major, each a renormalised unit atom on its cube's box."""
+    n = d.dim
+    big = np.flatnonzero(rows.level < 0)
+    # per axis, the unit cubes from the one holding the support's first
+    # sample to the one holding its last
+    start, stop = cube_lattice_ranges(d, rows.level[big, None], rows.shift[big], rows.index[big])
+    first = (start - d.half_npts) >> d.level
+    count = ((stop - 1 - d.half_npts) >> d.level) + 1 - first
+    owner, t = _expand(np.zeros(big.size, dtype=np.int64), np.prod(count, axis=1))
+    unit = np.zeros((t.size, n), dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        t, unit[:, i] = np.divmod(t, count[owner, i])
+    unit += first[owner]
+    owner = big[owner]
+    start, stop = cube_lattice_ranges(d, 0, 0, unit)
+    shape = np.maximum(stop - start, 0)
+    size = np.prod(shape, axis=1)
+    # each piece point's place in its atom's box, row-major; off the box it is 0
+    src = np.repeat(owner, size)
+    rel = np.stack(np.unravel_index(_box_points(d, start, shape), d.shape), axis=1) - rows.lo[src]
+    inside = np.all((rel >= 0) & (rel < rows.shape[src]), axis=1)
+    at = (np.cumsum(rows.size) - rows.size)[src]
+    for i in range(n):
+        at = at + np.where(inside, rel[:, i], 0) * np.prod(rows.shape[src, i + 1 :], axis=1)
+    raw = np.where(inside, rows.lam[src] * rows.values[at], 0.0)
+    live = np.bincount(np.repeat(np.arange(size.size), size)[raw != 0], minlength=size.size) > 0
+    raw, size, start, stop, unit = raw[np.repeat(live, size)], size[live], start[live], stop[live], unit[live]
+    lam = _coefficients(raw, size, start, stop - start, start, stop, d, q, w)
+    zero = np.zeros_like(unit)
+    kind = np.full(size.size, KINDS.index("unit"))
+    pieces = _Rows(raw / np.repeat(lam, size), size, start, stop - start, zero[:, 0], zero, unit, kind, lam)
+    rest = np.flatnonzero(rows.level >= 0)
+    order = np.argsort(np.concatenate([rest, owner[live]]), kind="stable")
+    return _Rows.join([rows.take(rest), pieces], n).take(order)
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
@@ -846,7 +814,7 @@ def synthesize(dec: AtomicDecomposition) -> GridFunction:
     for b in dec.rows.blocks():
         np.add.at(dense.reshape(-1), _box_points(d, b.lo, b.shape), np.repeat(b.lam, b.size) * b.values)
     lam0, single = dec.single_part
-    single.patch.add_into(dense, lam0)
+    dense += lam0 * single.patch.arr  # the single part spans the window
     return GridFunction._adopt(d, dense)
 
 
@@ -863,7 +831,8 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
         size = float(mag.max()) if mag.size else 0.0
         budget = 1.0
     else:
-        size = a.patch.norm_lq(d, a.q, w)
+        box = tuple(slice(l, l + s) for l, s in zip(a.patch.lo, a.patch.arr.shape))
+        size = (hn * float(np.sum(mag**a.q * (1.0 if w is None else w.values.samples[box])))) ** (1.0 / a.q)
         region = None if a.kind == "single" else a.support
         budget = (w.mass(region) if w is not None else (
             a.support.volume if region is not None else (2 * d.half_width) ** d.dim
@@ -881,7 +850,7 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
         support_leak = float(mag.max(initial=0.0))
     moment_worst = 0.0
     if moments:
-        axes = [d.axis()[s] - c for s, c in zip(a.patch.slices(), a.support.center)] if a.L > 0 else []
+        axes = [d.axis()[l : l + k] - c for l, k, c in zip(a.patch.lo, mag.shape, a.support.center)] if a.L > 0 else []
         for alpha in multi_indices(d.dim, a.L):
             if any(alpha):
                 mono = reduce(np.multiply, np.ix_(*[ax**k for ax, k in zip(axes, alpha)]))
@@ -970,36 +939,31 @@ def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
     sidecar = path.with_suffix(".bin")
     r = dec.rows
     lam0, single = dec.single_part
-    sidecar.write_bytes(np.concatenate([r.values, single.patch.arr.ravel()]).astype("<f8").tobytes())
-
-    def entry(lam, k, a, m, kind, offset, shape, lo):
-        return {
-            "lambda": lam,
-            "cube": {"k": k, "a": a, "m": m},
-            "q": None if math.isinf(dec.q) else dec.q,
-            "L": dec.L,
-            "kind": kind,
-            "values_ref": {"offset": offset, "shape": shape, "lo": lo},
-        }
-
-    offsets = (8 * (np.cumsum(r.size) - r.size)).tolist()
-    rows = zip(r.lam.tolist(), r.level.tolist(), r.shift.tolist(), r.index.tolist(),
-               [KINDS[k] for k in r.kind.tolist()], offsets, r.shape.tolist(), r.lo.tolist())
-    s = single.support
-    entries = [entry(*row) for row in rows] + [entry(
-        lam0, s.level, list(s.shift), list(s.index), single.kind, 8 * r.values.size,
-        list(single.patch.arr.shape), list(single.patch.lo),
-    )]
+    s, arr = single.support, single.patch.arr
+    sidecar.write_bytes(np.concatenate([r.values, arr.ravel()]).astype("<f8").tobytes())
+    q = None if math.isinf(dec.q) else dec.q
+    # one entry per atom, then the single part
+    columns = zip(
+        [*r.lam.tolist(), lam0], [*r.level.tolist(), s.level], [*r.shift.tolist(), list(s.shift)],
+        [*r.index.tolist(), list(s.index)], [*(KINDS[k] for k in r.kind.tolist()), single.kind],
+        (8 * np.concatenate([np.cumsum(r.size) - r.size, [r.values.size]])).tolist(),
+        [*r.shape.tolist(), list(arr.shape)], [*r.lo.tolist(), list(single.patch.lo)],
+    )
+    entries = [
+        {"lambda": lam, "cube": {"k": k, "a": a, "m": m}, "q": q, "L": dec.L, "kind": kind,
+         "values_ref": {"offset": offset, "shape": shape, "lo": lo}}
+        for lam, k, a, m, kind, offset, shape, lo in columns
+    ]
     doc = {
         "domain": {
             "dim": dec.domain.dim,
             "half_width": dec.domain.half_width,
             "level": dec.domain.level,
         },
-        "q": None if math.isinf(dec.q) else dec.q,
+        "q": q,
         "L": dec.L,
         "v": dec.v,
-        "level_tags": dec.level_tags,
+        "level_tags": dec.tag.tolist(),
         "sidecar": sidecar.name,
         "atoms": entries,
     }
@@ -1013,20 +977,17 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
     raw = np.frombuffer((path.parent / doc["sidecar"]).read_bytes(), dtype="<f8").astype(float)
     n = dom.dim
     *entries, last = doc["atoms"]  # the single atom is written last
-    refs = [e["values_ref"] for e in entries]
-    shape = np.array([ref["shape"] for ref in refs], dtype=np.int64).reshape(-1, n)
+
+    def column(*keys, dtype=np.int64, width=n):
+        return np.array([reduce(dict.get, keys, e) for e in entries], dtype=dtype).reshape(-1, width)
+
+    shape = column("values_ref", "shape")
     size = np.prod(shape, axis=1)
-    _, at = _expand(np.array([ref["offset"] // 8 for ref in refs], dtype=np.int64), size)
+    _, at = _expand(column("values_ref", "offset", width=1)[:, 0] // 8, size)
+    kind = np.array([KINDS.index(e["kind"]) for e in entries], dtype=np.int64)
     rows = _Rows(
-        raw[at],
-        size,
-        np.array([ref["lo"] for ref in refs], dtype=np.int64).reshape(-1, n),
-        shape,
-        np.array([e["cube"]["k"] for e in entries], dtype=np.int64),
-        np.array([e["cube"]["a"] for e in entries], dtype=np.int64).reshape(-1, n),
-        np.array([e["cube"]["m"] for e in entries], dtype=np.int64).reshape(-1, n),
-        np.array([KINDS.index(e["kind"]) for e in entries], dtype=np.int64),
-        np.array([e["lambda"] for e in entries], dtype=float),
+        raw[at], size, column("values_ref", "lo"), shape, column("cube", "k", width=1)[:, 0],
+        column("cube", "a"), column("cube", "m"), kind, column("lambda", dtype=float, width=1)[:, 0],
     )
     ref = last["values_ref"]
     first = ref["offset"] // 8

@@ -496,13 +496,13 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Report]:
     for f in _bumps(d, _bump_specs(rng, 4, cfg.T, **atom_specs)):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
-        good, bad = atoms_mod.cz_decompose(f, lam, large, 1)
+        good, cubes, (lo, shape, bad) = atoms_mod.cz_decompose(f, lam, large, 1)
+        # np.add.at adds in index order: every point sums its bad parts in cube order
         recon = good.samples.copy()
-        for _, b in bad:
-            b.add_into(recon)
+        np.add.at(recon.reshape(-1), atoms_mod._box_points(d, lo, shape), bad)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / max(f.sup(), 1e-300))
         om = GridFunction(d, (mn > lam).astype(float))
-        rep = atoms_mod.whitney_geometry_report(om, [c for c, _ in bad])
+        rep = atoms_mod.whitney_geometry_report(om, cubes)
         worst_whitney += int(rep.q("violations"))
         overlaps.append(rep.q("max_dilated_overlap"))
     cases.append(Report("cz_exactness", worst_recon <= 1e-10, {"max_rel_err": worst_recon}))

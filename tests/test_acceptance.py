@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from varhardy import atoms
 from varhardy.atoms import (
     atomic_decompose,
     cz_decompose,
@@ -319,13 +320,12 @@ def test_criterion_09_cz_and_whitney(dicts):
     for f in bumps(DOM, rng, 20):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
-        good, bad = cz_decompose(f, lam, large, 1)
+        good, cubes, (lo, shape, bad) = cz_decompose(f, lam, large, 1)
         recon = good.samples.copy()
-        for _, b in bad:
-            b.add_into(recon)
+        np.add.at(recon.reshape(-1), atoms._box_points(DOM, lo, shape), bad)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / f.sup())
         om = GridFunction(DOM, (mn > lam).astype(float))
-        rep = whitney_geometry_report(om, [c for c, _ in bad])
+        rep = whitney_geometry_report(om, cubes)
         whitney_violations += int(rep.q("violations"))
         overlap_counts.append(rep.q("max_dilated_overlap"))
     # overlap stability across resolutions for a fixed open set
@@ -335,7 +335,8 @@ def test_criterion_09_cz_and_whitney(dicts):
             domain, lambda x: ((x > -3) & (x < 5)).astype(float)
         )
         cubes = whitney_decompose(om)
-        stable_counts.append(whitney_geometry_report(om, cubes).q("max_dilated_overlap"))
+        arrays = (np.array([c.level for c in cubes]), np.array([c.shift for c in cubes]), np.array([c.index for c in cubes]))
+        stable_counts.append(whitney_geometry_report(om, arrays).q("max_dilated_overlap"))
     overlap_stable = stable_counts[0] == stable_counts[1]
     ok = worst_recon <= 1e-10 and whitney_violations == 0 and overlap_stable
     announce(

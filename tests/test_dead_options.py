@@ -1,6 +1,7 @@
 """Every public function and method of the library has a caller, every
-defaulted parameter is set by some caller, every parameter is read, and
-every exported name exists.
+defaulted parameter is set by some caller, every parameter is read, every
+exported name exists, and decompositions stay arrays: `Atom` and `Patch`
+objects are built only at the sites listed below.
 
 A parameter with a default that no call in `src/varhardy` or `perfbench/`
 passes, by position or by keyword, is a setting with one value in use: it
@@ -59,26 +60,42 @@ UNREAD = {
 }
 
 
-def _functions():
+# functions that build `Atom` or `Patch` objects, each with its reason
+OBJECT_SITES = {
+    "atoms._Rows.atoms(Atom)": "the `dec.atoms` view, which the benchmark validates atom by atom",
+    "atoms._Rows.atoms(Patch)": "the `dec.atoms` view, which the benchmark validates atom by atom",
+    "atoms.atomic_decompose(Atom)": "the single part, until the good part is stored as unit rows",
+    "atoms.atomic_decompose(Patch)": "the single part, until the good part is stored as unit rows",
+    "atoms.load_decomposition(Atom)": "the single part read back from a file, until it is unit rows",
+    "atoms.load_decomposition(Patch)": "the single part read back from a file, until it is unit rows",
+}
+
+
+def _functions_of(path):
     """(name, node, positional parameters without self or cls) of every
-    module-level function and method."""
+    module-level function and method of one module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            scoped = [(f"{path.stem}.{node.name}", node, False)]
+        elif isinstance(node, ast.ClassDef):
+            scoped = [
+                (f"{path.stem}.{node.name}.{fn.name}", fn, True)
+                for fn in node.body
+                if isinstance(fn, ast.FunctionDef)
+            ]
+        else:
+            continue
+        for name, fn, bound in scoped:
+            positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
+            if bound and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+                positional = positional[1:]  # self or cls
+            yield name, fn, positional
+
+
+def _functions():
+    """`_functions_of` over every library module."""
     for path in sorted(LIBRARY.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                scoped = [(f"{path.stem}.{node.name}", node, False)]
-            elif isinstance(node, ast.ClassDef):
-                scoped = [
-                    (f"{path.stem}.{node.name}.{fn.name}", fn, True)
-                    for fn in node.body
-                    if isinstance(fn, ast.FunctionDef)
-                ]
-            else:
-                continue
-            for name, fn, bound in scoped:
-                positional = [a.arg for a in fn.args.posonlyargs + fn.args.args]
-                if bound and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
-                    positional = positional[1:]  # self or cls
-                yield name, fn, positional
+        yield from _functions_of(path)
 
 
 def _defaulted_parameters():
@@ -176,3 +193,16 @@ def test_every_export_resolves():
         module = importlib.import_module("varhardy" if path.stem == "__init__" else f"varhardy.{path.stem}")
         stale += [f"{path.stem}.{name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert stale == []
+
+
+def test_atoms_and_patches_only_at_listed_sites():
+    sites = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        for name, fn, _ in _functions_of(path):
+            sites |= {
+                f"{name}({node.func.id})"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Atom", "Patch")
+            }
+    # an allow-list entry whose function no longer builds the object is stale
+    assert sorted(sites) == sorted(OBJECT_SITES)

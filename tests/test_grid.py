@@ -369,9 +369,9 @@ class TestEnclosingCubes:
         summed[first + rng.integers(size)] = 1.0
         point = atoms._box_points(d, lo, shape)
         coords = np.stack(np.unravel_index(point, d.shape), axis=1)
-        rows = _owner_atoms(summed, point, lo, shape, kept, d, math.inf, 0, None)
+        rows = _owner_atoms(summed, point, lo, shape, kept, d, math.inf, None)
         assert len(rows.lam) == kept.sum()
-        for lam, atom, s in zip(rows.lam, rows.atoms(d, math.inf, 0, rows.cubes()), np.flatnonzero(kept)):
+        for lam, atom, s in zip(rows.lam, rows.atoms(d, math.inf, 0), np.flatnonzero(kept)):
             seg = slice(first[s], first[s] + size[s])
             c = coords[seg]
             assert np.all((c >= lo[s]) & (c < lo[s] + shape[s])) and len({tuple(p) for p in c.tolist()}) == size[s]
@@ -380,7 +380,7 @@ class TestEnclosingCubes:
             assert atom.patch.lo == tuple(lo[s].tolist())
             assert atom.patch.arr.shape == tuple(shape[s].tolist())
             dense = np.zeros(d.shape)
-            atom.patch.add_into(dense)
+            dense[tuple(slice(a, a + k) for a, k in zip(atom.patch.lo, atom.patch.arr.shape))] = atom.patch.arr
             assert np.count_nonzero(dense) == np.count_nonzero(summed[seg])
             np.testing.assert_allclose(lam * dense[tuple(c.T)], summed[seg], rtol=1e-15, atol=0)
 
