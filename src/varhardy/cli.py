@@ -199,13 +199,19 @@ def cmd_awconst(args) -> int:
     for pp in (1.5, 2.0, 4.0):
         print(f"A_{pp}^loc   = {a_loc_p_constant(w, pp).constant:.8g}")
     if p.p_minus > 1:
-        for name, rep in (
-            ("A_p(.)^loc", a_loc_var_constant(w, p)),
-            ("tilde A", tilde_a_constant(w, p, max_side=1.0)),
+        for name, constant in (
+            ("A_p(.)^loc", lambda: a_loc_var_constant(w, p)),
+            ("tilde A", lambda: tilde_a_constant(w, p, max_side=1.0)),
         ):
+            t0 = time.perf_counter()
+            rep = constant()
+            wall = time.perf_counter() - t0
             # of the cubes of every (level, shift), those whose norms were
-            # computed: repeated layouts and pruned ones are not
-            print(f"{name:<12} = {rep.constant:.8g}  (solved {rep.cubes_solved} of {rep.cube_count} cubes)")
+            # solved: repeated layouts' cubes and pruned cubes are not
+            print(
+                f"{name:<12} = {rep.constant:.8g}  "
+                f"(solved {rep.cubes_solved} of {rep.cube_count} cubes, wall {wall * 1e3:.2f} ms)"
+            )
     print(f"q_w estimate = {q_w_estimate(w):.5g}")
     return 0
 

@@ -345,6 +345,20 @@ class CubeLayout:
         counts = np.bincount(self.ids.ravel(), minlength=self.count)
         return counts / (2.0 ** (self.domain.level - self.level)) ** self.domain.dim
 
+    def points(self, cubes: np.ndarray | None = None) -> tuple[np.ndarray | slice, np.ndarray]:
+        """The lattice points of `cubes` (flat cube ids, none repeated; every
+        cube when None) in row-major order: (their flat indices, a slice of
+        every point when cubes is None; the position in `cubes` of each
+        one's cube)."""
+        ids = self.ids.ravel()
+        if cubes is None:
+            return slice(None), ids
+        pos = np.full(self.count, -1)
+        pos[cubes] = np.arange(len(cubes))
+        seg = pos[ids]
+        at = np.flatnonzero(seg >= 0)
+        return at, seg[at]
+
 
 def _axis(ax: int, sl: slice) -> tuple[slice, ...]:
     return (slice(None),) * ax + (sl,)

@@ -7,7 +7,11 @@ slopes -p are negative, so phi is convex and strictly decreasing for any
 positive exponent.  One solver takes safeguarded Newton steps on phi, inside
 the bracket that the constant-exponent bounds give in closed form; it
 serves the scalar norm (one group of points) and the per-cube norms of a
-dyadic level, which the weight-constant sweeps need, at once.
+dyadic level, which the weight-constant sweeps need, at once.  Each cube
+stops on its own test and leaves the batch when it does, and the shift of
+s and the bracket come from the whole lattice, so a cube's norm does not
+depend on which other cubes are solved with it: the sweeps solve only the
+cubes that can hold their sup.
 """
 
 from __future__ import annotations
@@ -174,36 +178,67 @@ def _cell_weights(d, w) -> np.ndarray | float:
     return hn if ws is None else hn * ws
 
 
+class _Groups:
+    """The groups of a solve: one group of every point (seg None), or n
+    groups of flat points, seg[i] the group of point i."""
+
+    def __init__(self, seg: np.ndarray | None, n: int):
+        self.seg, self.n = seg, n
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        if self.seg is None:
+            return np.sum(v, keepdims=True).ravel()
+        return np.bincount(self.seg, v, self.n)
+
+    def field(self, s: np.ndarray) -> np.ndarray:
+        """The value of each point's group."""
+        return s if self.seg is None else s[self.seg]
+
+    def take(self, keep: np.ndarray, *arrays) -> tuple["_Groups", tuple]:
+        """The groups where `keep` holds, and the points of those groups in
+        each per-point array (a 0-d array or a float stays as it is)."""
+        at = keep[self.seg]
+        renumber = np.cumsum(keep) - 1
+        return _Groups(renumber[self.seg[at]], int(renumber[-1]) + 1), tuple(
+            a[at] if np.ndim(a) else a for a in arrays
+        )
+
+
 def _luxemburg_solve(
-    g: np.ndarray, pvals: np.ndarray, c: np.ndarray | float, cubes: CubeLayout | None = None
+    g: np.ndarray,
+    pvals: np.ndarray,
+    c: np.ndarray | float,
+    groups: tuple[np.ndarray | slice, np.ndarray, int] | None = None,
 ) -> np.ndarray:
     """Per group G, the lambda = e^s with sum_{x in G} c(x) (|g(x)| / lambda)^{p(x)} = 1.
 
-    c is the quadrature weight of each point, and g holds the value of each
-    point, or one value (a 0-d array) for all; the groups are the cubes of
-    `cubes`, or one group holding every point.  A group on which g vanishes
-    gets 0.  Newton's method on the convex decreasing phi(s) = log rho(e^s)
-    needs a few steps; a step that leaves the bracket known so far, or meets
-    a modular that is not finite, is replaced by the bracket midpoint.
+    c is the quadrature weight of each lattice point, and g holds the value
+    of each point, or one value (a 0-d array) for all.  Without `groups`
+    one group holds every point; `groups` = (at, seg, n) solves n groups
+    on the flat points `at` (an index array or slice), seg giving each
+    one's group.  A group on which g vanishes gets 0.  s is measured from
+    log max|g| and bracketed with p_- and p_+ over every lattice point,
+    not only the points solved, and each group stops on its own test
+    (`_newton`): a group's norm depends on its own points only.
     """
-    if cubes is None:
-        sums, field = (lambda v: np.sum(v, keepdims=True)), (lambda s: s)
-    else:
-        sums, field = cubes.sums, cubes.field
     with np.errstate(divide="ignore"):
         logg = np.log(np.abs(g))
     top = float(np.max(logg))
-    if top == -np.inf:  # g vanishes everywhere
-        return sums(np.zeros(pvals.shape))
     if top == np.inf:
         raise OverflowError("norm overflow")
+    at, seg, n = groups or (None, None, 1)
+    if top == -np.inf:  # g vanishes everywhere
+        return np.zeros(n)
     # s is measured from log max|g|: at s = 0 no term exceeds its c(x)
     b = logg - top
     pmin, pmax = float(np.min(pvals)), float(np.max(pvals))
+    if seg is not None:  # only the points solved, flat
+        b, pvals, c = (a if np.ndim(a) == 0 else a.ravel()[at] for a in (b, pvals, c))
+    groups = _Groups(seg, n)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         # one value of g makes every exp(p * b) exactly 1, so the terms are c
         terms = c * np.exp(pvals * b) if b.ndim else np.broadcast_to(c, pvals.shape)
-        rho = sums(terms)
+        rho = groups.sums(terms)
         live = rho > 0
         # for s >= 0 the modular lies between rho e^{-p_+ s} and rho e^{-p_- s}
         # (the other way round for s <= 0), so the root lies between
@@ -216,25 +251,43 @@ def _luxemburg_solve(
         else:
             lo = np.minimum(log_rho / pmin, log_rho / pmax)
             hi = np.maximum(log_rho / pmin, log_rho / pmax)
-            s = np.zeros(rho.shape)
-            for _ in range(_MAX_STEPS):
-                # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
-                nxt = s + np.log(rho) * rho / sums(pvals * terms)
-                nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-                done = np.all(np.abs(nxt - s) <= REL_TOL)
-                s = nxt
-                if done:
-                    break
-                terms = c * np.exp(pvals * (b - field(s)))
-                rho = sums(terms)
-                lo = np.where(rho > 1.0, s, lo)
-                hi = np.where(rho < 1.0, s, hi)
-            else:
-                raise ArithmeticError("Luxemburg solve did not converge")
+            s = _newton(groups, b, pvals, c, terms, rho, lo, hi)
     lam = np.where(live, np.exp(top + s), 0.0)
     if np.any(lam > LAMBDA_CAP):
         raise OverflowError("norm overflow")
     return lam
+
+
+def _newton(groups: _Groups, b, pvals, c, terms, rho, lo, hi) -> np.ndarray:
+    """Newton's method from s = 0 on each group's convex decreasing
+    phi(s) = log rho(e^s), rho(e^s) the sum of c e^{p (b - s)} over the
+    group, given the terms and modulars at s = 0 and the brackets [lo, hi]:
+    the final iterate of each group.  A step that leaves the bracket known
+    so far, or meets a modular that is not finite, is replaced by the
+    bracket midpoint.  A group stops at its first step of at most REL_TOL
+    and leaves the working arrays."""
+    out = np.empty(rho.shape)
+    act = np.arange(rho.size)  # the groups still stepping
+    s = np.zeros(rho.shape)
+    for _ in range(_MAX_STEPS):
+        # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
+        nxt = s + np.log(rho) * rho / groups.sums(pvals * terms)
+        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        done = np.abs(nxt - s) <= REL_TOL
+        s = nxt
+        if np.all(done):
+            out[act] = s
+            return out
+        if np.any(done):  # only with several groups: one is done or not
+            out[act[done]] = s[done]
+            keep = ~done
+            act, s, lo, hi = act[keep], s[keep], lo[keep], hi[keep]
+            groups, (b, pvals, c) = groups.take(keep, b, pvals, c)
+        terms = c * np.exp(pvals * (b - groups.field(s)))
+        rho = groups.sums(terms)
+        lo = np.where(rho > 1.0, s, lo)
+        hi = np.where(rho < 1.0, s, hi)
+    raise ArithmeticError("Luxemburg solve did not converge")
 
 
 def batch_restricted_norms(
@@ -243,13 +296,22 @@ def batch_restricted_norms(
     w: "Weight | None",
     level: int,
     shift: tuple[int, ...],
+    cubes: np.ndarray | None = None,
+    layout: CubeLayout | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cube Luxemburg norms of g restricted to each cube of one grid level.
+    """Per-cube Luxemburg norms of g restricted to the cubes of one grid level.
 
-    Returns (norms_flat, qidx) where qidx maps lattice points to cube ids.
+    Returns (norms, qidx): the norms of the cubes `cubes` (flat cube ids,
+    none twice, in that order; every cube of the level when None), and the
+    cube id of every lattice point.  `layout` is the level's `CubeLayout`,
+    when the caller has built it.  Each cube is solved on its own, so its
+    norm is bitwise the same whichever other cubes are solved with it.
     """
-    cubes = CubeLayout(p.domain, level, shift)
+    if layout is None:
+        layout = CubeLayout(p.domain, level, shift)
+    at, seg = layout.points(cubes)
     g = np.asarray(g)
     if g.ndim:
         g = np.broadcast_to(g, p.domain.shape)
-    return _luxemburg_solve(g, p.values.samples, _cell_weights(p.domain, w), cubes), cubes.ids
+    groups = (at, seg, layout.count if cubes is None else len(cubes))
+    return _luxemburg_solve(g, p.values.samples, _cell_weights(p.domain, w), groups), layout.ids

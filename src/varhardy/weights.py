@@ -49,6 +49,9 @@ CLAMP_FLOOR = 2.0 ** -52
 # relative widening of every cube bracket before a layout is pruned; far
 # above the per-cube solver's relative error (norms.REL_TOL = 1e-8 per norm)
 SLACK = 1e-6
+# cubes per bracket call of the branch and bound: small layouts share a
+# call, and a call's temporaries stay in cache
+BRACKET_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -109,8 +112,9 @@ def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:
 class MuckenhouptReport:
     constant: float
     cube_count: int  # cubes swept, counted once for every (level, shift)
-    # cubes whose value was computed: a layout that repeats another's cubes
-    # takes its values, and the rest were ruled out by a bound
+    # cubes whose value was computed, each distinct cube once: a layout that
+    # repeats another's cubes takes its values, and the rest were ruled out
+    # by a bound
     cubes_solved: int
 
 
@@ -143,51 +147,78 @@ def _bracket(log_m, p_mean, p_lo, p_hi) -> tuple[np.ndarray, np.ndarray]:
     disc = p_mean * p_mean - 0.5 * (p_hi - p_lo) ** 2 * log_m  # p_mean^2 - 4 kappa log M
     with np.errstate(invalid="ignore"):
         parabola = 2.0 * log_m / (p_mean + np.sqrt(disc))  # the stable form of the root nearest 0
-    hi = np.maximum(log_m / p_lo, log_m / p_hi)
-    hi = np.where(disc >= 0.0, np.minimum(parabola, hi), hi)
+    # no root (disc < 0) makes the parabola's nan, which fmin passes over
+    hi = np.fmin(parabola, np.maximum(log_m / p_lo, log_m / p_hi))
     finite = np.isfinite(log_m)
     return np.where(finite, log_m / p_mean, -np.inf), np.where(finite, hi, np.inf)
 
 
 def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> MuckenhouptReport:
     """Largest per-cube value over the layouts (level, shift) with side at
-    most max_side and shift in `shifts`, solving only the layouts that can
+    most max_side and shift in `shifts`, solving only the cubes that can
     hold it.
 
     One pass along the chain pyramids (`layout_sums`, each distinct cube
-    layout once) reduces `arrays` per cube with `ops`; `bracket(level,
+    layout once) reduces `arrays` per cube with `ops`, and `bracket(level,
     reductions)` turns them into the log lower and log upper bound of every
-    cube's value, and each layout keeps only the largest of each.  Layouts
-    are solved whole by `solve(level, shift)`, in descending order of their
-    upper bound, until one's upper bound times 1 + SLACK falls below the
-    best value found or the largest lower bound: no layout after it holds a
-    larger value.  A cube's solved value depends on its batch (through the
-    solver's global stop test and p bracket), so no layout is split, and
-    the shifts that share a layout share its solve, whose inputs are the
-    same: the constant is bitwise the one a sweep of every layout returns.
+    cube's value.  Consecutive layouts share a bracket call up to
+    BRACKET_BLOCK cubes in all, their reductions laid end to end and
+    `level` an array per cube; a larger layout has a call of its own.  Layouts are taken in descending order of their largest upper
+    bound, until one's times 1 + SLACK falls below the bar, the best value
+    found or the largest lower bound: no cube after it holds a larger
+    value.  In each layout taken, `solve(level, shift, cubes)` solves only
+    the cubes whose upper bound times 1 + SLACK reaches the bar, or the
+    whole layout (cubes None) when they are most of it: gathering most of
+    a layout costs more than solving the rest.  A cube's solved value does
+    not depend on which other cubes are solved with it, and the shifts
+    that share a layout share its bracket and its solve, whose inputs are
+    the same: the constant is bitwise the one a sweep of every cube of
+    every layout returns.
     """
     levels = level_range(d, max_side)
     if not levels:
         raise ValueError(f"no cube of side at most max_side = {max_side:g} on the lattice of step h = {d.h:g}")
     # the chain from lattice shift a holds the shifts a and 2a mod 3 only
     chains = [a for a in all_shifts(d.dim) if a in shifts or tuple(2 * x % 3 for x in a) in shifts]
-    table = []
+    layouts, highs, block = [], [], []  # block: the layouts awaiting their bracket
+    bar = 0.0  # every layout's largest value is at least its largest lower bound
+
+    def bracket_block():
+        nonlocal bar
+        ks, reds = zip(*block)
+        sizes = [red[0].size for red in reds]
+        if len(block) == 1:  # a large layout alone
+            lo, hi = bracket(ks[0], [r.ravel() for r in reds[0]])
+        else:  # small ones laid end to end
+            lo, hi = bracket(np.repeat(ks, sizes), [np.concatenate([r.ravel() for r in col]) for col in zip(*reds)])
+        with np.errstate(over="ignore"):
+            bar = max(bar, float(np.exp(np.max(lo))))
+        highs.extend(np.split(hi, np.cumsum(sizes)[:-1]))
+        block.clear()
+
     for k, held, red in layout_sums(d, chains, arrays, levels[-1], ops):
         held = [a for a in held if a in shifts]
         if held:
-            lo, hi = bracket(k, red)
-            with np.errstate(over="ignore"):
-                table.append((float(np.exp(np.max(lo))), float(np.exp(np.max(hi))), k, held, red[0].size))
-    table.sort(key=lambda t: -t[1])  # stable: ties keep the sweep order
-    bar = max(t[0] for t in table)  # every layout's largest value is at least its lower bound
+            if block and sum(r[0].size for _, r in block) + red[0].size > BRACKET_BLOCK:
+                bracket_block()
+            layouts.append((k, held[0], len(held), red[0].size))
+            block.append((k, red))
+    bracket_block()
+    with np.errstate(over="ignore"):
+        tops = np.exp([np.max(hi) for hi in highs])
     best, solved = -np.inf, 0
-    for _, upper, k, held, count in table:
-        if upper * (1.0 + SLACK) < bar:
+    for i in np.argsort(-tops, kind="stable"):  # stable: ties keep the sweep order
+        if tops[i] * (1.0 + SLACK) < bar:
             break
-        best = max(best, float(np.max(solve(k, held[0]))))
+        k, shift, _, size = layouts[i]
+        with np.errstate(over="ignore"):
+            cubes = np.flatnonzero(np.exp(highs[i]) * (1.0 + SLACK) >= bar)
+        if 2 * cubes.size > size:
+            cubes = None
+        best = max(best, float(np.max(solve(k, shift, cubes))))
         bar = max(bar, best)
-        solved += count
-    return MuckenhouptReport(best, sum(len(t[3]) * t[4] for t in table), solved)
+        solved += size if cubes is None else cubes.size
+    return MuckenhouptReport(best, sum(n * size for _, _, n, size in layouts), solved)
 
 
 def _cube_means(
@@ -310,7 +341,7 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     Both norms are bracketed per cube (`_bracket`) from w(Q) and sigma(Q),
     the means of p under w and of p' under sigma, and p_-(Q), p_+(Q); the
     bracket lies inside the one between M^{1/p_-(Q)} and M^{1/p_+(Q)}.
-    Only the layouts whose upper bound can reach the sup are solved.
+    Only the cubes whose upper bound can reach the sup are solved.
     """
     p.requires_class_p()
     d = w.domain
@@ -326,9 +357,10 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
         inv_vol = level * d.dim * math.log(2.0)
         return inv_vol + w_lo + s_lo, inv_vol + w_hi + s_hi
 
-    def per_cube(level, shift):
-        n1, _ = norms.batch_restricted_norms(1.0, p, w, level, shift)
-        n2, _ = norms.batch_restricted_norms(1.0, pd, sigma, level, shift)
+    def per_cube(level, shift, cubes=None):
+        layout = CubeLayout(d, level, shift)  # one for both norms
+        n1, _ = norms.batch_restricted_norms(1.0, p, w, level, shift, cubes, layout)
+        n2, _ = norms.batch_restricted_norms(1.0, pd, sigma, level, shift, cubes, layout)
         return n1 * n2 / (2.0 ** (-level)) ** d.dim
 
     ws, ss = w.values.samples, sigma.values.samples
@@ -385,7 +417,7 @@ def tilde_a_constant(
     With r = p'/p = 1/(p - 1), the last factor is bracketed per cube
     (`_bracket`) from M, the integral of w^{-r} over Q, the mean of r under
     w^{-r}, and r's range; the bracket lies inside the one between
-    M^{p_- - 1} and M^{p_+ - 1}.  Only the levels whose upper bound can
+    M^{p_- - 1} and M^{p_+ - 1}.  Only the cubes whose upper bound can
     reach the sup are solved.
     """
     p.requires_class_p()
@@ -409,13 +441,15 @@ def tilde_a_constant(
         inside = count == 2.0 ** ((d.level - level) * d.dim)
         return np.where(inside, base + lo, -np.inf), np.where(inside, base + hi, -np.inf)
 
-    def per_cube(level, shift):
-        cubes = CubeLayout(d, level, shift)
-        norms_q, _ = norms.batch_restricted_norms(winv, ratio_exp, None, level, shift)
+    def per_cube(level, shift, cubes=None):
+        layout = CubeLayout(d, level, shift)
+        norms_q, _ = norms.batch_restricted_norms(winv, ratio_exp, None, level, shift, cubes, layout)
         vol = (2.0 ** (-level)) ** d.dim
-        occupancy = cubes.occupancy()
-        p_q = occupancy / cubes.means(1.0 / pv)  # harmonic mean of p over each cube
-        return np.where(occupancy > 1.0 - 1e-9, vol ** (-p_q) * (cubes.sums(ws) * hn) * norms_q, -np.inf)
+        occupancy, inv_p, mass = layout.occupancy(), layout.means(1.0 / pv), layout.sums(ws)
+        if cubes is not None:
+            occupancy, inv_p, mass = occupancy[cubes], inv_p[cubes], mass[cubes]
+        p_q = occupancy / inv_p  # harmonic mean of p over each cube
+        return np.where(occupancy > 1.0 - 1e-9, vol ** (-p_q) * (mass * hn) * norms_q, -np.inf)
 
     r = ratio_exp.values.samples
     mass = winv ** r  # the modular's weights c |g|^r, up to h^n

@@ -364,6 +364,36 @@ class TestBatchNorms:
         assert lq_norm(f, np.inf) == f.sup()
 
 
+class TestBatchIndependence:
+    """A cube's norm depends on its own points only: bitwise the same from
+    the whole layout, from a call on that cube alone and from a call on a
+    random half of the cubes, and the scalar norm of g on the cube."""
+
+    @pytest.mark.parametrize(
+        "domain, layouts",
+        [(Domain(1, 8, 9), [(3, (2,)), (0, (1,))]), (Domain(2, 1, 5), [(2, (2, 0)), (0, (1, 1))])],
+        ids=["n1", "n2"],
+    )
+    @pytest.mark.parametrize(
+        "wspec, pspec", [("absp:0.5", "sin2"), ("exp:1", "lhdecay:1"), ("power:-0.5", "const:2")]
+    )
+    def test_a_cube_does_not_see_its_batch(self, domain, layouts, wspec, pspec):
+        w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
+        rng = np.random.default_rng(41)
+        for level, shift in layouts:
+            # the indicator's norm (the A-type constants) and 1/w on the cube (Ã's)
+            for g in (np.array(1.0), 1.0 / w.values.samples):
+                whole, ids = batch_restricted_norms(g, p, w, level, shift)
+                half = rng.permutation(whole.size)[: whole.size // 2]
+                got, _ = batch_restricted_norms(g, p, w, level, shift, half)
+                assert np.array_equal(got, whole[half])
+                for q in range(whole.size):
+                    alone, _ = batch_restricted_norms(g, p, w, level, shift, np.array([q]))
+                    assert alone[0] == whole[q]
+                    on_cube = GridFunction(domain, np.where(ids == q, g, 0.0))
+                    assert whole[q] == pytest.approx(luxemburg_norm(on_cube, p, w), rel=1e-14, abs=0)
+
+
 class TestResolutionConvergence:
     def test_doubling_resolution_moves_norm_under_two_percent(self, dom):
         # smooth test functions: the Luxemburg norm is quadrature-converged
@@ -384,10 +414,12 @@ class TestResolutionConvergence:
 
 
 def newton_reference(g, pvals, c, cubes=None):
-    """The per-group Luxemburg solve as one Newton loop for every exponent,
-    kept as the reference of the solver's constant-exponent shortcuts."""
+    """The per-group Luxemburg solve as one plain Newton loop over every
+    group at once, each group frozen at its own first step of at most
+    REL_TOL: the reference of the solver's closed forms, shortcuts and
+    shrinking working arrays."""
     if cubes is None:
-        sums, field = (lambda v: np.sum(v, keepdims=True)), (lambda s: s)
+        sums, field = (lambda v: np.sum(v, keepdims=True).ravel()), (lambda s: s)
     else:
         sums, field = cubes.sums, cubes.field
     with np.errstate(divide="ignore"):
@@ -406,13 +438,14 @@ def newton_reference(g, pvals, c, cubes=None):
         log_rho = np.log(np.where(live, rho, 1.0))
         lo = np.minimum(log_rho / pmin, log_rho / pmax)
         hi = np.maximum(log_rho / pmin, log_rho / pmax)
-        s = np.zeros(rho.shape)
+        s, frozen = np.zeros(rho.shape), np.zeros(rho.shape, dtype=bool)
         for _ in range(norms_mod._MAX_STEPS):
             nxt = s + np.log(rho) * rho / sums(pvals * terms)
             nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
-            done = np.all(np.abs(nxt - s) <= norms_mod.REL_TOL)
-            s = nxt
-            if done:
+            done = np.abs(nxt - s) <= norms_mod.REL_TOL
+            s = np.where(frozen, s, nxt)
+            frozen |= done
+            if np.all(frozen):
                 break
             terms = c * np.exp(pvals * (b - field(s)))
             rho = sums(terms)
@@ -444,7 +477,10 @@ class TestConstantExponentShortcut:
         bump = np.where(r < 0.3, np.cos(r), 0.0)  # zero on most cubes: empty groups
         for g in (np.array(2.5), np.broadcast_to(2.5, domain.shape), bump, 1e-3 * bump):
             want = newton_reference(np.broadcast_to(g, domain.shape), p.values.samples, c, cubes)
-            got = norms_mod._luxemburg_solve(g, p.values.samples, c, cubes)
+            if cubes is None:
+                got = norms_mod._luxemburg_solve(g, p.values.samples, c)
+            else:
+                got, _ = batch_restricted_norms(g, p, w, level, cubes.shift)
             assert np.array_equal(got, want)
         if cubes is not None:
             assert np.any(want == 0.0) and np.any(want > 0.0)
@@ -455,10 +491,12 @@ class TestConstantExponentShortcut:
         p = exponent_preset(spec, d)
         w = weight_preset("absp:0.5", d)
         for level in (5, 0):
-            got, _ = batch_restricted_norms(1.0, p, w, level, (0,))
-            want = newton_reference(np.ones(d.shape), p.values.samples, norms_mod._cell_weights(d, w),
-                                    CubeLayout(d, level, (0,)))
-            assert np.array_equal(got, want)
+            # cubes that converge at different steps leave the solve apart
+            for g in (np.array(1.0), 1.0 / w.values.samples):
+                got, _ = batch_restricted_norms(g, p, w, level, (0,))
+                want = newton_reference(np.broadcast_to(g, d.shape), p.values.samples,
+                                        norms_mod._cell_weights(d, w), CubeLayout(d, level, (0,)))
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("level", [0, -4])
     def test_nonfinite_modular_raises_as_the_loop(self, level):
@@ -470,4 +508,4 @@ class TestConstantExponentShortcut:
         with pytest.raises(Exception) as want:
             newton_reference(np.ones(d.shape), p.values.samples, c, cubes)
         with pytest.raises(want.type, match=str(want.value)):
-            norms_mod._luxemburg_solve(np.array(1.0), p.values.samples, c, cubes)
+            batch_restricted_norms(1.0, p, Weight.constant(d, 1e308), level, (1,))

@@ -399,12 +399,13 @@ E4_EXPONENTS = ("const:2", "const:3", "sin2", "lhdecay:1")
 
 @pytest.fixture
 def solves(monkeypatch):
-    """Every call of `norms.batch_restricted_norms`: (level, shift, cubes)."""
+    """Every call of `norms.batch_restricted_norms`: (level, shift, cubes
+    solved)."""
     seen = []
     real = norms.batch_restricted_norms
 
-    def counting(g, p, w, level, shift):
-        vals, qidx = real(g, p, w, level, shift)
+    def counting(g, p, w, level, shift, *rest):
+        vals, qidx = real(g, p, w, level, shift, *rest)
         seen.append((level, shift, vals.size))
         return vals, qidx
 
@@ -413,7 +414,7 @@ def solves(monkeypatch):
 
 
 class TestBranchAndBound:
-    """The constants solve only the layouts whose bracket can reach the sup,
+    """The constants solve only the cubes whose bracket can reach the sup,
     and return bitwise the sup of a sweep that solves every layout."""
 
     @DOMAINS_1D_2D
@@ -465,17 +466,19 @@ class TestBranchAndBound:
         assert checked > 0
 
     @pytest.mark.parametrize(
-        "wspec, layouts", [("power:-0.5", 1), ("const:1", 27)], ids=["pruned", "ties"]
+        "wspec, layouts, cubes", [("power:-0.5", 1, 1), ("const:1", 27, 28641)], ids=["pruned", "ties"]
     )
-    def test_layouts_solved(self, dom, wspec, layouts, solves):
+    def test_layouts_solved(self, dom, wspec, layouts, cubes, solves):
         # a constant weight and exponent make every cube 1: ties are never
         # pruned, but of the 30 layouts the three lattice ones are one, and
-        # shifts 0 and 2 share their cubes at level m - 1: 27 are solved
+        # shifts 0 and 2 share their cubes at level m - 1: 27 are solved;
+        # where the bounds prune, one cube of one layout is
         rep = a_loc_var_constant(weight_preset(wspec, dom), exponent_preset("const:2", dom))
         assert len(level_range(dom, 1.0)) * len(all_shifts(1)) == 30
         assert rep.cube_count == sum(CubeLayout(dom, k, a).count for k in level_range(dom, 1.0) for a in all_shifts(1))
         assert len(solves) == 2 * layouts
-        assert rep.cubes_solved == sum(n for *_, n in solves) // 2
+        # both norms of a layout solve the same cubes, counted once
+        assert rep.cubes_solved == cubes == sum(n for *_, n in solves) // 2
 
     @DOMAINS_1D_2D
     def test_unsolved_ties_repeat_a_solved_layout(self, domain, solves):
@@ -491,6 +494,7 @@ class TestBranchAndBound:
         for k, a in skipped:
             ids = CubeLayout(domain, k, a).ids
             assert any(np.array_equal(ids, CubeLayout(domain, k, b).ids) for j, b in solved if j == k)
+        # every cube of a solved layout is solved, both norms counted once
         assert rep.cubes_solved == sum(c for *_, c in solves) // 2
 
     def test_no_cube_fits_max_side(self, dom):
