@@ -207,10 +207,11 @@ def cmd_awconst(args) -> int:
             rep = constant()
             wall = time.perf_counter() - t0
             # of the cubes of every (level, shift), those whose norms were
-            # solved: repeated layouts' cubes and pruned cubes are not
+            # solved: repeated layouts' cubes and pruned cubes are not; and
+            # the candidates whose upper bound the second moment tightened
             print(
-                f"{name:<12} = {rep.constant:.8g}  "
-                f"(solved {rep.cubes_solved} of {rep.cube_count} cubes, wall {wall * 1e3:.2f} ms)"
+                f"{name:<12} = {rep.constant:.8g}  (solved {rep.cubes_solved} of {rep.cube_count} cubes, "
+                f"{rep.cubes_refined} bounds refined, wall {wall * 1e3:.2f} ms)"
             )
     print(f"q_w estimate = {q_w_estimate(w):.5g}")
     return 0

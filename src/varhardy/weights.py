@@ -52,6 +52,10 @@ SLACK = 1e-6
 # cubes per bracket call of the branch and bound: small layouts share a
 # call, and a call's temporaries stay in cache
 BRACKET_BLOCK = 1 << 12
+# the variance of p under a modular's weights, E[p^2] - E[p]^2, is raised
+# by this times E[p^2] before it bounds a norm (`_bennett`): the difference
+# of two sums cancels, with an error estimated at 7e-15 E[p^2]
+VARIANCE_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,9 @@ class MuckenhouptReport:
     # repeats another's cubes takes its values, and the rest were ruled out
     # by a bound
     cubes_solved: int
+    # candidate cubes whose upper bound the second moment tightened
+    # (`_bennett`)
+    cubes_refined: int
 
 
 def _largest(vals: np.ndarray, starts: np.ndarray, count: int) -> MuckenhouptReport:
@@ -125,10 +132,10 @@ def _largest(vals: np.ndarray, starts: np.ndarray, count: int) -> MuckenhouptRep
     best = -np.inf
     for v in np.maximum.reduceat(vals, starts).tolist():
         best = max(best, v)
-    return MuckenhouptReport(best, count, count)
+    return MuckenhouptReport(best, count, count, 0)
 
 
-def _bracket(log_m, p_mean, p_lo, p_hi) -> tuple[np.ndarray, np.ndarray]:
+def _bracket(log_m, p_mean, p_lo, p_hi, p_sq=None) -> tuple[np.ndarray, np.ndarray]:
     """Per cube, a lower and an upper bound of log lambda, lambda the
     Luxemburg norm on the cube of a g whose modular is
     sum_Q c |g|^{p(x)} lambda^{-p(x)}.
@@ -142,18 +149,71 @@ def _bracket(log_m, p_mean, p_lo, p_hi) -> tuple[np.ndarray, np.ndarray]:
     / 8, and s lies below that parabola's root nearest 0 when it has one.
     s also lies between log M / p_hi and log M / p_lo, the bounds of a
     constant exponent.  A log M that is not finite (an overflowed or
-    underflowed mass) brackets nothing.
+    underflowed mass) brackets nothing.  `p_sq`, the mean of p^2 under the
+    same weights, tightens the upper bound with the cube's own variance of
+    p, which may be far below (p_hi - p_lo)^2 / 4 (`_bennett`).
     """
     disc = p_mean * p_mean - 0.5 * (p_hi - p_lo) ** 2 * log_m  # p_mean^2 - 4 kappa log M
     with np.errstate(invalid="ignore"):
         parabola = 2.0 * log_m / (p_mean + np.sqrt(disc))  # the stable form of the root nearest 0
     # no root (disc < 0) makes the parabola's nan, which fmin passes over
     hi = np.fmin(parabola, np.maximum(log_m / p_lo, log_m / p_hi))
+    if p_sq is not None:
+        hi = _bennett(log_m, p_mean, p_sq, p_lo, p_hi, hi)
     finite = np.isfinite(log_m)
     return np.where(finite, log_m / p_mean, -np.inf), np.where(finite, hi, np.inf)
 
 
-def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> MuckenhouptReport:
+def _bennett(log_m, p_mean, p_sq, p_lo, p_hi, hi) -> np.ndarray:
+    """`_bracket`'s upper bound hi of s tightened by Bennett's inequality
+    (Bennett, JASA 57 (1962)): phi(s) = log M + log E e^{-s (p - p_mean)},
+    the mean E under the weights c |g|^p, and for X = p_mean - p (s > 0) or
+    p - p_mean (s < 0), of mean 0 and at most b = p_mean - p_lo or
+    p_hi - p_mean, and for any v at least the variance of p,
+    log E e^{|s| X} <= (v / b^2)(e^{|s| b} - 1 - |s| b).  So phi lies below
+    U(s) = log M - p_mean s + (v / b^2)(e^{|s| b} - 1 - |s| b), and every
+    s with U(s) <= 0 lies above phi's root.  U is convex, monotone on the
+    side of 0 where the root lies, and at least 0 at the tangent root
+    log M / p_mean.  Where U(hi) <= 0, regula falsi between the two keeps
+    its right end at a point where U <= 0, and Newton from the tangent
+    root, whose steps stay left of U's root, moves its left end: three of
+    each.  v is E[p^2] - p_mean^2 plus VARIANCE_MARGIN E[p^2], which
+    covers the cancellation of the difference; b = 0 takes the limit
+    v s^2 / 2.  Where U(hi) > 0 (the Hoeffding parabola's term is the
+    smaller there) hi stays."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        v = np.maximum(p_sq - p_mean * p_mean, 0.0) + VARIANCE_MARGIN * p_sq
+        b = np.maximum(np.where(log_m > 0.0, p_mean - p_lo, p_hi - p_mean), 0.0)
+        side = np.sign(log_m)
+
+        def u(s):  # U(s) and U'(s)
+            t = np.abs(s)
+            x = t * b
+            small = x < 1e-3
+            xs = np.where(small, 1.0, x)
+            em1 = np.expm1(xs)
+            # (e^x - 1 - x) / x^2 and (e^x - 1) / x, by their series near 0
+            f = np.where(small, 0.5 + x * (1.0 / 6.0 + x * (1.0 / 24.0 + x / 120.0)), (em1 - xs) / (xs * xs))
+            g = np.where(small, 1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0)), em1 / xs)
+            return log_m - p_mean * s + v * t * t * f, side * v * t * g - p_mean
+
+        a, c = log_m / p_mean, hi
+        ua, da = u(a)
+        uc, _ = u(c)
+        for _ in range(3):
+            step = (ua > 0.0) & (da < 0.0)
+            a = np.where(step, a - ua / da, a)
+            ua, da = u(a)
+            # the chord from (a, U(a) >= 0) to (c, U(c) <= 0) lies above the
+            # convex U, so its root is a point where U <= 0; an a where U
+            # already is <= 0 is one itself
+            chord = np.where(ua > 0.0, c - uc * (c - a) / (uc - ua), a)
+            c = np.where(uc <= 0.0, np.minimum(c, chord), c)
+            uc, _ = u(c)
+    return np.fmin(hi, c)
+
+
+def _branch_and_bound(d, max_side, shifts, arrays, ops, moments, bracket, solve) -> MuckenhouptReport:
     """Largest per-cube value over the layouts (level, shift) with side at
     most max_side and shift in `shifts`, solving only the cubes that can
     hold it.
@@ -163,7 +223,24 @@ def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> Mucke
     reductions)` turns them into the log lower and log upper bound of every
     cube's value.  Consecutive layouts share a bracket call up to
     BRACKET_BLOCK cubes in all, their reductions laid end to end and
-    `level` an array per cube; a larger layout has a call of its own.  Layouts are taken in descending order of their largest upper
+    `level` an array per cube; a larger layout has a call of its own.  The
+    lattice layout, one point per cube, takes the bracket [0, 0] with no
+    bracket arithmetic, since both constants are exactly 1 on a one-point
+    cube; where one of its reductions is not finite and positive, it is
+    bracketed as the others are.
+
+    With the bar fixed (the largest lower bound), the loose candidates,
+    the cubes whose upper bound times 1 + SLACK reaches the bar and whose
+    bracket is wider than SLACK, may have their upper bounds tightened.
+    Where they hold more than a quarter of the lattice's points, one more
+    pass sums `moments` (each norm's c |g|^p p^2) per cube, and one call
+    `bracket(level, reductions, moment sums)` on the candidates of every
+    layout gives their upper bounds with the second moment (`_bennett`).
+    Fewer points cost less to solve than that pass: the pass sums every
+    layout, a solve steps each point of a cube two to four times, and
+    only some candidates are solved once the bar rises.
+
+    Layouts are taken in descending order of their largest upper
     bound, until one's times 1 + SLACK falls below the bar, the best value
     found or the largest lower bound: no cube after it holds a larger
     value.  In each layout taken, `solve(level, shift, cubes)` solves only
@@ -180,32 +257,72 @@ def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> Mucke
         raise ValueError(f"no cube of side at most max_side = {max_side:g} on the lattice of step h = {d.h:g}")
     # the chain from lattice shift a holds the shifts a and 2a mod 3 only
     chains = [a for a in all_shifts(d.dim) if a in shifts or tuple(2 * x % 3 for x in a) in shifts]
-    layouts, highs, block = [], [], []  # block: the layouts awaiting their bracket
+    layouts, reds, lows, highs, block = [], [], [], [], []  # block: the layouts awaiting their bracket
     bar = 0.0  # every layout's largest value is at least its largest lower bound
 
     def bracket_block():
         nonlocal bar
-        ks, reds = zip(*block)
-        sizes = [red[0].size for red in reds]
+        ks, blocked = zip(*block)
+        sizes = [red[0].size for red in blocked]
         if len(block) == 1:  # a large layout alone
-            lo, hi = bracket(ks[0], [r.ravel() for r in reds[0]])
+            lo, hi = bracket(ks[0], [r.ravel() for r in blocked[0]])
         else:  # small ones laid end to end
-            lo, hi = bracket(np.repeat(ks, sizes), [np.concatenate([r.ravel() for r in col]) for col in zip(*reds)])
+            lo, hi = bracket(np.repeat(ks, sizes), [np.concatenate([r.ravel() for r in col]) for col in zip(*blocked)])
         with np.errstate(over="ignore"):
             bar = max(bar, float(np.exp(np.max(lo))))
-        highs.extend(np.split(hi, np.cumsum(sizes)[:-1]))
+        cuts = np.cumsum(sizes)[:-1]
+        lows.extend(np.split(lo, cuts))
+        highs.extend(np.split(hi, cuts))
         block.clear()
 
-    for k, held, red in layout_sums(d, chains, arrays, levels[-1], ops):
-        held = [a for a in held if a in shifts]
-        if held:
-            if block and sum(r[0].size for _, r in block) + red[0].size > BRACKET_BLOCK:
-                bracket_block()
-            layouts.append((k, held[0], len(held), red[0].size))
-            block.append((k, red))
-    bracket_block()
+    def held_layouts(arrays, ops=None):
+        for k, held, red in layout_sums(d, chains, arrays, levels[-1], ops):
+            held = [a for a in held if a in shifts]
+            if held:
+                yield k, held, red
+
+    for k, held, red in held_layouts(arrays, ops):
+        layouts.append((k, held[0], len(held), red[0].size))
+        reds.append(red)
+        if k == d.level and all(0.0 < np.min(r) and np.max(r) < np.inf for r in red):
+            lows.append(np.zeros(red[0].size))  # the lattice layout comes first: no block waits
+            highs.append(np.zeros(red[0].size))
+            bar = max(bar, 1.0)
+            continue
+        if block and sum(r[0].size for _, r in block) + red[0].size > BRACKET_BLOCK:
+            bracket_block()
+        block.append((k, red))
+    if block:
+        bracket_block()
+    tops = [float(np.max(hi)) for hi in highs]  # log terms
+    # an upper bound below `reach` times 1 + SLACK falls below the bar
+    reach = math.log(bar) - math.log1p(SLACK) if bar > 0.0 else -math.inf
+    with np.errstate(invalid="ignore"):
+        loose = {
+            i: (highs[i] >= reach) & (highs[i] - lows[i] > SLACK)
+            for i in range(len(layouts)) if tops[i] >= reach
+        }
+    points = sum(np.count_nonzero(c) * 2.0 ** ((d.level - layouts[i][0]) * d.dim) for i, c in loose.items())
+    refined = 0
+    if 4.0 * points > math.prod(d.shape):
+        loose = {i: np.flatnonzero(c) for i, c in loose.items() if c.any()}
+        sums = [
+            [s.ravel()[loose[i]] for s in sq]
+            for i, (_, _, sq) in zip(range(max(loose) + 1), held_layouts(moments)) if i in loose
+        ]
+        sizes = [c.size for c in loose.values()]
+        _, hi = bracket(
+            np.repeat([layouts[i][0] for i in loose], sizes),
+            [np.concatenate([reds[i][j].ravel()[c] for i, c in loose.items()]) for j in range(len(arrays))],
+            [np.concatenate(col) for col in zip(*sums)],
+        )
+        for (i, c), h in zip(loose.items(), np.split(hi, np.cumsum(sizes)[:-1])):
+            refined += int(np.count_nonzero(h < highs[i][c]))
+            highs[i][c] = np.minimum(highs[i][c], h)
+            tops[i] = float(np.max(highs[i]))
+    del reds  # the solves need none of them
     with np.errstate(over="ignore"):
-        tops = np.exp([np.max(hi) for hi in highs])
+        tops = np.exp(tops)
     best, solved = -np.inf, 0
     for i in np.argsort(-tops, kind="stable"):  # stable: ties keep the sweep order
         if tops[i] * (1.0 + SLACK) < bar:
@@ -218,7 +335,7 @@ def _branch_and_bound(d, max_side, shifts, arrays, ops, bracket, solve) -> Mucke
         best = max(best, float(np.max(solve(k, shift, cubes))))
         bar = max(bar, best)
         solved += size if cubes is None else cubes.size
-    return MuckenhouptReport(best, sum(n * size for _, _, n, size in layouts), solved)
+    return MuckenhouptReport(best, sum(n * size for _, _, n, size in layouts), solved, refined)
 
 
 def _cube_means(
@@ -299,7 +416,7 @@ def a1_loc_constant(w: Weight) -> MuckenhouptReport:
 
     mloc = local_maximal(w.values)
     ratio = mloc.samples / w.values.samples
-    return MuckenhouptReport(float(np.max(ratio)), ratio.size, ratio.size)
+    return MuckenhouptReport(float(np.max(ratio)), ratio.size, ratio.size, 0)
 
 
 def reverse_holder_check(w: Weight, q: float | None = None) -> Report:
@@ -341,7 +458,11 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     Both norms are bracketed per cube (`_bracket`) from w(Q) and sigma(Q),
     the means of p under w and of p' under sigma, and p_-(Q), p_+(Q); the
     bracket lies inside the one between M^{1/p_-(Q)} and M^{1/p_+(Q)}.
-    Only the cubes whose upper bound can reach the sup are solved.
+    The upper bounds of the cubes that can reach the sup are tightened by
+    the means of p^2 under w and of p'^2 under sigma (`_bennett`) when
+    those cubes hold more than a quarter of the lattice's points.  A one-point cube has
+    value exactly 1, since w^{1/p} sigma^{1/p'} = 1.  Only the cubes whose
+    upper bound can reach the sup are solved.
     """
     p.requires_class_p()
     d = w.domain
@@ -350,10 +471,11 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
     pv = p.values.samples
     hn = d.h ** d.dim
 
-    def bracket(level, red):
+    def bracket(level, red, sq=None):
         mw, ms, mwp, msp, p_lo, p_hi = red
-        w_lo, w_hi = _bracket(np.log(mw * hn), mwp / mw, p_lo, p_hi)
-        s_lo, s_hi = _bracket(np.log(ms * hn), msp / ms, p_hi / (p_hi - 1.0), p_lo / (p_lo - 1.0))
+        w_sq, s_sq = (None, None) if sq is None else (sq[0] / mw, sq[1] / ms)
+        w_lo, w_hi = _bracket(np.log(mw * hn), mwp / mw, p_lo, p_hi, w_sq)
+        s_lo, s_hi = _bracket(np.log(ms * hn), msp / ms, p_hi / (p_hi - 1.0), p_lo / (p_lo - 1.0), s_sq)
         inv_vol = level * d.dim * math.log(2.0)
         return inv_vol + w_lo + s_lo, inv_vol + w_hi + s_hi
 
@@ -363,10 +485,11 @@ def a_loc_var_constant(w: Weight, p: VariableExponent) -> MuckenhouptReport:
         n2, _ = norms.batch_restricted_norms(1.0, pd, sigma, level, shift, cubes, layout)
         return n1 * n2 / (2.0 ** (-level)) ** d.dim
 
-    ws, ss = w.values.samples, sigma.values.samples
+    ws, ss, pdv = w.values.samples, sigma.values.samples, pd.values.samples
+    wp, sp = ws * pv, ss * pdv
     return _branch_and_bound(
-        d, 1.0, all_shifts(d.dim), (ws, ss, ws * pv, ss * pd.values.samples, pv, pv),
-        (np.add, np.add, np.add, np.add, np.minimum, np.maximum), bracket, per_cube,
+        d, 1.0, all_shifts(d.dim), (ws, ss, wp, sp, pv, pv),
+        (np.add, np.add, np.add, np.add, np.minimum, np.maximum), (wp * pv, sp * pdv), bracket, per_cube,
     )
 
 
@@ -417,8 +540,13 @@ def tilde_a_constant(
     With r = p'/p = 1/(p - 1), the last factor is bracketed per cube
     (`_bracket`) from M, the integral of w^{-r} over Q, the mean of r under
     w^{-r}, and r's range; the bracket lies inside the one between
-    M^{p_- - 1} and M^{p_+ - 1}.  Only the cubes whose upper bound can
-    reach the sup are solved.
+    M^{p_- - 1} and M^{p_+ - 1}.  The upper bounds of the cubes that can
+    reach the sup are tightened by the mean of r^2 under w^{-r}
+    (`_bennett`) when those cubes hold more than a quarter of the
+    lattice's points.  A
+    one-point cube has value exactly 1, since
+    h^{-np} h^n w (h^n w^{-r})^{1/r} = 1.  Only the cubes whose upper bound
+    can reach the sup are solved.
     """
     p.requires_class_p()
     d = w.domain
@@ -433,9 +561,10 @@ def tilde_a_constant(
     ws = w.values.samples
     hn = d.h ** d.dim
 
-    def bracket(level, red):
+    def bracket(level, red, sq=None):
         count, mw, m, mr, inv_p, p_lo, p_hi = red
-        lo, hi = _bracket(np.log(m * hn), mr / m, 1.0 / (p_hi - 1.0), 1.0 / (p_lo - 1.0))
+        r_sq = None if sq is None else sq[0] / m
+        lo, hi = _bracket(np.log(m * hn), mr / m, 1.0 / (p_hi - 1.0), 1.0 / (p_lo - 1.0), r_sq)
         # |Q|^{-p_Q} with p_Q the harmonic mean of p over the cube
         base = count / inv_p * (level * d.dim * math.log(2.0)) + np.log(mw * hn)
         inside = count == 2.0 ** ((d.level - level) * d.dim)
@@ -453,9 +582,10 @@ def tilde_a_constant(
 
     r = ratio_exp.values.samples
     mass = winv ** r  # the modular's weights c |g|^r, up to h^n
+    mr = mass * r
     return _branch_and_bound(
-        d, max_side, [shift], (np.ones(d.shape), ws, mass, mass * r, 1.0 / pv, pv, pv),
-        (np.add, np.add, np.add, np.add, np.add, np.minimum, np.maximum), bracket, per_cube,
+        d, max_side, [shift], (np.ones(d.shape), ws, mass, mr, 1.0 / pv, pv, pv),
+        (np.add, np.add, np.add, np.add, np.add, np.minimum, np.maximum), (mr * r,), bracket, per_cube,
     )
 
 

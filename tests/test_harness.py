@@ -202,7 +202,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "q_w estimate" in out
         for name in ("A_p(.)^loc", "tilde A"):
-            assert re.search(rf"^{re.escape(name)} += \S+  \(solved \d+ of \d+ cubes, wall \d+\.\d\d ms\)$", out, re.M), name
+            assert re.search(rf"^{re.escape(name)} += \S+  \(solved \d+ of \d+ cubes, \d+ bounds refined, wall \d+\.\d\d ms\)$", out, re.M), name
 
     def test_atoms_command_serializes(self, tmp_path, capsys):
         code = main(

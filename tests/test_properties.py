@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic invariants on a compact domain."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 from varhardy.exponent import VariableExponent, dual_exponent
 from varhardy.grid import Cube, Domain, GridFunction, quadrature, rescale_mollifier
 from varhardy.maximal import hl_maximal
-from varhardy.norms import luxemburg_norm, modular
+from varhardy.norms import _luxemburg_solve, luxemburg_norm, modular
 from varhardy.wavelets import analyze, build_wavelet_system
-from varhardy.weights import Weight
+from varhardy.weights import SLACK, VARIANCE_MARGIN, Weight, _bennett, _bracket
 
 DOM = Domain(1, 2, 5)  # small lattice keeps every example cheap
 SQUARE = Domain(2, DOM.half_width, DOM.level)  # DOM x DOM, for tensor products
@@ -145,3 +147,43 @@ def test_wavelet_bands_are_separable(a, b):
         for key, want in (("lh", np.outer(lo[0], hi[1])), ("hl", np.outer(hi[0], lo[1])),
                           ("hh", np.outer(hi[0], hi[1]))):
             assert np.max(np.abs(bands[key] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@st.composite
+def modular_groups(draw):
+    """(c, p) of one group of points: c from 1e-200 to 1e200, so that log M
+    takes both signs; p in [1.05, 4], or one value of it, or the dual
+    exponents p / (p - 1) of p in [1.05, 1.5] (3 to 21)."""
+    n = draw(st.one_of(st.just(1), st.integers(2, 24)))
+    c = 10.0 ** np.asarray(draw(st.lists(st.floats(-200.0, 200.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(["spread", "one value", "dual"]))
+    if kind == "one value":
+        return c, np.full(n, draw(st.floats(1.05, 4.0)))
+    hi = 4.0 if kind == "spread" else 1.5
+    p = np.asarray(draw(st.lists(st.floats(1.05, hi), min_size=n, max_size=n)))
+    return c, (p if kind == "spread" else p / (p - 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(modular_groups())
+def test_bennett_bound_holds(group):
+    """The root s of sum c e^{-p s} = 1, from the solver, lies in
+    `_bracket`'s [lo, hi] with hi tightened by `_bennett`, within SLACK.
+    The variance is E[p^2] - E[p]^2 plus VARIANCE_MARGIN = 1e-12 times
+    E[p^2], which covers the cancellation of the difference (its error is
+    estimated at 7e-15 E[p^2]); a group of one value of p, or of one point,
+    has variance 0 and is bounded by the margin alone."""
+    assert VARIANCE_MARGIN == 1e-12
+    c, p = group
+    m = np.sum(c)
+    log_m, p_mean, p_sq, p_lo, p_hi = (
+        np.array([x]) for x in (np.log(m), np.sum(c * p) / m, np.sum(c * p * p) / m, p.min(), p.max())
+    )
+    lo, hi = _bracket(log_m, p_mean, p_lo, p_hi)
+    top = _bennett(log_m, p_mean, p_sq, p_lo, p_hi, hi)
+    # the norm is homogeneous in g: g = e^{-top} keeps it at most 1 where
+    # the bound holds, below the solver's cap
+    shift = float(top[0])
+    s = math.log(_luxemburg_solve(np.asarray(math.exp(-shift)), p, c).item()) + shift
+    assert top[0] <= hi[0]
+    assert lo[0] - math.log1p(SLACK) <= s <= top[0] + math.log1p(SLACK)

@@ -413,6 +413,20 @@ def solves(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def branches(monkeypatch):
+    """The arguments of every `weights._branch_and_bound` call."""
+    seen = []
+    real = weights_mod._branch_and_bound
+
+    def capture(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(weights_mod, "_branch_and_bound", capture)
+    return seen
+
+
 class TestBranchAndBound:
     """The constants solve only the cubes whose bracket can reach the sup,
     and return bitwise the sup of a sweep that solves every layout."""
@@ -438,47 +452,91 @@ class TestBranchAndBound:
 
     @DOMAINS_1D_2D
     @pytest.mark.parametrize(
-        "wspec, pspec", [("absp:0.5", "lhdecay:1"), ("exp:1", "sin2"), ("power:-0.5", "const:2")]
+        "wspec, pspec",
+        [
+            ("absp:0.5", "lhdecay:1"),
+            ("exp:1", "sin2"),
+            ("power:-0.5", "const:2"),
+            ("power:1", "sin2"),
+            ("const:1", "sin2"),
+        ],
     )
-    def test_every_solved_cube_lies_in_its_bracket(self, domain, wspec, pspec, monkeypatch):
-        runs = []
-        real = weights_mod._branch_and_bound
-
-        def capture(*args):
-            runs.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(weights_mod, "_branch_and_bound", capture)
+    def test_every_solved_cube_lies_in_its_bracket(self, domain, wspec, pspec, branches):
+        # every cube of every layout, not only the candidates: the bracket,
+        # and the upper bound that the second moment tightens
         w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
         a_loc_var_constant(w, p)
         tilde_a_constant(w, p, max_side=None)
-        checked = 0
-        for d, max_side, shifts, arrays, ops, bracket, solve in runs:
-            for k, held, red in layout_sums(d, all_shifts(d.dim), arrays, level_range(d, max_side)[-1], ops):
+        checked = tightened = 0
+        for d, max_side, shifts, arrays, ops, moments, bracket, solve in branches:
+            coarsest = level_range(d, max_side)[-1]
+            pyramids = zip(
+                layout_sums(d, all_shifts(d.dim), arrays, coarsest, ops),
+                layout_sums(d, all_shifts(d.dim), moments, coarsest),
+            )
+            for (k, held, red), (_, _, sq) in pyramids:
                 for shift in set(held) & set(shifts):
                     lo, hi = (np.exp(b).ravel() for b in bracket(k, red))
+                    refined = np.exp(bracket(k, red, sq)[1]).ravel()
                     vals = solve(k, shift)
                     inside = np.isfinite(vals)
                     assert np.array_equal(inside, hi > 0)
+                    assert np.all(refined <= hi)
                     assert np.all(vals[inside] >= lo[inside] * (1 - weights_mod.SLACK))
-                    assert np.all(vals[inside] <= hi[inside] * (1 + weights_mod.SLACK))
+                    assert np.all(vals[inside] <= refined[inside] * (1 + weights_mod.SLACK))
                     checked += inside.sum()
+                    tightened += np.count_nonzero(refined < hi)
         assert checked > 0
+        if pspec == "sin2":  # p varies on every cube
+            assert tightened > 0
+
+    @DOMAINS_1D_2D
+    @pytest.mark.parametrize("wspec", E4_WEIGHTS)
+    @pytest.mark.parametrize("pspec", E4_EXPONENTS)
+    def test_one_point_cubes_are_one(self, domain, wspec, pspec, branches):
+        # the closed form that brackets the lattice layout at [0, 0]: a
+        # one-point cube has value 1 in both constants.  A_p(.) solves it
+        # within rounding; the dyadic-grid constant within the solver's
+        # tolerance, since a point whose 1/(p - 1) is the lattice's least
+        # or largest has its root at the end of the solver's bracket, where
+        # a rounded Newton step falls outside and is bisected
+        w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
+        a_loc_var_constant(w, p)
+        tilde_a_constant(w, p, max_side=None)
+        for (d, _, shifts, *_, solve), tol in zip(branches, (1e-12, norms.REL_TOL)):
+            vals = solve(d.level, shifts[0])
+            assert vals.size == d.npts ** d.dim
+            assert np.max(np.abs(vals - 1.0)) <= tol
 
     @pytest.mark.parametrize(
         "wspec, layouts, cubes", [("power:-0.5", 1, 1), ("const:1", 27, 28641)], ids=["pruned", "ties"]
     )
-    def test_layouts_solved(self, dom, wspec, layouts, cubes, solves):
+    def test_layouts_solved(self, dom, wspec, layouts, cubes, solves, monkeypatch):
         # a constant weight and exponent make every cube 1: ties are never
         # pruned, but of the 30 layouts the three lattice ones are one, and
         # shifts 0 and 2 share their cubes at level m - 1: 27 are solved;
         # where the bounds prune, one cube of one layout is
+        # no bracket is refined: the pruned case's candidates are too few
+        # to pay for the second-moment pass, and the ties' brackets are tight
+        monkeypatch.setattr(weights_mod, "_bennett", lambda *args: pytest.fail("refined"))
         rep = a_loc_var_constant(weight_preset(wspec, dom), exponent_preset("const:2", dom))
         assert len(level_range(dom, 1.0)) * len(all_shifts(1)) == 30
         assert rep.cube_count == sum(CubeLayout(dom, k, a).count for k in level_range(dom, 1.0) for a in all_shifts(1))
         assert len(solves) == 2 * layouts
         # both norms of a layout solve the same cubes, counted once
         assert rep.cubes_solved == cubes == sum(n for *_, n in solves) // 2
+        assert rep.cubes_refined == 0
+
+    @pytest.mark.parametrize("level", [5, 6])
+    def test_second_moment_prunes_the_2d_pair(self, level, solves):
+        # the range-only bracket left 118 (m = 5) and 174 (m = 6) cubes in
+        # 18 layouts to solve; with each cube's variance of p, one layout
+        # and two cubes are left
+        dom = Domain(2, 1, level)
+        rep = a_loc_var_constant(weight_preset("power:1", dom), exponent_preset("sin2", dom))
+        assert len(solves) == 2
+        assert rep.cubes_solved == 2 == sum(n for *_, n in solves) // 2
+        assert rep.cubes_refined > 0
 
     @DOMAINS_1D_2D
     def test_unsolved_ties_repeat_a_solved_layout(self, domain, solves):
