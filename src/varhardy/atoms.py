@@ -6,10 +6,11 @@ is a fixed small fraction (2^{-n-6}) of their distance to the complement,
 a near-partition of unity localizes f minus its moment projection on each
 cube, and the multi-level assembly over thresholds 2^j turns the level
 differences into atoms with exact vanishing moments via per-pair
-re-projections.  The good part, carried by the single atom, is f minus
-the kept atoms, so reconstruction is exact by construction; a piece whose
-peak is below KEEP_FLOOR times the largest |f| on its window, or below
-DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
+re-projections.  The good part is f minus the kept atoms, so
+reconstruction is exact by construction; it needs no cancellation and
+enters as unit atoms, its nonzero pieces on the level-0 cubes.  A piece
+whose peak is below KEEP_FLOOR times the largest |f| on its window, or
+below DUST_FLOOR times sup|f|, is rounding dust and stays in the good part.
 
 One localisation path serves n = 1 and n = 2, and every step works on
 arrays: a cube is a (level, shift, index) row, and values on lattice boxes
@@ -25,7 +26,7 @@ sums each owner's atom in its own box of one buffer; one batched search
 (`grid.smallest_enclosing_cubes`) finds the supports, and an atom whose
 support exceeds a unit cube is cut into unit pieces.  `Atom`, `Patch` and
 `Cube` objects are built only for the `atoms` view, its per-atom reference
-`validate_atom`, the single part and `whitney_decompose`'s list.
+`validate_atom` and `whitney_decompose`'s list.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .grid import (
     cube_centers,
     cube_lattice_ranges,
     multi_indices,
-    smallest_enclosing_cube,
     smallest_enclosing_cubes,
 )
 from .hardy import TestDictionary, grand_maximal
@@ -126,8 +126,8 @@ class Patch:
 class Atom:
     """Normalized building block supported on a cube.
 
-    kind is "local" (|Q| < 1, vanishing moments up to L), "unit" (|Q| = 1,
-    no moment condition) or "single" (no support restriction).
+    kind is "local" (|Q| < 1, vanishing moments up to L) or "unit" (|Q| =
+    1, no moment condition).
     """
 
     support: Cube
@@ -189,14 +189,17 @@ class _Rows(NamedTuple):
 
 @dataclass(eq=False)
 class AtomicDecomposition:
-    """Atoms in ragged form plus the single-atom part (for f = 0, the zero
-    good part with the floor coefficient).
+    """Atoms in ragged form: the level-pair atoms, then the good part's unit
+    atoms (none for f = 0).
 
     `rows` holds the atoms' normalised values with per-atom window boxes,
     support cubes, kinds and coefficients, `tag` each atom's threshold
-    exponent j, all read-only.  `lambdas` and `cubes` (level, shift, index)
-    are the columns that `sequence_norm` takes; `atoms` lists `Atom` views,
-    built on first access, each patch a view into the buffer.
+    exponent j, all read-only.  A level-pair atom is tagged with the lower
+    threshold of its pair; a unit atom of the good part with the top
+    threshold j_hi, whose level set is empty, so that 2^{j_hi} bounds M_N f.
+    `lambdas` and `cubes` (level, shift, index) are the columns that
+    `sequence_norm` takes; `atoms` lists `Atom` views, built on first
+    access, each patch a view into the buffer.
     """
 
     domain: Domain
@@ -205,7 +208,6 @@ class AtomicDecomposition:
     q: float
     L: int
     v: float
-    single_part: tuple[float, Atom]
 
     def __post_init__(self):
         for col in (*self.rows, self.tag):
@@ -695,7 +697,7 @@ def atomic_decompose(
     Atoms at level j are the Whitney-localized pieces of the difference of
     consecutive good parts, re-projected pairwise so every local atom keeps
     exact vanishing moments; coefficients absorb the tight normalization.
-    The single atom carries the good part f minus the kept atoms, so the
+    The good part f minus the kept atoms follows as unit atoms, so the
     reconstruction is exact.  The admissibility gates on (q, L, v) follow
     the standing assumptions of the equivalence theorem and raise with the
     violated inequality.
@@ -756,15 +758,16 @@ def atomic_decompose(
         cov_j = cov_n
 
     # the top threshold's level set is empty, so the level differences
-    # telescope to the first threshold's bad part: f - kept is its good part
-    good = f.samples - kept_sum.reshape(d.shape)
-    # one row whose box and mass region are the whole window
-    whole = np.zeros((1, d.dim), dtype=np.int64), np.full((1, d.dim), d.npts)
-    lam0 = float(_coefficients(good.ravel(), np.array([good.size]), *whole, *whole, d, q, w)[0])
-    window_cube = smallest_enclosing_cube(d, [-d.half_width] * d.dim, [d.half_width - d.h] * d.dim)
-    single = (lam0, Atom(window_cube, d, Patch((0,) * d.dim, good / lam0), q, L, "single"))
-    tag = np.concatenate([np.zeros(0, dtype=np.int64), *tags])
-    return AtomicDecomposition(d, _Rows.join(parts, d.dim), tag, q, L, v, single)
+    # telescope to the first threshold's bad part: f - kept is its good part.
+    # It enters as one window-sized row on a cube of side 4T (at least 2)
+    # that holds the window, and is cut into its unit pieces
+    good = f.samples.ravel() - kept_sum
+    one = np.ones((1, d.dim), dtype=np.int64)
+    window = _Rows(good, np.array([good.size]), 0 * one, d.npts * one, np.array([min(d.min_cube_level(), -1)]),
+                   one, -one, np.array([KINDS.index("unit")]), np.ones(1))
+    parts.append(_split_unit_pieces(window, d, q, w))
+    tags.append(np.full(len(parts[-1].lam), levels[-1] if levels else 0, dtype=np.int64))
+    return AtomicDecomposition(d, _Rows.join(parts, d.dim), np.concatenate(tags), q, L, v)
 
 
 def _split_unit_pieces(rows: _Rows, d: Domain, q: float, w: Weight) -> _Rows:
@@ -807,14 +810,12 @@ def _split_unit_pieces(rows: _Rows, d: Domain, q: float, w: Weight) -> _Rows:
 
 
 def synthesize(dec: AtomicDecomposition) -> GridFunction:
-    """sum of lambda_j a_j plus the single part, rendered on the lattice."""
+    """sum of lambda_j a_j over every atom, rendered on the lattice."""
     d = dec.domain
     dense = np.zeros(d.shape)
     # np.add.at adds in index order: every point sums its atoms in atom order
     for b in dec.rows.blocks():
         np.add.at(dense.reshape(-1), _box_points(d, b.lo, b.shape), np.repeat(b.lam, b.size) * b.values)
-    lam0, single = dec.single_part
-    dense += lam0 * single.patch.arr  # the single part spans the window
     return GridFunction._adopt(d, dense)
 
 
@@ -833,21 +834,16 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
     else:
         box = tuple(slice(l, l + s) for l, s in zip(a.patch.lo, a.patch.arr.shape))
         size = (hn * float(np.sum(mag**a.q * (1.0 if w is None else w.values.samples[box])))) ** (1.0 / a.q)
-        region = None if a.kind == "single" else a.support
-        budget = (w.mass(region) if w is not None else (
-            a.support.volume if region is not None else (2 * d.half_width) ** d.dim
-        )) ** (1.0 / a.q)
+        budget = (a.support.volume if w is None else w.mass(a.support)) ** (1.0 / a.q)
     size_ok = size <= budget * (1.0 + 1e-6)
     moments = a.kind == "local" and a.L >= 0
     l1 = hn * float(mag.sum()) if moments else 0.0
-    support_leak = 0.0
-    if a.kind != "single":
-        # the lattice outside the patch is zero
-        mag[tuple(
-            slice(max(start - lo, 0), max(stop - lo, start - lo, 0))
-            for (start, stop), lo in zip(a.support.lattice_ranges(d), a.patch.lo)
-        )] = 0.0
-        support_leak = float(mag.max(initial=0.0))
+    # the lattice outside the patch is zero
+    mag[tuple(
+        slice(max(start - lo, 0), max(stop - lo, start - lo, 0))
+        for (start, stop), lo in zip(a.support.lattice_ranges(d), a.patch.lo)
+    )] = 0.0
+    support_leak = float(mag.max(initial=0.0))
     moment_worst = 0.0
     if moments:
         axes = [d.axis()[l : l + k] - c for l, k, c in zip(a.patch.lo, mag.shape, a.support.center)] if a.L > 0 else []
@@ -933,21 +929,16 @@ def validate_atoms(dec: AtomicDecomposition, w: Weight | None) -> np.ndarray:
 
 
 def save_decomposition(dec: AtomicDecomposition, path: str | Path) -> None:
-    """JSON index with a little-endian float64 binary sidecar for values:
-    the atom buffer, then the single part."""
+    """JSON index, one entry per atom, with a little-endian float64 binary
+    sidecar for the atom buffer."""
     path = Path(path)
     sidecar = path.with_suffix(".bin")
     r = dec.rows
-    lam0, single = dec.single_part
-    s, arr = single.support, single.patch.arr
-    sidecar.write_bytes(np.concatenate([r.values, arr.ravel()]).astype("<f8").tobytes())
+    sidecar.write_bytes(r.values.astype("<f8").tobytes())
     q = None if math.isinf(dec.q) else dec.q
-    # one entry per atom, then the single part
     columns = zip(
-        [*r.lam.tolist(), lam0], [*r.level.tolist(), s.level], [*r.shift.tolist(), list(s.shift)],
-        [*r.index.tolist(), list(s.index)], [*(KINDS[k] for k in r.kind.tolist()), single.kind],
-        (8 * np.concatenate([np.cumsum(r.size) - r.size, [r.values.size]])).tolist(),
-        [*r.shape.tolist(), list(arr.shape)], [*r.lo.tolist(), list(single.patch.lo)],
+        r.lam.tolist(), r.level.tolist(), r.shift.tolist(), r.index.tolist(), (KINDS[k] for k in r.kind.tolist()),
+        (8 * (np.cumsum(r.size) - r.size)).tolist(), r.shape.tolist(), r.lo.tolist(),
     )
     entries = [
         {"lambda": lam, "cube": {"k": k, "a": a, "m": m}, "q": q, "L": dec.L, "kind": kind,
@@ -976,7 +967,10 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
     dom = Domain(**doc["domain"])
     raw = np.frombuffer((path.parent / doc["sidecar"]).read_bytes(), dtype="<f8").astype(float)
     n = dom.dim
-    *entries, last = doc["atoms"]  # the single atom is written last
+    entries = doc["atoms"]
+    unknown = [e["kind"] for e in entries if e["kind"] not in KINDS]
+    if unknown:
+        raise ValueError(f"unknown atom kind {unknown[0]!r}: a decomposition holds {' and '.join(KINDS)} atoms")
 
     def column(*keys, dtype=np.int64, width=n):
         return np.array([reduce(dict.get, keys, e) for e in entries], dtype=dtype).reshape(-1, width)
@@ -989,11 +983,6 @@ def load_decomposition(path: str | Path) -> AtomicDecomposition:
         raw[at], size, column("values_ref", "lo"), shape, column("cube", "k", width=1)[:, 0],
         column("cube", "a"), column("cube", "m"), kind, column("lambda", dtype=float, width=1)[:, 0],
     )
-    ref = last["values_ref"]
-    first = ref["offset"] // 8
-    arr = raw[first : first + int(np.prod(ref["shape"]))].reshape(ref["shape"]).copy()
-    cube = Cube(last["cube"]["k"], tuple(last["cube"]["a"]), tuple(last["cube"]["m"]))
     q = math.inf if doc["q"] is None else doc["q"]
-    single = (last["lambda"], Atom(cube, dom, Patch(tuple(ref["lo"]), arr), q, doc["L"], last["kind"]))
     tag = np.array(doc["level_tags"], dtype=np.int64)
-    return AtomicDecomposition(dom, rows, tag, q, doc["L"], doc["v"], single)
+    return AtomicDecomposition(dom, rows, tag, q, doc["L"], doc["v"])

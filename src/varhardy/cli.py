@@ -237,7 +237,7 @@ def cmd_atoms(args) -> int:
     save_decomposition(dec, path)
     print(f"atoms={len(dec.lambdas)} q={dec.q} L={dec.L} v={dec.v}")
     print(f"invalid_atoms={invalid}")
-    print(f"sequence_norm={a_norm:.8g} single={dec.single_part[0]:.8g}")
+    print(f"sequence_norm={a_norm:.8g}")
     print(f"round_trip_rel_l2={err:.3e}")
     print(f"wall_s decompose={t1 - t0:.3f} synthesize={t2 - t1:.3f} validate={t3 - t2:.3f}")
     print(f"written -> {path} (+ .bin sidecar)")

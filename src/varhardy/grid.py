@@ -41,7 +41,6 @@ __all__ = [
     "rescale_mollifier",
     "cube_lattice_ranges",
     "cube_centers",
-    "smallest_enclosing_cube",
     "smallest_enclosing_cubes",
     "bump_profile",
     "multi_indices",
@@ -742,11 +741,3 @@ def smallest_enclosing_cubes(
             todo = todo[~hit]
         k[todo] -= 1
     return level, shift, index
-
-
-def smallest_enclosing_cube(domain: Domain, lo: Sequence[float], hi: Sequence[float]) -> Cube:
-    """Smallest cube in the union of shifted grids containing the box [lo, hi]:
-    the one-box case of `smallest_enclosing_cubes`."""
-    box = [np.reshape(np.asarray(v, dtype=float), (1, -1)) for v in (lo, hi)]
-    level, shift, index = smallest_enclosing_cubes(domain, *box)
-    return Cube(int(level[0]), tuple(shift[0].tolist()), tuple(index[0].tolist()))

@@ -520,7 +520,7 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Report]:
         worst_err = max(worst_err, lq_norm(out - f, 2.0) / lq_norm(f, 2.0))
         invalid += int(np.count_nonzero(~atoms_mod.validate_atoms(dec, w)))
         a_norm = atoms_mod.sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
-        ratios.append((dec.single_part[0] + a_norm) / hardy_norm(f, p, w, large))
+        ratios.append(a_norm / hardy_norm(f, p, w, large))
     cases.append(Report("atomic_round_trip", worst_err <= 0.05, {"max_rel_err": worst_err}))
     cases.append(Report("atomic_validity", invalid == 0, {"invalid_atoms": float(invalid)}))
     cases.append(_band("atomic_norm_band", ratios, "spread"))
@@ -536,8 +536,8 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Report]:
     _, wide = nested_dictionaries(2, cfg.dict_size, d16, cfg.dict_seed, 8.0)
     dec4 = atoms_mod.atomic_decompose(f, p16, w16, four, L=1)
     dec8 = atoms_mod.atomic_decompose(f, p16, w16, wide, L=1)
-    n4 = dec4.single_part[0] + atoms_mod.sequence_norm(dec4.lambdas, dec4.cubes, p16, w16, dec4.v)
-    n8 = dec8.single_part[0] + atoms_mod.sequence_norm(dec8.lambdas, dec8.cubes, p16, w16, dec8.v)
+    n4 = atoms_mod.sequence_norm(dec4.lambdas, dec4.cubes, p16, w16, dec4.v)
+    n8 = atoms_mod.sequence_norm(dec8.lambdas, dec8.cubes, p16, w16, dec8.v)
     r = n4 / n8
     cases.append(Report("radius_sensitivity", 0.2 <= r <= 5.0, {"norm_ratio_4_over_8": r}))
     return cases

@@ -100,7 +100,7 @@ class Weight:
             Domain(d.dim, d.half_width, level), self.generator, self.midpoint
         )
 
-    def mass(self, cube: Cube | None = None) -> float:
+    def mass(self, cube: Cube) -> float:
         from .grid import quadrature
 
         return quadrature(self.values, cube)

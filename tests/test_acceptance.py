@@ -372,10 +372,7 @@ def test_criterion_10_atomic_round_trip(dicts):
             worst_err = max(worst_err, err)
             invalid += int(np.count_nonzero(~validate_atoms(dec, w)))
             a_norm = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
-            ratios.append(
-                (dec.single_part[0] + a_norm)
-                / hardy_norm(f, p, w, large)
-            )
+            ratios.append(a_norm / hardy_norm(f, p, w, large))
         spreads.append(max(ratios) / min(ratios))
     took = time.perf_counter() - t0
     ok = worst_err <= 0.05 and invalid == 0 and max(spreads) <= 4.0 and took < 300.0

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import types
 from collections import Counter
@@ -115,7 +116,7 @@ def one_atom(atom):
         np.array([s.level]), np.array([s.shift]), np.array([s.index]), np.array([atoms.KINDS.index(atom.kind)]),
         np.ones(1),
     )
-    return AtomicDecomposition(atom.domain, rows, np.zeros(1, dtype=np.int64), atom.q, atom.L, 1.0, (1.0, atom))
+    return AtomicDecomposition(atom.domain, rows, np.zeros(1, dtype=np.int64), atom.q, atom.L, 1.0)
 
 
 def feed_atom(h, lam, cube, kind, box, values):
@@ -128,9 +129,8 @@ def feed_atom(h, lam, cube, kind, box, values):
 
 def round_trip_digest(h, dec, p, w):
     """Feed `h` every bit of a round trip, read from the store: per atom
-    lambda, support, kind, window lo, shape and values, then the single
-    part the same way (last of the atoms), the level tags, the synthesis and
-    the sequence norm."""
+    lambda, support, kind, window lo, shape and values, then the level
+    tags, the synthesis and the sequence norm."""
     r = dec.rows
     bounds = np.concatenate([[0], np.cumsum(r.size)]).tolist()
     for lam, k, a, m, kind, lo, shp, i, j in zip(
@@ -138,19 +138,15 @@ def round_trip_digest(h, dec, p, w):
         r.lo.tolist(), r.shape.tolist(), bounds, bounds[1:],
     ):
         feed_atom(h, lam, [k, *a, *m], atoms.KINDS[kind], [*lo, *shp], r.values[i:j])
-    lam0, single = dec.single_part
-    s = single.support
-    feed_atom(h, lam0, [s.level, *s.shift, *s.index], single.kind, [*single.patch.lo, *single.patch.arr.shape], single.patch.arr)
     h.update(dec.tag.astype(np.int64).tobytes())
     h.update(synthesize(dec).samples.tobytes())
     h.update(np.float64(sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)).tobytes())
 
 
 def report_digest(dec, w, p):
-    """SHA-256 of every `validate_atom` report of a decomposition, single
-    part included."""
+    """SHA-256 of every `validate_atom` report of a decomposition."""
     h = hashlib.sha256()
-    for a in [*dec.atoms, dec.single_part[1]]:
+    for a in dec.atoms:
         r = validate_atom(a, w, p)
         h.update(np.array([r.passed, *r.quantities.values()], dtype=np.float64).tobytes())
     return h.hexdigest()
@@ -192,12 +188,10 @@ class TestValidateAtom:
         w = weight_preset("power:1", dom)
         assert validate_atom(atom, w).passed
 
-    def test_constant_single_atom(self, dom):
-        from varhardy.grid import smallest_enclosing_cube
-
-        window = smallest_enclosing_cube(dom, [-8.0], [8.0 - dom.h])
-        arr = np.ones(dom.shape)
-        atom = Atom(window, dom, Patch((0,), arr), math.inf, 0, "single")
+    def test_constant_unit_atom(self, dom):
+        cube = Cube(0, (0,), (-3,))
+        (a, b), = cube.lattice_ranges(dom)
+        atom = Atom(cube, dom, Patch((a,), np.ones(b - a)), math.inf, 0, "unit")
         assert validate_atom(atom, weight_preset("power:-2", dom)).passed
 
     def test_haar_moments_pass(self, dom):
@@ -557,9 +551,7 @@ class TestAtomicDecompose:
         from varhardy.hardy import hardy_norm
 
         p, w, f, dec, large = setup
-        lam0 = dec.single_part[0]
-        a_norm = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
-        ratio = (lam0 + a_norm) / hardy_norm(f, p, w, large)
+        ratio = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v) / hardy_norm(f, p, w, large)
         assert 0.25 <= ratio <= 10.0
 
     def test_lambda_levels_tagged_and_bounded(self, setup):
@@ -597,7 +589,7 @@ class TestAtomicDecompose:
         )
         bound = luxemburg_norm(chi, p, w)
         a_norm = sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v)
-        assert (dec.single_part[0] + a_norm) / bound < 100.0
+        assert a_norm / bound < 100.0
 
 
     def test_constant_function_round_trips(self):
@@ -610,7 +602,7 @@ class TestAtomicDecompose:
         f = GridFunction(d, np.ones(d.shape))
         dec = atomic_decompose(f, p, w, large, L=1)
         assert lq_norm(synthesize(dec) - f, 2.0) <= 1e-10 * lq_norm(f, 2.0)
-        for atom in dec.atoms + [dec.single_part[1]]:
+        for atom in dec.atoms:
             assert validate_atom(atom, w, p).passed
 
     # f does not vanish around the cover, so pieces carry the rounding of
@@ -651,29 +643,34 @@ class TestAtomicDecompose:
             (exponent_preset("lhdecay:1", d), weight_preset("power:1", d)),
         ][pair]
         dec = atomic_decompose(function_preset(spec, d), p, w, large)
+        # the level-pair atoms, then the good part's unit atoms, whose
+        # largest coefficient at q = inf is sup|g|
+        local = dec.rows.kind == atoms.KINDS.index("local")
+        lam = dec.lambdas
         got = (
-            sum(dec.lambdas),
-            max(dec.lambdas),
-            dec.single_part[0],
-            sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v),
+            sum(lam[local]),
+            max(lam[local]),
+            max(lam[~local]),
+            sequence_norm(lam[local], [c[local] for c in dec.cubes], p, w, dec.v),
         )
         assert got == pytest.approx(self.PINNED[(spec, pair)], rel=1e-9)
         assert support_counts(dec) == self.SUPPORTS[spec]
 
     # atoms per (level, shift, kind), recorded before the Whitney covers and
-    # the support search became integer arrays; q = inf, so both (p, w)
-    # pairs give the same supports
+    # the support search became integer arrays, with the good part's unit
+    # atoms added when they replaced its window-sized atom; q = inf, so both
+    # (p, w) pairs give the same supports
     SUPPORTS = {
         "bump:-0.7,0.9,1.3": {
             (2, 0, "local"): 65, (2, 1, "local"): 66, (3, 0, "local"): 218, (3, 1, "local"): 182,
             (3, 2, "local"): 146, (4, 0, "local"): 102, (4, 1, "local"): 89, (4, 2, "local"): 82,
             (5, 0, "local"): 29, (5, 1, "local"): 28, (5, 2, "local"): 2, (6, 0, "local"): 57,
-            (6, 1, "local"): 57,
+            (6, 1, "local"): 57, (0, 0, "unit"): 3,
         },
         "bump:0.4,0.5,0.8": {
             (2, 0, "local"): 37, (2, 1, "local"): 37, (3, 0, "local"): 112, (3, 1, "local"): 105,
             (3, 2, "local"): 74, (4, 0, "local"): 70, (4, 1, "local"): 42, (4, 2, "local"): 43,
-            (5, 1, "local"): 5, (6, 0, "local"): 64, (6, 1, "local"): 63,
+            (5, 1, "local"): 5, (6, 0, "local"): 64, (6, 1, "local"): 63, (0, 0, "unit"): 2,
         },
         # benchmark-style round trips at m = 9, one per (p, w) pair
         ("bump:0.3,0.5,1.4", 0): {
@@ -681,14 +678,14 @@ class TestAtomicDecompose:
             (3, 2, "local"): 81, (4, 0, "local"): 61, (4, 1, "local"): 64, (4, 2, "local"): 45,
             (5, 0, "local"): 32, (5, 1, "local"): 19, (5, 2, "local"): 16, (6, 0, "local"): 18,
             (6, 1, "local"): 43, (6, 2, "local"): 40, (7, 0, "local"): 44, (7, 1, "local"): 44,
-            (7, 2, "local"): 1, (8, 0, "local"): 164, (8, 1, "local"): 165,
+            (7, 2, "local"): 1, (8, 0, "local"): 164, (8, 1, "local"): 165, (0, 0, "unit"): 2,
         },
         ("bump:-0.8,0.9,0.7", 1): {
             (2, 0, "local"): 74, (2, 1, "local"): 65, (3, 0, "local"): 203, (3, 1, "local"): 191,
             (3, 2, "local"): 148, (4, 0, "local"): 105, (4, 1, "local"): 88, (4, 2, "local"): 88,
             (5, 0, "local"): 10, (5, 1, "local"): 38, (5, 2, "local"): 37, (6, 0, "local"): 8,
             (6, 1, "local"): 40, (6, 2, "local"): 32, (7, 0, "local"): 147, (7, 1, "local"): 146,
-            (8, 0, "local"): 128, (8, 1, "local"): 129,
+            (8, 0, "local"): 128, (8, 1, "local"): 129, (0, 0, "unit"): 3,
         },
     }
 
@@ -715,8 +712,43 @@ class TestAtomicDecompose:
         assert any(a.kind == "local" for a in dec.atoms)
         out = synthesize(dec)
         assert np.max(np.abs(out.samples - f.samples)) <= 1e-10 * f.sup()
-        for atom in dec.atoms + [dec.single_part[1]]:
+        for atom in dec.atoms:
             assert validate_atom(atom, w, p).passed
+
+    def test_atomic_norm_is_translation_invariant(self):
+        # w(x + c) = e^c w(x) and p = 2, so every translate of a bump has
+        # the same atomic norm over its L^2_w norm
+        d = Domain(1, 16, 9)
+        large = nested_dictionaries(2, 8, d)[1]
+        p, w = exponent_preset("const:2", d), weight_preset("exp:1", d)
+        ratios = []
+        for c in (-6, -3, 0, 3, 6):
+            f = function_preset(f"bump:{c},0.5", d)
+            dec = atomic_decompose(f, p, w, large)
+            ratios.append(sequence_norm(dec.lambdas, dec.cubes, p, w, dec.v) / luxemburg_norm(f, p, w))
+        assert max(ratios) / min(ratios) <= 1.0 + 1e-12
+
+    def test_2d_window_of_e7_decomposes_into_unit_atoms(self):
+        # no Whitney cube fits this window, so the good part is all of f:
+        # its unit atoms are the rows that E7's 2-D cases check
+        d = Domain(2, 2, 5)
+        large = nested_dictionaries(2, 8, d, 42, 4.0)[1]
+        p, w = VariableExponent.constant(d, 2.0), weight_preset("const:1", d)
+        dec = atomic_decompose(function_preset("bump:0.3,0.6", d), p, w, large, L=1)
+        assert len(dec.lambdas) > 0
+        assert all(atoms.KINDS[k] == "unit" for k in dec.rows.kind.tolist())
+        assert validate_atoms(dec, w).all()
+
+    def test_good_part_of_a_narrow_window_is_cut(self):
+        # at T = 1/4 a cube of side 4T is a unit cube: the good part's row
+        # must still be cut into unit pieces
+        d = Domain(1, 0.25, 6)
+        p, w = VariableExponent.constant(d, 2.0), weight_preset("const:1", d)
+        f = function_preset("bump:0,0.1", d)
+        dec = atomic_decompose(f, p, w, nested_dictionaries(2, 8, d)[1])
+        assert dec.rows.level.tolist() == [0, 0] and dec.rows.index[:, 0].tolist() == [-1, 0]
+        assert validate_atoms(dec, w).all()
+        assert np.array_equal(synthesize(dec).samples, f.samples)
 
 
 def criterion_10_family(domain):
@@ -730,26 +762,27 @@ def criterion_10_family(domain):
 
 
 class TestBitwisePins:
-    """SHA-256 of every bit of the round trips, recorded before atoms were
-    stored as one ragged buffer (`round_trip_digest`; criterion 10 feeds
-    its 20 decompositions per pair into one digest), and of every
-    `validate_atom` report.  The batched `validate_atoms` must give each
-    atom `validate_atom`'s verdict."""
+    """SHA-256 of every bit of the round trips (`round_trip_digest`;
+    criterion 10 feeds its 20 decompositions per pair into one digest), and
+    of every `validate_atom` report.  Re-pinned when the good part's
+    window-sized atom became unit rows after the level-pair rows; every
+    level-pair row kept its bits, from before atoms were stored as one
+    ragged buffer.  The batched `validate_atoms` must give each atom
+    `validate_atom`'s verdict."""
 
     ROUND_TRIPS = {
-        "m9-0": "c266f1c8b26229385307a4293d309d48ebe0e48235c6cb9f4cca8a798d0eec3d",
-        "m9-1": "d337f77df03d158a1e7752499ccdadb491c50b013f7142c3cb9ecf8256199b58",
-        "criterion-10-0": "e79c791ce001e76456396a3764b419520c8863e62fd9c0e0556ef9ad18f2534d",
-        "criterion-10-1": "305b58083d7f9092b69a088a051ce5ce8a0fbfd5b9fc64cec1da1f563cce44a6",
-        "2d": "234202db19182c09577fdf028738ef616d2e2dccadfa719b1fa3c466078e98c7",
-        # recorded while oversized atoms were still cut through `Atom` objects
-        "q4-split": "d8b227315a3efddcdff91fbdd5a693036310c593e202eb91a1e07be59f2476d2",
+        "m9-0": "ae904eabaf631621e21f7043d1b3d1aead8f7f551d63e26737f18212702fd2d2",
+        "m9-1": "a01444aec291badce8fb99b447dfca683560d4ca75f13e1702b91daf0b1a9fff",
+        "criterion-10-0": "ccc9813497acf90273ef2b2cf0e487bfb659e1b092cfdb4941d71b9e26d3dc13",
+        "criterion-10-1": "48132849b959641db39bea8d990bf228e6df8f24e1c6266d3de2ce241aa6e663",
+        "2d": "e4cae190f2d5cefef617cf2ba1ff9f433a08bf033be5a8563081b0cfc5e2897d",
+        "q4-split": "79e2fa16e7d11801a8264407b45f903b510775214224e50a0b5e1d5f66c9affb",
     }
     REPORTS = {
-        "m9-0": "0c7cf048cf9e0dca63d144ec0d61316e32c70028eedefe2da627fb4ea4eac04f",
-        "m9-1": "81fe082b31f7c73bef867e28ebf84557c06a8659eef423ef2dd2eda9213c18ff",
-        "2d": "0309254d3b83ae3e6c24d22c2de2a100cb3b23950d9db004d77756b1600e6c19",
-        "q4-split": "8afd02797d6d219a70d4f11c80f80dd28158eb9926c08dcbd1c1a3f8c324258d",
+        "m9-0": "0f5a4eb04738f3a3cf22b262db846f8e180d1bcea053f3bc744ebc078802ec9b",
+        "m9-1": "11bdff51911741e54c4eef466584f47cc5fee52bee7c70028848dccac08968fa",
+        "2d": "4ea9124f16184ad00e5047c84007f441b57f5f9cdaaebfa2ef34d34486d2bd0d",
+        "q4-split": "d68030fb38a28e6eb1424c152eb5ad98be705f7f4181d8b2e4eea543112f6ff4",
     }
 
     @staticmethod
@@ -924,12 +957,13 @@ class TestSerialization:
         a = synthesize(dec)
         b = synthesize(back)
         assert np.max(np.abs(a.samples - b.samples)) <= 1e-12
-        # both files byte for byte as written before the ragged store
+        # both files byte for byte, pinned when the good part became unit
+        # rows; the level-pair entries are as written before the ragged store
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "6b59aa442fecd546c160581f3a0e21ad7d9aa6e2f8e8b6bcbfb450f5dabd1c13"
+            "cd0e35be653fb9cf4c1edc784a11f12e135c466e8bd5168ec32be2eb528da44a"
         )
         assert hashlib.sha256(path.with_suffix(".bin").read_bytes()).hexdigest() == (
-            "bb78c0b3dcd484b230e0ef4a64ddc04b1737e3f24d7ab2f0a91d8dc2f25fb660"
+            "bb84f57c4d343d91678f072c1c1559d2aaa3f1e952ab37829447afe2057b0c2d"
         )
         assert np.array_equal(b.samples, a.samples) and np.array_equal(back.lambdas, dec.lambdas)
 
@@ -942,10 +976,22 @@ class TestSerialization:
         assert dec.atoms == []
         path = tmp_path / "empty.json"
         save_decomposition(dec, path)
+        assert path.with_suffix(".bin").read_bytes() == b""
         back = load_decomposition(path)
         assert back.atoms == []
-        lam0, single = back.single_part
-        assert lam0 == atoms.LAMBDA_FLOOR and single.kind == "single"
-        assert not np.any(single.patch.arr)
         assert synthesize(back).sup() == 0.0
         assert (back.q, back.L, back.v, back.tag.tolist()) == (4.0, 2, dec.v, [])
+
+    def test_unknown_kind_is_named(self, tmp_path, dom, dicts):
+        # files written while the good part was one window-sized atom end
+        # with an entry of kind "single"
+        p = VariableExponent.constant(dom, 2.0)
+        w = weight_preset("const:1", dom)
+        dec = atomic_decompose(function_preset("bump:0,0.8", dom), p, w, dicts[1], L=1)
+        path = tmp_path / "old.json"
+        save_decomposition(dec, path)
+        doc = json.loads(path.read_text())
+        doc["atoms"].append({**doc["atoms"][-1], "kind": "single"})
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unknown atom kind 'single'"):
+            load_decomposition(path)

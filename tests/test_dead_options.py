@@ -64,10 +64,6 @@ UNREAD = {
 OBJECT_SITES = {
     "atoms._Rows.atoms(Atom)": "the `dec.atoms` view, which the benchmark validates atom by atom",
     "atoms._Rows.atoms(Patch)": "the `dec.atoms` view, which the benchmark validates atom by atom",
-    "atoms.atomic_decompose(Atom)": "the single part, until the good part is stored as unit rows",
-    "atoms.atomic_decompose(Patch)": "the single part, until the good part is stored as unit rows",
-    "atoms.load_decomposition(Atom)": "the single part read back from a file, until it is unit rows",
-    "atoms.load_decomposition(Patch)": "the single part read back from a file, until it is unit rows",
 }
 
 

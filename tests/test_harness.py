@@ -222,9 +222,9 @@ class TestCLI:
     def test_atoms_command_on_zero(self, tmp_path, capsys):
         assert main(["atoms", "--f", "bump:0,1,0", "--out", str(tmp_path / "dec.json")]) == 0
         out = capsys.readouterr().out
-        assert "atoms=0 " in out and "single=1e-300" in out
+        assert "atoms=0 " in out and "sequence_norm=0\n" in out
         doc = json.loads((tmp_path / "dec.json").read_text())
-        assert [e["kind"] for e in doc["atoms"]] == ["single"]
+        assert doc["atoms"] == []
 
     def test_small_dictionary_is_usage_error(self, capsys):
         assert main(["atoms", "--f", "bump:0,0.8", "--hardy-dict", "size=6"]) == 2
