@@ -10,20 +10,18 @@ discretized data.
 __version__ = "0.1.0"
 
 from .exponent import VariableExponent
-from .grid import Cube, Domain, GridFunction, convolve, enumerate_cubes, quadrature
+from .grid import Domain, GridFunction, convolve, quadrature
 from .norms import luxemburg_norm, modular
 from .report import Report
 from .weights import Weight
 
 __all__ = [
-    "Cube",
     "Domain",
     "GridFunction",
     "Report",
     "VariableExponent",
     "Weight",
     "convolve",
-    "enumerate_cubes",
     "luxemburg_norm",
     "modular",
     "quadrature",

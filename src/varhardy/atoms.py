@@ -22,11 +22,11 @@ projections and bad parts are batched contractions over windows gathered
 by flat lattice index.  The level-pair assembly finds each next-level
 window's owners in a map from lattice points to the owners' cubes,
 re-projects every (window, owner) pair of a group in one contraction, and
-sums each owner's atom in its own box of one buffer; one batched search
-(`grid.smallest_enclosing_cubes`) finds the supports, and an atom whose
-support exceeds a unit cube is cut into unit pieces.  `Atom`, `Patch` and
-`Cube` objects are built only for the `atoms` view, its per-atom reference
-`validate_atom` and `whitney_decompose`'s list.
+sums each owner's atom in its own box of one buffer; one batched integer
+search (`grid.smallest_enclosing_cubes`) finds the supports, and an atom
+whose support exceeds a unit cube is cut into unit pieces.  The view types
+`Atom`, `Patch` and `Cube` are built only for the `atoms` view, its
+per-atom reference `validate_atom` and `whitney_decompose`'s list.
 """
 
 from __future__ import annotations
@@ -43,10 +43,12 @@ from scipy.ndimage import distance_transform_edt
 
 from .exponent import VariableExponent
 from .grid import (
-    Cube,
     Domain,
     GridFunction,
+    chain_steps,
+    climb_chain,
     cube_centers,
+    cube_index,
     cube_lattice_ranges,
     multi_indices,
     smallest_enclosing_cubes,
@@ -59,6 +61,7 @@ from .weights import Weight, moment_order, q_w_estimate
 __all__ = [
     "Atom",
     "AtomicDecomposition",
+    "Cube",
     "Patch",
     "validate_atom",
     "validate_atoms",
@@ -112,6 +115,40 @@ def _expand(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarra
     row = np.repeat(np.arange(count.size), count)
     first = np.cumsum(count) - count
     return row, start[row] + np.arange(row.size) - first[row]
+
+
+@dataclass(frozen=True)
+class Cube:
+    """Shifted dyadic cube 2^-level * [m + a/3, m + a/3 + 1) per axis, the
+    support of an `Atom` view."""
+
+    level: int
+    shift: tuple[int, ...]
+    index: tuple[int, ...]
+
+    def __post_init__(self):
+        if not all(a in (0, 1, 2) for a in self.shift):
+            raise ValueError("shift components must be 0, 1 or 2")
+        if len(self.shift) != len(self.index):
+            raise ValueError("shift/index dimension mismatch")
+
+    @property
+    def side(self) -> float:
+        return 2.0 ** (-self.level)
+
+    @property
+    def volume(self) -> float:
+        return self.side ** len(self.index)
+
+    @property
+    def center(self) -> tuple[float, ...]:
+        return tuple(cube_centers(self.level, a, m) for m, a in zip(self.index, self.shift))
+
+    def lattice_ranges(self, domain: Domain) -> tuple[tuple[int, int], ...]:
+        """Half-open [start, stop) sample-index ranges per axis, clipped."""
+        if self.level > domain.level:
+            raise ValueError("cube below grid resolution")
+        return tuple(cube_lattice_ranges(domain, self.level, a, m) for m, a in zip(self.index, self.shift))
 
 
 @dataclass
@@ -292,14 +329,10 @@ def _whitney_cover(mask: np.ndarray, d: Domain) -> tuple[np.ndarray, np.ndarray,
         d.min_cube_level(),
     )
     # each cube's least distance to the complement, finest level first, by
-    # pairwise minima along each axis; only a cube inside the set has a
+    # the min pyramid of the shift-0 chain; only a cube inside the set has a
     # positive one, so the size test below also keeps cubes inside the set
-    dmin = [_edt_cells(mask) * d.h]
-    for _ in range(d.level - k_lo):
-        a = dmin[-1]
-        for i in range(n):
-            a = np.minimum(a[(slice(None),) * i + (slice(0, None, 2),)], a[(slice(None),) * i + (slice(1, None, 2),)])
-        dmin.append(a)
+    dist = _edt_cells(mask) * d.h
+    dmin = [dist, *(s for *_, (s,) in climb_chain(chain_steps(d, (0,) * n, k_lo), (dist,), (np.minimum,)))]
     # one flag per cube of the level: inside a cube already taken
     taken = np.zeros((d.npts >> (d.level - k_lo),) * n, dtype=bool)
     level, index = [], []
@@ -505,8 +538,9 @@ def _localise(f: np.ndarray, level: np.ndarray, shift: np.ndarray, index: np.nda
 # good/bad split at a single threshold
 
 
-def cz_decompose(f: GridFunction, lam: float, dic: TestDictionary, L: int) -> tuple[GridFunction, tuple, tuple]:
-    """Good/bad split at one threshold of the grand maximal function.
+def cz_decompose(f: GridFunction, omega: GridFunction, L: int) -> tuple[GridFunction, tuple, tuple]:
+    """Good/bad split of f on an open set, a level set of its grand maximal
+    function, given by its lattice indicator omega.
 
     Returns the good part, the Whitney cubes as (level, shift, index)
     arrays, and (lo, shape, bad): each cube's window box and its bad part
@@ -515,13 +549,7 @@ def cz_decompose(f: GridFunction, lam: float, dic: TestDictionary, L: int) -> tu
     vanishing moments, against its own localization weight, up to order L.
     """
     d = f.domain
-    if math.isnan(lam):
-        raise ValueError("threshold must not be nan")
-    mn = grand_maximal(f, dic, "MN")
-    mask = mn.samples > lam
-    if np.all(mask):
-        raise ValueError("no exterior: threshold below the maximal function minimum")
-    cubes = _whitney_cover(mask, d)
+    cubes = _whitney_cover(omega.samples > 0.5, d)
     cov = _localise(f.samples, *cubes, d, L)
     dense = np.zeros(f.samples.size)
     for g in cov.groups:
@@ -666,7 +694,6 @@ def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, w: We
     support is the smallest cube around the nonzero values, and an
     oversized atom is cut into unit pieces."""
     d = domain
-    x = d.axis()
     size = np.prod(shape, axis=1)
     start = np.cumsum(size) - size
     # reduce over every box, then select
@@ -674,7 +701,7 @@ def _owner_atoms(summed, point, lo, shape, kept, domain: Domain, q: float, w: We
     coords = np.stack(np.unravel_index(point, d.shape), axis=1)
     sup_lo = np.minimum.reduceat(np.where(nz, coords, d.npts), start)[kept]
     sup_hi = np.maximum.reduceat(np.where(nz, coords, -1), start)[kept]
-    level, shift, index = smallest_enclosing_cubes(d, x[sup_lo], x[sup_hi])
+    level, shift, index = smallest_enclosing_cubes(d, sup_lo - d.half_npts, sup_hi - d.half_npts)
     values, lo, shape, size = summed[np.repeat(kept, size)], lo[kept], shape[kept], size[kept]
     region = cube_lattice_ranges(d, level[:, None], shift, index)
     lam = _coefficients(values, size, lo, shape, *region, d, q, w)
@@ -779,8 +806,8 @@ def _split_unit_pieces(rows: _Rows, d: Domain, q: float, w: Weight) -> _Rows:
     # per axis, the unit cubes from the one holding the support's first
     # sample to the one holding its last
     start, stop = cube_lattice_ranges(d, rows.level[big, None], rows.shift[big], rows.index[big])
-    first = (start - d.half_npts) >> d.level
-    count = ((stop - 1 - d.half_npts) >> d.level) + 1 - first
+    first, last = (cube_index(d, 0, 0, e - d.half_npts) for e in (start, stop - 1))
+    count = last + 1 - first
     owner, t = _expand(np.zeros(big.size, dtype=np.int64), np.prod(count, axis=1))
     unit = np.zeros((t.size, n), dtype=np.int64)
     for i in range(n - 1, -1, -1):
@@ -834,7 +861,9 @@ def validate_atom(a: Atom, w: Weight | None, p: VariableExponent | None = None) 
     else:
         box = tuple(slice(l, l + s) for l, s in zip(a.patch.lo, a.patch.arr.shape))
         size = (hn * float(np.sum(mag**a.q * (1.0 if w is None else w.values.samples[box])))) ** (1.0 / a.q)
-        budget = (a.support.volume if w is None else w.mass(a.support)) ** (1.0 / a.q)
+        # w(Q) over the support's lattice box
+        cube = tuple(slice(i, max(i, j)) for i, j in a.support.lattice_ranges(d))
+        budget = (a.support.volume if w is None else hn * float(np.sum(w.values.samples[cube]))) ** (1.0 / a.q)
     size_ok = size <= budget * (1.0 + 1e-6)
     moments = a.kind == "local" and a.L >= 0
     l1 = hn * float(mag.sum()) if moments else 0.0

@@ -2,12 +2,13 @@
 
 Functions live on a uniform lattice over the window [-T, T)^n with dyadic
 step h = 2^-m.  Cubes come from the three shifted dyadic grids per axis
-(shifts a/3, a in {0,1,2}), so every axis-parallel cube is contained in an
-enumerated cube of at most 6^n times its volume.  Which samples a cube
-holds, and which cube holds a sample, is exact integer arithmetic (3 *
-corner / h is an integer).  Floats decide membership only in
-`enumerate_cubes`, the tests' independent reference, and in
-`smallest_enclosing_cubes`, whose boxes are arbitrary coordinates.
+(shifts a/3, a in {0,1,2}), so every axis-parallel cube is contained in a
+cube of these grids of at most 6^n times its volume.  A cube is a (level,
+shift, index) row of integers.  Which samples a cube holds, and which cube
+holds a sample, is exact integer arithmetic (3 * corner / h is an
+integer): one rule, `cube_index`, gives the cube of a lattice point, the
+support search of `smallest_enclosing_cubes` included, and one pyramid,
+`climb_chain`, takes per-cube sums, minima and maxima.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from scipy import fft as sp_fft
 __all__ = [
     "Domain",
     "GridFunction",
-    "Cube",
     "CubeLayout",
     "chain_sums",
     "chain_steps",
@@ -32,7 +32,6 @@ __all__ = [
     "layout_sums",
     "lead_classes",
     "quadrature",
-    "enumerate_cubes",
     "convolve",
     "convolve_bank",
     "KernelSpectrum",
@@ -228,48 +227,6 @@ class GridFunction:
         return float(np.max(np.abs(self.samples)))
 
 
-@dataclass(frozen=True)
-class Cube:
-    """Shifted dyadic cube 2^-level * [m + a/3, m + a/3 + 1) per axis."""
-
-    level: int
-    shift: tuple[int, ...]
-    index: tuple[int, ...]
-
-    def __post_init__(self):
-        if not all(a in (0, 1, 2) for a in self.shift):
-            raise ValueError("shift components must be 0, 1 or 2")
-        if len(self.shift) != len(self.index):
-            raise ValueError("shift/index dimension mismatch")
-
-    @property
-    def dim(self) -> int:
-        return len(self.index)
-
-    @property
-    def side(self) -> float:
-        return 2.0 ** (-self.level)
-
-    @property
-    def volume(self) -> float:
-        return self.side ** self.dim
-
-    @property
-    def center(self) -> tuple[float, ...]:
-        return tuple(cube_centers(self.level, a, m) for m, a in zip(self.index, self.shift))
-
-    def lattice_ranges(self, domain: Domain) -> tuple[tuple[int, int], ...]:
-        """Half-open [start, stop) sample-index ranges per axis, clipped."""
-        if self.level > domain.level:
-            raise ValueError("cube below grid resolution")
-        return tuple(cube_lattice_ranges(domain, self.level, a, m) for m, a in zip(self.index, self.shift))
-
-    def lattice_slices(self, domain: Domain) -> tuple[slice, ...]:
-        """Index window of the cube on the lattice; empty on every axis
-        where the cube misses the window."""
-        return tuple(slice(a, max(a, b)) for a, b in self.lattice_ranges(domain))
-
-
 def cube_lattice_ranges(domain: Domain, level, shift, index):
     """Sample-index range [start, stop) along one axis of the cube
     2^-level [index + shift/3, index + shift/3 + 1), clipped to the window.
@@ -293,13 +250,20 @@ def cube_centers(level, shift, index):
     return side * (index + shift / 3.0) + side / 2
 
 
+def cube_index(domain: Domain, level, shift, i):
+    """Index along one axis of the cube of level `level` and shift `shift`
+    that holds the lattice coordinate i (x = i*h): (3i - a s) // (3s) with
+    s = 2^(m - level).  Elementwise over ints or broadcastable integer
+    arrays, with level at most domain.level."""
+    s = 1 << (domain.level - level)
+    return (3 * i - shift * s) // (3 * s)
+
+
 def cube_index_map(domain: Domain, level: int, shift: tuple[int, ...]) -> list[np.ndarray]:
     """Per-axis cube index of every lattice point, exact integers."""
     if level > domain.level:
         raise ValueError("cube level below grid resolution")
-    s = 1 << (domain.level - level)
-    i = domain.axis_ints()
-    return [(3 * i - a * s) // (3 * s) for a in shift]
+    return [cube_index(domain, level, a, domain.axis_ints()) for a in shift]
 
 
 class CubeLayout:
@@ -441,7 +405,7 @@ def _chain_plan(domain: Domain, shift: tuple[int, ...], coarsest: int, block: in
     sees its value."""
     steps = []
     shape = domain.shape
-    first = [int(domain.axis_ints()[0]) - (a > 0) for a in shift]  # cube index of the first point
+    first = [cube_index(domain, domain.level, a, -domain.half_npts) for a in shift]  # cube index of the first point
     for k in range(domain.level - 1, coarsest - 1, -1):
         carry = [int(a == 1) for a in shift]  # cube q of shift a lies in the parent (q - [a == 1]) // 2
         lead = tuple((q - c) % 2 for q, c in zip(first, carry))
@@ -544,14 +508,10 @@ def layout_sums(
                 yield k, [shift], above
 
 
-def quadrature(f: GridFunction, cube: Cube | None = None) -> float:
-    """Riemann sum h^n * sum of samples, over one cube or the whole window.
-
-    An empty cube/window intersection integrates to zero.
-    """
+def quadrature(f: GridFunction) -> float:
+    """Riemann sum h^n * sum of samples over the window."""
     d = f.domain
-    block = f.samples if cube is None else f.samples[cube.lattice_slices(d)]
-    return d.h ** d.dim * float(np.sum(block))
+    return d.h ** d.dim * float(np.sum(f.samples))
 
 
 def all_shifts(dim: int) -> list[tuple[int, ...]]:
@@ -571,40 +531,6 @@ def level_range(domain: Domain, max_side: float, min_side: float | None = None) 
     # no cube is wider than 4T, the side at the coarsest level
     k_lo = math.ceil(-math.log2(min(max_side, 4.0 * domain.half_width)) - 1e-12)
     return list(range(k_hi, k_lo - 1, -1))
-
-
-def enumerate_cubes(
-    domain: Domain,
-    max_side: float,
-    shifts: Iterable[tuple[int, ...]] | None = None,
-    min_side: float | None = None,
-) -> list[Cube]:
-    """All cubes of the requested shifted grids meeting the window.
-
-    Order: level descending (finest cubes first), then shift, then index
-    lexicographic; deterministic.
-    """
-    if max_side < domain.h:
-        raise ValueError("max_side below grid resolution")
-    if shifts is None:
-        shifts = all_shifts(domain.dim)
-    shifts = list(shifts)
-    T = domain.half_width
-    cubes: list[Cube] = []
-    for k in level_range(domain, max_side, min_side):
-        side = 2.0 ** (-k)
-        for a in shifts:
-            ranges = []
-            for ai in a:
-                # cubes [side*(m+ai/3), side*(m+ai/3+1)) meeting [-T, T);
-                # floor/ceil are unambiguous: dyadic ratios are exact floats
-                # and the a/3 offsets never land on dyadic boundaries
-                m_lo = math.floor(-T / side - ai / 3.0)
-                m_hi = math.ceil(T / side - ai / 3.0) - 1
-                ranges.append(range(m_lo, m_hi + 1))
-            for m in product(*ranges):
-                cubes.append(Cube(k, a, m))
-    return cubes
 
 
 class KernelSpectrum(NamedTuple):
@@ -710,19 +636,23 @@ def smallest_enclosing_cubes(
     domain: Domain, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(level, shift, index) arrays of the smallest shifted-grid cube
-    containing each row [lo, hi] of the (B, n) boxes.
+    containing each row [lo, hi] of the (B, n) boxes, given as integer
+    lattice coordinates i (x = i*h).
 
-    Each box is searched from the finest level its width allows down to
-    the coarsest, shifts in `all_shifts` order; the first cube that holds
-    it wins.  It exists with volume at most 6^n times the box's enclosing
-    cube volume.
+    A cube holds a box when both its ends have the cube's index on every
+    axis (`cube_index`).  Each box is searched from the finest
+    level whose side reaches its width down to the coarsest, shifts in
+    `all_shifts` order; the first cube that holds it wins.  It exists with
+    volume at most 6^n times the box's enclosing cube volume.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.asarray(lo, dtype=np.int64), np.asarray(hi, dtype=np.int64)
     if np.any(hi < lo):
         raise ValueError("empty box")
-    width = np.max(hi - lo, axis=1, initial=0.0)
-    k = np.minimum(np.floor(-np.log2(np.maximum(width, domain.h / 4)) + 1e-12), domain.level).astype(np.int64)
+    # a level-k cube holds 2^(m - k) consecutive points per axis, so a box
+    # of w + 1 points fits from k = m - bit_length(w) on; frexp's exponent
+    # is that bit length
+    width = np.max(hi - lo, axis=1, initial=0)
+    k = domain.level - np.frexp(width)[1].astype(np.int64)
     level = np.zeros(len(lo), dtype=np.int64)
     shift = np.zeros(lo.shape, dtype=np.int64)
     index = np.zeros(lo.shape, dtype=np.int64)
@@ -731,13 +661,10 @@ def smallest_enclosing_cubes(
         if k[todo].min() < domain.min_cube_level():
             raise ValueError("box exceeds the largest enumerable cube")
         for a in all_shifts(domain.dim):
-            side = 2.0 ** -k[todo, None]
-            frac = np.array(a) / 3.0
-            m = np.floor(lo[todo] / side - frac)
-            c = side * (m + frac)
-            hit = np.all((c <= lo[todo]) & (hi[todo] < c + side), axis=1)
+            first, last = (cube_index(domain, k[todo, None], np.array(a), e[todo]) for e in (lo, hi))
+            hit = np.all(first == last, axis=1)
             at = todo[hit]
-            level[at], shift[at], index[at] = k[at], a, m[hit]
+            level[at], shift[at], index[at] = k[at], a, first[hit]
             todo = todo[~hit]
         k[todo] -= 1
     return level, shift, index

@@ -27,7 +27,7 @@ from . import littlewood_paley as lp_mod
 from . import maximal as max_mod
 from . import wavelets as wav_mod
 from .exponent import VariableExponent
-from .grid import MAIN_GRID_SHIFT, Cube, Domain, GridFunction, all_shifts
+from .grid import MAIN_GRID_SHIFT, Domain, GridFunction, all_shifts
 from .hardy import (
     MIN_DICT_COUNT,
     TestDictionary,
@@ -213,7 +213,7 @@ def suite_e1(cfg: ExperimentConfig, rng) -> list[Report]:
             holder_fail += 1
     cases.append(Report("holder", holder_fail == 0, {"violations": float(holder_fail)}))
 
-    prof = indicator_norm_profile(Cube(2, (0,) * d.dim, (3,) * d.dim), exponent_preset("lhdecay:1", d))
+    prof = indicator_norm_profile(2, (0,) * d.dim, (3,) * d.dim, exponent_preset("lhdecay:1", d))
     cases.append(Report("indicator_profile", bool(prof.passed), {"vs_p_minus": prof.q("vs_p_minus")}))
     loc = localization_norm(_bumps(d, _bump_specs(rng, 1, cfg.T))[0], exponent_preset("lhdecay:1", d), 0)
     cases.append(Report("localization", np.isfinite(loc), {"norm": loc}))
@@ -496,12 +496,12 @@ def suite_e7(cfg: ExperimentConfig, rng) -> list[Report]:
     for f in _bumps(d, _bump_specs(rng, 4, cfg.T, **atom_specs)):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
-        good, cubes, (lo, shape, bad) = atoms_mod.cz_decompose(f, lam, large, 1)
+        om = GridFunction(d, (mn > lam).astype(float))
+        good, cubes, (lo, shape, bad) = atoms_mod.cz_decompose(f, om, 1)
         # np.add.at adds in index order: every point sums its bad parts in cube order
         recon = good.samples.copy()
         np.add.at(recon.reshape(-1), atoms_mod._box_points(d, lo, shape), bad)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / max(f.sup(), 1e-300))
-        om = GridFunction(d, (mn > lam).astype(float))
         rep = atoms_mod.whitney_geometry_report(om, cubes)
         worst_whitney += int(rep.q("violations"))
         overlaps.append(rep.q("max_dilated_overlap"))

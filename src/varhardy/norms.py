@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exponent import VariableExponent, dual_exponent
-from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, GridFunction
+from .grid import MAIN_GRID_SHIFT, CubeLayout, GridFunction, cube_lattice_ranges
 from .report import Report
 
 if TYPE_CHECKING:
@@ -130,13 +130,17 @@ def unit_ball_modular_check(
     )
 
 
-def indicator_norm_profile(cube: Cube, p: VariableExponent) -> Report:
-    """Ratios of the indicator norm against |Q|^{1/p} at the three exponents.
+def indicator_norm_profile(level: int, shift: tuple[int, ...], index: tuple[int, ...], p: VariableExponent) -> Report:
+    """Ratios of the indicator norm of the cube (level, shift, index)
+    against |Q|^{1/p} at the three exponents.
 
     Pass means every ratio lies in [1/PROFILE_BAND, PROFILE_BAND].
     """
     d = p.domain
-    sl = cube.lattice_slices(d)
+    if level > d.level:
+        raise ValueError("cube below grid resolution")
+    ranges = [cube_lattice_ranges(d, level, a, q) for a, q in zip(shift, index)]
+    sl = tuple(slice(i, max(i, j)) for i, j in ranges)
     pvals = p.values.samples[sl]
     if pvals.size == 0:
         raise ValueError("cube does not meet the window")
@@ -144,7 +148,7 @@ def indicator_norm_profile(cube: Cube, p: VariableExponent) -> Report:
     mask[sl] = 1.0
     chi = GridFunction._adopt(d, mask)
     nrm = luxemburg_norm(chi, p)
-    vol = cube.volume
+    vol = (2.0 ** (-level)) ** d.dim
     p_minus_q = float(np.min(pvals))
     p_plus_q = float(np.max(pvals))
     ratios = {
@@ -263,16 +267,21 @@ def _newton(groups: _Groups, b, pvals, c, terms, rho, lo, hi) -> np.ndarray:
     phi(s) = log rho(e^s), rho(e^s) the sum of c e^{p (b - s)} over the
     group, given the terms and modulars at s = 0 and the brackets [lo, hi]:
     the final iterate of each group.  A step that leaves the bracket known
-    so far, or meets a modular that is not finite, is replaced by the
-    bracket midpoint.  A group stops at its first step of at most REL_TOL
-    and leaves the working arrays."""
+    so far by a few ulps is the bracket's end: rounding puts a root on the
+    end just outside it.  A step beyond that, or one that meets a modular
+    that is not finite, is replaced by the bracket midpoint.  A group stops
+    at its first step of at most REL_TOL and leaves the working arrays."""
     out = np.empty(rho.shape)
     act = np.arange(rho.size)  # the groups still stepping
     s = np.zeros(rho.shape)
     for _ in range(_MAX_STEPS):
         # Newton step on phi = log rho, whose slope is -sum(p terms) / rho
         nxt = s + np.log(rho) * rho / groups.sums(pvals * terms)
-        nxt = np.where((nxt >= lo) & (nxt <= hi), nxt, 0.5 * (lo + hi))
+        left = np.flatnonzero(~((nxt >= lo) & (nxt <= hi)))  # nan too
+        if left.size:
+            end = np.clip(nxt[left], lo[left], hi[left])
+            near = np.abs(nxt[left] - end) <= 4 * np.spacing(np.abs(end))
+            nxt[left] = np.where(near, end, 0.5 * (lo[left] + hi[left]))
         done = np.abs(nxt - s) <= REL_TOL
         s = nxt
         if np.all(done):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import norms
 from .exponent import VariableExponent, dual_exponent
-from .grid import MAIN_GRID_SHIFT, Cube, CubeLayout, Domain, GridFunction, all_shifts, layout_sums, level_range
+from .grid import MAIN_GRID_SHIFT, CubeLayout, Domain, GridFunction, all_shifts, layout_sums, level_range
 from .report import Report
 
 __all__ = [
@@ -99,11 +99,6 @@ class Weight:
         return Weight.from_callable(
             Domain(d.dim, d.half_width, level), self.generator, self.midpoint
         )
-
-    def mass(self, cube: Cube) -> float:
-        from .grid import quadrature
-
-        return quadrature(self.values, cube)
 
 
 def _sample(domain: Domain, fn: Callable, midpoint: bool) -> np.ndarray:

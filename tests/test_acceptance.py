@@ -320,11 +320,11 @@ def test_criterion_09_cz_and_whitney(dicts):
     for f in bumps(DOM, rng, 20):
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
-        good, cubes, (lo, shape, bad) = cz_decompose(f, lam, large, 1)
+        om = GridFunction(DOM, (mn > lam).astype(float))
+        good, cubes, (lo, shape, bad) = cz_decompose(f, om, 1)
         recon = good.samples.copy()
         np.add.at(recon.reshape(-1), atoms._box_points(DOM, lo, shape), bad)
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - f.samples))) / f.sup())
-        om = GridFunction(DOM, (mn > lam).astype(float))
         rep = whitney_geometry_report(om, cubes)
         whitney_violations += int(rep.q("violations"))
         overlap_counts.append(rep.q("max_dilated_overlap"))

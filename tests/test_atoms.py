@@ -11,6 +11,7 @@ from varhardy import atoms
 from varhardy.atoms import (
     Atom,
     AtomicDecomposition,
+    Cube,
     Patch,
     atomic_decompose,
     cz_decompose,
@@ -24,7 +25,7 @@ from varhardy.atoms import (
     whitney_geometry_report,
 )
 from varhardy.exponent import VariableExponent
-from varhardy.grid import Cube, Domain, GridFunction, cube_centers, cube_lattice_ranges, quadrature
+from varhardy.grid import Domain, GridFunction, cube_centers, cube_lattice_ranges, quadrature
 from varhardy.hardy import grand_maximal, nested_dictionaries
 from varhardy.norms import lq_norm, luxemburg_norm
 from varhardy.presets import exponent_preset, function_preset, weight_preset
@@ -75,6 +76,11 @@ def cube_arrays(cubes, n):
         np.array([c.shift for c in cubes], dtype=np.int64).reshape(-1, n),
         np.array([c.index for c in cubes], dtype=np.int64).reshape(-1, n),
     )
+
+
+def level_set(dom, mn, lam):
+    """Lattice indicator of the level set {mn > lam}."""
+    return GridFunction(dom, (mn > lam).astype(float))
 
 
 def windows(lo, shape, values):
@@ -424,20 +430,20 @@ class TestMomentProjection:
 
 
 class TestCZ:
-    def test_nan_threshold_rejected(self, dom, dicts):
-        _, large = dicts
+    def test_empty_and_full_level_sets(self, dom):
+        # an empty set has no cubes, and f is its own good part; a set that
+        # fills the window has no exterior
         f = function_preset("bump:0,1", dom)
-        with pytest.raises(ValueError, match="nan"):
-            cz_decompose(f, math.nan, large, 1)
-        # an infinite threshold is legal: its level set is empty
-        good, cubes, (_, _, bad) = cz_decompose(f, math.inf, large, 1)
+        good, cubes, (_, _, bad) = cz_decompose(f, GridFunction(dom, np.zeros(dom.shape)), 1)
         assert cubes[0].size == bad.size == 0 and np.array_equal(good.samples, f.samples)
+        with pytest.raises(ValueError, match="no exterior"):
+            cz_decompose(f, GridFunction(dom, np.ones(dom.shape)), 1)
 
     def test_threshold_above_max(self, dom, dicts):
         _, large = dicts
         f = function_preset("bump:0,1", dom)
         mn = grand_maximal(f, large, "MN")
-        good, cubes, (_, _, bad) = cz_decompose(f, 2.0 * mn.sup(), large, 1)
+        good, cubes, (_, _, bad) = cz_decompose(f, level_set(dom, mn.samples, 2.0 * mn.sup()), 1)
         assert cubes[0].size == bad.size == 0
         assert np.array_equal(good.samples, f.samples)
 
@@ -449,7 +455,7 @@ class TestCZ:
             f = function_preset(f"bump:{c:.3f},{s:.3f}", dom)
             mn = grand_maximal(f, large, "MN").samples
             lam = float(np.median(mn[mn > 0]))
-            good, _, bad = cz_decompose(f, lam, large, 1)
+            good, _, bad = cz_decompose(f, level_set(dom, mn, lam), 1)
             recon = good.samples.copy()
             add_windows(recon, dom, *bad)
             assert np.max(np.abs(recon - f.samples)) <= 1e-10 * f.sup()
@@ -462,7 +468,7 @@ class TestCZ:
             f = function_preset(f"bump:{rng.uniform(-1,1):.2f},1", dom)
             mn = grand_maximal(f, large, "MN").samples
             lam = float(np.median(mn[mn > 0]))
-            good, _, _ = cz_decompose(f, lam, large, 1)
+            good, _, _ = cz_decompose(f, level_set(dom, mn, lam), 1)
             consts.append(good.sup() / lam)
         assert max(consts) < 100.0  # finite recorded constant
 
@@ -471,7 +477,7 @@ class TestCZ:
         f = function_preset("bump:0.5,1.2", dom)
         mn = grand_maximal(f, large, "MN").samples
         lam = float(np.median(mn[mn > 0]))
-        _, (level, shift, index), bad = cz_decompose(f, lam, large, 1)
+        _, (level, shift, index), bad = cz_decompose(f, level_set(dom, mn, lam), 1)
         centers = cube_centers(level, shift[:, 0], index[:, 0])
         x = dom.axis()
         checked = 0
@@ -491,18 +497,18 @@ class TestCZ:
         _, large = dicts
         f = function_preset("bump:0.5,1.2", dom)
         mn = grand_maximal(f, large, "MN").samples
-        _, cubes, (lo, _, _) = cz_decompose(f, float(np.median(mn[mn > 0])), large, 1)
+        _, cubes, (lo, _, _) = cz_decompose(f, level_set(dom, mn, float(np.median(mn[mn > 0]))), 1)
         cubes = tuple(c[::-1] for c in cubes)  # finest first, against the level order of the groups
         starts = [max(a - 1, 0) for a in cube_lattice_ranges(dom, cubes[0], cubes[1][:, 0], cubes[2][:, 0])[0].tolist()]
         assert len(set(cubes[0].tolist())) > 1
         assert lo[::-1, 0].tolist() == starts
         assert partition_of_unity(cubes, dom)[0][:, 0].tolist() == starts
 
-    def test_2d_square_split(self, dom2, monkeypatch):
-        monkeypatch.setattr(atoms, "grand_maximal", square_level_sets(dom2, [(1.6, 1.0)]))
+    def test_2d_square_split(self, dom2):
+        mn = square_level_sets(dom2, [(1.6, 1.0)])(None, None, "MN").samples
         x, y = dom2.coords()
         f = GridFunction(dom2, np.exp(-(x**2 + y**2)) * (1.0 + x * y))
-        good, (level, shift, index), bad = cz_decompose(f, 0.75, types.SimpleNamespace(order=2), 1)
+        good, (level, shift, index), bad = cz_decompose(f, level_set(dom2, mn, 0.75), 1)
         assert len(level) > 1000
         recon = good.samples.copy()
         add_windows(recon, dom2, *bad)
@@ -866,7 +872,7 @@ def owner_pieces(d, cube, arr, w):
     lo = np.array([[a for a, _ in cube.lattice_ranges(d)]])
     shape = np.array([arr.shape])
     point = atoms._box_points(d, lo, shape)
-    top = atoms.smallest_enclosing_cubes(d, d.axis()[lo], d.axis()[lo + shape - 1])
+    top = atoms.smallest_enclosing_cubes(d, lo - d.half_npts, lo + shape - 1 - d.half_npts)
     assert [int(top[0][0]), tuple(top[1][0].tolist()), tuple(top[2][0].tolist())] == [cube.level, cube.shift, cube.index]
     rows = atoms._owner_atoms(arr.ravel(), point, lo, shape, np.ones(1, dtype=bool), d, math.inf, w)
     return list(zip(rows.lam.tolist(), rows.atoms(d, math.inf, -1)))

@@ -1,7 +1,7 @@
 """Every public function and method of the library has a caller, every
 defaulted parameter is set by some caller, every parameter is read, every
-exported name exists, and decompositions stay arrays: `Atom` and `Patch`
-objects are built only at the sites listed below.
+exported name exists, and decompositions and cubes stay arrays: `Atom`,
+`Patch` and `Cube` objects are built only at the sites listed below.
 
 A parameter with a default that no call in `src/varhardy` or `perfbench/`
 passes, by position or by keyword, is a setting with one value in use: it
@@ -31,8 +31,6 @@ ALLOWED = {
     "atoms.atomic_decompose(q)": "the paper's atom exponent q; tests check its lower bound",
     "atoms.atomic_decompose(v)": "the paper's sequence exponent v; tests check its bound",
     "weights.reverse_holder_check(q)": "an explicit exponent lets tests force the bound to fail",
-    "grid.enumerate_cubes(shifts)": "enumerate_cubes is the tests' reference enumeration",
-    "grid.enumerate_cubes(min_side)": "enumerate_cubes is the tests' reference enumeration",
     "cli.main(argv)": "the console entry point reads sys.argv; tests pass argv",
 }
 
@@ -40,7 +38,6 @@ ALLOWED = {
 # public functions that no library or benchmark code names, each with its reason
 UNREFERENCED = {
     "atoms.load_decomposition": "reads the files that `varhardy atoms --out` writes",
-    "grid.enumerate_cubes": "the tests' reference enumeration, exported by the package",
     "atoms.whitney_decompose": "the benchmark traces it by the string name in its TRACED table",
     "littlewood_paley.square_function": "the benchmark traces it by the string name in its TRACED table",
 }
@@ -60,10 +57,11 @@ UNREAD = {
 }
 
 
-# functions that build `Atom` or `Patch` objects, each with its reason
+# functions that build `Atom`, `Patch` or `Cube` objects, each with its reason
 OBJECT_SITES = {
     "atoms._Rows.atoms(Atom)": "the `dec.atoms` view, which the benchmark validates atom by atom",
     "atoms._Rows.atoms(Patch)": "the `dec.atoms` view, which the benchmark validates atom by atom",
+    "atoms._cube_list(Cube)": "the supports of the `dec.atoms` view and `whitney_decompose`'s list, which the benchmark reads",
 }
 
 
@@ -198,7 +196,7 @@ def test_atoms_and_patches_only_at_listed_sites():
             sites |= {
                 f"{name}({node.func.id})"
                 for node in ast.walk(fn)
-                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Atom", "Patch")
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("Atom", "Patch", "Cube")
             }
     # an allow-list entry whose function no longer builds the object is stale
     assert sorted(sites) == sorted(OBJECT_SITES)

@@ -6,10 +6,10 @@ import pytest
 
 from scipy import fft as sp_fft
 
+from cube_reference import cube_quadrature, enumerate_cubes
 from varhardy import atoms, grid
-from varhardy.atoms import _owner_atoms, whitney_decompose
+from varhardy.atoms import Cube, _owner_atoms, whitney_decompose
 from varhardy.grid import (
-    Cube,
     CubeLayout,
     Domain,
     GridFunction,
@@ -20,7 +20,6 @@ from varhardy.grid import (
     cube_centers,
     cube_index_map,
     cube_lattice_ranges,
-    enumerate_cubes,
     kernel_spectrum,
     layout_sums,
     level_range,
@@ -41,7 +40,8 @@ def lattice_count(cube, d):
 
 
 def smallest_enclosing_cube(domain, lo, hi):
-    """The `Cube` that `smallest_enclosing_cubes` finds for one box [lo, hi]."""
+    """The `Cube` that `smallest_enclosing_cubes` finds for one box [lo, hi]
+    of lattice coordinates."""
     level, shift, index = smallest_enclosing_cubes(domain, np.reshape(lo, (1, -1)), np.reshape(hi, (1, -1)))
     return Cube(int(level[0]), tuple(shift[0].tolist()), tuple(index[0].tolist()))
 
@@ -117,7 +117,7 @@ class TestGridFunctionSamples:
 class TestQuadrature:
     def test_constant_one(self, dom):
         f = GridFunction.from_callable(dom, lambda x: np.ones_like(x))
-        q = quadrature(f, Cube(0, (0,), (0,)))
+        q = cube_quadrature(f, Cube(0, (0,), (0,)))
         assert abs(q - 1.0) <= dom.h
 
     def test_zero(self, dom):
@@ -140,12 +140,12 @@ class TestQuadrature:
     def test_empty_intersection_is_zero(self, dom):
         f = GridFunction.from_callable(dom, lambda x: np.ones_like(x))
         far = Cube(0, (0,), (1000,))
-        assert quadrature(f, far) == 0.0
+        assert cube_quadrature(f, far) == 0.0
 
     def test_2d(self):
         d2 = Domain(2, 4, 5)
         f = GridFunction.from_callable(d2, lambda x, y: np.ones(np.broadcast(x, y).shape))
-        q = quadrature(f, Cube(0, (0, 0), (0, 0)))
+        q = cube_quadrature(f, Cube(0, (0, 0), (0, 0)))
         assert abs(q - 1.0) <= 4 * d2.h
 
 
@@ -303,27 +303,30 @@ class TestChainSums:
 class TestOneThirdTrick:
     def test_random_intervals_are_covered(self, dom):
         rng = np.random.default_rng(7)
+        unit = 2**dom.level  # lattice points per unit length
         for _ in range(50):
-            lo = rng.uniform(-6, 5)
-            width = rng.uniform(dom.h, 2.0)
+            lo = int(rng.integers(-6 * unit, 5 * unit))
+            width = int(rng.integers(1, 2 * unit + 1))
             R = smallest_enclosing_cube(dom, [lo], [lo + width])
             corner = R.side * (R.index[0] + R.shift[0] / 3.0)
-            assert corner <= lo and lo + width < corner + R.side
-            assert R.volume <= 6.0 * width + 1e-12
+            assert corner <= lo * dom.h and (lo + width) * dom.h < corner + R.side
+            assert R.volume <= 6.0 * width * dom.h + 1e-12
 
     def test_2d_cover(self):
         d2 = Domain(2, 4, 5)
         rng = np.random.default_rng(8)
+        unit = 2**d2.level
         for _ in range(20):
-            lo = rng.uniform(-3, 2, size=2)
-            w = rng.uniform(d2.h, 1.5)
+            lo = rng.integers(-3 * unit, 2 * unit, size=2)
+            w = int(rng.integers(1, 3 * unit // 2 + 1))
             R = smallest_enclosing_cube(d2, lo, lo + w)
-            assert R.volume <= 6.0**2 * w**2 + 1e-9
+            assert R.volume <= 6.0**2 * (w * d2.h) ** 2 + 1e-9
 
 
 def reference_enclosing_cube(domain, lo, hi):
-    """The search written out box by box: levels from the finest the width
-    allows down to the coarsest, shifts in `all_shifts` order, first hit."""
+    """The search written out box by box on coordinates x: levels from the
+    finest the width allows down to the coarsest, shifts in `all_shifts`
+    order, first hit, with float membership tests."""
     width = max(b - a for a, b in zip(lo, hi))
     k_start = min(math.floor(-math.log2(max(width, domain.h / 4)) + 1e-12), domain.level)
     for k in range(k_start, domain.min_cube_level() - 1, -1):
@@ -337,21 +340,23 @@ def reference_enclosing_cube(domain, lo, hi):
 
 
 class TestEnclosingCubes:
-    @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 4, 6)], ids=["n1", "n2"])
-    def test_batch_matches_reference(self, d):
-        rng = np.random.default_rng(d.dim)
-        # float boxes of every scale, lattice boxes, points and integer
-        # edges, mixed in one batch
-        lo = rng.uniform(-6, 5, size=(400, d.dim))
-        width = rng.choice([0.0, d.h, 0.01, 0.3, 1.0, 2.5, 6.0], size=(400, 1)) * rng.uniform(0, 1, size=(400, d.dim))
-        lo[::3] = np.round(lo[::3] / d.h) * d.h
-        width[1::3] = np.round(width[1::3] / d.h) * d.h
-        lo[2::5] = np.floor(lo[2::5])
-        hi = lo + width
-        level, shift, index = smallest_enclosing_cubes(d, lo, hi)
-        for row in range(len(lo)):
-            want = reference_enclosing_cube(d, lo[row].tolist(), hi[row].tolist())
-            assert Cube(int(level[row]), tuple(shift[row].tolist()), tuple(index[row].tolist())) == want
+    @pytest.mark.parametrize("dim", [1, 2], ids=["n1", "n2"])
+    def test_batch_matches_reference(self, dim):
+        # seeded lattice boxes inside windows of three widths, from a point
+        # to the whole window, log-uniform in width per axis; the reference
+        # searches their coordinates x = i h
+        rng = np.random.default_rng(dim)
+        for T in (0.5, 2, 8):
+            d = Domain(dim, T, 9 if dim == 1 else 6)
+            n = d.npts
+            width = np.floor(n ** rng.uniform(0, 1, size=(300, dim))).astype(np.int64) - 1
+            width[:3] = np.array([[0], [1], [n - 1]])
+            lo = rng.integers(-(n // 2), n // 2 - width)
+            hi = lo + width
+            level, shift, index = smallest_enclosing_cubes(d, lo, hi)
+            for row in range(len(lo)):
+                want = reference_enclosing_cube(d, (lo[row] * d.h).tolist(), (hi[row] * d.h).tolist())
+                assert Cube(int(level[row]), tuple(shift[row].tolist()), tuple(index[row].tolist())) == want
 
     @pytest.mark.parametrize("d", [Domain(1, 8, 9), Domain(2, 2, 6)], ids=["n1", "n2"])
     def test_kept_owner_segments_keep_their_own_boxes(self, d):
@@ -388,13 +393,17 @@ class TestEnclosingCubes:
             assert np.count_nonzero(dense) == np.count_nonzero(summed[seg])
             np.testing.assert_allclose(lam * dense[tuple(c.T)], summed[seg], rtol=1e-15, atol=0)
 
-    def test_empty_batch_and_errors(self, dom):
-        level, shift, index = smallest_enclosing_cubes(dom, np.zeros((0, 1)), np.zeros((0, 1)))
-        assert level.shape == (0,) and shift.shape == index.shape == (0, 1)
-        with pytest.raises(ValueError, match="empty box"):
-            smallest_enclosing_cubes(dom, np.array([[0.0], [1.0]]), np.array([[1.0], [0.5]]))
-        with pytest.raises(ValueError, match="largest"):
-            smallest_enclosing_cube(dom, [-8.0], [40.0])
+    def test_empty_batch_and_errors(self):
+        for d in (Domain(1, 8, 9), Domain(2, 4, 6)):
+            unit, none = 2**d.level, np.zeros((0, d.dim), dtype=np.int64)
+            level, shift, index = smallest_enclosing_cubes(d, none, none)
+            assert level.shape == (0,) and shift.shape == index.shape == (0, d.dim)
+            lo = np.array([[0] * d.dim, [unit] * d.dim])
+            with pytest.raises(ValueError, match="empty box"):
+                smallest_enclosing_cubes(d, lo, lo[::-1] - [[0] * d.dim, [unit // 2] * d.dim])
+            # wider than the largest cube, side 4T
+            with pytest.raises(ValueError, match="largest"):
+                smallest_enclosing_cube(d, [-8 * unit] * d.dim, [40 * unit] * d.dim)
 
 
 def check_ranges_and_centres(d, level, shift, cubes):

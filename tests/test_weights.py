@@ -495,15 +495,11 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("pspec", E4_EXPONENTS)
     def test_one_point_cubes_are_one(self, domain, wspec, pspec, branches):
         # the closed form that brackets the lattice layout at [0, 0]: a
-        # one-point cube has value 1 in both constants.  A_p(.) solves it
-        # within rounding; the dyadic-grid constant within the solver's
-        # tolerance, since a point whose 1/(p - 1) is the lattice's least
-        # or largest has its root at the end of the solver's bracket, where
-        # a rounded Newton step falls outside and is bisected
+        # one-point cube has value 1 in both constants, within rounding
         w, p = weight_preset(wspec, domain), exponent_preset(pspec, domain)
         a_loc_var_constant(w, p)
         tilde_a_constant(w, p, max_side=None)
-        for (d, _, shifts, *_, solve), tol in zip(branches, (1e-12, norms.REL_TOL)):
+        for (d, _, shifts, *_, solve), tol in zip(branches, (1e-12, 1e-14)):
             vals = solve(d.level, shifts[0])
             assert vals.size == d.npts ** d.dim
             assert np.max(np.abs(vals - 1.0)) <= tol
